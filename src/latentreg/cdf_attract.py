@@ -83,8 +83,7 @@ class TargetQuantiles:
 
 @lru_cache(maxsize=128)
 def _chi2_quantile_table(count: int, dim: int) -> np.ndarray:
-    dist = ChiSquare(dim)
-    table = np.array([chi2_inv_cdf(dist, (k + 0.5) / count) for k in range(count)])
+    table = chi2_inv_cdf(ChiSquare(dim), (np.arange(count) + 0.5) / count)
     table.setflags(write=False)
     return table
 
@@ -259,7 +258,7 @@ class CoordinateTarget:
             return (np.floor(scale * ranks / n) + 0.5) / scale
         probs = (ranks + 0.5) / n
         if self.kind == "gaussian":
-            return np.array([normal_inv_cdf(p) for p in probs])
+            return normal_inv_cdf(probs)
         return probs  # uniform01 and torus_uniform01
 
 

@@ -9,7 +9,8 @@ scale, single-cloud evaluation, and attraction demos.
 All outputs (CSV and SVG) are deterministic for a fixed spec: rerunning a
 command writes byte-identical files. Flags override an optional key=value
 --config file; every resolved value is echoed to OUT/config_resolved.txt.
-Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Exit codes: 0 success, 1 usage error, 2 runtime failure. The merged spec is
+validated before any file is written; a bad value is a usage error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import numpy as np
 from . import calibration
 from .baselines import CwaeParams, KernelSpec, cwae, mardia_stats, wae_mmd
 from .cdf_attract import (
+    GRADIENT_MODES,
+    NORMS,
     CoordinateTarget,
     build_target_quantiles,
     cdf_objective,
@@ -73,6 +76,7 @@ COORD_STEPS = 200
 COORD_ALPHA = 0.5
 
 _GRADIENT_MODES = {"exact": "exact_subgradient", "paper": "paper_verbatim"}
+_ATTRACT_TARGETS = ("gaussian", "uniform01", "torus", "quantized")
 
 
 @dataclass
@@ -93,10 +97,21 @@ class ExperimentSpec:
     bits: int = 1
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        checks = (
+            (self.n >= 2, f"n must be >= 2, got {self.n}"),
+            (self.dim >= 1, f"dim must be >= 1, got {self.dim}"),
+            (self.trials >= 1, f"trials must be >= 1, got {self.trials}"),
+            (self.jobs >= 1, f"jobs must be >= 1, got {self.jobs}"),
+            (self.norm in NORMS, f"norm must be one of {NORMS}, got {self.norm!r}"),
+            (self.gradient_mode in GRADIENT_MODES,
+             f"gradient_mode must be one of {GRADIENT_MODES}, got {self.gradient_mode!r}"),
+            (self.target in _ATTRACT_TARGETS,
+             f"target must be one of {_ATTRACT_TARGETS}, got {self.target!r}"),
+            (self.bits >= 1, f"bits must be >= 1, got {self.bits}"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)
 
     def out_dir(self) -> Path:
         out = Path(self.out)
@@ -170,9 +185,11 @@ def _write_curve_csv(path: Path, sorted_values: np.ndarray,
             fh.write("%.17g,%.17g,%.17g\n" % (v, t, p))
 
 
-def _chi2_deciles(dim: int) -> list[float]:
-    dist = ChiSquare(dim)
-    return [chi2_inv_cdf(dist, q / 10.0) for q in range(1, 10)]
+_DECILES = np.arange(1, 10) / 10.0
+
+
+def _chi2_deciles(dim: int) -> np.ndarray:
+    return chi2_inv_cdf(ChiSquare(dim), _DECILES)
 
 
 _Y_TICKS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -231,8 +248,7 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
 
     deciles = _chi2_deciles(spec.dim)
     target_ps = np.linspace(0.001, 0.999, 200)
-    dist_chi2 = ChiSquare(spec.dim)
-    target_xs = np.array([chi2_inv_cdf(dist_chi2, p) for p in target_ps])
+    target_xs = chi2_inv_cdf(ChiSquare(spec.dim), target_ps)
     for row in FIG1_ROWS:
         for stat in ("radii", "distances"):
             _edf_panel(out / f"fig1_{row}_{stat}.svg",
@@ -299,7 +315,7 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
                 m = v.shape[0]
                 probs = (np.arange(m) + 0.5) / m
                 if test == "projections":
-                    targets = np.array([normal_inv_cdf(p) for p in probs])
+                    targets = normal_inv_cdf(probs)
                 else:
                     targets = np.quantile(ref_stats[test], probs)
                 _write_curve_csv(out / f"fig2_{side}_{test}_trial{t:02d}.csv",
@@ -314,14 +330,14 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
             trial_values = [per_side[side][0][test] for per_side, _ in results]
             if test == "projections":
                 ps = np.linspace(0.001, 0.999, 200)
-                xs = np.array([normal_inv_cdf(p) for p in ps])
-                ticks = [normal_inv_cdf(q / 10.0) for q in range(1, 10)]
+                xs = normal_inv_cdf(ps)
+                ticks = normal_inv_cdf(_DECILES)
             else:
                 pooled = np.sort(np.concatenate(
                     [ref_stats[test] for _, ref_stats in results]))
                 ps = (np.arange(pooled.shape[0]) + 0.5) / pooled.shape[0]
                 xs = pooled
-                ticks = list(np.quantile(pooled, [i / 10 for i in range(1, 10)]))
+                ticks = np.quantile(pooled, _DECILES)
             _edf_panel(out / f"fig2_{side}_{test}.svg", trial_values, xs, ps,
                        f"{side}: {test} EDF", ticks)
 
@@ -486,20 +502,19 @@ _SPEC_CASTS = {
 
 
 def _build_spec(experiment: str, args: argparse.Namespace) -> ExperimentSpec:
+    """Flags over config-file values over defaults, validated once merged."""
     file_values = _read_config_file(args.config) if args.config else {}
-    spec = ExperimentSpec(experiment)
+    values = {}
     for name, cast in _SPEC_CASTS.items():
-        flag = getattr(args, name, None)
-        if name == "gradient_mode" and flag is not None:
-            flag = _GRADIENT_MODES[flag]
-        if flag is not None:
-            setattr(spec, name, cast(flag))
-        elif name in file_values:
-            value = file_values[name]
-            if name == "gradient_mode":
-                value = _GRADIENT_MODES.get(value, value)
-            setattr(spec, name, cast(value))
-    return spec
+        value = getattr(args, name, None)
+        if value is None:
+            value = file_values.get(name)
+        if value is None:
+            continue
+        if name == "gradient_mode":
+            value = _GRADIENT_MODES.get(value, value)
+        values[name] = cast(value)
+    return ExperimentSpec(experiment, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -518,18 +533,25 @@ def main(argv: list[str] | None = None) -> int:
     p_attract = sub.add_parser("attract", help="attraction demo runs")
     _add_common(p_attract)
     p_attract.add_argument("--target", default=None,
-                           choices=("gaussian", "uniform01", "torus", "quantized"))
+                           choices=_ATTRACT_TARGETS)
     p_attract.add_argument("--bits", type=int, default=None)
 
     args = parser.parse_args(argv)
+    if args.command != "eval":
+        experiment = {"fig1": "fig1_grid", "fig2": "fig2_battery",
+                      "attract": "attract_demo"}[args.command]
+        try:  # a bad spec is a usage error, reported before any file is written
+            spec = _build_spec(experiment, args)
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
     try:
         if args.command == "fig1":
-            return cmd_fig1(_build_spec("fig1_grid", args))
+            return cmd_fig1(spec)
         if args.command == "fig2":
-            return cmd_fig2(_build_spec("fig2_battery", args))
+            return cmd_fig2(spec)
         if args.command == "eval":
             return cmd_eval(args.cloud, args.which, args.seed, args.out)
-        return cmd_attract_demo(_build_spec("attract_demo", args))
+        return cmd_attract_demo(spec)
     except Exception as exc:  # runtime/numeric failure -> exit 2
         sys.stderr.write(f"latentreg: error: {exc}\n")
         return 2

@@ -1,14 +1,29 @@
 """Special functions backing the target CDFs.
 
-Scalar, dependency-free implementations of the regularized lower incomplete
+Array-valued, numpy-only implementations of the regularized lower incomplete
 gamma function, the chi-squared CDF and quantile function, and the standard
-normal CDF and quantile function. Everything here is pure and thread-safe.
+normal CDF and quantile function. Each public function takes scalars or
+arrays (broadcast elementwise), returns a ``float`` when every argument is a
+scalar and an array of the broadcast shape otherwise, and rejects an input
+holding any out-of-domain entry with ``ValueError``. The scalar and array
+forms run the same array core, so they agree bit for bit; the cores iterate
+each element to the same stopping rule and drop converged elements from
+their working set. Inputs are processed in blocks of ``_BLOCK`` elements,
+which bounds the working memory of a large call such as a quantile table.
+Everything here is pure and thread-safe.
+
+Tested accuracy: P(a, x) to 1e-12 absolute against a 40-digit oracle for a
+in [0.5, 500]; chi-squared quantiles round trip to 1e-13 with strictly
+increasing tables for dof in [1, 1000]; normal quantiles round trip to 1e-12
+on q in [1e-6, 1 - 1e-6].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ChiSquare",
@@ -22,6 +37,7 @@ __all__ = [
 
 _EPS = 1e-16
 _MAX_ITER = 800
+_BLOCK = 4096
 
 
 def sgn(t: float) -> float:
@@ -44,137 +60,237 @@ class ChiSquare:
             raise ValueError(f"dof must be a positive integer, got {self.dof!r}")
 
 
-def reg_lower_gamma(a: float, x: float) -> float:
+def _evaluate(core, *args, **params):
+    """Run ``core`` on the broadcast arguments, flattened, in blocks of
+    _BLOCK elements; a float when every argument is a scalar."""
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in args))
+    shape = arrays[0].shape
+    flat = [a.ravel() for a in arrays]
+    out = np.empty(flat[0].size)
+    for start in range(0, out.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        out[block] = core(*(a[block] for a in flat), **params)
+    return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def _check(bad, values, message: str) -> None:
+    """Raise ValueError naming the first entry of ``values`` flagged by ``bad``."""
+    if np.any(bad):
+        raise ValueError(f"{message}, got {float(values[bad][0])}")
+
+
+def _compact(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    return [a[keep] for a in arrays]
+
+
+def _horner(coeffs: tuple[float, ...], t):
+    """Polynomial with coefficients highest power first, by Horner's rule."""
+    acc = coeffs[0] * t + coeffs[1]
+    for c in coeffs[2:]:
+        acc = acc * t + c
+    return acc
+
+
+def reg_lower_gamma(a, x):
     """Regularized lower incomplete gamma function P(a, x).
 
     Uses the power series for x < a + 1 and a modified-Lentz continued
     fraction for x >= a + 1, the usual split that keeps both branches fast
-    and uniformly accurate (well below 1e-12 absolute for a in [0.5, 200]).
+    and uniformly accurate (well below 1e-12 absolute for a in [0.5, 500]).
     """
-    if a <= 0.0:
-        raise ValueError(f"shape parameter a must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_gamma_series(a, x)
-    return 1.0 - _upper_gamma_cf(a, x)
+    a = np.asarray(a, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    _check(a <= 0.0, a, "shape parameter a must be positive")
+    _check(x < 0.0, x, "argument x must be nonnegative")
+    return _evaluate(_reg_lower_gamma, a, x)
 
 
-def _log_prefactor(a: float, x: float) -> float:
-    # log of x^a e^-x / Gamma(a), shared by both branches
-    return a * math.log(x) - x - math.lgamma(a)
+def _reg_lower_gamma(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(x)  # P(a, 0) = 0
+    below = x < a + 1.0
+    series = np.flatnonzero(below & (x != 0.0))
+    if series.size:
+        out[series] = _lower_gamma_series(a[series], x[series])
+    fraction = np.flatnonzero(~below)
+    if fraction.size:
+        out[fraction] = 1.0 - _upper_gamma_cf(a[fraction], x[fraction])
+    return out
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
+_LOG_2PI = math.log(2.0 * math.pi)
+# Stirling's series for lgamma(a) - (a - 1/2) log(a) + a - log(2 pi)/2 in
+# powers of 1/a^2, highest first: B_2k / (2k (2k - 1)) for k = 7..1
+_STIRLING = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+
+
+def _shape_term(a: float) -> float:
+    """a log(a) - a - lgamma(a). Its direct form cancels terms of size
+    a log(a), so for a >= 10 it comes from Stirling's series instead
+    (truncation error below 1e-16 there)."""
+    if a < 10.0:
+        return a * math.log(a) - a - math.lgamma(a)
+    return 0.5 * (math.log(a) - _LOG_2PI) - _horner(_STIRLING, 1.0 / (a * a)) / a
+
+
+def _log_prefactor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log of x^a e^-x / Gamma(a) for x > 0, as a (log t - u) plus a term in
+    a alone, where t = x/a = 1 + u. No intermediate grows with a, so the
+    absolute error stays near 1e-16 |x - a| where the direct
+    a log(x) - x - lgamma(a) loses digits to cancellation (5e-13 at a=500)."""
+    u = (x - a) / a
+    log_t = np.where(u > -0.5, np.log1p(u), np.log(x / a))
+    # the shapes of one call are few (one per chi-squared table)
+    shapes, inverse = np.unique(a, return_inverse=True)
+    term = np.array([_shape_term(v) for v in shapes])[inverse.ravel()]
+    return a * (log_t - u) + term
+
+
+def _lower_gamma_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    total = np.empty_like(x)
+    live = np.arange(x.size)
     term = 1.0 / a
-    total = term
-    denom = a
+    sums = term.copy()
+    denom = a.copy()
+    xs = x
     for _ in range(_MAX_ITER):
         denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return min(total * math.exp(_log_prefactor(a, x)), 1.0)
+        term *= xs / denom
+        sums += term
+        done = np.abs(term) < np.abs(sums) * _EPS
+        if done.any():
+            total[live[done]] = sums[done]
+            live, xs, term, sums, denom = _compact(~done, live, xs, term, sums, denom)
+            if not live.size:
+                break
+    total[live] = sums  # entries that used up _MAX_ITER
+    return np.minimum(total * np.exp(_log_prefactor(a, x)), 1.0)
 
 
-def _upper_gamma_cf(a: float, x: float) -> float:
+def _upper_gamma_cf(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Q(a, x) by Lentz's method on the standard continued fraction.
     tiny = 1e-300
+    result = np.empty_like(x)
+    live = np.arange(x.size)
+    shape = a
     b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
+    c = np.full_like(x, 1.0 / tiny)
+    d = np.divide(1.0, b, out=np.full_like(x, 1.0 / tiny), where=b != 0.0)
+    h = d.copy()
     for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
+        an = -i * (i - shape)
         b += 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(_log_prefactor(a, x))
+        done = np.abs(delta - 1.0) < _EPS
+        if done.any():
+            result[live[done]] = h[done]
+            live, shape, b, c, d, h = _compact(~done, live, shape, b, c, d, h)
+            if not live.size:
+                break
+    result[live] = h  # entries that used up _MAX_ITER
+    return result * np.exp(_log_prefactor(a, x))
 
 
-def chi2_cdf(dist: ChiSquare, x: float) -> float:
+def chi2_cdf(dist: ChiSquare, x):
     """CDF of the chi-squared distribution: P(dof/2, x/2)."""
-    if x < 0.0:
-        raise ValueError(f"chi-squared argument must be nonnegative, got {x}")
-    return reg_lower_gamma(0.5 * dist.dof, 0.5 * x)
+    x = np.asarray(x, dtype=np.float64)
+    _check(x < 0.0, x, "chi-squared argument must be nonnegative")
+    return _evaluate(_chi2_cdf, x, dof=dist.dof)
 
 
-def _chi2_pdf(dof: int, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    a = 0.5 * dof
-    log_pdf = (a - 1.0) * math.log(x) - 0.5 * x - a * math.log(2.0) - math.lgamma(a)
-    if log_pdf < -745.0:
-        return 0.0
-    return math.exp(log_pdf)
+def _chi2_cdf(x: np.ndarray, dof: int) -> np.ndarray:
+    return _reg_lower_gamma(np.full_like(x, 0.5 * dof), 0.5 * x)
 
 
-def chi2_inv_cdf(dist: ChiSquare, q: float) -> float:
+def _chi2_pdf(x: np.ndarray, dof: int) -> np.ndarray:
+    # x times the density is the gamma prefactor at (dof/2, x/2)
+    pdf = np.zeros_like(x)
+    pos = np.flatnonzero(x > 0.0)
+    xp = x[pos]
+    pdf[pos] = np.exp(_log_prefactor(np.full_like(xp, 0.5 * dof), 0.5 * xp)) / xp
+    return pdf
+
+
+def chi2_inv_cdf(dist: ChiSquare, q):
     """Quantile function of the chi-squared distribution.
 
     Newton iteration seeded by the Wilson-Hilferty cube approximation,
-    safeguarded by a bracketing bisection; converges to |cdf(x) - q| <= 1e-13.
+    safeguarded by a bracketing bisection; each element converges to
+    |cdf(x) - q| <= 1e-13 or stops when a step no longer moves it.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {q}")
-    dof = dist.dof
+    q = np.asarray(q, dtype=np.float64)
+    _check(~((q > 0.0) & (q < 1.0)), q, "quantile level must lie in (0, 1)")
+    return _evaluate(_chi2_inv_cdf, q, dof=dist.dof)
+
+
+def _chi2_inv_cdf(q: np.ndarray, dof: int) -> np.ndarray:
     d = float(dof)
 
     # Wilson-Hilferty seed; can leave (0, inf) for small q and small dof.
-    z = normal_inv_cdf(q)
+    z = _normal_inv_cdf(q)
     x = d * (1.0 - 2.0 / (9.0 * d) + z * math.sqrt(2.0 / (9.0 * d))) ** 3
-    if not (x > 0.0 and math.isfinite(x)):
-        x = 1e-8
+    x[~((x > 0.0) & np.isfinite(x))] = 1e-8
 
-    hi = max(x, 1e-8)
+    # double hi until cdf(hi) >= q
+    hi = np.maximum(x, 1e-8)
+    short = np.arange(q.size)
     for _ in range(2000):
-        if chi2_cdf(dist, hi) >= q:
+        short = short[_chi2_cdf(hi[short], dof) < q[short]]
+        if not short.size:
             break
-        hi *= 2.0
-    lo = 0.0
-    if not 0.0 < x < hi:
-        x = 0.5 * hi
+        hi[short] *= 2.0
+    lo = np.zeros_like(x)
+    outside = ~((0.0 < x) & (x < hi))
+    x[outside] = 0.5 * hi[outside]
 
+    root = np.empty_like(x)
+    live = np.arange(q.size)
     for _ in range(200):
-        fx = chi2_cdf(dist, x) - q
-        if abs(fx) <= 1e-13:
-            return x
-        if fx > 0.0:
-            hi = x
-        else:
-            lo = x
-        p = _chi2_pdf(dof, x)
-        if p > 0.0:
-            x_next = x - fx / p
-            if not lo < x_next < hi:
-                x_next = 0.5 * (lo + hi)
-        else:
-            x_next = 0.5 * (lo + hi)
-        if x_next == x:
-            return x
+        fx = _chi2_cdf(x, dof) - q
+        over = fx > 0.0
+        hi = np.where(over, x, hi)
+        lo = np.where(over, lo, x)
+        p = _chi2_pdf(x, dof)
+        step = np.divide(fx, p, out=np.zeros_like(x), where=p > 0.0)
+        x_next = x - step
+        newton = (p > 0.0) & (lo < x_next) & (x_next < hi)
+        x_next = np.where(newton, x_next, 0.5 * (lo + hi))
+        done = (np.abs(fx) <= 1e-13) | (x_next == x)
+        if done.any():
+            root[live[done]] = x[done]
+            live, q, x, x_next, lo, hi = _compact(~done, live, q, x, x_next, lo, hi)
+            if not live.size:
+                break
         x = x_next
-    return x
+    root[live] = x  # entries that used up the iteration budget
+    return root
 
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# the C library's erfc, exp and log, applied elementwise, so the normal
+# functions give the same bits as scalar math-module code
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+_EXP = np.frompyfunc(math.exp, 1, 1)
+_LOG = np.frompyfunc(math.log, 1, 1)
 
 
-def normal_cdf(x: float) -> float:
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    return fn(x).astype(np.float64)
+
+
+def normal_cdf(x):
     """Standard normal CDF."""
-    return 0.5 * math.erfc(-x * _SQRT1_2)
+    return _evaluate(_normal_cdf, x)
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * _libm(_ERFC, -x * _SQRT1_2)
 
 
 # Acklam's rational approximation for the normal quantile (~1.2e-9 relative),
@@ -182,34 +298,34 @@ def normal_cdf(x: float) -> float:
 _ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
              1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
+             6.680131188771972e+01, -1.328068155288572e+01, 1.0)
 _ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
              -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
 _ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
+             3.754408661907416e+00, 1.0)
 _P_LOW = 0.02425
 
 
-def normal_inv_cdf(q: float) -> float:
+def normal_inv_cdf(q):
     """Standard normal quantile function, |cdf(inv(q)) - q| well below 1e-12."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {q}")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if q < _P_LOW:
-        t = math.sqrt(-2.0 * math.log(q))
-        x = (((((c[0] * t + c[1]) * t + c[2]) * t + c[3]) * t + c[4]) * t + c[5]) / \
-            ((((d[0] * t + d[1]) * t + d[2]) * t + d[3]) * t + 1.0)
-    elif q <= 1.0 - _P_LOW:
-        t = q - 0.5
-        r = t * t
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * t / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        t = math.sqrt(-2.0 * math.log(1.0 - q))
-        x = -(((((c[0] * t + c[1]) * t + c[2]) * t + c[3]) * t + c[4]) * t + c[5]) / \
-            ((((d[0] * t + d[1]) * t + d[2]) * t + d[3]) * t + 1.0)
+    q = np.asarray(q, dtype=np.float64)
+    _check(~((q > 0.0) & (q < 1.0)), q, "quantile level must lie in (0, 1)")
+    return _evaluate(_normal_inv_cdf, q)
+
+
+def _normal_inv_cdf(q: np.ndarray) -> np.ndarray:
+    x = np.empty_like(q)
+    low = q < _P_LOW
+    high = q > 1.0 - _P_LOW
+    for tail, p, sign in ((low, q, 1.0), (high, 1.0 - q, -1.0)):
+        t = np.sqrt(-2.0 * _libm(_LOG, p[tail]))
+        x[tail] = sign * _horner(_ACKLAM_C, t) / _horner(_ACKLAM_D, t)
+    mid = ~(low | high)
+    t = q[mid] - 0.5
+    r = t * t
+    x[mid] = _horner(_ACKLAM_A, r) * t / _horner(_ACKLAM_B, r)
     for _ in range(2):
-        e = normal_cdf(x) - q
-        u = e * _SQRT_2PI * math.exp(0.5 * x * x)
+        e = _normal_cdf(x) - q
+        u = e * _SQRT_2PI * _libm(_EXP, 0.5 * x * x)
         x -= u / (1.0 + 0.5 * x * u)
     return x

@@ -48,11 +48,12 @@ class EdfCurve:
 
     @classmethod
     def from_values(cls, values: np.ndarray,
-                    inverse_cdf: Callable[[float], float]) -> "EdfCurve":
+                    inverse_cdf: Callable[[np.ndarray], np.ndarray]) -> "EdfCurve":
+        """``inverse_cdf`` is called once, on the array of all probabilities."""
         sorted_values = np.sort(np.asarray(values, dtype=np.float64))
         m = sorted_values.shape[0]
         probs = (np.arange(m) + 0.5) / m
-        target = np.array([inverse_cdf(p) for p in probs])
+        target = np.asarray(inverse_cdf(probs), dtype=np.float64)
         return cls(sorted_values, target, probs)
 
     def to_csv(self, path) -> None:
@@ -70,13 +71,14 @@ class TestReport:
     sample_size: int
 
 
-def ks_statistic(values: np.ndarray, cdf: Callable[[float], float]) -> float:
-    """One-sample KS statistic sup |EDF - CDF|."""
+def ks_statistic(values: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """One-sample KS statistic sup |EDF - CDF|. ``cdf`` is called once, on
+    the array of sorted values, and must return their CDF values."""
     v = np.sort(np.asarray(values, dtype=np.float64))
     m = v.shape[0]
     if m == 0:
         raise ValueError("need at least one value")
-    f = np.array([cdf(t) for t in v])
+    f = np.asarray(cdf(v), dtype=np.float64)
     upper = np.arange(1, m + 1) / m
     lower = np.arange(0, m) / m
     return float(np.max(np.maximum(np.abs(upper - f), np.abs(lower - f))))
@@ -94,11 +96,12 @@ def ks_statistic_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def edf_vs_cdf(values: np.ndarray, cdf: Callable[[float], float],
-               inverse_cdf: Callable[[float], float] | None = None,
+def edf_vs_cdf(values: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray],
+               inverse_cdf: Callable[[np.ndarray], np.ndarray] | None = None,
                name: str = "edf") -> TestReport:
     """KS distance of the sample EDF from a target CDF; when an inverse CDF
-    is supplied, also the mean |sorted value - target quantile| area."""
+    is supplied, also the mean |sorted value - target quantile| area. Both
+    callables take and return arrays."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("need at least one value")

@@ -144,6 +144,34 @@ def test_usage_error_exits_1():
     assert exc.value.code == 1
 
 
+BAD_SPECS = {
+    "trials": (["attract", "--trials", "0"], None),
+    "jobs": (["fig1", "--jobs", "0"], None),
+    "norm_in_config": (["fig1"], "norm=l3\n"),
+    "gradient_mode_in_config": (["fig2"], "gradient_mode=sideways\n"),
+    "target_in_config": (["attract"], "target=cauchy\n"),
+    "bits": (["attract", "--target", "quantized", "--bits", "0"], None),
+    "n": (["fig2", "--n", "1"], None),
+    "dim": (["fig1", "--dim", "0"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_bad_spec_exits_1_before_writing(tmp_path, case, capsys):
+    argv, config = BAD_SPECS[case]
+    out = tmp_path / "o"
+    argv = argv + ["--out", str(out)]
+    if config is not None:
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "spec.cfg"
     cfg.write_text("n=14\ndim=2\ntrials=1\nsteps=5\nseed=9\n# comment\n")

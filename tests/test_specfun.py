@@ -1,11 +1,13 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from latentreg.cdf_attract import chi2_quantile_table
 from latentreg.specfun import (
     ChiSquare,
     chi2_cdf,
@@ -33,7 +35,9 @@ def test_reg_lower_gamma_against_high_precision_oracle():
     # independent oracle: mpmath at 40 digits, cross-checked against scipy
     mpmath.mp.dps = 40
     for a, x in [(10.0, 10.0), (0.5, 0.2), (0.5, 3.0), (7.5, 2.0), (200.0, 180.0),
-                 (200.0, 260.0), (3.0, 50.0)]:
+                 (200.0, 260.0), (3.0, 50.0), (250.0, 230.0), (250.0, 251.0),
+                 (250.0, 290.0), (500.0, 470.0), (500.0, 500.0), (500.0, 501.0),
+                 (500.0, 560.0)]:
         oracle = float(mpmath.gammainc(a, 0, x, regularized=True))
         cross = float(special.gammainc(a, x))
         assert abs(oracle - cross) <= 1e-14
@@ -159,3 +163,81 @@ def test_sgn_convention():
     assert sgn(0.0) == 0.0
     assert sgn(3.5) == 1.0
     assert sgn(-0.1) == -1.0
+
+
+@pytest.mark.parametrize("dof", [1, 2, 400, 1000])
+def test_chi2_quantile_table_round_trip_beyond_dof_400(dof):
+    # the fig1-scale distance table, n' = 19,900, at shapes up to a = 500
+    count = 19900
+    table = chi2_quantile_table(count, dof)
+    probs = (np.arange(count) + 0.5) / count
+    assert np.all(np.diff(table) > 0.0)
+    assert np.max(np.abs(chi2_cdf(ChiSquare(dof), table) - probs)) <= 1e-13
+
+
+def test_chi2_quantile_table_matches_scipy_at_n400():
+    # the 79,800-entry distance table of an n=400, D=20 attraction. Stopping
+    # at |cdf(x) - q| <= 1e-13 bounds each entry's relative error by
+    # 1e-13 / (x pdf(x)): below 1e-10 except at the outermost entries.
+    count = 79800
+    table = chi2_quantile_table(count, 20)
+    probs = (np.arange(count) + 0.5) / count
+    ref = stats.chi2.ppf(probs, 20)
+    rel = np.abs(table / ref - 1.0)
+    allowed = np.maximum(1e-10, 1.01e-13 / (ref * stats.chi2.pdf(ref, 20)))
+    assert np.all(rel <= allowed)
+    assert np.max(np.abs(stats.chi2.cdf(table, 20) - probs)) <= 1.01e-13
+
+
+ARRAY_CASES = [
+    ("reg_lower_gamma", lambda v: reg_lower_gamma(7.5, v), np.linspace(0.0, 30.0, 61)),
+    ("chi2_cdf", lambda v: chi2_cdf(ChiSquare(5), v), np.linspace(0.0, 30.0, 61)),
+    ("chi2_inv_cdf", lambda v: chi2_inv_cdf(ChiSquare(5), v), np.array(Q_GRID)),
+    ("normal_cdf", normal_cdf, np.linspace(-9.0, 9.0, 61)),
+    ("normal_inv_cdf", normal_inv_cdf, np.array(Q_GRID)),
+]
+
+
+@pytest.mark.parametrize("name,fn,values", ARRAY_CASES, ids=[c[0] for c in ARRAY_CASES])
+def test_array_results_equal_scalar_results(name, fn, values):
+    out = fn(values)
+    assert isinstance(out, np.ndarray) and out.shape == values.shape
+    scalars = [fn(float(v)) for v in values]
+    assert all(type(s) is float for s in scalars)
+    assert out.tolist() == scalars
+    # the shape of the input is kept, and a 0-d array counts as a scalar
+    assert fn(values[:12].reshape(3, 4)).tolist() == out[:12].reshape(3, 4).tolist()
+    assert type(fn(np.float64(values[3]))) is float
+    assert type(fn(np.asarray(values[3]))) is float
+
+
+def test_reg_lower_gamma_broadcasts_shape_and_argument():
+    a = np.array([[0.5], [10.0], [250.0]])
+    x = np.array([0.0, 1.0, 12.0, 260.0])
+    out = reg_lower_gamma(a, x)
+    assert out.shape == (3, 4)
+    assert out.tolist() == [[reg_lower_gamma(float(ai), float(xj)) for xj in x]
+                            for ai in a[:, 0]]
+
+
+def test_array_with_out_of_domain_entry_raises():
+    for q in (0.0, 1.0):
+        levels = np.array([0.2, q, 0.7])
+        with pytest.raises(ValueError):
+            chi2_inv_cdf(ChiSquare(3), levels)
+        with pytest.raises(ValueError):
+            normal_inv_cdf(levels)
+    with pytest.raises(ValueError):
+        chi2_cdf(ChiSquare(3), np.array([1.0, -1e-9]))
+    with pytest.raises(ValueError):
+        reg_lower_gamma(2.0, np.array([[0.5, 1.0], [2.0, -0.1]]))
+    with pytest.raises(ValueError):
+        reg_lower_gamma(np.array([1.0, 0.0]), 1.0)
+
+
+def test_array_call_spans_several_blocks():
+    # more entries than one working block of the cores
+    probs = (np.arange(9000) + 0.5) / 9000
+    table = chi2_inv_cdf(ChiSquare(20), probs)
+    picks = [0, 4095, 4096, 8191, 8192, 8999]
+    assert table[picks].tolist() == [chi2_inv_cdf(ChiSquare(20), probs[k]) for k in picks]
