@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import PointCloud
+from .sampling import PointCloud, _sq_dists
 
 __all__ = [
     "KernelSpec",
@@ -52,11 +52,6 @@ class KernelSpec:
     @classmethod
     def exponential(cls, dim: int) -> "KernelSpec":
         return cls("exponential", dim)
-
-
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.maximum((a * a).sum(1)[:, None] + (b * b).sum(1)[None, :]
-                      - 2.0 * a @ b.T, 0.0)
 
 
 def kernel_matrix(kernel: KernelSpec, a: PointCloud, b: PointCloud) -> np.ndarray:

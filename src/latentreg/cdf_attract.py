@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sampling import PointCloud
+from .sampling import PointCloud, _pair_indices
 from .specfun import ChiSquare, chi2_inv_cdf, normal_inv_cdf
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "chi2_quantile_table",
     "radii_and_distances",
     "cdf_objective",
-    "cdf_objective_terms",
     "cdf_gradient",
     "attraction_step",
     "coordinate_targets",
@@ -128,11 +127,6 @@ class SortedStat:
         return self.values[self.order]
 
 
-@lru_cache(maxsize=32)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=1)
-
-
 def radii_and_distances(x: PointCloud) -> tuple[SortedStat, SortedStat]:
     """(|x_i|^2)_i and (|x_i - x_j|^2 / 2)_{i<j}, each with sort bookkeeping.
 
@@ -191,16 +185,10 @@ def gradient_from_residuals(x: PointCloud, residuals, mode: str, norm: str,
     return grad
 
 
-def cdf_objective_terms(x: PointCloud, targets: TargetQuantiles,
-                        norm: str = "l1") -> tuple[float, float]:
-    """(radii term, distance term) of the quantile mismatch, unweighted."""
-    return objective_terms_from_residuals(residual_bundle(x, targets), norm)
-
-
 def cdf_objective(x: PointCloud, targets: TargetQuantiles, norm: str = "l1",
                   radii_weight: float = 1.0, distance_weight: float = 1.0) -> float:
     """Weighted quantile mismatch; zero iff sorted stats equal the tables (l1)."""
-    term_r, term_d = cdf_objective_terms(x, targets, norm)
+    term_r, term_d = objective_terms_from_residuals(residual_bundle(x, targets), norm)
     return radii_weight * term_r + distance_weight * term_d
 
 

@@ -33,6 +33,7 @@ from .cdf_attract import (
     cdf_objective,
     chi2_quantile_table,
     coordinate_step,
+    radii_and_distances,
 )
 from .optimizer import (
     CdfAttractionObjective,
@@ -49,15 +50,15 @@ from .sampling import (
     sample_uniform_cube,
     sample_unit_directions,
 )
-from .specfun import ChiSquare, chi2_inv_cdf, normal_inv_cdf
+from .specfun import ChiSquare, chi2_inv_cdf, normal_cdf, normal_inv_cdf
 from .stat_tests import (
-    angle_test,
+    chi2_report,
     distance_test,
+    ks_statistic,
+    ks_statistic_two_sample,
     pairwise_angles,
     pairwise_scalar_products,
-    projection_test,
     radii_test,
-    scalar_product_test,
 )
 from .svgplot import PALETTE, Curve, render_panel
 
@@ -169,14 +170,6 @@ def _run_baseline_trial(spec: ExperimentSpec, trial_seed: int, kind: str) -> Poi
     return cloud
 
 
-def _cloud_stats(cloud: PointCloud, stat: str) -> np.ndarray:
-    if stat == "radii":
-        return (cloud.data * cloud.data).sum(1)
-    iu, ju = np.triu_indices(cloud.n, k=1)
-    diffs = cloud.data[iu] - cloud.data[ju]
-    return 0.5 * (diffs * diffs).sum(1)
-
-
 def _write_curve_csv(path: Path, sorted_values: np.ndarray,
                      target_args: np.ndarray, probs: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
@@ -230,17 +223,18 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
         result = {}
         for row, cloud in clouds.items():
             cloud.to_csv(out / f"fig1_{row}_trial{t:02d}_cloud.csv")
-            reports = {"radii": radii_test(cloud), "distances": distance_test(cloud)}
-            values = {}
-            for stat in ("radii", "distances"):
-                v = np.sort(_cloud_stats(cloud, stat))
+            # the statistics the attraction sorts, computed once per cloud
+            radii, dists = radii_and_distances(cloud)
+            values, reports = {}, {}
+            for stat, sorted_stat in (("radii", radii), ("distances", dists)):
+                v = sorted_stat.sorted_values
                 m = v.shape[0]
                 _write_curve_csv(out / f"fig1_{row}_{stat}_trial{t:02d}.csv", v,
                                  chi2_quantile_table(m, spec.dim),
                                  (np.arange(m) + 0.5) / m)
                 values[stat] = v
-            mean_r = float((cloud.data ** 2).sum(1).mean())
-            direction = "narrow" if mean_r < spec.dim else "wide"
+                reports[stat] = chi2_report(v, spec.dim, stat)
+            direction = "narrow" if float(radii.values.mean()) < spec.dim else "wide"
             result[row] = (values, reports, direction)
         return result
 
@@ -294,22 +288,18 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
         reference = sample_standard_normal(Rng(trial_seed).derive(2), spec.n, spec.dim)
         ref_stats = {"scalar_products": pairwise_scalar_products(reference),
                      "angles": pairwise_angles(reference)}
+        # both columns project onto the same per-trial direction set
+        dirs = sample_unit_directions(Rng(trial_seed).derive(3), spec.num_dirs, spec.dim)
         per_side = {}
         for side, cloud in (("iid", iid_cloud), ("attract", attract_cloud)):
-            # both columns project onto the same per-trial direction set
-            reports = {
-                "projections": projection_test(cloud, Rng(trial_seed).derive(3),
-                                               spec.num_dirs),
-                "scalar_products": scalar_product_test(cloud, reference),
-                "angles": angle_test(cloud, reference),
-            }
-            dirs = sample_unit_directions(Rng(trial_seed).derive(3),
-                                          spec.num_dirs, spec.dim)
             values = {
                 "projections": np.sort((cloud.data @ dirs.data.T).ravel()),
                 "scalar_products": np.sort(pairwise_scalar_products(cloud)),
                 "angles": np.sort(pairwise_angles(cloud)),
             }
+            ks = {"projections": ks_statistic(values["projections"], normal_cdf)}
+            for test in ("scalar_products", "angles"):
+                ks[test] = ks_statistic_two_sample(values[test], ref_stats[test])
             for test in FIG2_TESTS:
                 v = values[test]
                 m = v.shape[0]
@@ -320,7 +310,7 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
                     targets = np.quantile(ref_stats[test], probs)
                 _write_curve_csv(out / f"fig2_{side}_{test}_trial{t:02d}.csv",
                                  v, targets, probs)
-            per_side[side] = (values, reports)
+            per_side[side] = (values, ks)
         return per_side, ref_stats
 
     results = _map_trials(spec, one_trial)
@@ -347,7 +337,7 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
             for test in FIG2_TESTS:
                 band = _fig2_band(spec, test)
                 for t, (per_side, _) in enumerate(results):
-                    ks = per_side[side][1][test].ks_linf
+                    ks = per_side[side][1][test]
                     band_s = "%.17g" % band if band is not None else ""
                     ok = "" if band is None else str(int(ks <= band))
                     fh.write("%s,%s,%d,%.17g,%s,%s\n" % (side, test, t, ks, band_s, ok))
@@ -432,14 +422,11 @@ def cmd_attract_demo(spec: ExperimentSpec) -> int:
             coord_target = CoordinateTarget(kind, bits)
             before = sample_uniform_cube(Rng(trial_seed), spec.n, spec.dim, 0.0, 1.0)
             alpha = spec.alpha0 or COORD_ALPHA
-            cloud = before
+            after = before
             for _ in range(spec.steps or COORD_STEPS):
-                stepped = coordinate_step(cloud, coord_target, alpha)
-                if np.max(np.abs(stepped.data - cloud.data)) < 1e-12:
-                    cloud = stepped
+                after, previous = coordinate_step(after, coord_target, alpha), after
+                if np.max(np.abs(after.data - previous.data)) < 1e-12:
                     break
-                cloud = stepped
-            after = cloud
             if target_name == "quantized":
                 summary = ("codeword_fraction", codeword_fraction(after, spec.bits))
             else:

@@ -13,12 +13,12 @@ last, since the (2pi)^D factors underflow quickly as D grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .sampling import PointCloud
+from .sampling import PointCloud, _pair_indices, _sq_dists
 
 __all__ = [
     "GaussianComponent",
@@ -157,9 +157,13 @@ class SmoothedSample:
     points: PointCloud
     bandwidths: np.ndarray | Sequence[np.ndarray]
     weights: np.ndarray | None = None
+    spherical: bool = field(init=False)
 
     def __post_init__(self) -> None:
         n = self.points.n
+        # decided once: the check builds an object array of all bandwidths
+        self.spherical = np.ndim(self.bandwidths) == 1 and np.ndim(
+            np.asarray(self.bandwidths, dtype=object)[0]) == 0
         if self.weights is None:
             self.weights = np.full(n, 1.0 / n)
         else:
@@ -182,11 +186,6 @@ class SmoothedSample:
                 raise ValueError("bandwidth count must equal point count")
             self.bandwidths = [_check_covariance(b) for b in self.bandwidths]
 
-    @property
-    def spherical(self) -> bool:
-        arr = np.asarray(self.bandwidths, dtype=object)
-        return np.ndim(self.bandwidths) == 1 and np.ndim(arr[0]) == 0
-
     def covariance(self, i: int) -> np.ndarray:
         if self.spherical:
             return float(self.bandwidths[i]) ** 2 * np.eye(self.points.dim)
@@ -199,41 +198,48 @@ def _log_pair_integral(diff: np.ndarray, cov_a: np.ndarray,
     return -0.5 * (quad + diff.shape[0] * _LOG_2PI + logdet)
 
 
-def _self_energy(sample: SmoothedSample) -> list[float]:
-    pts, w = sample.points.data, sample.weights
-    n = sample.points.n
-    terms = []
-    for i in range(n):
-        cov_i = sample.covariance(i)
-        terms.append(w[i] * w[i] * math.exp(_log_pair_integral(
-            np.zeros(sample.points.dim), cov_i, cov_i)))
-        for j in range(i + 1, n):
-            val = math.exp(_log_pair_integral(pts[i] - pts[j], cov_i,
-                                              sample.covariance(j)))
-            terms.append(2.0 * w[i] * w[j] * val)
-    return terms
+_Mixture = tuple[np.ndarray, list[np.ndarray]]  # (centers, covariances)
+
+
+def _mixture(sample: SmoothedSample) -> _Mixture:
+    return sample.points.data, [sample.covariance(i) for i in range(sample.points.n)]
+
+
+def _pair_sum(a: _Mixture, b: _Mixture, rows: np.ndarray, cols: np.ndarray,
+              coefs: np.ndarray, shift: float = 0.0) -> float:
+    """Exactly rounded sum over k of coefs[k] * exp(shift) * the product
+    integral of N(a_i, A_i) and N(b_j, B_j), (i, j) = (rows[k], cols[k]).
+    The shift is added in log space, before exponentiating."""
+    (a_pts, a_covs), (b_pts, b_covs) = a, b
+    return math.fsum(
+        c * math.exp(_log_pair_integral(a_pts[i] - b_pts[j], a_covs[i], b_covs[j]) + shift)
+        for i, j, c in zip(rows.tolist(), cols.tolist(), coefs.tolist()))
+
+
+def _self_energy(mix: _Mixture, weights: np.ndarray, shift: float = 0.0) -> float:
+    """sum_{i,i'} w_i w_i' d(x_i - x_i', S_i, S_i'): the n diagonal terms
+    plus each i < j term counted twice."""
+    n = weights.shape[0]
+    iu, ju = _pair_indices(n)
+    diag = np.arange(n)
+    coefs = np.concatenate([weights * weights, 2.0 * weights[iu] * weights[ju]])
+    return _pair_sum(mix, mix, np.concatenate([diag, iu]), np.concatenate([diag, ju]),
+                     coefs, shift)
 
 
 def l2_distance_samples(a: SmoothedSample, b: SmoothedSample) -> float:
     """Squared L2 distance between two Gaussian-mixture-smoothened samples."""
     if a.points.dim != b.points.dim:
         raise ValueError("samples must share one dimension")
-    cross = []
-    for i in range(a.points.n):
-        cov_i = a.covariance(i)
-        for j in range(b.points.n):
-            val = math.exp(_log_pair_integral(a.points.data[i] - b.points.data[j],
-                                              cov_i, b.covariance(j)))
-            cross.append(a.weights[i] * b.weights[j] * val)
-    total = math.fsum(_self_energy(a)) + math.fsum(_self_energy(b)) \
-        - 2.0 * math.fsum(cross)
+    mix_a, mix_b = _mixture(a), _mixture(b)
+    rows, cols = np.indices((a.points.n, b.points.n)).reshape(2, -1)
+    cross = _pair_sum(mix_a, mix_b, rows, cols, np.outer(a.weights, b.weights).ravel())
+    total = _self_energy(mix_a, a.weights) + _self_energy(mix_b, b.weights) - 2.0 * cross
     return max(total, 0.0)
 
 
 def _mean_exp_kernel(x: np.ndarray, y: np.ndarray, four_sigma2: float) -> float:
-    sq = np.maximum(
-        (x * x).sum(1)[:, None] + (y * y).sum(1)[None, :] - 2.0 * x @ y.T, 0.0)
-    return float(np.mean(np.exp(-sq / four_sigma2)))
+    return float(np.mean(np.exp(-_sq_dists(x, y) / four_sigma2)))
 
 
 def l2_distance_samples_isotropic(x: PointCloud, y: PointCloud,
@@ -272,9 +278,7 @@ def l2_distance_to_standard_gaussian(x: PointCloud, bandwidths,
     if sample.spherical:
         sig2 = np.asarray(sample.bandwidths, dtype=np.float64) ** 2
         pts = x.data
-        sq = np.maximum(
-            (pts * pts).sum(1)[:, None] + (pts * pts).sum(1)[None, :]
-            - 2.0 * pts @ pts.T, 0.0)
+        sq = _sq_dists(pts, pts)
         tot2 = sig2[:, None] + sig2[None, :]
         log_self = -0.5 * (sq / tot2 + dim * (_LOG_2PI + np.log(tot2)))
         self_term = float(np.exp(log_self + shift).sum()) / (n * n)
@@ -282,19 +286,12 @@ def l2_distance_to_standard_gaussian(x: PointCloud, bandwidths,
         log_cross = -0.5 * (r / (1.0 + sig2) + dim * (_LOG_2PI + np.log(1.0 + sig2)))
         cross_term = float(np.exp(log_cross + shift).sum()) * 2.0 / n
     else:
-        self_terms = []
-        cross_terms = []
-        for i in range(n):
-            cov_i = sample.covariance(i)
-            self_terms.append(math.exp(
-                _log_pair_integral(np.zeros(dim), cov_i, cov_i) + shift))
-            for j in range(i + 1, n):
-                self_terms.append(2.0 * math.exp(_log_pair_integral(
-                    x.data[i] - x.data[j], cov_i, sample.covariance(j)) + shift))
-            cross_terms.append(math.exp(_log_pair_integral(
-                x.data[i], cov_i, np.eye(dim)) + shift))
-        self_term = math.fsum(self_terms) / (n * n)
-        cross_term = 2.0 * math.fsum(cross_terms) / n
+        # unit weights: the 1/n factors are applied to the sums
+        mix, ones = _mixture(sample), np.ones(n)
+        prior = (np.zeros((1, dim)), [np.eye(dim)])
+        self_term = _self_energy(mix, ones, shift) / (n * n)
+        cross_term = 2.0 * _pair_sum(mix, prior, np.arange(n), np.zeros(n, dtype=np.int64),
+                                     ones, shift) / n
     prior_term = math.exp(-0.5 * dim * _LOG_4PI + shift)
     return self_term + prior_term - cross_term
 

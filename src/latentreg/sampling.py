@@ -17,6 +17,7 @@ replay them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,6 +162,20 @@ class PointCloud:
         if not rows:
             raise ValueError(f"{path}: no data rows")
         return cls(np.array(rows, dtype=np.float64))
+
+
+@lru_cache(maxsize=32)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise enumeration of the pairs i < j of n points: (0,1), (0,2), ...,
+    (n-2,n-1). Cached; callers must not write to the arrays."""
+    return np.triu_indices(n, k=1)
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of squared distances |a_i - b_j|^2 via the Gram expansion,
+    clamped at 0 against cancellation."""
+    return np.maximum((a * a).sum(1)[:, None] + (b * b).sum(1)[None, :]
+                      - 2.0 * a @ b.T, 0.0)
 
 
 def sample_standard_normal(rng: Rng, n: int, dim: int) -> PointCloud:

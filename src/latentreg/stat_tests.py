@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cdf_attract import chi2_quantile_table
-from .sampling import PointCloud, Rng, sample_unit_directions
+from .cdf_attract import chi2_quantile_table, radii_and_distances
+from .sampling import PointCloud, Rng, _pair_indices, sample_unit_directions
 from .specfun import ChiSquare, chi2_cdf, normal_cdf, normal_inv_cdf
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "ks_statistic",
     "ks_statistic_two_sample",
     "edf_vs_cdf",
+    "chi2_report",
     "radii_test",
     "distance_test",
     "projection_test",
@@ -55,12 +56,6 @@ class EdfCurve:
         probs = (np.arange(m) + 0.5) / m
         target = np.asarray(inverse_cdf(probs), dtype=np.float64)
         return cls(sorted_values, target, probs)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("value,target_arg,prob\n")
-            for v, t, p in zip(self.sorted_values, self.target_args, self.probs):
-                fh.write("%.17g,%.17g,%.17g\n" % (v, t, p))
 
 
 @dataclass
@@ -113,7 +108,9 @@ def edf_vs_cdf(values: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray],
     return TestReport(name, ks, area, int(values.size))
 
 
-def _chi2_report(values: np.ndarray, dim: int, name: str) -> TestReport:
+def chi2_report(values: np.ndarray, dim: int, name: str) -> TestReport:
+    """KS distance and quantile-mismatch area of values against the
+    chi-squared(dim) CDF."""
     dist = ChiSquare(dim)
     ks = ks_statistic(values, lambda t: chi2_cdf(dist, t))
     table = chi2_quantile_table(values.shape[0], dim)
@@ -123,18 +120,13 @@ def _chi2_report(values: np.ndarray, dim: int, name: str) -> TestReport:
 
 def radii_test(x: PointCloud) -> TestReport:
     """Squared radii against the chi-squared(dim) CDF."""
-    radii = (x.data * x.data).sum(1)
-    return _chi2_report(radii, x.dim, "radii")
+    return chi2_report((x.data * x.data).sum(1), x.dim, "radii")
 
 
 def distance_test(x: PointCloud) -> TestReport:
-    """Half squared pairwise distances against the chi-squared(dim) CDF."""
-    if x.n < 2:
-        raise ValueError("need n >= 2 for pairwise distances")
-    iu, ju = np.triu_indices(x.n, k=1)
-    diffs = x.data[iu] - x.data[ju]
-    half_sq = 0.5 * (diffs * diffs).sum(1)
-    return _chi2_report(half_sq, x.dim, "distances")
+    """Half squared pairwise distances, the values the attraction sorts,
+    against the chi-squared(dim) CDF."""
+    return chi2_report(radii_and_distances(x)[1].values, x.dim, "distances")
 
 
 def projection_test(x: PointCloud, rng: Rng, num_dirs: int = 10) -> TestReport:
@@ -153,7 +145,7 @@ def pairwise_scalar_products(x: PointCloud) -> np.ndarray:
     if x.n < 2:
         raise ValueError("need n >= 2 for pairwise products")
     gram = x.data @ x.data.T
-    iu, ju = np.triu_indices(x.n, k=1)
+    iu, ju = _pair_indices(x.n)
     return gram[iu, ju]
 
 
@@ -177,7 +169,7 @@ def pairwise_angles(x: PointCloud) -> np.ndarray:
         raise ValueError("angle test: need at least 2 nonzero points")
     unit = data / np.linalg.norm(data, axis=1)[:, None]
     gram = np.clip(unit @ unit.T, -1.0, 1.0)
-    iu, ju = np.triu_indices(unit.shape[0], k=1)
+    iu, ju = _pair_indices(unit.shape[0])
     return np.arccos(gram[iu, ju])
 
 

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 from latentreg.baselines import CwaeParams, cwae, mardia_stats
-from latentreg.cli import ExperimentSpec, cmd_attract_demo, cmd_eval, cmd_fig1, cmd_fig2, main
+from latentreg.cdf_attract import radii_and_distances
+from latentreg.cli import (
+    ExperimentSpec,
+    _write_curve_csv,
+    cmd_attract_demo,
+    cmd_eval,
+    cmd_fig1,
+    cmd_fig2,
+    main,
+)
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal
+from latentreg.stat_tests import EdfCurve
 from latentreg.svgplot import Curve, render_panel
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,6 +49,31 @@ def test_fig1_single_trial(tmp_path):
     assert cmd_fig1(spec) == 0
     svgs = [p for p in (tmp_path / "o").iterdir() if p.suffix == ".svg"]
     assert len(svgs) == 8
+
+
+def test_fig1_distance_curves_are_the_attraction_statistic(tmp_path):
+    out = tmp_path / "o"
+    assert cmd_fig1(ExperimentSpec("fig1_grid", out=str(out), **TINY)) == 0
+    curves = sorted(out.glob("fig1_*_distances_trial*.csv"))
+    assert len(curves) == 4 * TINY["trials"]
+    for path in curves:
+        row, trial = path.stem.split("_distances_")
+        cloud = PointCloud.from_csv(out / f"{row}_{trial}_cloud.csv")
+        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0)
+        expected = np.sort(radii_and_distances(cloud)[1].values)
+        assert np.array_equal(values, expected), path.name
+
+
+def test_edf_curve_csv(tmp_path):
+    curve = EdfCurve.from_values(np.array([2.0, 1.0, 3.0]), lambda p: 4.0 * p)
+    path = tmp_path / "curve.csv"
+    _write_curve_csv(path, curve.sorted_values, curve.target_args, curve.probs)
+    text = path.read_text().splitlines()
+    assert text[0] == "value,target_arg,prob"
+    assert len(text) == 4
+    first = text[1].split(",")
+    assert float(first[0]) == 1.0
+    assert float(first[2]) == pytest.approx(0.5 / 3)
 
 
 def test_fig2_artifacts_and_determinism(tmp_path):

@@ -221,6 +221,27 @@ def test_prior_distance_full_covariance_matches_quadrature_2d():
     assert closed == pytest.approx(val, abs=1e-8)
 
 
+def test_full_covariance_sums_match_spherical_paths():
+    # the same mixtures, given as widths sigma_i and as matrices sigma_i^2 I:
+    # the prior distance has a closed form for widths and pair sums for
+    # matrices; l2_distance_samples builds sigma_i^2 I from the widths
+    rng = np.random.default_rng(77)
+    x = PointCloud(rng.normal(size=(9, 5)))
+    y = PointCloud(rng.normal(size=(7, 5)))
+    sx, sy = rng.uniform(0.5, 1.5, 9), rng.uniform(0.5, 1.5, 7)
+    full_x = [s * s * np.eye(5) for s in sx]
+    full_y = [s * s * np.eye(5) for s in sy]
+    for scaled in (False, True):
+        spherical = l2_distance_to_standard_gaussian(x, sx, scaled=scaled)
+        full = l2_distance_to_standard_gaussian(x, full_x, scaled=scaled)
+        assert full == pytest.approx(spherical, rel=1e-10)
+    weights = np.arange(1.0, 10.0) / 45.0
+    spherical = l2_distance_samples(SmoothedSample(x, sx, weights), SmoothedSample(y, sy))
+    full = l2_distance_samples(SmoothedSample(x, full_x, weights), SmoothedSample(y, full_y))
+    assert spherical > 0.0
+    assert full == pytest.approx(spherical, rel=1e-10)
+
+
 def test_smoothed_sample_weight_validation():
     pts = PointCloud(np.zeros((2, 1)))
     with pytest.raises(ValueError):

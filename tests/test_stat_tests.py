@@ -8,7 +8,6 @@ from latentreg.cdf_attract import chi2_quantile_table
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal
 from latentreg.specfun import ChiSquare, chi2_cdf, chi2_inv_cdf
 from latentreg.stat_tests import (
-    EdfCurve,
     angle_test,
     distance_test,
     edf_vs_cdf,
@@ -185,14 +184,3 @@ def test_reports_are_deterministic():
     b = projection_test(cloud, Rng(42), 7)
     assert (a.ks_linf, a.l1_area) == (b.ks_linf, b.l1_area)
 
-
-def test_edf_curve_csv(tmp_path):
-    curve = EdfCurve.from_values(np.array([2.0, 1.0, 3.0]), lambda p: 4.0 * p)
-    path = tmp_path / "curve.csv"
-    curve.to_csv(path)
-    text = path.read_text().splitlines()
-    assert text[0] == "value,target_arg,prob"
-    assert len(text) == 4
-    first = text[1].split(",")
-    assert float(first[0]) == 1.0
-    assert float(first[2]) == pytest.approx(0.5 / 3)
