@@ -20,13 +20,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from latentreg.cdf_attract import build_target_quantiles, cdf_objective  # noqa: E402
-from latentreg.sampling import Rng, sample_standard_normal  # noqa: E402
+from latentreg.sampling import Rng, sample_standard_normal, sample_unit_directions  # noqa: E402
 from latentreg.stat_tests import (  # noqa: E402
-    angle_test,
+    BATTERY_TESTS,
+    battery_ks,
+    battery_values,
     distance_test,
-    projection_test,
     radii_test,
-    scalar_product_test,
 )
 
 N = 200
@@ -77,7 +77,8 @@ ANGLE_KS2_Q95 = {angle_q95!r}
 
 def main() -> None:
     targets = build_target_quantiles(N, DIM)
-    dbar, radii_ks, dist_ks, proj_ks, scal_ks, angle_ks = [], [], [], [], [], []
+    dbar, radii_ks, dist_ks = [], [], []
+    battery = {test: [] for test in BATTERY_TESTS}
     for trial in range(TRIALS):
         rng = Rng(BASE_SEED + trial)
         cloud = sample_standard_normal(rng, N, DIM)
@@ -85,9 +86,10 @@ def main() -> None:
         dbar.append(cdf_objective(cloud, targets))
         radii_ks.append(radii_test(cloud).ks_linf)
         dist_ks.append(distance_test(cloud).ks_linf)
-        proj_ks.append(projection_test(cloud, rng.derive(3), NUM_DIRS).ks_linf)
-        scal_ks.append(scalar_product_test(cloud, other).ks_linf)
-        angle_ks.append(angle_test(cloud, other).ks_linf)
+        dirs = sample_unit_directions(rng.derive(3), NUM_DIRS, DIM)
+        ks = battery_ks(battery_values(cloud, dirs), battery_values(other, dirs))
+        for test in BATTERY_TESTS:
+            battery[test].append(ks[test])
         if (trial + 1) % 50 == 0:
             print(f"{trial + 1}/{TRIALS} trials done", flush=True)
 
@@ -103,7 +105,8 @@ def main() -> None:
         dbar_median=dbar_median, stop_tol=2.0 * dbar_median,
         radii_med=med(radii_ks), radii_q95=q95(radii_ks),
         dist_med=med(dist_ks), dist_q95=q95(dist_ks),
-        proj_q95=q95(proj_ks), scal_q95=q95(scal_ks), angle_q95=q95(angle_ks),
+        proj_q95=q95(battery["projections"]), scal_q95=q95(battery["scalar_products"]),
+        angle_q95=q95(battery["angles"]),
     )
     OUT.write_text(text)
     print(f"wrote {OUT}")

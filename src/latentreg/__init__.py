@@ -17,6 +17,7 @@ from .cdf_attract import (
     cdf_objective,
     coordinate_step,
     coordinate_targets,
+    midpoint_probs,
     radii_and_distances,
 )
 from .gaussian_l2 import (
@@ -34,14 +35,12 @@ from .optimizer import CdfAttractionObjective, CwaeObjective, RunConfig, WaeMmdO
 from .sampling import PointCloud, Rng, sample_standard_normal, sample_uniform_cube, sample_unit_directions
 from .specfun import ChiSquare, chi2_cdf, chi2_inv_cdf, normal_cdf, normal_inv_cdf, reg_lower_gamma
 from .stat_tests import (
-    EdfCurve,
+    BATTERY_TESTS,
     TestReport,
-    angle_test,
+    battery_ks,
+    battery_values,
     distance_test,
-    edf_vs_cdf,
-    projection_test,
     radii_test,
-    scalar_product_test,
 )
 
 __version__ = "0.1.0"

@@ -28,6 +28,7 @@ __all__ = [
     "CoordinateTarget",
     "build_target_quantiles",
     "chi2_quantile_table",
+    "midpoint_probs",
     "radii_and_distances",
     "cdf_objective",
     "cdf_gradient",
@@ -72,17 +73,23 @@ class TargetQuantiles:
         """Tables estimated from reference samples of the two statistics, for
         targets without a closed-form CDF. Samples must be rich enough that
         the midpoint quantiles come out strictly increasing."""
-        n_pairs = n * (n - 1) // 2
         radii = np.quantile(np.asarray(radii_sample, dtype=np.float64),
-                            (np.arange(n) + 0.5) / n)
+                            midpoint_probs(n))
         distances = np.quantile(np.asarray(distance_sample, dtype=np.float64),
-                                (np.arange(n_pairs) + 0.5) / n_pairs)
+                                midpoint_probs(n * (n - 1) // 2))
         return cls(radii, distances)
+
+
+def midpoint_probs(m: int) -> np.ndarray:
+    """The probabilities (k + 0.5)/m, k = 0..m-1, that rank k of m sorted
+    values is paired with: the attraction's target quantiles and every EDF
+    curve use them."""
+    return (np.arange(m) + 0.5) / m
 
 
 @lru_cache(maxsize=128)
 def _chi2_quantile_table(count: int, dim: int) -> np.ndarray:
-    table = chi2_inv_cdf(ChiSquare(dim), (np.arange(count) + 0.5) / count)
+    table = chi2_inv_cdf(ChiSquare(dim), midpoint_probs(count))
     table.setflags(write=False)
     return table
 
@@ -244,7 +251,7 @@ class CoordinateTarget:
         if self.kind == "quantized_uniform":
             scale = float(2 ** self.bits)
             return (np.floor(scale * ranks / n) + 0.5) / scale
-        probs = (ranks + 0.5) / n
+        probs = midpoint_probs(n)[ranks]
         if self.kind == "gaussian":
             return normal_inv_cdf(probs)
         return probs  # uniform01 and torus_uniform01

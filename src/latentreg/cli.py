@@ -33,6 +33,7 @@ from .cdf_attract import (
     cdf_objective,
     chi2_quantile_table,
     coordinate_step,
+    midpoint_probs,
     radii_and_distances,
 )
 from .optimizer import (
@@ -40,6 +41,7 @@ from .optimizer import (
     CwaeObjective,
     RunConfig,
     WaeMmdObjective,
+    initial_cloud,
     run,
     trace_to_csv,
 )
@@ -50,14 +52,13 @@ from .sampling import (
     sample_uniform_cube,
     sample_unit_directions,
 )
-from .specfun import ChiSquare, chi2_inv_cdf, normal_cdf, normal_inv_cdf
+from .specfun import ChiSquare, chi2_inv_cdf, normal_inv_cdf
 from .stat_tests import (
+    BATTERY_TESTS,
+    battery_ks,
+    battery_values,
     chi2_report,
     distance_test,
-    ks_statistic,
-    ks_statistic_two_sample,
-    pairwise_angles,
-    pairwise_scalar_products,
     radii_test,
 )
 from .svgplot import PALETTE, Curve, render_panel
@@ -109,6 +110,18 @@ class ExperimentSpec:
             (self.target in _ATTRACT_TARGETS,
              f"target must be one of {_ATTRACT_TARGETS}, got {self.target!r}"),
             (self.bits >= 1, f"bits must be >= 1, got {self.bits}"),
+            (self.steps is None or self.steps >= 1,
+             f"steps must be >= 1, got {self.steps}"),
+            (self.alpha0 is None or self.alpha0 > 0.0,
+             f"alpha0 must be > 0, got {self.alpha0}"),
+            (self.num_dirs >= 1, f"num_dirs must be >= 1, got {self.num_dirs}"),
+            # the CWAE row of the EDF grid needs dim >= 2
+            (self.experiment != "fig1_grid" or self.dim >= 2,
+             f"fig1 needs dim >= 2, got {self.dim}"),
+            # a coordinate step is a convex move toward its targets
+            (self.experiment != "attract_demo" or self.target == "gaussian"
+             or self.alpha0 is None or self.alpha0 <= 1.0,
+             f"a coordinate target needs alpha0 <= 1, got {self.alpha0}"),
         )
         for ok, message in checks:
             if not ok:
@@ -141,8 +154,7 @@ def _attraction_config(spec: ExperimentSpec, trial_seed: int,
     return RunConfig(
         n=spec.n, dim=spec.dim, seed=trial_seed, max_steps=max_steps,
         alpha0=spec.alpha0 or calibration.ATTRACT_ALPHA0,
-        schedule="proportional_to_objective", stop_tolerance=stop_tolerance,
-        init="uniform_cube", init_lo=-1.0, init_hi=1.0)
+        schedule="proportional_to_objective", stop_tolerance=stop_tolerance)
 
 
 def run_attraction_trial(spec: ExperimentSpec, trial_seed: int, stop: bool = True):
@@ -151,9 +163,8 @@ def run_attraction_trial(spec: ExperimentSpec, trial_seed: int, stop: bool = Tru
     targets = build_target_quantiles(spec.n, spec.dim)
     config = _attraction_config(spec, trial_seed, stop=stop)
     objective = CdfAttractionObjective(targets, mode=spec.gradient_mode, norm=spec.norm)
-    initial = sample_uniform_cube(Rng(trial_seed), spec.n, spec.dim, -1.0, 1.0)
     final, trace = run(config, objective)
-    return initial, final, trace
+    return initial_cloud(config), final, trace
 
 
 def _run_baseline_trial(spec: ExperimentSpec, trial_seed: int, kind: str) -> PointCloud:
@@ -195,9 +206,8 @@ def _edf_panel(path: Path, trial_values: list[np.ndarray], target_xs: np.ndarray
     lo = min(0.0, float(target_xs[0]), min(float(v[0]) for v in trial_values))
     curves = []
     for idx, values in enumerate(trial_values):
-        m = values.shape[0]
-        probs = (np.arange(m) + 0.5) / m
-        curves.append(Curve(values, probs, PALETTE[idx % len(PALETTE)]))
+        curves.append(Curve(values, midpoint_probs(values.shape[0]),
+                            PALETTE[idx % len(PALETTE)]))
     curves.append(Curve(target_xs, target_ps, "#000000", width=2.0))
     render_panel(path, curves, title, (lo, hi * 1.02), (0.0, 1.0),
                  x_ticks=x_ticks, y_ticks=_Y_TICKS)
@@ -230,8 +240,7 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
                 v = sorted_stat.sorted_values
                 m = v.shape[0]
                 _write_curve_csv(out / f"fig1_{row}_{stat}_trial{t:02d}.csv", v,
-                                 chi2_quantile_table(m, spec.dim),
-                                 (np.arange(m) + 0.5) / m)
+                                 chi2_quantile_table(m, spec.dim), midpoint_probs(m))
                 values[stat] = v
                 reports[stat] = chi2_report(v, spec.dim, stat)
             direction = "narrow" if float(radii.values.mean()) < spec.dim else "wide"
@@ -261,9 +270,6 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
     return 0
 
 
-FIG2_TESTS = ("projections", "scalar_products", "angles")
-
-
 def _fig2_band(spec: ExperimentSpec, test: str) -> float | None:
     if (spec.n, spec.dim) != (calibration.N, calibration.DIM):
         return None
@@ -286,37 +292,28 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
         attract_cloud.to_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv")
         iid_cloud = sample_standard_normal(Rng(trial_seed).derive(4), spec.n, spec.dim)
         reference = sample_standard_normal(Rng(trial_seed).derive(2), spec.n, spec.dim)
-        ref_stats = {"scalar_products": pairwise_scalar_products(reference),
-                     "angles": pairwise_angles(reference)}
-        # both columns project onto the same per-trial direction set
+        # every cloud projects onto the same per-trial direction set
         dirs = sample_unit_directions(Rng(trial_seed).derive(3), spec.num_dirs, spec.dim)
+        ref_values = battery_values(reference, dirs)
         per_side = {}
         for side, cloud in (("iid", iid_cloud), ("attract", attract_cloud)):
-            values = {
-                "projections": np.sort((cloud.data @ dirs.data.T).ravel()),
-                "scalar_products": np.sort(pairwise_scalar_products(cloud)),
-                "angles": np.sort(pairwise_angles(cloud)),
-            }
-            ks = {"projections": ks_statistic(values["projections"], normal_cdf)}
-            for test in ("scalar_products", "angles"):
-                ks[test] = ks_statistic_two_sample(values[test], ref_stats[test])
-            for test in FIG2_TESTS:
+            values = battery_values(cloud, dirs)
+            for test in BATTERY_TESTS:
                 v = values[test]
-                m = v.shape[0]
-                probs = (np.arange(m) + 0.5) / m
+                probs = midpoint_probs(v.shape[0])
                 if test == "projections":
                     targets = normal_inv_cdf(probs)
                 else:
-                    targets = np.quantile(ref_stats[test], probs)
+                    targets = np.quantile(ref_values[test], probs)
                 _write_curve_csv(out / f"fig2_{side}_{test}_trial{t:02d}.csv",
                                  v, targets, probs)
-            per_side[side] = (values, ks)
-        return per_side, ref_stats
+            per_side[side] = (values, battery_ks(values, ref_values))
+        return per_side, ref_values
 
     results = _map_trials(spec, one_trial)
 
     for side in ("iid", "attract"):
-        for test in FIG2_TESTS:
+        for test in BATTERY_TESTS:
             trial_values = [per_side[side][0][test] for per_side, _ in results]
             if test == "projections":
                 ps = np.linspace(0.001, 0.999, 200)
@@ -324,8 +321,8 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
                 ticks = normal_inv_cdf(_DECILES)
             else:
                 pooled = np.sort(np.concatenate(
-                    [ref_stats[test] for _, ref_stats in results]))
-                ps = (np.arange(pooled.shape[0]) + 0.5) / pooled.shape[0]
+                    [ref_values[test] for _, ref_values in results]))
+                ps = midpoint_probs(pooled.shape[0])
                 xs = pooled
                 ticks = np.quantile(pooled, _DECILES)
             _edf_panel(out / f"fig2_{side}_{test}.svg", trial_values, xs, ps,
@@ -334,7 +331,7 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
     with open(out / "fig2_summary.csv", "w", newline="") as fh:
         fh.write("side,test,trial,ks_linf,band_q95,pass\n")
         for side in ("iid", "attract"):
-            for test in FIG2_TESTS:
+            for test in BATTERY_TESTS:
                 band = _fig2_band(spec, test)
                 for t, (per_side, _) in enumerate(results):
                     ks = per_side[side][1][test]

@@ -21,6 +21,7 @@ __all__ = [
     "RunConfig",
     "TraceRow",
     "OptimizationError",
+    "initial_cloud",
     "WaeMmdObjective",
     "CwaeObjective",
     "CdfAttractionObjective",
@@ -48,9 +49,6 @@ class RunConfig:
     alpha0: float = 1.0
     schedule: str = "constant"  # or "proportional_to_objective"
     stop_tolerance: float | None = None
-    init: str = "uniform_cube"  # or "gaussian"
-    init_lo: float = -1.0
-    init_hi: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
@@ -59,8 +57,6 @@ class RunConfig:
             raise ValueError("alpha0 must be positive")
         if self.schedule not in ("constant", "proportional_to_objective"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.init not in ("uniform_cube", "gaussian"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass
@@ -159,12 +155,10 @@ class CdfAttractionObjective:
                 "distance_term": self._last_terms[1]}
 
 
-def _initial_cloud(config: RunConfig) -> PointCloud:
-    rng = Rng(config.seed)
-    if config.init == "uniform_cube":
-        return sample_uniform_cube(rng, config.n, config.dim,
-                                   config.init_lo, config.init_hi)
-    return sample_standard_normal(rng, config.n, config.dim)
+def initial_cloud(config: RunConfig) -> PointCloud:
+    """The cloud every run starts from: uniform on [-1, 1]^dim, seeded by
+    config.seed."""
+    return sample_uniform_cube(Rng(config.seed), config.n, config.dim, -1.0, 1.0)
 
 
 def run(config: RunConfig, objective) -> tuple[PointCloud, list[TraceRow]]:
@@ -178,7 +172,7 @@ def run(config: RunConfig, objective) -> tuple[PointCloud, list[TraceRow]]:
             raise OptimizationError(step, f"objective is not finite ({value})")
         return value
 
-    x = _initial_cloud(config)
+    x = initial_cloud(config)
     trace: list[TraceRow] = []
     for step in range(config.max_steps):
         t0 = time.perf_counter()

@@ -1,9 +1,9 @@
 """Empirical-distribution diagnostics for point clouds.
 
-EDF-vs-CDF reports (Kolmogorov-Smirnov sup distance and the l1 quantile
-mismatch area), the chi-squared radii/distance checks, pooled projections
-onto random directions against the standard normal, and two-sample
-comparisons of pairwise scalar products and angles against a reference
+KS sup distances of sample EDFs from target CDFs, the chi-squared radii and
+distance checks (with the l1 quantile mismatch area), and the battery of
+fig2: projections onto random directions against the standard normal, and
+pairwise scalar products and angles compared two-sample with a reference
 cloud. These are reproduction/diagnostic statistics, not calibrated
 p-values; thresholds for the dependent ones come from Monte Carlo runs
 (see latentreg.calibration).
@@ -18,51 +18,30 @@ from typing import Callable
 import numpy as np
 
 from .cdf_attract import chi2_quantile_table, radii_and_distances
-from .sampling import PointCloud, Rng, _pair_indices, sample_unit_directions
-from .specfun import ChiSquare, chi2_cdf, normal_cdf, normal_inv_cdf
+from .sampling import PointCloud, _pair_indices
+from .specfun import ChiSquare, chi2_cdf, normal_cdf
 
 __all__ = [
-    "EdfCurve",
+    "BATTERY_TESTS",
     "TestReport",
     "ks_statistic",
     "ks_statistic_two_sample",
-    "edf_vs_cdf",
     "chi2_report",
     "radii_test",
     "distance_test",
-    "projection_test",
-    "scalar_product_test",
-    "angle_test",
+    "projections",
     "pairwise_scalar_products",
     "pairwise_angles",
+    "battery_values",
+    "battery_ks",
 ]
-
-
-@dataclass
-class EdfCurve:
-    """Sorted statistic values paired with the target quantiles at the
-    midpoint probabilities (i - 0.5)/len."""
-
-    sorted_values: np.ndarray
-    target_args: np.ndarray
-    probs: np.ndarray
-
-    @classmethod
-    def from_values(cls, values: np.ndarray,
-                    inverse_cdf: Callable[[np.ndarray], np.ndarray]) -> "EdfCurve":
-        """``inverse_cdf`` is called once, on the array of all probabilities."""
-        sorted_values = np.sort(np.asarray(values, dtype=np.float64))
-        m = sorted_values.shape[0]
-        probs = (np.arange(m) + 0.5) / m
-        target = np.asarray(inverse_cdf(probs), dtype=np.float64)
-        return cls(sorted_values, target, probs)
 
 
 @dataclass
 class TestReport:
     name: str
     ks_linf: float
-    l1_area: float | None
+    l1_area: float
     sample_size: int
 
 
@@ -91,23 +70,6 @@ def ks_statistic_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def edf_vs_cdf(values: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray],
-               inverse_cdf: Callable[[np.ndarray], np.ndarray] | None = None,
-               name: str = "edf") -> TestReport:
-    """KS distance of the sample EDF from a target CDF; when an inverse CDF
-    is supplied, also the mean |sorted value - target quantile| area. Both
-    callables take and return arrays."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("need at least one value")
-    ks = ks_statistic(values, cdf)
-    area = None
-    if inverse_cdf is not None:
-        curve = EdfCurve.from_values(values, inverse_cdf)
-        area = float(np.mean(np.abs(curve.sorted_values - curve.target_args)))
-    return TestReport(name, ks, area, int(values.size))
-
-
 def chi2_report(values: np.ndarray, dim: int, name: str) -> TestReport:
     """KS distance and quantile-mismatch area of values against the
     chi-squared(dim) CDF."""
@@ -129,15 +91,9 @@ def distance_test(x: PointCloud) -> TestReport:
     return chi2_report(radii_and_distances(x)[1].values, x.dim, "distances")
 
 
-def projection_test(x: PointCloud, rng: Rng, num_dirs: int = 10) -> TestReport:
-    """Projections onto num_dirs random unit directions, pooled, against the
-    standard normal CDF."""
-    if num_dirs < 1:
-        raise ValueError("num_dirs must be >= 1")
-    dirs = sample_unit_directions(rng, num_dirs, x.dim)
-    pooled = (x.data @ dirs.data.T).ravel()
-    report = edf_vs_cdf(pooled, normal_cdf, normal_inv_cdf, name="projections")
-    return report
+def projections(x: PointCloud, dirs: PointCloud) -> np.ndarray:
+    """x_i . u_k over every point and every direction, pooled."""
+    return (x.data @ dirs.data.T).ravel()
 
 
 def pairwise_scalar_products(x: PointCloud) -> np.ndarray:
@@ -147,13 +103,6 @@ def pairwise_scalar_products(x: PointCloud) -> np.ndarray:
     gram = x.data @ x.data.T
     iu, ju = _pair_indices(x.n)
     return gram[iu, ju]
-
-
-def scalar_product_test(x: PointCloud, reference: PointCloud) -> TestReport:
-    """Two-sample KS of pairwise scalar products against a reference cloud."""
-    stat = ks_statistic_two_sample(pairwise_scalar_products(x),
-                                   pairwise_scalar_products(reference))
-    return TestReport("scalar_products", stat, None, x.n * (x.n - 1) // 2)
 
 
 def pairwise_angles(x: PointCloud) -> np.ndarray:
@@ -173,9 +122,23 @@ def pairwise_angles(x: PointCloud) -> np.ndarray:
     return np.arccos(gram[iu, ju])
 
 
-def angle_test(x: PointCloud, reference: PointCloud) -> TestReport:
-    """Two-sample KS of pairwise angles of normalized points against a
-    reference cloud."""
-    a = pairwise_angles(x)
-    b = pairwise_angles(reference)
-    return TestReport("angles", ks_statistic_two_sample(a, b), None, a.shape[0])
+BATTERY_TESTS = ("projections", "scalar_products", "angles")
+
+
+def battery_values(x: PointCloud, dirs: PointCloud) -> dict[str, np.ndarray]:
+    """Sorted values of each battery statistic of x, keyed by BATTERY_TESTS;
+    projections are onto the unit directions dirs."""
+    return {"projections": np.sort(projections(x, dirs)),
+            "scalar_products": np.sort(pairwise_scalar_products(x)),
+            "angles": np.sort(pairwise_angles(x))}
+
+
+def battery_ks(values: dict[str, np.ndarray],
+               reference_values: dict[str, np.ndarray]) -> dict[str, float]:
+    """KS distance of each battery statistic: projections one-sample against
+    the standard normal CDF, scalar products and angles two-sample against
+    a reference cloud's values (both from battery_values)."""
+    ks = {"projections": ks_statistic(values["projections"], normal_cdf)}
+    for test in ("scalar_products", "angles"):
+        ks[test] = ks_statistic_two_sample(values[test], reference_values[test])
+    return ks

@@ -38,9 +38,9 @@ from latentreg.gaussian_l2 import (
     mean_field_sigma,
 )
 from latentreg.optimizer import CdfAttractionObjective, CwaeObjective, RunConfig, WaeMmdObjective, run
-from latentreg.sampling import PointCloud, Rng, sample_standard_normal
+from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
 from latentreg.specfun import ChiSquare, chi2_cdf, chi2_inv_cdf
-from latentreg.stat_tests import angle_test, projection_test, radii_test, scalar_product_test
+from latentreg.stat_tests import battery_ks, battery_values, radii_test
 
 N, DIM = 200, 20
 BASE_SEED = 1  # the CLI default; trial seeds are BASE_SEED + t
@@ -260,9 +260,9 @@ def test_criterion_6_battery_on_attraction_clouds(battery_attraction_clouds):
     for t, cloud in enumerate(battery_attraction_clouds):
         seed = BASE_SEED + t
         reference = sample_standard_normal(Rng(seed).derive(2), N, DIM)
-        p = projection_test(cloud, Rng(seed).derive(3), calibration.NUM_DIRS).ks_linf
-        s = scalar_product_test(cloud, reference).ks_linf
-        a = angle_test(cloud, reference).ks_linf
+        dirs = sample_unit_directions(Rng(seed).derive(3), calibration.NUM_DIRS, DIM)
+        ks = battery_ks(battery_values(cloud, dirs), battery_values(reference, dirs))
+        p, s, a = ks["projections"], ks["scalar_products"], ks["angles"]
         ok = (p <= calibration.PROJECTION_KS_Q95
               and s <= calibration.SCALAR_KS2_Q95
               and a <= calibration.ANGLE_KS2_Q95)

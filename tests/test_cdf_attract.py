@@ -15,6 +15,7 @@ from latentreg.cdf_attract import (
     cdf_objective,
     coordinate_step,
     coordinate_targets,
+    midpoint_probs,
     radii_and_distances,
 )
 from latentreg.sampling import PointCloud, Rng, sample_uniform_cube
@@ -245,6 +246,13 @@ def test_coordinate_targets_uniform():
     ideal = coordinate_targets(x, CoordinateTarget("uniform01"))
     for j in range(2):
         assert sorted(ideal.data[:, j]) == pytest.approx([0.125, 0.375, 0.625, 0.875])
+
+
+def test_midpoint_probs_match_rank_positions():
+    assert midpoint_probs(4).tolist() == [0.125, 0.375, 0.625, 0.875]
+    ranks = RNG.permutation(37)
+    positions = CoordinateTarget("uniform01").rank_positions(ranks, 37)
+    assert np.array_equal(positions, (ranks + 0.5) / 37)
 
 
 def test_coordinate_targets_quantized():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentreg.baselines import CwaeParams, cwae, mardia_stats
-from latentreg.cdf_attract import radii_and_distances
+from latentreg.cdf_attract import midpoint_probs, radii_and_distances
 from latentreg.cli import (
     ExperimentSpec,
     _write_curve_csv,
@@ -14,8 +14,8 @@ from latentreg.cli import (
     cmd_fig2,
     main,
 )
-from latentreg.sampling import PointCloud, Rng, sample_standard_normal
-from latentreg.stat_tests import EdfCurve
+from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
+from latentreg.stat_tests import battery_ks, battery_values
 from latentreg.svgplot import Curve, render_panel
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,14 +65,15 @@ def test_fig1_distance_curves_are_the_attraction_statistic(tmp_path):
 
 
 def test_edf_curve_csv(tmp_path):
-    curve = EdfCurve.from_values(np.array([2.0, 1.0, 3.0]), lambda p: 4.0 * p)
+    probs = midpoint_probs(3)
     path = tmp_path / "curve.csv"
-    _write_curve_csv(path, curve.sorted_values, curve.target_args, curve.probs)
+    _write_curve_csv(path, np.sort(np.array([2.0, 1.0, 3.0])), 4.0 * probs, probs)
     text = path.read_text().splitlines()
     assert text[0] == "value,target_arg,prob"
     assert len(text) == 4
     first = text[1].split(",")
     assert float(first[0]) == 1.0
+    assert float(first[1]) == 4.0 * probs[0]
     assert float(first[2]) == pytest.approx(0.5 / 3)
 
 
@@ -88,6 +89,27 @@ def test_fig2_artifacts_and_determinism(tmp_path):
     assert header == "side,test,trial,ks_linf,band_q95,pass"
     assert cmd_fig2(ExperimentSpec("fig2_battery", out=str(out), **TINY)) == 0
     assert files == snapshot(out)
+
+
+def test_fig2_summary_is_the_battery(tmp_path):
+    out = tmp_path / "o"
+    spec = ExperimentSpec("fig2_battery", out=str(out), **TINY)
+    assert cmd_fig2(spec) == 0
+    summary = {}
+    for row in (out / "fig2_summary.csv").read_text().splitlines()[1:]:
+        side, test, trial, ks = row.split(",")[:4]
+        summary[side, test, int(trial)] = float(ks)
+    assert len(summary) == 2 * 3 * TINY["trials"]
+    n, dim = TINY["n"], TINY["dim"]
+    for t in range(TINY["trials"]):
+        rng = Rng(TINY["seed"] + t)
+        dirs = sample_unit_directions(rng.derive(3), spec.num_dirs, dim)
+        reference = battery_values(sample_standard_normal(rng.derive(2), n, dim), dirs)
+        clouds = {"attract": PointCloud.from_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv"),
+                  "iid": sample_standard_normal(rng.derive(4), n, dim)}
+        for side, cloud in clouds.items():
+            for test, ks in battery_ks(battery_values(cloud, dirs), reference).items():
+                assert summary[side, test, t] == ks, (side, test, t)
 
 
 def test_fig2_degenerate_two_points(tmp_path):
@@ -188,6 +210,12 @@ BAD_SPECS = {
     "bits": (["attract", "--target", "quantized", "--bits", "0"], None),
     "n": (["fig2", "--n", "1"], None),
     "dim": (["fig1", "--dim", "0"], None),
+    "steps_zero": (["fig1", "--steps", "0"], None),
+    "steps_negative_coordinate": (["attract", "--target", "uniform01", "--steps", "-3"], None),
+    "alpha0_zero": (["fig2", "--alpha0", "0"], None),
+    "num_dirs": (["fig2", "--num-dirs", "0"], None),
+    "fig1_dim1": (["fig1", "--dim", "1"], None),
+    "coordinate_alpha0": (["attract", "--target", "uniform01", "--alpha0", "2"], None),
 }
 
 

@@ -11,6 +11,7 @@ from latentreg.optimizer import (
     RunConfig,
     TraceRow,
     WaeMmdObjective,
+    initial_cloud,
     run,
     trace_to_csv,
 )
@@ -24,15 +25,14 @@ def test_run_config_validation():
         RunConfig(n=10, dim=2, seed=0, alpha0=0.0)
     with pytest.raises(ValueError):
         RunConfig(n=10, dim=2, seed=0, schedule="exotic")
-    with pytest.raises(ValueError):
-        RunConfig(n=10, dim=2, seed=0, init="sphere")
 
 
 def test_attraction_from_perfect_cloud_stops_immediately():
     # build the target tables from the init cloud itself: objective 0 < tol
     config = RunConfig(n=12, dim=3, seed=9, max_steps=100, alpha0=0.5,
                        schedule="proportional_to_objective", stop_tolerance=1e-9)
-    init = sample_uniform_cube(Rng(9), 12, 3, -1.0, 1.0)
+    init = initial_cloud(config)
+    assert np.array_equal(init.data, sample_uniform_cube(Rng(9), 12, 3, -1.0, 1.0).data)
     radii, dists = radii_and_distances(init)
     targets = TargetQuantiles(radii.sorted_values, dists.sorted_values)
     final, trace = run(config, CdfAttractionObjective(targets))
@@ -144,8 +144,3 @@ def test_non_finite_value_aborts_with_step_index():
         run(config, _NanValueObjective())
     assert err.value.step >= 1
 
-
-def test_gaussian_init_supported():
-    config = RunConfig(n=25, dim=4, seed=8, max_steps=1, alpha0=0.01, init="gaussian")
-    final, trace = run(config, CdfAttractionObjective(build_target_quantiles(25, 4)))
-    assert final.data.shape == (25, 4)

@@ -5,27 +5,32 @@ import pytest
 
 from latentreg import calibration
 from latentreg.cdf_attract import chi2_quantile_table
-from latentreg.sampling import PointCloud, Rng, sample_standard_normal
-from latentreg.specfun import ChiSquare, chi2_cdf, chi2_inv_cdf
+from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
+from latentreg.specfun import ChiSquare, chi2_cdf, chi2_inv_cdf, normal_cdf
 from latentreg.stat_tests import (
-    angle_test,
+    BATTERY_TESTS,
+    battery_ks,
+    battery_values,
+    chi2_report,
     distance_test,
-    edf_vs_cdf,
     ks_statistic,
     ks_statistic_two_sample,
     pairwise_angles,
-    projection_test,
+    projections,
     radii_test,
-    scalar_product_test,
 )
 
 
+def battery(x, reference, dirs_rng=None, num_dirs=10):
+    """KS distances of the battery with directions from dirs_rng (default
+    Rng(3))."""
+    dirs = sample_unit_directions(dirs_rng or Rng(3), num_dirs, x.dim)
+    return battery_ks(battery_values(x, dirs), battery_values(reference, dirs))
+
+
 def test_edf_vs_cdf_exact_quantiles():
-    dist = ChiSquare(5)
     for n in (4, 50):
-        table = chi2_quantile_table(n, 5)
-        report = edf_vs_cdf(table, lambda t: chi2_cdf(dist, t),
-                            lambda p: chi2_inv_cdf(dist, p))
+        report = chi2_report(chi2_quantile_table(n, 5), 5, "table")
         assert report.ks_linf == pytest.approx(0.5 / n, abs=1e-12)
         assert report.l1_area == pytest.approx(0.0, abs=1e-12)
 
@@ -33,15 +38,19 @@ def test_edf_vs_cdf_exact_quantiles():
 def test_edf_vs_cdf_single_median_point():
     dist = ChiSquare(7)
     median = chi2_inv_cdf(dist, 0.5)
-    report = edf_vs_cdf(np.array([median]), lambda t: chi2_cdf(dist, t))
+    assert ks_statistic(np.array([median]), lambda t: chi2_cdf(dist, t)) \
+        == pytest.approx(0.5, abs=1e-10)
+    report = chi2_report(np.array([median]), 7, "median")
     assert report.ks_linf == pytest.approx(0.5, abs=1e-10)
-    assert report.l1_area is None
+    assert report.l1_area == pytest.approx(0.0, abs=1e-12)
     assert report.sample_size == 1
 
 
 def test_edf_vs_cdf_rejects_empty():
     with pytest.raises(ValueError):
-        edf_vs_cdf(np.array([]), lambda t: t)
+        ks_statistic(np.array([]), lambda t: t)
+    with pytest.raises(ValueError):
+        chi2_report(np.array([]), 3, "empty")
 
 
 def test_ks_seeded_chi2_samples_within_critical_value():
@@ -85,14 +94,17 @@ def test_distance_test_needs_two_points():
 
 
 def test_projection_test_all_points_at_origin():
-    report = projection_test(PointCloud(np.zeros((50, 4))), Rng(3), 10)
-    assert report.ks_linf == pytest.approx(0.5, abs=1e-12)
+    dirs = sample_unit_directions(Rng(3), 10, 4)
+    pooled = projections(PointCloud(np.zeros((50, 4))), dirs)
+    assert pooled.shape == (500,)
+    assert ks_statistic(pooled, normal_cdf) == 0.5
 
 
 def test_projection_test_prior_cloud_within_band():
     cloud = sample_standard_normal(Rng(55), 200, 20)
-    report = projection_test(cloud, Rng(55).derive(3), 10)
-    assert report.ks_linf <= calibration.PROJECTION_KS_Q95
+    reference = sample_standard_normal(Rng(55).derive(2), 200, 20)
+    ks = battery(cloud, reference, Rng(55).derive(3))
+    assert ks["projections"] <= calibration.PROJECTION_KS_Q95
 
 
 def test_projection_rotation_invariance_in_law():
@@ -101,8 +113,9 @@ def test_projection_rotation_invariance_in_law():
     rotated = PointCloud(cloud.data @ q.T)
     stats_base, stats_rot = [], []
     for s in range(100):
-        stats_base.append(projection_test(cloud, Rng(10_000 + s), 10).ks_linf)
-        stats_rot.append(projection_test(rotated, Rng(10_000 + s), 10).ks_linf)
+        dirs = sample_unit_directions(Rng(10_000 + s), 10, 5)
+        stats_base.append(ks_statistic(projections(cloud, dirs), normal_cdf))
+        stats_rot.append(ks_statistic(projections(rotated, dirs), normal_cdf))
     lo_b, hi_b = np.quantile(stats_base, [0.25, 0.75])
     lo_r, hi_r = np.quantile(stats_rot, [0.25, 0.75])
     assert max(lo_b, lo_r) <= min(hi_b, hi_r)  # overlapping IQRs
@@ -116,11 +129,11 @@ def test_two_sample_ks_basic():
 
 def test_scalar_product_test_identity_and_scale():
     ref = sample_standard_normal(Rng(66), 200, 20)
-    assert scalar_product_test(ref, ref).ks_linf == 0.0
+    assert battery(ref, ref)["scalar_products"] == 0.0
     # doubling the cloud scales products 4x; measured statistic ~0.29 across
     # seeds, an order of magnitude beyond the null band
     doubled = PointCloud(2.0 * ref.data)
-    stat = scalar_product_test(doubled, ref).ks_linf
+    stat = battery(doubled, ref)["scalar_products"]
     assert stat > 0.25
     assert stat > 10 * calibration.SCALAR_KS2_Q95
 
@@ -131,21 +144,21 @@ def test_scalar_product_test_independent_priors_within_band():
         rng = Rng(850_000 + trial)
         a = sample_standard_normal(rng, 200, 20)
         b = sample_standard_normal(rng.derive(2), 200, 20)
-        passes += scalar_product_test(a, b).ks_linf <= calibration.SCALAR_KS2_Q95
+        passes += battery(a, b)["scalar_products"] <= calibration.SCALAR_KS2_Q95
     assert passes >= 17
 
 
 def test_angle_test_identity_and_degenerate_ray():
     ref = sample_standard_normal(Rng(77), 100, 20)
-    assert angle_test(ref, ref).ks_linf == 0.0
+    assert battery(ref, ref)["angles"] == 0.0
     ray = PointCloud(np.outer(np.linspace(1, 2, 50), np.ones(20)))
-    assert angle_test(ray, ref).ks_linf > 0.9
+    assert battery(ray, ref)["angles"] > 0.9
 
 
 def test_angle_test_cross_in_2d_is_near_uniform():
     cross = PointCloud(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
     ref = sample_standard_normal(Rng(88), 4, 2)
-    stat = angle_test(cross, ref).ks_linf
+    stat = battery(cross, ref)["angles"]
     # Monte Carlo null band for 4-point clouds in D=2
     null = []
     for trial in range(300):
@@ -166,7 +179,7 @@ def test_angle_test_skips_zero_vectors_with_warning():
 def test_angle_test_all_zero_cloud_errors():
     ref = sample_standard_normal(Rng(9), 5, 3)
     with pytest.raises(ValueError), pytest.warns(UserWarning):
-        angle_test(PointCloud(np.zeros((4, 3))), ref)
+        battery(PointCloud(np.zeros((4, 3))), ref)
 
 
 def test_edf_invariant_under_monotone_reparameterization():
@@ -180,7 +193,9 @@ def test_edf_invariant_under_monotone_reparameterization():
 
 def test_reports_are_deterministic():
     cloud = sample_standard_normal(Rng(41), 80, 10)
-    a = projection_test(cloud, Rng(42), 7)
-    b = projection_test(cloud, Rng(42), 7)
-    assert (a.ks_linf, a.l1_area) == (b.ks_linf, b.l1_area)
+    reference = sample_standard_normal(Rng(43), 80, 10)
+    a = battery(cloud, reference, Rng(42), 7)
+    b = battery(cloud, reference, Rng(42), 7)
+    assert tuple(a) == BATTERY_TESTS
+    assert a == b
 
