@@ -9,17 +9,22 @@ a quantized staircase attracting mass to codeword centers, or the uniform
 torus with wrapped moves).
 
 Sorting uses stable tie-breaking by element index so gradients are
-deterministic across runs.
+deterministic across runs. A caller may pass the rank orders of an earlier,
+nearby cloud (the optimizer passes the previous evaluation's): the values are
+then re-sorted starting from that order, which costs little when consecutive
+clouds rank nearly alike. The result always equals a cold stable sort, bit for
+bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .sampling import PointCloud, _pair_indices
+from .sampling import PointCloud, _pair_flat_indices, _pair_indices
 from .specfun import ChiSquare, chi2_inv_cdf, normal_inv_cdf
 
 __all__ = [
@@ -122,9 +127,20 @@ class SortedStat:
     inverse_order: np.ndarray
 
     @classmethod
-    def from_values(cls, values: np.ndarray) -> "SortedStat":
+    def from_values(cls, values: np.ndarray,
+                    previous_order: np.ndarray | None = None) -> "SortedStat":
+        """Sort values stably. previous_order, a permutation of the element
+        indices (say the order of an earlier cloud), is where the sort starts;
+        it never changes the result (see _resorted_order)."""
         values = np.asarray(values, dtype=np.float64)
-        order = np.argsort(values, kind="stable")
+        order = None
+        if previous_order is not None:
+            if previous_order.shape != values.shape:
+                raise ValueError(f"previous_order has shape {previous_order.shape}, "
+                                 f"values have {values.shape}")
+            order = _resorted_order(values, previous_order)
+        if order is None:
+            order = np.argsort(values, kind="stable")
         inverse = np.empty_like(order)
         inverse[order] = np.arange(order.shape[0])
         return cls(values, order, inverse)
@@ -134,34 +150,68 @@ class SortedStat:
         return self.values[self.order]
 
 
-def radii_and_distances(x: PointCloud) -> tuple[SortedStat, SortedStat]:
+def _resorted_order(values: np.ndarray, previous_order: np.ndarray) -> np.ndarray | None:
+    """The stable sort order of values, found by re-sorting values[previous_order]
+    (cheap when previous_order nearly sorts them already); None when the
+    sorted values are not strictly increasing.
+
+    Strictly increasing sorted values are distinct, so their order is the only
+    one and equals the cold stable argsort's. A tie, a NaN or an index repeated
+    in previous_order breaks the strict increase and leaves the element-index
+    tie-breaking to the cold sort."""
+    order = previous_order[np.argsort(values[previous_order], kind="stable")]
+    ranked = values[order]
+    return order if np.all(ranked[1:] > ranked[:-1]) else None
+
+
+def radii_and_distances(x: PointCloud,
+                        previous_orders: tuple[np.ndarray, np.ndarray] | None = None,
+                        ) -> tuple[SortedStat, SortedStat]:
     """(|x_i|^2)_i and (|x_i - x_j|^2 / 2)_{i<j}, each with sort bookkeeping.
 
-    Pairs are enumerated row-wise: (0,1), (0,2), ..., (n-2,n-1)."""
+    Pairs are enumerated row-wise: (0,1), (0,2), ..., (n-2,n-1).
+    previous_orders, the (radii, distances) orders of an earlier cloud of n
+    points, start the two sorts; the result equals the call without them."""
     if x.n < 2:
         raise ValueError("need n >= 2 for pairwise distances")
     radii = (x.data * x.data).sum(1)
     iu, ju = _pair_indices(x.n)
-    gram = x.data @ x.data.T
-    half_sq = np.maximum(0.5 * (radii[iu] + radii[ju]) - gram[iu, ju], 0.0)
-    return SortedStat.from_values(radii), SortedStat.from_values(half_sq)
+    upper, _ = _pair_flat_indices(x.n)
+    # only the pair entries are kept, so the n x n Gram matrix is freed
+    # before the sorts
+    gram_pairs = (x.data @ x.data.T).ravel()[upper]
+    half_sq = np.maximum(0.5 * (radii[iu] + radii[ju]) - gram_pairs, 0.0)
+    prev_r, prev_d = (None, None) if previous_orders is None else previous_orders
+    return SortedStat.from_values(radii, prev_r), SortedStat.from_values(half_sq, prev_d)
 
 
-def residual_bundle(x: PointCloud, targets: TargetQuantiles):
-    """(res_r, res_d): per-element residual of each statistic against the
-    quantile assigned to its rank. One sort pass, shared by objective and
-    gradient."""
+class Residuals(NamedTuple):
+    """Per-element residual of each statistic against the quantile assigned
+    to its rank, and the (radii, distances) rank orders, which can start the
+    next cloud's sorts."""
+
+    radii: np.ndarray
+    distances: np.ndarray
+    orders: tuple[np.ndarray, np.ndarray]
+
+
+def residual_bundle(x: PointCloud, targets: TargetQuantiles,
+                    previous_orders: tuple[np.ndarray, np.ndarray] | None = None,
+                    ) -> Residuals:
+    """One sort pass, shared by objective and gradient; previous_orders as in
+    radii_and_distances."""
     if targets.n != x.n:
         raise ValueError(f"target tables are for n={targets.n}, cloud has n={x.n}")
-    radii, dists = radii_and_distances(x)
+    radii, dists = radii_and_distances(x, previous_orders)
     res_r = radii.values - targets.radii[radii.inverse_order]
     res_d = dists.values - targets.distances[dists.inverse_order]
-    return res_r, res_d
+    return Residuals(res_r, res_d, (radii.order, dists.order))
 
 
-def objective_terms_from_residuals(residuals, norm: str = "l1") -> tuple[float, float]:
+def objective_terms_from_residuals(residuals: Residuals,
+                                   norm: str = "l1") -> tuple[float, float]:
     _check_norm(norm)
-    res_r, res_d = residuals
+    res_r, res_d, _ = residuals
     if norm == "l1":
         return float(np.mean(np.abs(res_r))), float(np.mean(np.abs(res_d)))
     # l2 uses half squared residuals so its gradient is the l1 gradient with
@@ -169,11 +219,11 @@ def objective_terms_from_residuals(residuals, norm: str = "l1") -> tuple[float, 
     return 0.5 * float(np.mean(res_r ** 2)), 0.5 * float(np.mean(res_d ** 2))
 
 
-def gradient_from_residuals(x: PointCloud, residuals, mode: str, norm: str,
+def gradient_from_residuals(x: PointCloud, residuals: Residuals, mode: str, norm: str,
                             radii_weight: float, distance_weight: float) -> np.ndarray:
     _check_mode(mode)
     _check_norm(norm)
-    res_r, res_d = residuals
+    res_r, res_d, _ = residuals
     n = x.n
     n_pairs = res_d.shape[0]
     factor_r = np.sign(res_r) if norm == "l1" else res_r
@@ -184,10 +234,12 @@ def gradient_from_residuals(x: PointCloud, residuals, mode: str, norm: str,
     dist_coef = distance_weight / n_pairs
     if mode == "paper_verbatim":
         dist_coef *= 2.0
-    iu, ju = _pair_indices(n)
+    upper, lower = _pair_flat_indices(n)
+    pair_weights = dist_coef * factor_d
     w = np.zeros((n, n))
-    w[iu, ju] = dist_coef * factor_d
-    w[ju, iu] = w[iu, ju]
+    w_flat = w.ravel()  # a view: w is C-ordered
+    w_flat[upper] = pair_weights
+    w_flat[lower] = pair_weights
     grad += w.sum(1)[:, None] * x.data - w @ x.data
     return grad
 

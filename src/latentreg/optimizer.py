@@ -114,7 +114,10 @@ class CdfAttractionObjective:
     """Quantile mismatch of radii and pairwise distances.
 
     The value computation caches its sort/residual work per cloud object, so
-    the gradient call that follows it inside one optimizer step is cheap."""
+    the gradient call that follows it inside one optimizer step is cheap. Each
+    new cloud's sorts start from the previous evaluation's rank orders, which
+    line-search candidates and consecutive steps nearly share; the result
+    equals a cold stable sort, so trajectories do not depend on it."""
 
     deterministic = True
 
@@ -128,14 +131,16 @@ class CdfAttractionObjective:
         self.distance_weight = distance_weight
         self._last_terms: tuple[float, float] = (float("nan"), float("nan"))
         self._cached_cloud: PointCloud | None = None
-        self._cached_residuals = None
+        self._cached_residuals: cdf_attract.Residuals | None = None
 
     def begin_step(self, step: int, x: PointCloud) -> None:
         pass
 
-    def _residuals(self, x: PointCloud):
+    def _residuals(self, x: PointCloud) -> cdf_attract.Residuals:
         if self._cached_cloud is not x:
-            self._cached_residuals = cdf_attract.residual_bundle(x, self.targets)
+            previous = self._cached_residuals
+            self._cached_residuals = cdf_attract.residual_bundle(
+                x, self.targets, None if previous is None else previous.orders)
             self._cached_cloud = x
         return self._cached_residuals
 

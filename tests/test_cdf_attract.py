@@ -18,6 +18,7 @@ from latentreg.cdf_attract import (
     midpoint_probs,
     radii_and_distances,
 )
+from latentreg import cdf_attract
 from latentreg.sampling import PointCloud, Rng, sample_uniform_cube
 from latentreg.specfun import normal_inv_cdf
 
@@ -101,6 +102,52 @@ def test_radii_and_distances_match_brute_force():
                 for i in range(6) for j in range(i + 1, 6)]
     assert np.allclose(radii.values, expect_r, rtol=1e-12, atol=1e-12)
     assert np.allclose(dists.values, expect_d, rtol=1e-9, atol=1e-12)
+
+
+def _tie_cloud(kind, rng):
+    n, dim = int(rng.integers(2, 12)), int(rng.integers(1, 5))
+    if kind == "collinear":
+        # three or more equally spaced points on an integer line: exact
+        # duplicate pair distances
+        return PointCloud(np.arange(max(n, 3), dtype=np.float64)[:, None]
+                          * rng.integers(1, 4, size=dim))
+    data = rng.normal(size=(n, dim))
+    if kind == "duplicated_rows":
+        data[n // 2:] = data[:n - n // 2]
+    return PointCloud(data)
+
+
+@given(st.integers(min_value=0, max_value=10**6),
+       st.sampled_from(["random", "duplicated_rows", "collinear"]),
+       st.sampled_from(["permutation", "other_cloud"]))
+@settings(max_examples=60, deadline=None)
+def test_previous_orders_give_the_cold_sort(seed, kind, previous):
+    rng = np.random.default_rng(seed)
+    cloud = _tie_cloud(kind, rng)
+    n = cloud.n
+    if previous == "permutation":
+        orders = (rng.permutation(n), rng.permutation(n * (n - 1) // 2))
+    else:
+        other = radii_and_distances(PointCloud(rng.normal(size=cloud.data.shape)))
+        orders = (other[0].order, other[1].order)
+    ties = []
+    for cold, warm, prev in zip(radii_and_distances(cloud),
+                                radii_and_distances(cloud, orders), orders):
+        assert warm.values.tobytes() == cold.values.tobytes()
+        assert np.array_equal(warm.order, cold.order)
+        assert np.array_equal(warm.inverse_order, cold.inverse_order)
+        # the previous order is used exactly when no two values tie
+        ties.append(bool(np.any(np.diff(cold.sorted_values) == 0.0)))
+        assert (cdf_attract._resorted_order(cold.values, prev) is None) == ties[-1]
+    assert any(ties) == (kind != "random")
+
+
+def test_previous_orders_of_another_size_are_rejected():
+    x = PointCloud(np.array([[0.0], [1.0], [2.0]]))
+    with pytest.raises(ValueError):
+        radii_and_distances(x, (np.arange(2), np.arange(3)))
+    with pytest.raises(ValueError):
+        radii_and_distances(x, (np.arange(3), np.arange(4)))
 
 
 @given(st.integers(min_value=0, max_value=10**6))

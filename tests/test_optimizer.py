@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from latentreg import calibration
+from latentreg import calibration, cdf_attract
 from latentreg.baselines import CwaeParams, KernelSpec
-from latentreg.cdf_attract import TargetQuantiles, build_target_quantiles, radii_and_distances
+from latentreg.cdf_attract import (
+    TargetQuantiles,
+    build_target_quantiles,
+    radii_and_distances,
+    residual_bundle,
+)
 from latentreg.optimizer import (
     CdfAttractionObjective,
     CwaeObjective,
@@ -144,3 +149,38 @@ def test_non_finite_value_aborts_with_step_index():
         run(config, _NanValueObjective())
     assert err.value.step >= 1
 
+
+class _ColdSortObjective(CdfAttractionObjective):
+    """Sorts every cloud from scratch, never from an earlier rank order."""
+
+    def _residuals(self, x):
+        if self._cached_cloud is not x:
+            self._cached_residuals = residual_bundle(x, self.targets)
+            self._cached_cloud = x
+        return self._cached_residuals
+
+
+def _trace_bits(trace):
+    return [(row.step, row.objective.hex(), row.alpha.hex(),
+             sorted((k, v.hex()) for k, v in row.extras.items())) for row in trace]
+
+
+def test_reused_sort_orders_leave_the_run_unchanged(monkeypatch):
+    config = RunConfig(n=16, dim=3, seed=6, max_steps=60, alpha0=1.0)
+    targets = build_target_quantiles(16, 3)
+    cold_final, cold_trace = run(config, _ColdSortObjective(targets))
+    resorted = []
+    resort = cdf_attract._resorted_order
+
+    def counting_resort(values, previous_order):
+        order = resort(values, previous_order)
+        resorted.append(order is not None)
+        return order
+
+    monkeypatch.setattr(cdf_attract, "_resorted_order", counting_resort)
+    final, trace = run(config, CdfAttractionObjective(targets))
+    assert len(trace) == 60
+    assert any(row.alpha < config.alpha0 for row in trace)  # some halvings
+    assert len(resorted) > 2 * 60 and all(resorted)  # every sort after the first
+    assert _trace_bits(trace) == _trace_bits(cold_trace)
+    assert final.data.tobytes() == cold_final.data.tobytes()

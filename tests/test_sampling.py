@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from latentreg.sampling import (
     PointCloud,
     Rng,
+    _pair_flat_indices,
+    _pair_indices,
     sample_standard_normal,
     sample_uniform_cube,
     sample_unit_directions,
@@ -138,3 +140,15 @@ def test_derive_streams_are_independent():
     b = base.derive(2).uniform(16)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, Rng(123).derive(1).uniform(16))
+
+
+def test_pair_index_caches_are_read_only():
+    iu, ju = _pair_indices(5)
+    upper, lower = _pair_flat_indices(5)
+    assert np.array_equal(upper, iu * 5 + ju)
+    assert np.array_equal(lower, ju * 5 + iu)
+    for cached in (iu, ju, upper, lower):
+        with pytest.raises(ValueError):
+            cached[0] = 1
+    assert all(np.array_equal(a, b)
+               for a, b in zip(_pair_indices(5), np.triu_indices(5, k=1)))
