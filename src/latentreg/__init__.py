@@ -11,9 +11,7 @@ from .cdf_attract import (
     CoordinateTarget,
     SortedStat,
     TargetQuantiles,
-    attraction_step,
     build_target_quantiles,
-    cdf_gradient,
     cdf_objective,
     coordinate_step,
     coordinate_targets,

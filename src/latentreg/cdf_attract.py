@@ -36,8 +36,6 @@ __all__ = [
     "midpoint_probs",
     "radii_and_distances",
     "cdf_objective",
-    "cdf_gradient",
-    "attraction_step",
     "coordinate_targets",
     "coordinate_step",
     "GRADIENT_MODES",
@@ -71,18 +69,6 @@ class TargetQuantiles:
     @property
     def n(self) -> int:
         return self.radii.shape[0]
-
-    @classmethod
-    def from_empirical(cls, radii_sample: np.ndarray, distance_sample: np.ndarray,
-                       n: int) -> "TargetQuantiles":
-        """Tables estimated from reference samples of the two statistics, for
-        targets without a closed-form CDF. Samples must be rich enough that
-        the midpoint quantiles come out strictly increasing."""
-        radii = np.quantile(np.asarray(radii_sample, dtype=np.float64),
-                            midpoint_probs(n))
-        distances = np.quantile(np.asarray(distance_sample, dtype=np.float64),
-                                midpoint_probs(n * (n - 1) // 2))
-        return cls(radii, distances)
 
 
 def midpoint_probs(m: int) -> np.ndarray:
@@ -219,8 +205,13 @@ def objective_terms_from_residuals(residuals: Residuals,
     return 0.5 * float(np.mean(res_r ** 2)), 0.5 * float(np.mean(res_d ** 2))
 
 
-def gradient_from_residuals(x: PointCloud, residuals: Residuals, mode: str, norm: str,
-                            radii_weight: float, distance_weight: float) -> np.ndarray:
+def gradient_from_residuals(x: PointCloud, residuals: Residuals, mode: str,
+                            norm: str) -> np.ndarray:
+    """Gradient (l2) or subgradient (l1, with sign(0) = 0) of cdf_objective.
+
+    exact_subgradient uses the true distance-term coefficient 1/n';
+    paper_verbatim doubles it to 2/n', which only reweights that term.
+    """
     _check_mode(mode)
     _check_norm(norm)
     res_r, res_d, _ = residuals
@@ -229,9 +220,9 @@ def gradient_from_residuals(x: PointCloud, residuals: Residuals, mode: str, norm
     factor_r = np.sign(res_r) if norm == "l1" else res_r
     factor_d = np.sign(res_d) if norm == "l1" else res_d
 
-    grad = (2.0 * radii_weight / n) * factor_r[:, None] * x.data
+    grad = (2.0 / n) * factor_r[:, None] * x.data
 
-    dist_coef = distance_weight / n_pairs
+    dist_coef = 1.0 / n_pairs
     if mode == "paper_verbatim":
         dist_coef *= 2.0
     upper, lower = _pair_flat_indices(n)
@@ -244,35 +235,10 @@ def gradient_from_residuals(x: PointCloud, residuals: Residuals, mode: str, norm
     return grad
 
 
-def cdf_objective(x: PointCloud, targets: TargetQuantiles, norm: str = "l1",
-                  radii_weight: float = 1.0, distance_weight: float = 1.0) -> float:
-    """Weighted quantile mismatch; zero iff sorted stats equal the tables (l1)."""
+def cdf_objective(x: PointCloud, targets: TargetQuantiles, norm: str = "l1") -> float:
+    """Quantile mismatch; zero iff sorted stats equal the tables (l1)."""
     term_r, term_d = objective_terms_from_residuals(residual_bundle(x, targets), norm)
-    return radii_weight * term_r + distance_weight * term_d
-
-
-def cdf_gradient(x: PointCloud, targets: TargetQuantiles,
-                 mode: str = "exact_subgradient", norm: str = "l1",
-                 radii_weight: float = 1.0, distance_weight: float = 1.0) -> np.ndarray:
-    """Gradient (l2) or subgradient (l1, with sgn(0) = 0) of cdf_objective.
-
-    exact_subgradient uses the true distance-term coefficient 1/n';
-    paper_verbatim doubles it to 2/n', which only reweights that term.
-    """
-    return gradient_from_residuals(x, residual_bundle(x, targets), mode, norm,
-                                   radii_weight, distance_weight)
-
-
-def attraction_step(x: PointCloud, targets: TargetQuantiles, alpha: float,
-                    mode: str = "exact_subgradient", norm: str = "l1",
-                    radii_weight: float = 1.0,
-                    distance_weight: float = 1.0) -> tuple[PointCloud, float]:
-    """One descent step x - alpha * g; returns (next cloud, pre-step objective)."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
-    objective = cdf_objective(x, targets, norm, radii_weight, distance_weight)
-    grad = cdf_gradient(x, targets, mode, norm, radii_weight, distance_weight)
-    return PointCloud(x.data - alpha * grad), objective
+    return term_r + term_d
 
 
 _COORD_KINDS = ("gaussian", "uniform01", "quantized_uniform", "torus_uniform01")

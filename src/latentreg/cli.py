@@ -295,6 +295,8 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
         # every cloud projects onto the same per-trial direction set
         dirs = sample_unit_directions(Rng(trial_seed).derive(3), spec.num_dirs, spec.dim)
         ref_values = battery_values(reference, dirs)
+        # keyed on (test, count): pairwise_angles can drop zero vectors
+        ref_quantiles = {}
         per_side = {}
         for side, cloud in (("iid", iid_cloud), ("attract", attract_cloud)):
             values = battery_values(cloud, dirs)
@@ -304,7 +306,10 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
                 if test == "projections":
                     targets = normal_inv_cdf(probs)
                 else:
-                    targets = np.quantile(ref_values[test], probs)
+                    key = (test, v.shape[0])
+                    if key not in ref_quantiles:
+                        ref_quantiles[key] = np.quantile(ref_values[test], probs)
+                    targets = ref_quantiles[key]
                 _write_curve_csv(out / f"fig2_{side}_{test}_trial{t:02d}.csv",
                                  v, targets, probs)
             per_side[side] = (values, battery_ks(values, ref_values))
@@ -488,6 +493,10 @@ _SPEC_CASTS = {
 def _build_spec(experiment: str, args: argparse.Namespace) -> ExperimentSpec:
     """Flags over config-file values over defaults, validated once merged."""
     file_values = _read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_values) - set(_SPEC_CASTS))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
+                         f"expected one of {', '.join(_SPEC_CASTS)}")
     values = {}
     for name, cast in _SPEC_CASTS.items():
         value = getattr(args, name, None)

@@ -89,9 +89,9 @@ def _chol_logdet_quad(s: np.ndarray, mu: np.ndarray) -> tuple[float, float]:
     return logdet, float(y @ y)
 
 
-def log_gaussian_product_integral(mu: np.ndarray, sigma: np.ndarray,
-                                  gamma: np.ndarray) -> float:
-    """log of the integral of N(mu, sigma) * N(0, gamma) over R^D.
+def gaussian_product_integral(mu: np.ndarray, sigma: np.ndarray,
+                              gamma: np.ndarray) -> float:
+    """Integral of N(mu, sigma) * N(0, gamma) over R^D.
 
     The determinant product |sigma| |gamma| |sigma^-1 + gamma^-1| collapses to
     |sigma + gamma| and the exponent's matrix sandwich to (sigma + gamma)^-1,
@@ -102,20 +102,13 @@ def log_gaussian_product_integral(mu: np.ndarray, sigma: np.ndarray,
     gamma = _check_covariance(gamma, "gamma")
     if sigma.shape[0] != gamma.shape[0] or sigma.shape[0] != mu.shape[0]:
         raise ValueError("mu, sigma, gamma dimensions differ")
-    logdet, quad = _chol_logdet_quad(sigma + gamma, mu)
-    return -0.5 * (quad + mu.shape[0] * _LOG_2PI + logdet)
+    return math.exp(_log_pair_integral(mu, sigma, gamma))
 
 
-def gaussian_product_integral(mu: np.ndarray, sigma: np.ndarray,
-                              gamma: np.ndarray) -> float:
-    """Integral of the product of two Gaussian densities shifted by mu."""
-    return math.exp(log_gaussian_product_integral(mu, sigma, gamma))
-
-
-def _log_spherical_product_integral(sq_dist: float, sigma2: float, gamma2: float,
-                                    dim: int) -> float:
-    total = sigma2 + gamma2
-    return -0.5 * (sq_dist / total + dim * (_LOG_2PI + math.log(total)))
+def _log_spherical(sq_dist, total, dim: int):
+    """log of the product integral of two spherical Gaussians whose variances
+    sum to total, at squared center separation sq_dist (scalars or arrays)."""
+    return -0.5 * (sq_dist / total + dim * (_LOG_2PI + np.log(total)))
 
 
 def spherical_product_integral(l: float, sigma2: float, gamma2: float,
@@ -128,7 +121,7 @@ def spherical_product_integral(l: float, sigma2: float, gamma2: float,
         raise ValueError("separation must be nonnegative")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return math.exp(_log_spherical_product_integral(l * l, sigma2, gamma2, dim))
+    return math.exp(_log_spherical(l * l, sigma2 + gamma2, dim))
 
 
 def gaussian_power_identity(mu: np.ndarray, sigma: np.ndarray,
@@ -279,11 +272,9 @@ def l2_distance_to_standard_gaussian(x: PointCloud, bandwidths,
         sig2 = np.asarray(sample.bandwidths, dtype=np.float64) ** 2
         pts = x.data
         sq = _sq_dists(pts, pts)
-        tot2 = sig2[:, None] + sig2[None, :]
-        log_self = -0.5 * (sq / tot2 + dim * (_LOG_2PI + np.log(tot2)))
+        log_self = _log_spherical(sq, sig2[:, None] + sig2[None, :], dim)
         self_term = float(np.exp(log_self + shift).sum()) / (n * n)
-        r = (pts * pts).sum(1)
-        log_cross = -0.5 * (r / (1.0 + sig2) + dim * (_LOG_2PI + np.log(1.0 + sig2)))
+        log_cross = _log_spherical((pts * pts).sum(1), 1.0 + sig2, dim)
         cross_term = float(np.exp(log_cross + shift).sum()) * 2.0 / n
     else:
         # unit weights: the 1/n factors are applied to the sums
@@ -301,13 +292,11 @@ def mean_field_objective(r: float, sigma: float, dim: int) -> float:
     N(0, I) when all other points are assumed to already follow the prior:
 
         (4 pi s^2)^{-D/2} + (4 pi)^{-D/2} - 2 e^{-r^2/(2(1+s^2))} / sqrt(2 pi (1+s^2))^D
+
+    Computed as (4 pi)^{-D/2} times the scaled form: accurate while that
+    factor is a normal float (D <= 559) and s^{-D} does not overflow.
     """
-    s2 = sigma * sigma
-    t1 = math.exp(-0.5 * dim * (_LOG_4PI + math.log(s2)))
-    t2 = math.exp(-0.5 * dim * _LOG_4PI)
-    t3 = 2.0 * math.exp(-0.5 * r * r / (1.0 + s2)
-                        - 0.5 * dim * (_LOG_2PI + math.log(1.0 + s2)))
-    return t1 + t2 - t3
+    return math.exp(-0.5 * dim * _LOG_4PI) * _scaled_mean_field(r, sigma, dim)
 
 
 def _scaled_mean_field(r: float, sigma: float, dim: int) -> float:

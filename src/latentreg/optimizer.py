@@ -122,13 +122,10 @@ class CdfAttractionObjective:
     deterministic = True
 
     def __init__(self, targets: cdf_attract.TargetQuantiles,
-                 mode: str = "exact_subgradient", norm: str = "l1",
-                 radii_weight: float = 1.0, distance_weight: float = 1.0) -> None:
+                 mode: str = "exact_subgradient", norm: str = "l1") -> None:
         self.targets = targets
         self.mode = mode
         self.norm = norm
-        self.radii_weight = radii_weight
-        self.distance_weight = distance_weight
         self._last_terms: tuple[float, float] = (float("nan"), float("nan"))
         self._cached_cloud: PointCloud | None = None
         self._cached_residuals: cdf_attract.Residuals | None = None
@@ -148,12 +145,11 @@ class CdfAttractionObjective:
         term_r, term_d = cdf_attract.objective_terms_from_residuals(
             self._residuals(x), self.norm)
         self._last_terms = (term_r, term_d)
-        return self.radii_weight * term_r + self.distance_weight * term_d
+        return term_r + term_d
 
     def gradient(self, x: PointCloud) -> np.ndarray:
         return cdf_attract.gradient_from_residuals(
-            x, self._residuals(x), self.mode, self.norm,
-            self.radii_weight, self.distance_weight)
+            x, self._residuals(x), self.mode, self.norm)
 
     def trace_extras(self) -> dict[str, float]:
         return {"radii_term": self._last_terms[0],

@@ -32,21 +32,11 @@ __all__ = [
     "chi2_inv_cdf",
     "normal_cdf",
     "normal_inv_cdf",
-    "sgn",
 ]
 
 _EPS = 1e-16
 _MAX_ITER = 800
 _BLOCK = 4096
-
-
-def sgn(t: float) -> float:
-    """Sign with sgn(0) = 0, the convention used by the l1 subgradients."""
-    if t > 0.0:
-        return 1.0
-    if t < 0.0:
-        return -1.0
-    return 0.0
 
 
 @dataclass(frozen=True)

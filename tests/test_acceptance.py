@@ -24,9 +24,10 @@ from latentreg.baselines import (
 )
 from latentreg.cdf_attract import (
     build_target_quantiles,
-    cdf_gradient,
     cdf_objective,
+    gradient_from_residuals,
     radii_and_distances,
+    residual_bundle,
 )
 from latentreg.cli import ExperimentSpec, cmd_attract_demo, cmd_fig1
 from latentreg.gaussian_l2 import (
@@ -214,7 +215,8 @@ def test_criterion_3_gradient_fidelity(targets):
                   np.abs(dists.sorted_values - small_targets.distances).min())
         if gap < 1e-4:  # keep clear of ties and sign flips
             continue
-        grad = cdf_gradient(cloud, small_targets, mode="exact_subgradient")
+        grad = gradient_from_residuals(cloud, residual_bundle(cloud, small_targets),
+                                       "exact_subgradient", "l1")
         err = _directional_fd(lambda d: cdf_objective(PointCloud(d), small_targets),
                               cloud.data, grad, 1e-7)
         worst = max(worst, err)

@@ -6,23 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentreg.cdf_attract import (
+    GRADIENT_MODES,
+    NORMS,
     CoordinateTarget,
     SortedStat,
     TargetQuantiles,
-    attraction_step,
     build_target_quantiles,
-    cdf_gradient,
     cdf_objective,
     coordinate_step,
     coordinate_targets,
+    gradient_from_residuals,
     midpoint_probs,
+    objective_terms_from_residuals,
     radii_and_distances,
+    residual_bundle,
 )
 from latentreg import cdf_attract
 from latentreg.sampling import PointCloud, Rng, sample_uniform_cube
 from latentreg.specfun import normal_inv_cdf
 
 RNG = np.random.default_rng(2718)
+
+
+def gradient(cloud, targets, mode="exact_subgradient", norm="l1"):
+    return gradient_from_residuals(cloud, residual_bundle(cloud, targets), mode, norm)
 
 
 def perfect_targets(cloud):
@@ -67,14 +74,6 @@ def test_target_tables_require_two_points():
 def test_target_tables_reject_nonmonotone():
     with pytest.raises(ValueError):
         TargetQuantiles(np.array([1.0, 1.0]), np.array([2.0]))
-
-
-def test_empirical_target_constructor():
-    sample = RNG.chisquare(20, size=50_000)
-    t = TargetQuantiles.from_empirical(sample, sample, 10)
-    assert t.n == 10
-    ref = build_target_quantiles(10, 20)
-    assert np.allclose(t.radii, ref.radii, rtol=0.1)
 
 
 def test_radii_and_distances_tiny_example():
@@ -164,8 +163,8 @@ def test_objective_zero_on_perfect_cloud():
     cloud = PointCloud(RNG.normal(size=(7, 3)))
     targets = perfect_targets(cloud)
     assert cdf_objective(cloud, targets) == 0.0
-    assert np.all(cdf_gradient(cloud, targets) == 0.0)
-    assert np.all(cdf_gradient(cloud, targets, mode="paper_verbatim") == 0.0)
+    assert np.all(gradient(cloud, targets) == 0.0)
+    assert np.all(gradient(cloud, targets, mode="paper_verbatim") == 0.0)
 
 
 def test_objective_two_point_hand_value():
@@ -195,7 +194,7 @@ def test_objective_permutation_invariant_translation_sensitive(seed):
 def test_gradient_directional_finite_difference():
     targets = build_target_quantiles(5, 3)
     cloud = well_separated_cloud(5, 3, targets)
-    grad = cdf_gradient(cloud, targets, mode="exact_subgradient")
+    grad = gradient(cloud, targets, mode="exact_subgradient")
     h = 1e-7
     for _ in range(4):
         v = RNG.normal(size=cloud.data.shape)
@@ -209,7 +208,7 @@ def test_gradient_directional_finite_difference():
 def test_gradient_l2_directional_finite_difference():
     targets = build_target_quantiles(5, 3)
     cloud = well_separated_cloud(5, 3, targets)
-    grad = cdf_gradient(cloud, targets, norm="l2")
+    grad = gradient(cloud, targets, norm="l2")
     h = 1e-6
     v = RNG.normal(size=cloud.data.shape)
     v /= np.linalg.norm(v)
@@ -221,11 +220,17 @@ def test_gradient_l2_directional_finite_difference():
 def test_paper_verbatim_doubles_distance_contribution():
     targets = build_target_quantiles(6, 3)
     cloud = PointCloud(RNG.normal(size=(6, 3)))
-    dist_exact = cdf_gradient(cloud, targets, "exact_subgradient", radii_weight=0.0)
-    dist_verbatim = cdf_gradient(cloud, targets, "paper_verbatim", radii_weight=0.0)
+    residuals = residual_bundle(cloud, targets)
+    # each term alone: zero residuals leave the other term's gradient 0
+    distances_only = residuals._replace(radii=np.zeros_like(residuals.radii))
+    radii_only = residuals._replace(distances=np.zeros_like(residuals.distances))
+    dist_exact = gradient_from_residuals(cloud, distances_only, "exact_subgradient", "l1")
+    dist_verbatim = gradient_from_residuals(cloud, distances_only, "paper_verbatim", "l1")
+    assert np.any(dist_exact != 0.0)
     assert np.array_equal(dist_verbatim, 2.0 * dist_exact)
-    radii_exact = cdf_gradient(cloud, targets, "exact_subgradient", distance_weight=0.0)
-    radii_verbatim = cdf_gradient(cloud, targets, "paper_verbatim", distance_weight=0.0)
+    radii_exact = gradient_from_residuals(cloud, radii_only, "exact_subgradient", "l1")
+    radii_verbatim = gradient_from_residuals(cloud, radii_only, "paper_verbatim", "l1")
+    assert np.any(radii_exact != 0.0)
     assert np.array_equal(radii_verbatim, radii_exact)
 
 
@@ -233,7 +238,9 @@ def test_gradient_mode_and_norm_validation():
     targets = build_target_quantiles(3, 2)
     cloud = PointCloud(RNG.normal(size=(3, 2)))
     with pytest.raises(ValueError):
-        cdf_gradient(cloud, targets, mode="bogus")
+        gradient(cloud, targets, mode="bogus")
+    with pytest.raises(ValueError):
+        gradient(cloud, targets, norm="linf")
     with pytest.raises(ValueError):
         cdf_objective(cloud, targets, norm="linf")
     with pytest.raises(ValueError):
@@ -241,17 +248,21 @@ def test_gradient_mode_and_norm_validation():
 
 
 def test_attraction_step_alpha_zero_and_perfect_cloud():
+    # an attraction step is x - alpha * g, with the objective and g taken
+    # from one residual pass
     cloud = PointCloud(RNG.normal(size=(5, 2)))
     targets = build_target_quantiles(5, 2)
-    same, obj = attraction_step(cloud, targets, 0.0)
-    assert np.array_equal(same.data, cloud.data)
-    assert obj == cdf_objective(cloud, targets)
+    residuals = residual_bundle(cloud, targets)
+    assert sum(objective_terms_from_residuals(residuals)) == cdf_objective(cloud, targets)
+    grad = gradient_from_residuals(cloud, residuals, "exact_subgradient", "l1")
+    assert np.any(grad != 0.0)
+    assert np.array_equal(cloud.data - 0.0 * grad, cloud.data)
     perfect = perfect_targets(cloud)
-    unchanged, obj0 = attraction_step(cloud, perfect, 5.0)
-    assert np.array_equal(unchanged.data, cloud.data)
-    assert obj0 == 0.0
-    with pytest.raises(ValueError):
-        attraction_step(cloud, targets, -0.1)
+    assert cdf_objective(cloud, perfect) == 0.0
+    for mode in GRADIENT_MODES:
+        for norm in NORMS:
+            assert np.array_equal(cloud.data - 5.0 * gradient(cloud, perfect, mode, norm),
+                                  cloud.data)
 
 
 def test_single_small_step_improves_objective():
@@ -261,7 +272,7 @@ def test_single_small_step_improves_objective():
         cloud = PointCloud(rng.normal(size=(8, 4)) * 1.5)
         targets = build_target_quantiles(8, 4)
         base = cdf_objective(cloud, targets)
-        grad = cdf_gradient(cloud, targets)
+        grad = gradient(cloud, targets)
         assert np.linalg.norm(grad) > 1e-8
         alpha = 0.5 * base
         improved = False
@@ -282,8 +293,8 @@ def test_attraction_monotone_over_first_50_steps():
         cloud = sample_uniform_cube(Rng(seed), 200, 20, -1.0, 1.0)
         objs = []
         for _ in range(50):
-            cloud, obj = attraction_step(cloud, targets,
-                                         0.2 * cdf_objective(cloud, targets))
+            obj = cdf_objective(cloud, targets)
+            cloud = PointCloud(cloud.data - 0.2 * obj * gradient(cloud, targets))
             objs.append(obj)
         assert all(b < a for a, b in zip(objs, objs[1:]))
 

@@ -207,6 +207,7 @@ BAD_SPECS = {
     "norm_in_config": (["fig1"], "norm=l3\n"),
     "gradient_mode_in_config": (["fig2"], "gradient_mode=sideways\n"),
     "target_in_config": (["attract"], "target=cauchy\n"),
+    "misspelled_key_in_config": (["fig2"], "stpes=3\n"),
     "bits": (["attract", "--target", "quantized", "--bits", "0"], None),
     "n": (["fig2", "--n", "1"], None),
     "dim": (["fig1", "--dim", "0"], None),

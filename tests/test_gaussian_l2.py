@@ -269,3 +269,14 @@ def test_mean_field_sigma_is_local_minimum():
         f0 = mean_field_objective(r, s, 20)
         assert f0 <= mean_field_objective(r, s * 1.001, 20)
         assert f0 <= mean_field_objective(r, s * 0.999, 20)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_mean_field_objective_three_term_formula(dim):
+    # away from r = 0, sigma = 1, where the three terms cancel to 0
+    for r, sigma in ((0.0, 0.5), (1.3, 0.6), (2.5, 1.7)):
+        s2 = sigma * sigma
+        expected = (4.0 * math.pi * s2) ** (-dim / 2) + (4.0 * math.pi) ** (-dim / 2) \
+            - 2.0 * math.exp(-r * r / (2.0 * (1.0 + s2))) \
+            / math.sqrt(2.0 * math.pi * (1.0 + s2)) ** dim
+        assert mean_field_objective(r, sigma, dim) == pytest.approx(expected, rel=1e-12, abs=0.0)

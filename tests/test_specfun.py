@@ -15,7 +15,6 @@ from latentreg.specfun import (
     normal_cdf,
     normal_inv_cdf,
     reg_lower_gamma,
-    sgn,
 )
 
 Q_GRID = [1e-6, 0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1 - 1e-6]
@@ -157,12 +156,6 @@ def test_normal_inv_cdf_domain_errors():
 @settings(max_examples=200, deadline=None)
 def test_normal_round_trip(q):
     assert abs(normal_cdf(normal_inv_cdf(q)) - q) <= 1e-12
-
-
-def test_sgn_convention():
-    assert sgn(0.0) == 0.0
-    assert sgn(3.5) == 1.0
-    assert sgn(-0.1) == -1.0
 
 
 @pytest.mark.parametrize("dof", [1, 2, 400, 1000])
