@@ -58,11 +58,25 @@ def kernel_matrix(kernel: KernelSpec, a: PointCloud, b: PointCloud) -> np.ndarra
     """Matrix of k(a_i, b_j)."""
     if a.dim != b.dim:
         raise ValueError("clouds must share one dimension")
-    sq = _sq_dists(a.data, b.data)
+    return _kernel(kernel, _sq_dists(a.data, b.data))
+
+
+def _kernel(kernel: KernelSpec, sq: np.ndarray) -> np.ndarray:
+    # k as a function of the squared distance
     if kernel.kind == "inverse_multiquadric":
         c = 2.0 * kernel.dim
         return c / (c + sq)
     return np.exp(-sq)
+
+
+def _mmd_sq_dists(z: PointCloud, z_tilde: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    # (|z_i - z_j|^2, |z_i - zt_j|^2): all the distance work of wae_mmd and
+    # its gradient, so one pass can serve both
+    if z.n < 2:
+        raise ValueError("need at least 2 points in z")
+    if z.dim != z_tilde.dim:
+        raise ValueError("clouds must share one dimension")
+    return _sq_dists(z.data, z.data), _sq_dists(z.data, z_tilde.data)
 
 
 def wae_mmd(z: PointCloud, z_tilde: PointCloud, kernel: KernelSpec) -> float:
@@ -70,11 +84,13 @@ def wae_mmd(z: PointCloud, z_tilde: PointCloud, kernel: KernelSpec) -> float:
 
         (1/(n(n-1))) sum_{i != j} k(z_i, z_j) - (2/n^2) sum_{i,j} k(z_i, zt_j)
     """
-    n = z.n
-    if n < 2:
-        raise ValueError("need at least 2 points in z")
-    k_zz = kernel_matrix(kernel, z, z)
-    k_zt = kernel_matrix(kernel, z, z_tilde)
+    return _wae_mmd(*_mmd_sq_dists(z, z_tilde), kernel)
+
+
+def _wae_mmd(zz: np.ndarray, zt: np.ndarray, kernel: KernelSpec) -> float:
+    n = zz.shape[0]
+    k_zz = _kernel(kernel, zz)
+    k_zt = _kernel(kernel, zt)
     self_term = (float(k_zz.sum()) - float(np.trace(k_zz))) / (n * (n - 1))
     return self_term - 2.0 * float(k_zt.sum()) / (n * n)
 
@@ -90,13 +106,12 @@ def _kernel_grad_weights(kernel: KernelSpec, sq: np.ndarray) -> np.ndarray:
 def wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud,
                      kernel: KernelSpec) -> np.ndarray:
     """Exact gradient of wae_mmd with respect to the rows of z."""
+    return _wae_mmd_gradient(z, z_tilde, *_mmd_sq_dists(z, z_tilde), kernel)
+
+
+def _wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud, zz: np.ndarray,
+                      zt: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     n = z.n
-    if n < 2:
-        raise ValueError("need at least 2 points in z")
-    if z.dim != z_tilde.dim:
-        raise ValueError("clouds must share one dimension")
-    zz = _sq_dists(z.data, z.data)
-    zt = _sq_dists(z.data, z_tilde.data)
     w_self = _kernel_grad_weights(kernel, zz)
     np.fill_diagonal(w_self, 0.0)
     w_cross = _kernel_grad_weights(kernel, zt)
@@ -128,6 +143,15 @@ class CwaeParams:
         return cls(n, dim, (4.0 / (3.0 * n)) ** 0.4)
 
 
+def _cwae_sq_dists(z: PointCloud, params: CwaeParams) -> np.ndarray:
+    # |z_i - z_j|^2: all the distance work of cwae and its gradient
+    if z.dim < 2:
+        raise ValueError("dim must be >= 2")
+    if params.n != z.n:
+        raise ValueError(f"params.n={params.n} does not match cloud n={z.n}")
+    return _sq_dists(z.data, z.data)
+
+
 def cwae(z: PointCloud, params: CwaeParams) -> float:
     """Analytic projected-smoothing regularizer:
 
@@ -136,12 +160,11 @@ def cwae(z: PointCloud, params: CwaeParams) -> float:
 
     with g = gamma_n. The i = j diagonal is included, as printed.
     """
-    if z.dim < 2:
-        raise ValueError("dim must be >= 2")
-    if params.n != z.n:
-        raise ValueError(f"params.n={params.n} does not match cloud n={z.n}")
+    return _cwae(z, _cwae_sq_dists(z, params), params)
+
+
+def _cwae(z: PointCloud, sq: np.ndarray, params: CwaeParams) -> float:
     m = 2.0 * z.dim - 3.0
-    sq = _sq_dists(z.data, z.data)
     r = (z.data * z.data).sum(1)
     pair_term = float(np.sum((params.gamma_n + sq / m) ** -0.5)) / (z.n * z.n)
     point_term = float(np.sum((params.gamma_n + 0.5 + r / m) ** -0.5)) * 2.0 / z.n
@@ -150,13 +173,12 @@ def cwae(z: PointCloud, params: CwaeParams) -> float:
 
 def cwae_gradient(z: PointCloud, params: CwaeParams) -> np.ndarray:
     """Exact gradient of cwae with respect to the rows of z."""
-    if z.dim < 2:
-        raise ValueError("dim must be >= 2")
-    if params.n != z.n:
-        raise ValueError(f"params.n={params.n} does not match cloud n={z.n}")
+    return _cwae_gradient(z, _cwae_sq_dists(z, params), params)
+
+
+def _cwae_gradient(z: PointCloud, sq: np.ndarray, params: CwaeParams) -> np.ndarray:
     n = z.n
     m = 2.0 * z.dim - 3.0
-    sq = _sq_dists(z.data, z.data)
     r = (z.data * z.data).sum(1)
     w = (params.gamma_n + sq / m) ** -1.5
     np.fill_diagonal(w, 0.0)

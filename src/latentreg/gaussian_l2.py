@@ -35,6 +35,7 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_4PI = math.log(4.0 * math.pi)
+_LOG_2 = math.log(2.0)
 
 
 def _check_covariance(m: np.ndarray, what: str = "covariance") -> np.ndarray:
@@ -293,17 +294,36 @@ def mean_field_objective(r: float, sigma: float, dim: int) -> float:
 
         (4 pi s^2)^{-D/2} + (4 pi)^{-D/2} - 2 e^{-r^2/(2(1+s^2))} / sqrt(2 pi (1+s^2))^D
 
-    Computed as (4 pi)^{-D/2} times the scaled form: accurate while that
-    factor is a normal float (D <= 559) and s^{-D} does not overflow.
+    Each term is one exponential whose exponent carries the (4 pi)^{-D/2}
+    factor, so a term reads 0 only when it is itself below the smallest
+    float (D = 1000, s = 0.3 gives 1.9e-27), and overflow needs
+    s < 1/sqrt(4 pi) with D in the hundreds.
     """
-    return math.exp(-0.5 * dim * _LOG_4PI) * _scaled_mean_field(r, sigma, dim)
+    log_prior = -0.5 * dim * _LOG_4PI
+    log_self, log_cross = _mean_field_logs(r, sigma, dim)
+    return math.exp(log_prior + log_self) + math.exp(log_prior) \
+        - math.exp(log_prior + log_cross)
 
 
-def _scaled_mean_field(r: float, sigma: float, dim: int) -> float:
-    # mean_field_objective * (4 pi)^{D/2}; same minimizer, no underflow
+def _mean_field_logs(r: float, sigma: float, dim: int) -> tuple[float, float]:
+    # logs of the smoothed self term and of the cross term (with its factor
+    # 2) of mean_field_objective, each times (4 pi)^{D/2}
     s2 = sigma * sigma
-    return math.exp(-dim * math.log(sigma)) + 1.0 - 2.0 * math.exp(
-        -0.5 * r * r / (1.0 + s2) + 0.5 * dim * (math.log(2.0) - math.log(1.0 + s2)))
+    return (-dim * math.log(sigma),
+            _LOG_2 - 0.5 * r * r / (1.0 + s2) + 0.5 * dim * (_LOG_2 - math.log(1.0 + s2)))
+
+
+def _mean_field_rank(r: float, sigma: float, dim: int) -> tuple[int, float]:
+    # a key that orders sigmas as self - cross, the sigma-dependent part of
+    # the mismatch, from the logs alone, so no term over- or underflows:
+    # (0, -log(cross - self)) where the part is negative, (1, log(self - cross))
+    # elsewhere
+    log_self, log_cross = _mean_field_logs(r, sigma, dim)
+    if log_cross > log_self:
+        return 0, -log_cross - math.log1p(-math.exp(log_self - log_cross))
+    if log_cross == log_self:
+        return 1, -math.inf
+    return 1, log_self + math.log1p(-math.exp(log_cross - log_self))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -314,24 +334,26 @@ def mean_field_sigma(r: float, dim: int, lo: float = 0.25, hi: float = 8.0,
     """Smoothing width minimizing the mean-field mismatch at radius r.
 
     Golden-section search; the objective is smooth and unimodal on the
-    bracket. mean_field_sigma(0, dim) == 1 up to the search tolerance.
+    bracket. It compares the sigma-dependent terms only, through their logs:
+    next to the constant prior term they would round away at high D, and
+    on their own they leave the float range there. Checked against a brute
+    force grid up to D = 1000. mean_field_sigma(0, dim) == 1 up to the
+    search tolerance.
     """
     if r < 0.0:
         raise ValueError("radius must be nonnegative")
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = _scaled_mean_field(r, c, dim)
-    fd = _scaled_mean_field(r, d, dim)
+    fc = _mean_field_rank(r, c, dim)
+    fd = _mean_field_rank(r, d, dim)
     while b - a > tol:
-        # ties (numerically flat stretches at high dim) shrink leftward,
-        # toward the side the minimum lies on
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = _scaled_mean_field(r, c, dim)
+            fc = _mean_field_rank(r, c, dim)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = _scaled_mean_field(r, d, dim)
+            fd = _mean_field_rank(r, d, dim)
     return 0.5 * (a + b)

@@ -1,9 +1,14 @@
 """Plain gradient descent over a point cloud for the three regularizers.
 
 Deterministic objectives (CWAE, quantile attraction) get backtracking: a step
-that would increase the objective halves alpha up to 20 times before being
-accepted, so the accepted objective sequence is monotone nonincreasing. The
-stochastic MMD objective (fresh prior sample per step) takes plain steps.
+that would increase the objective halves alpha, and the accepted objective
+sequence is monotone nonincreasing. When 20 halvings find no step that does
+not increase it, the run ends with a row whose alpha is 0. The stochastic MMD
+objective (fresh prior sample per step) takes plain steps.
+
+Each objective keeps the work derived from the last cloud it saw (distance
+matrices, sorted residuals), so the value and gradient of one cloud share a
+single pass.
 """
 
 from __future__ import annotations
@@ -68,8 +73,36 @@ class TraceRow:
     extras: dict[str, float] = field(default_factory=dict)
 
 
+class _CloudMemo:
+    """What an objective derives from one cloud, kept until it is asked about
+    another cloud object.
+
+    The key is object identity: run builds a new PointCloud for every
+    candidate, asks for the accepted one's value again at the next step
+    start, and never mutates a cloud. The objective passes its compute
+    function per call, so the memo holds no reference back to it."""
+
+    def __init__(self) -> None:
+        self._cloud: PointCloud | None = None
+        self._entry = None
+
+    def get(self, x: PointCloud, compute):
+        """The entry for x; on a miss, compute(x, previous) builds it from x
+        and the entry it replaces, which lets work start from that."""
+        if self._cloud is not x:
+            self._entry = compute(x, self._entry)
+            self._cloud = x
+        return self._entry
+
+    def clear(self) -> None:
+        self._cloud = self._entry = None
+
+
 class WaeMmdObjective:
-    """MMD against a fresh prior sample drawn at the start of every step."""
+    """MMD against a fresh prior sample drawn at the start of every step.
+
+    value and gradient share one pair of squared-distance matrices per
+    cloud; a new prior sample clears them."""
 
     deterministic = False
 
@@ -77,34 +110,50 @@ class WaeMmdObjective:
         self.kernel = kernel
         self.prior_rng = prior_rng
         self._z_tilde: PointCloud | None = None
+        self._memo = _CloudMemo()
+
+    def _matrices(self, x: PointCloud, _) -> tuple[np.ndarray, np.ndarray]:
+        return baselines._mmd_sq_dists(x, self._z_tilde)
 
     def begin_step(self, step: int, x: PointCloud) -> None:
         self._z_tilde = sample_standard_normal(self.prior_rng, x.n, x.dim)
+        self._memo.clear()
 
     def value(self, x: PointCloud) -> float:
-        return baselines.wae_mmd(x, self._z_tilde, self.kernel)
+        return baselines._wae_mmd(*self._memo.get(x, self._matrices), self.kernel)
 
     def gradient(self, x: PointCloud) -> np.ndarray:
-        return baselines.wae_mmd_gradient(x, self._z_tilde, self.kernel)
+        return baselines._wae_mmd_gradient(x, self._z_tilde,
+                                           *self._memo.get(x, self._matrices), self.kernel)
 
     def trace_extras(self) -> dict[str, float]:
         return {}
 
 
 class CwaeObjective:
+    """The CWAE regularizer. One squared-distance matrix per cloud serves
+    its value, asked for twice when a candidate is accepted, and the
+    gradient."""
+
     deterministic = True
 
     def __init__(self, params: baselines.CwaeParams) -> None:
         self.params = params
+        self._memo = _CloudMemo()
+
+    def _evaluate(self, x: PointCloud, _) -> tuple[np.ndarray, float]:
+        sq = baselines._cwae_sq_dists(x, self.params)
+        return sq, baselines._cwae(x, sq, self.params)
 
     def begin_step(self, step: int, x: PointCloud) -> None:
         pass
 
     def value(self, x: PointCloud) -> float:
-        return baselines.cwae(x, self.params)
+        return self._memo.get(x, self._evaluate)[1]
 
     def gradient(self, x: PointCloud) -> np.ndarray:
-        return baselines.cwae_gradient(x, self.params)
+        return baselines._cwae_gradient(x, self._memo.get(x, self._evaluate)[0],
+                                        self.params)
 
     def trace_extras(self) -> dict[str, float]:
         return {}
@@ -113,9 +162,9 @@ class CwaeObjective:
 class CdfAttractionObjective:
     """Quantile mismatch of radii and pairwise distances.
 
-    The value computation caches its sort/residual work per cloud object, so
-    the gradient call that follows it inside one optimizer step is cheap. Each
-    new cloud's sorts start from the previous evaluation's rank orders, which
+    The sort/residual work is kept per cloud object, so the gradient call
+    that follows the value inside one optimizer step is cheap. Each new
+    cloud's sorts start from the previous evaluation's rank orders, which
     line-search candidates and consecutive steps nearly share; the result
     equals a cold stable sort, so trajectories do not depend on it."""
 
@@ -127,29 +176,25 @@ class CdfAttractionObjective:
         self.mode = mode
         self.norm = norm
         self._last_terms: tuple[float, float] = (float("nan"), float("nan"))
-        self._cached_cloud: PointCloud | None = None
-        self._cached_residuals: cdf_attract.Residuals | None = None
+        self._memo = _CloudMemo()
+
+    def _residual_pass(self, x: PointCloud,
+                       previous: cdf_attract.Residuals | None) -> cdf_attract.Residuals:
+        return cdf_attract.residual_bundle(
+            x, self.targets, None if previous is None else previous.orders)
 
     def begin_step(self, step: int, x: PointCloud) -> None:
         pass
 
-    def _residuals(self, x: PointCloud) -> cdf_attract.Residuals:
-        if self._cached_cloud is not x:
-            previous = self._cached_residuals
-            self._cached_residuals = cdf_attract.residual_bundle(
-                x, self.targets, None if previous is None else previous.orders)
-            self._cached_cloud = x
-        return self._cached_residuals
-
     def value(self, x: PointCloud) -> float:
         term_r, term_d = cdf_attract.objective_terms_from_residuals(
-            self._residuals(x), self.norm)
+            self._memo.get(x, self._residual_pass), self.norm)
         self._last_terms = (term_r, term_d)
         return term_r + term_d
 
     def gradient(self, x: PointCloud) -> np.ndarray:
         return cdf_attract.gradient_from_residuals(
-            x, self._residuals(x), self.mode, self.norm)
+            x, self._memo.get(x, self._residual_pass), self.mode, self.norm)
 
     def trace_extras(self) -> dict[str, float]:
         return {"radii_term": self._last_terms[0],

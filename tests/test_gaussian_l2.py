@@ -271,6 +271,34 @@ def test_mean_field_sigma_is_local_minimum():
         assert f0 <= mean_field_objective(r, s * 0.999, 20)
 
 
+@pytest.mark.parametrize("r, sigma, dim, expected", [
+    (1.0, 0.5, 600, 7.162063904737939e-150),  # (4 pi)^{-D/2} alone is subnormal
+    (0.0, 0.3, 1000, 1.878508953136509e-27),  # s^{-D} alone overflows
+])
+def test_mean_field_objective_at_high_dim(r, sigma, dim, expected):
+    # the self term dominates; the other two are below 1e-260
+    s2 = sigma * sigma
+    assert expected == pytest.approx(math.exp(-0.5 * dim * math.log(4.0 * math.pi * s2)),
+                                     rel=1e-12)
+    assert mean_field_objective(r, sigma, dim) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("r, dim", [(10.0, 600), (60.0, 600), (60.0, 1000)])
+def test_mean_field_sigma_matches_grid_minimum_at_high_dim(r, dim):
+    # brute force over sigma in [0.9, 8] on the two sigma-dependent terms,
+    # divided by the cross term's largest value on the grid so that they
+    # are of order 1 near the minimum
+    grid = np.linspace(0.9, 8.0, 200_001)
+    s2 = grid * grid
+    log_self = -dim * np.log(grid)
+    log_cross = math.log(2.0) - 0.5 * r * r / (1.0 + s2) \
+        + 0.5 * dim * (math.log(2.0) - np.log1p(s2))
+    shift = log_cross.max()
+    with np.errstate(over="ignore"):
+        best = grid[np.argmin(np.exp(log_self - shift) - np.exp(log_cross - shift))]
+    assert mean_field_sigma(r, dim) == pytest.approx(best, abs=1e-3)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 5])
 def test_mean_field_objective_three_term_formula(dim):
     # away from r = 0, sigma = 1, where the three terms cancel to 0

@@ -1,7 +1,11 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
-from latentreg import calibration, cdf_attract
+from latentreg import baselines, calibration, cdf_attract, optimizer
 from latentreg.baselines import CwaeParams, KernelSpec
 from latentreg.cdf_attract import (
     TargetQuantiles,
@@ -153,11 +157,8 @@ def test_non_finite_value_aborts_with_step_index():
 class _ColdSortObjective(CdfAttractionObjective):
     """Sorts every cloud from scratch, never from an earlier rank order."""
 
-    def _residuals(self, x):
-        if self._cached_cloud is not x:
-            self._cached_residuals = residual_bundle(x, self.targets)
-            self._cached_cloud = x
-        return self._cached_residuals
+    def _residual_pass(self, x, previous):
+        return residual_bundle(x, self.targets)
 
 
 def _trace_bits(trace):
@@ -184,3 +185,106 @@ def test_reused_sort_orders_leave_the_run_unchanged(monkeypatch):
     assert len(resorted) > 2 * 60 and all(resorted)  # every sort after the first
     assert _trace_bits(trace) == _trace_bits(cold_trace)
     assert final.data.tobytes() == cold_final.data.tobytes()
+
+
+def _counting_sq_dists(monkeypatch):
+    calls = []
+    sq_dists = baselines._sq_dists
+
+    def counting(a, b):
+        calls.append(1)
+        return sq_dists(a, b)
+
+    monkeypatch.setattr(baselines, "_sq_dists", counting)
+    return calls
+
+
+def test_cwae_run_builds_one_distance_matrix_per_evaluated_cloud(monkeypatch):
+    calls = _counting_sq_dists(monkeypatch)
+    objective = CwaeObjective(CwaeParams.for_cloud(40, 20))
+    requests = []
+    value = objective.value
+    objective.value = lambda x: requests.append(x) or value(x)
+    config = RunConfig(n=40, dim=20, seed=4, max_steps=60, alpha0=1e6)
+    _, trace = run(config, objective)
+    # each row evaluates its first candidate and one per halving; alpha 0
+    # marks a row that used up every halving
+    candidates = sum(1 + (optimizer._MAX_HALVINGS if row.alpha == 0.0 else
+                          round(math.log2(config.alpha0 / row.alpha))) for row in trace)
+    assert candidates > 2 * len(trace)  # the line search halves
+    assert len(calls) == 1 + candidates
+    # the step-start request for the accepted candidate is served from the memo
+    assert len(requests) == len(trace) + candidates
+
+
+def test_wae_mmd_run_builds_two_distance_matrices_per_step(monkeypatch):
+    calls = _counting_sq_dists(monkeypatch)
+    config = RunConfig(n=20, dim=4, seed=7, max_steps=25, alpha0=2.0)
+    _, trace = run(config, WaeMmdObjective(KernelSpec.imq(4), Rng(7).derive(1)))
+    assert len(trace) == 25
+    assert len(calls) == 2 * 25
+
+
+def test_wae_mmd_new_prior_sample_clears_the_memo():
+    objective = WaeMmdObjective(KernelSpec.imq(4), Rng(7).derive(1))
+    x = sample_uniform_cube(Rng(7), 20, 4, -1.0, 1.0)
+    for step in range(2):
+        objective.begin_step(step, x)
+        assert objective.value(x) == baselines.wae_mmd(x, objective._z_tilde, objective.kernel)
+
+
+class _DirectCwaeObjective(CwaeObjective):
+    """CWAE through the public functions, one distance pass per call."""
+
+    def value(self, x):
+        return baselines.cwae(x, self.params)
+
+    def gradient(self, x):
+        return baselines.cwae_gradient(x, self.params)
+
+
+class _DirectWaeMmdObjective(WaeMmdObjective):
+    """WAE-MMD through the public functions, one distance pass per call."""
+
+    def value(self, x):
+        return baselines.wae_mmd(x, self._z_tilde, self.kernel)
+
+    def gradient(self, x):
+        return baselines.wae_mmd_gradient(x, self._z_tilde, self.kernel)
+
+
+@pytest.mark.parametrize("alpha0", [50.0, 1e6])
+def test_cwae_memo_leaves_the_run_unchanged(alpha0):
+    config = RunConfig(n=40, dim=20, seed=4, max_steps=60, alpha0=alpha0)
+    params = CwaeParams.for_cloud(40, 20)
+    direct_final, direct_trace = run(config, _DirectCwaeObjective(params))
+    final, trace = run(config, CwaeObjective(params))
+    assert _trace_bits(trace) == _trace_bits(direct_trace)
+    assert final.data.tobytes() == direct_final.data.tobytes()
+
+
+def test_wae_mmd_memo_leaves_the_run_unchanged():
+    config = RunConfig(n=30, dim=5, seed=8, max_steps=50, alpha0=2.0)
+    direct_final, direct_trace = run(
+        config, _DirectWaeMmdObjective(KernelSpec.imq(5), Rng(8).derive(1)))
+    final, trace = run(config, WaeMmdObjective(KernelSpec.imq(5), Rng(8).derive(1)))
+    assert _trace_bits(trace) == _trace_bits(direct_trace)
+    assert final.data.tobytes() == direct_final.data.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CwaeObjective(CwaeParams.for_cloud(12, 3)),
+    lambda: WaeMmdObjective(KernelSpec.imq(3), Rng(2).derive(1)),
+    lambda: CdfAttractionObjective(build_target_quantiles(12, 3)),
+])
+def test_objective_and_its_memo_free_without_the_cycle_collector(make):
+    # the memo's matrices go with the objective, not at some later collection
+    objective = make()
+    run(RunConfig(n=12, dim=3, seed=2, max_steps=3, alpha0=0.1), objective)
+    gone = weakref.ref(objective)
+    gc.disable()
+    try:
+        del objective
+        assert gone() is None
+    finally:
+        gc.enable()
