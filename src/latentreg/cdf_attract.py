@@ -8,12 +8,17 @@ coordinate's order statistics onto a 1-D target (Gaussian, uniform on [0,1],
 a quantized staircase attracting mass to codeword centers, or the uniform
 torus with wrapped moves).
 
-Sorting uses stable tie-breaking by element index so gradients are
+The objective needs only the sorted values: value_terms sorts each
+statistic with a plain np.sort and compares it with its table rank by rank.
+Only a gradient needs to know which element holds which rank; residual_bundle
+builds those rank orders and the per-element residuals, and writes its terms
+with the same definition from values[order], so both give the same bits.
+Ranking uses stable tie-breaking by element index so gradients are
 deterministic across runs. A caller may pass the rank orders of an earlier,
-nearby cloud (the optimizer passes the previous evaluation's): the values are
-then re-sorted starting from that order, which costs little when consecutive
-clouds rank nearly alike. The result always equals a cold stable sort, bit for
-bit.
+nearby cloud (the optimizer passes those of the last cloud it ranked): the
+values are then re-sorted starting from that order, which costs little when
+the clouds rank nearly alike. The result always equals a cold stable sort,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -29,11 +34,13 @@ from .specfun import ChiSquare, chi2_inv_cdf, normal_inv_cdf
 
 __all__ = [
     "TargetQuantiles",
+    "CloudStats",
     "SortedStat",
     "CoordinateTarget",
     "build_target_quantiles",
     "chi2_quantile_table",
     "midpoint_probs",
+    "cloud_stats",
     "radii_and_distances",
     "cdf_objective",
     "coordinate_targets",
@@ -100,6 +107,28 @@ def build_target_quantiles(n: int, dim: int) -> TargetQuantiles:
                            chi2_quantile_table(n * (n - 1) // 2, dim))
 
 
+class CloudStats(NamedTuple):
+    """A cloud's statistics in element order: squared radii (|x_i|^2)_i and
+    half squared pair distances (|x_i - x_j|^2 / 2)_{i<j}, pairs enumerated
+    row-wise: (0,1), (0,2), ..., (n-2,n-1)."""
+
+    radii: np.ndarray
+    distances: np.ndarray
+
+
+def cloud_stats(x: PointCloud) -> CloudStats:
+    """The unsorted statistics the attraction matches to its tables."""
+    if x.n < 2:
+        raise ValueError("need n >= 2 for pairwise distances")
+    radii = (x.data * x.data).sum(1)
+    iu, ju = _pair_indices(x.n)
+    upper, _ = _pair_flat_indices(x.n)
+    # only the pair entries are kept, so the n x n Gram matrix is freed
+    # before the sorts
+    gram_pairs = (x.data @ x.data.T).ravel()[upper]
+    return CloudStats(radii, np.maximum(0.5 * (radii[iu] + radii[ju]) - gram_pairs, 0.0))
+
+
 @dataclass
 class SortedStat:
     """Statistic values with their stable sort bookkeeping.
@@ -113,20 +142,10 @@ class SortedStat:
     inverse_order: np.ndarray
 
     @classmethod
-    def from_values(cls, values: np.ndarray,
-                    previous_order: np.ndarray | None = None) -> "SortedStat":
-        """Sort values stably. previous_order, a permutation of the element
-        indices (say the order of an earlier cloud), is where the sort starts;
-        it never changes the result (see _resorted_order)."""
+    def from_values(cls, values: np.ndarray) -> "SortedStat":
+        """Sort values stably: ties keep element-index order."""
         values = np.asarray(values, dtype=np.float64)
-        order = None
-        if previous_order is not None:
-            if previous_order.shape != values.shape:
-                raise ValueError(f"previous_order has shape {previous_order.shape}, "
-                                 f"values have {values.shape}")
-            order = _resorted_order(values, previous_order)
-        if order is None:
-            order = np.argsort(values, kind="stable")
+        order = np.argsort(values, kind="stable")
         inverse = np.empty_like(order)
         inverse[order] = np.arange(order.shape[0])
         return cls(values, order, inverse)
@@ -136,10 +155,17 @@ class SortedStat:
         return self.values[self.order]
 
 
-def _resorted_order(values: np.ndarray, previous_order: np.ndarray) -> np.ndarray | None:
-    """The stable sort order of values, found by re-sorting values[previous_order]
-    (cheap when previous_order nearly sorts them already); None when the
-    sorted values are not strictly increasing.
+def radii_and_distances(x: PointCloud) -> tuple[SortedStat, SortedStat]:
+    """cloud_stats(x), each statistic with its stable sort bookkeeping."""
+    radii, distances = cloud_stats(x)
+    return SortedStat.from_values(radii), SortedStat.from_values(distances)
+
+
+def _resorted_order(values: np.ndarray, previous_order: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The stable sort order of values and values in that order, found by
+    re-sorting values[previous_order] (cheap when previous_order nearly sorts
+    them already); None when the sorted values are not strictly increasing.
 
     Strictly increasing sorted values are distinct, so their order is the only
     one and equals the cold stable argsort's. A tie, a NaN or an index repeated
@@ -147,62 +173,83 @@ def _resorted_order(values: np.ndarray, previous_order: np.ndarray) -> np.ndarra
     tie-breaking to the cold sort."""
     order = previous_order[np.argsort(values[previous_order], kind="stable")]
     ranked = values[order]
-    return order if np.all(ranked[1:] > ranked[:-1]) else None
+    return (order, ranked) if np.all(ranked[1:] > ranked[:-1]) else None
 
 
-def radii_and_distances(x: PointCloud,
-                        previous_orders: tuple[np.ndarray, np.ndarray] | None = None,
-                        ) -> tuple[SortedStat, SortedStat]:
-    """(|x_i|^2)_i and (|x_i - x_j|^2 / 2)_{i<j}, each with sort bookkeeping.
+def _ranked(values: np.ndarray, previous_order: np.ndarray | None,
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(stable sort order, values in that order); previous_order, a
+    permutation of the element indices, is where the sort starts and never
+    changes the result."""
+    if previous_order is not None:
+        if previous_order.shape != values.shape:
+            raise ValueError(f"previous order has shape {previous_order.shape}, "
+                             f"values have {values.shape}")
+        resorted = _resorted_order(values, previous_order)
+        if resorted is not None:
+            return resorted
+    order = np.argsort(values, kind="stable")
+    return order, values[order]
 
-    Pairs are enumerated row-wise: (0,1), (0,2), ..., (n-2,n-1).
-    previous_orders, the (radii, distances) orders of an earlier cloud of n
-    points, start the two sorts; the result equals the call without them."""
-    if x.n < 2:
-        raise ValueError("need n >= 2 for pairwise distances")
-    radii = (x.data * x.data).sum(1)
-    iu, ju = _pair_indices(x.n)
-    upper, _ = _pair_flat_indices(x.n)
-    # only the pair entries are kept, so the n x n Gram matrix is freed
-    # before the sorts
-    gram_pairs = (x.data @ x.data.T).ravel()[upper]
-    half_sq = np.maximum(0.5 * (radii[iu] + radii[ju]) - gram_pairs, 0.0)
-    prev_r, prev_d = (None, None) if previous_orders is None else previous_orders
-    return SortedStat.from_values(radii, prev_r), SortedStat.from_values(half_sq, prev_d)
+
+def _terms(rank_res_r: np.ndarray, rank_res_d: np.ndarray,
+           norm: str) -> tuple[float, float]:
+    """The radii and distance terms of the objective from the rank-order
+    residuals sorted_values - table: the one definition of the mismatch."""
+    _check_norm(norm)
+    if norm == "l1":
+        return float(np.mean(np.abs(rank_res_r))), float(np.mean(np.abs(rank_res_d)))
+    # l2 uses half squared residuals so its gradient is the l1 gradient with
+    # each sign replaced by the residual itself
+    return 0.5 * float(np.mean(rank_res_r ** 2)), 0.5 * float(np.mean(rank_res_d ** 2))
+
+
+def _check_size(stats: CloudStats, targets: TargetQuantiles) -> None:
+    if targets.n != stats.radii.shape[0]:
+        raise ValueError(f"target tables are for n={targets.n}, "
+                         f"cloud has n={stats.radii.shape[0]}")
+
+
+def value_terms(stats: CloudStats, targets: TargetQuantiles,
+                norm: str = "l1") -> tuple[float, float]:
+    """(radii term, distance term) of the objective. The value needs only the
+    sorted values, so a plain np.sort replaces the ranked pass."""
+    _check_size(stats, targets)
+    return _terms(np.sort(stats.radii) - targets.radii,
+                  np.sort(stats.distances) - targets.distances, norm)
 
 
 class Residuals(NamedTuple):
     """Per-element residual of each statistic against the quantile assigned
-    to its rank, and the (radii, distances) rank orders, which can start the
-    next cloud's sorts."""
+    to its rank, the (radii, distances) rank orders, which can start the
+    next cloud's sorts, and the objective terms."""
 
     radii: np.ndarray
     distances: np.ndarray
     orders: tuple[np.ndarray, np.ndarray]
+    terms: tuple[float, float]
 
 
-def residual_bundle(x: PointCloud, targets: TargetQuantiles,
+def residual_bundle(stats: CloudStats, targets: TargetQuantiles, norm: str = "l1",
                     previous_orders: tuple[np.ndarray, np.ndarray] | None = None,
                     ) -> Residuals:
-    """One sort pass, shared by objective and gradient; previous_orders as in
-    radii_and_distances."""
-    if targets.n != x.n:
-        raise ValueError(f"target tables are for n={targets.n}, cloud has n={x.n}")
-    radii, dists = radii_and_distances(x, previous_orders)
-    res_r = radii.values - targets.radii[radii.inverse_order]
-    res_d = dists.values - targets.distances[dists.inverse_order]
-    return Residuals(res_r, res_d, (radii.order, dists.order))
-
-
-def objective_terms_from_residuals(residuals: Residuals,
-                                   norm: str = "l1") -> tuple[float, float]:
-    _check_norm(norm)
-    res_r, res_d, _ = residuals
-    if norm == "l1":
-        return float(np.mean(np.abs(res_r))), float(np.mean(np.abs(res_d)))
-    # l2 uses half squared residuals so its gradient is the l1 gradient with
-    # each sign replaced by the residual itself
-    return 0.5 * float(np.mean(res_r ** 2)), 0.5 * float(np.mean(res_d ** 2))
+    """The ranked pass a gradient needs: stable rank orders and per-element
+    residuals. previous_orders, the (radii, distances) orders of an earlier
+    cloud of n points, start the two sorts; the result equals the call
+    without them, bit for bit. The terms come from the same definition as
+    value_terms' and equal them bit for bit."""
+    _check_size(stats, targets)
+    prev_r, prev_d = (None, None) if previous_orders is None else previous_orders
+    order_r, ranked_r = _ranked(stats.radii, prev_r)
+    order_d, ranked_d = _ranked(stats.distances, prev_d)
+    rank_res_r = ranked_r - targets.radii
+    rank_res_d = ranked_d - targets.distances
+    terms = _terms(rank_res_r, rank_res_d, norm)
+    res_r = np.empty_like(rank_res_r)
+    res_r[order_r] = rank_res_r
+    res_d = np.empty_like(rank_res_d)
+    res_d[order_d] = rank_res_d
+    return Residuals(res_r, res_d, (order_r, order_d), terms)
 
 
 def gradient_from_residuals(x: PointCloud, residuals: Residuals, mode: str,
@@ -214,7 +261,7 @@ def gradient_from_residuals(x: PointCloud, residuals: Residuals, mode: str,
     """
     _check_mode(mode)
     _check_norm(norm)
-    res_r, res_d, _ = residuals
+    res_r, res_d = residuals.radii, residuals.distances
     n = x.n
     n_pairs = res_d.shape[0]
     factor_r = np.sign(res_r) if norm == "l1" else res_r
@@ -237,7 +284,7 @@ def gradient_from_residuals(x: PointCloud, residuals: Residuals, mode: str,
 
 def cdf_objective(x: PointCloud, targets: TargetQuantiles, norm: str = "l1") -> float:
     """Quantile mismatch; zero iff sorted stats equal the tables (l1)."""
-    term_r, term_d = objective_terms_from_residuals(residual_bundle(x, targets), norm)
+    term_r, term_d = value_terms(cloud_stats(x), targets, norm)
     return term_r + term_d
 
 

@@ -97,7 +97,7 @@ class ExperimentSpec:
     norm: str = "l1"
     num_dirs: int = 10
     target: str = "gaussian"
-    bits: int = 1
+    bits: int | None = None  # quantized target only, where it defaults to 1
 
     def __post_init__(self) -> None:
         checks = (
@@ -110,11 +110,13 @@ class ExperimentSpec:
              f"gradient_mode must be one of {GRADIENT_MODES}, got {self.gradient_mode!r}"),
             (self.target in _ATTRACT_TARGETS,
              f"target must be one of {_ATTRACT_TARGETS}, got {self.target!r}"),
-            (self.bits >= 1, f"bits must be >= 1, got {self.bits}"),
+            (self.bits is None or self.bits >= 1, f"bits must be >= 1, got {self.bits}"),
+            (self.bits is None or self.target == "quantized",
+             f"bits applies only to the quantized target, got target {self.target!r}"),
             (self.steps is None or self.steps >= 1,
              f"steps must be >= 1, got {self.steps}"),
-            (self.alpha0 is None or self.alpha0 > 0.0,
-             f"alpha0 must be > 0, got {self.alpha0}"),
+            (self.alpha0 is None or (np.isfinite(self.alpha0) and self.alpha0 > 0.0),
+             f"alpha0 must be finite and > 0, got {self.alpha0}"),
             (self.num_dirs >= 1, f"num_dirs must be >= 1, got {self.num_dirs}"),
             # the CWAE row of the EDF grid needs dim >= 2
             (self.experiment != "fig1_grid" or self.dim >= 2,
@@ -127,6 +129,8 @@ class ExperimentSpec:
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
+        if self.target == "quantized" and self.bits is None:
+            self.bits = 1
 
     def out_dir(self) -> Path:
         out = Path(self.out)
@@ -421,8 +425,7 @@ def cmd_attract_demo(spec: ExperimentSpec) -> int:
         else:
             kind = {"uniform01": "uniform01", "torus": "torus_uniform01",
                     "quantized": "quantized_uniform"}[target_name]
-            bits = spec.bits if kind == "quantized_uniform" else None
-            coord_target = CoordinateTarget(kind, bits)
+            coord_target = CoordinateTarget(kind, spec.bits)
             before = sample_uniform_cube(Rng(trial_seed), spec.n, spec.dim, 0.0, 1.0)
             alpha = spec.alpha0 or COORD_ALPHA
             after = before

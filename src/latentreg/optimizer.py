@@ -7,8 +7,10 @@ not increase it, the run ends with a row whose alpha is 0. The stochastic MMD
 objective (fresh prior sample per step) takes plain steps.
 
 Each objective keeps the work derived from the last cloud it saw (distance
-matrices, sorted residuals), so the value and gradient of one cloud share a
-single pass.
+matrices, the attraction's statistics), so the value and gradient of one
+cloud share a single pass. The attraction's line-search candidates need only
+a value, so they are sorted but not ranked; rank orders and residuals are
+built only for the clouds whose gradient is taken.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.alpha0 <= 0.0:
-            raise ValueError("alpha0 must be positive")
+        if not (np.isfinite(self.alpha0) and self.alpha0 > 0.0):
+            raise ValueError(f"alpha0 must be finite and positive, got {self.alpha0}")
         if self.schedule not in ("constant", "proportional_to_objective"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
@@ -87,10 +89,9 @@ class _CloudMemo:
         self._entry = None
 
     def get(self, x: PointCloud, compute):
-        """The entry for x; on a miss, compute(x, previous) builds it from x
-        and the entry it replaces, which lets work start from that."""
+        """The entry for x; on a miss, compute(x) builds it."""
         if self._cloud is not x:
-            self._entry = compute(x, self._entry)
+            self._entry = compute(x)
             self._cloud = x
         return self._entry
 
@@ -112,7 +113,7 @@ class WaeMmdObjective:
         self._z_tilde: PointCloud | None = None
         self._memo = _CloudMemo()
 
-    def _matrices(self, x: PointCloud, _) -> tuple[np.ndarray, np.ndarray]:
+    def _matrices(self, x: PointCloud) -> tuple[np.ndarray, np.ndarray]:
         return baselines._mmd_sq_dists(x, self._z_tilde)
 
     def begin_step(self, step: int, x: PointCloud) -> None:
@@ -141,7 +142,7 @@ class CwaeObjective:
         self.params = params
         self._memo = _CloudMemo()
 
-    def _evaluate(self, x: PointCloud, _) -> tuple[np.ndarray, float]:
+    def _evaluate(self, x: PointCloud) -> tuple[np.ndarray, float]:
         sq = baselines._cwae_sq_dists(x, self.params)
         return sq, baselines._cwae(x, sq, self.params)
 
@@ -159,14 +160,26 @@ class CwaeObjective:
         return {}
 
 
+@dataclass
+class _AttractionEntry:
+    """One cloud's statistics and objective terms; the ranked pass is added
+    when its gradient is asked for."""
+
+    stats: cdf_attract.CloudStats
+    terms: tuple[float, float]
+    residuals: cdf_attract.Residuals | None = None
+
+
 class CdfAttractionObjective:
     """Quantile mismatch of radii and pairwise distances.
 
-    The sort/residual work is kept per cloud object, so the gradient call
-    that follows the value inside one optimizer step is cheap. Each new
-    cloud's sorts start from the previous evaluation's rank orders, which
-    line-search candidates and consecutive steps nearly share; the result
-    equals a cold stable sort, so trajectories do not depend on it."""
+    Each cloud's statistics and terms are kept per cloud object, so the value
+    asked for again at the next step start and the gradient that follows
+    reuse them. A value needs only sorted statistics, so a line-search
+    candidate is sorted but never ranked. The gradient ranks its cloud's
+    kept statistics, starting from the rank orders of the last cloud it
+    ranked, which is one accepted step away; the result equals a cold stable
+    sort, so trajectories do not depend on it."""
 
     deterministic = True
 
@@ -177,24 +190,27 @@ class CdfAttractionObjective:
         self.norm = norm
         self._last_terms: tuple[float, float] = (float("nan"), float("nan"))
         self._memo = _CloudMemo()
+        # rank orders of the last cloud whose gradient was taken
+        self._orders: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _residual_pass(self, x: PointCloud,
-                       previous: cdf_attract.Residuals | None) -> cdf_attract.Residuals:
-        return cdf_attract.residual_bundle(
-            x, self.targets, None if previous is None else previous.orders)
+    def _evaluate(self, x: PointCloud) -> _AttractionEntry:
+        stats = cdf_attract.cloud_stats(x)
+        return _AttractionEntry(stats, cdf_attract.value_terms(stats, self.targets, self.norm))
 
     def begin_step(self, step: int, x: PointCloud) -> None:
         pass
 
     def value(self, x: PointCloud) -> float:
-        term_r, term_d = cdf_attract.objective_terms_from_residuals(
-            self._memo.get(x, self._residual_pass), self.norm)
-        self._last_terms = (term_r, term_d)
+        term_r, term_d = self._last_terms = self._memo.get(x, self._evaluate).terms
         return term_r + term_d
 
     def gradient(self, x: PointCloud) -> np.ndarray:
-        return cdf_attract.gradient_from_residuals(
-            x, self._memo.get(x, self._residual_pass), self.mode, self.norm)
+        entry = self._memo.get(x, self._evaluate)
+        if entry.residuals is None:
+            entry.residuals = cdf_attract.residual_bundle(
+                entry.stats, self.targets, self.norm, self._orders)
+            self._orders = entry.residuals.orders
+        return cdf_attract.gradient_from_residuals(x, entry.residuals, self.mode, self.norm)
 
     def trace_extras(self) -> dict[str, float]:
         return {"radii_term": self._last_terms[0],

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cdf_attract import chi2_quantile_table, radii_and_distances
+from .cdf_attract import chi2_quantile_table, cloud_stats
 from .sampling import PointCloud, _pair_indices
 from .specfun import ChiSquare, chi2_cdf, normal_cdf
 
@@ -88,7 +88,7 @@ def radii_test(x: PointCloud) -> TestReport:
 def distance_test(x: PointCloud) -> TestReport:
     """Half squared pairwise distances, the values the attraction sorts,
     against the chi-squared(dim) CDF."""
-    return chi2_report(radii_and_distances(x)[1].values, x.dim, "distances")
+    return chi2_report(cloud_stats(x).distances, x.dim, "distances")
 
 
 def projections(x: PointCloud, dirs: PointCloud) -> np.ndarray:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 __all__ = ["Curve", "render_panel"]
 
 WIDTH = 640
@@ -29,8 +31,8 @@ class Curve:
                  color: str, width: float = 1.0) -> None:
         if len(xs) != len(ys):
             raise ValueError("xs and ys lengths differ")
-        self.xs = list(xs)
-        self.ys = list(ys)
+        self.xs = np.asarray(xs, dtype=np.float64)
+        self.ys = np.asarray(ys, dtype=np.float64)
         self.color = color
         self.width = width
 
@@ -50,10 +52,10 @@ def render_panel(path, curves: Sequence[Curve], title: str,
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(x: float) -> float:
+    def px(x: float | np.ndarray) -> float | np.ndarray:
         return MARGIN_L + (x - x0) / (x1 - x0) * plot_w
 
-    def py(y: float) -> float:
+    def py(y: float | np.ndarray) -> float | np.ndarray:
         return HEIGHT - MARGIN_B - (y - y0) / (y1 - y0) * plot_h
 
     parts = [
@@ -83,9 +85,11 @@ def render_panel(path, curves: Sequence[Curve], title: str,
                      f'dominant-baseline="middle" font-family="sans-serif" '
                      f'font-size="11">{t:.3g}</text>')
     for curve in curves:
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}"
-                       for x, y in zip(curve.xs, curve.ys)
-                       if x0 <= x <= x1)
+        # px and py run elementwise: the same float operations, in the same
+        # order, as on one scalar, so each point keeps its bits and its text
+        keep = (curve.xs >= x0) & (curve.xs <= x1)
+        pts = " ".join("%.3f,%.3f" % point for point in
+                       zip(px(curve.xs[keep]).tolist(), py(curve.ys[keep]).tolist()))
         if pts:
             parts.append(f'<polyline points="{pts}" fill="none" '
                          f'stroke="{curve.color}" stroke-width="{curve.width:g}"/>')

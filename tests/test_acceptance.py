@@ -25,6 +25,7 @@ from latentreg.baselines import (
 from latentreg.cdf_attract import (
     build_target_quantiles,
     cdf_objective,
+    cloud_stats,
     gradient_from_residuals,
     radii_and_distances,
     residual_bundle,
@@ -215,8 +216,8 @@ def test_criterion_3_gradient_fidelity(targets):
                   np.abs(dists.sorted_values - small_targets.distances).min())
         if gap < 1e-4:  # keep clear of ties and sign flips
             continue
-        grad = gradient_from_residuals(cloud, residual_bundle(cloud, small_targets),
-                                       "exact_subgradient", "l1")
+        residuals = residual_bundle(cloud_stats(cloud), small_targets)
+        grad = gradient_from_residuals(cloud, residuals, "exact_subgradient", "l1")
         err = _directional_fd(lambda d: cdf_objective(PointCloud(d), small_targets),
                               cloud.data, grad, 1e-7)
         worst = max(worst, err)

@@ -13,13 +13,14 @@ from latentreg.cdf_attract import (
     TargetQuantiles,
     build_target_quantiles,
     cdf_objective,
+    cloud_stats,
     coordinate_step,
     coordinate_targets,
     gradient_from_residuals,
     midpoint_probs,
-    objective_terms_from_residuals,
     radii_and_distances,
     residual_bundle,
+    value_terms,
 )
 from latentreg import cdf_attract
 from latentreg.sampling import PointCloud, Rng, sample_uniform_cube
@@ -29,7 +30,8 @@ RNG = np.random.default_rng(2718)
 
 
 def gradient(cloud, targets, mode="exact_subgradient", norm="l1"):
-    return gradient_from_residuals(cloud, residual_bundle(cloud, targets), mode, norm)
+    return gradient_from_residuals(cloud, residual_bundle(cloud_stats(cloud), targets),
+                                   mode, norm)
 
 
 def perfect_targets(cloud):
@@ -129,12 +131,19 @@ def test_previous_orders_give_the_cold_sort(seed, kind, previous):
     else:
         other = radii_and_distances(PointCloud(rng.normal(size=cloud.data.shape)))
         orders = (other[0].order, other[1].order)
+    stats = cloud_stats(cloud)
+    targets = build_target_quantiles(n, cloud.dim)
+    cold_pass = residual_bundle(stats, targets)
+    warm_pass = residual_bundle(stats, targets, previous_orders=orders)
     ties = []
-    for cold, warm, prev in zip(radii_and_distances(cloud),
-                                radii_and_distances(cloud, orders), orders):
-        assert warm.values.tobytes() == cold.values.tobytes()
-        assert np.array_equal(warm.order, cold.order)
-        assert np.array_equal(warm.inverse_order, cold.inverse_order)
+    for cold, warm_order, warm_res, cold_res, prev in zip(
+            radii_and_distances(cloud), warm_pass.orders, warm_pass[:2], cold_pass[:2],
+            orders):
+        assert warm_res.tobytes() == cold_res.tobytes()
+        assert np.array_equal(warm_order, cold.order)
+        warm_inverse = np.empty_like(warm_order)
+        warm_inverse[warm_order] = np.arange(warm_order.shape[0])
+        assert np.array_equal(warm_inverse, cold.inverse_order)
         # the previous order is used exactly when no two values tie
         ties.append(bool(np.any(np.diff(cold.sorted_values) == 0.0)))
         assert (cdf_attract._resorted_order(cold.values, prev) is None) == ties[-1]
@@ -143,10 +152,35 @@ def test_previous_orders_give_the_cold_sort(seed, kind, previous):
 
 def test_previous_orders_of_another_size_are_rejected():
     x = PointCloud(np.array([[0.0], [1.0], [2.0]]))
+    stats, targets = cloud_stats(x), build_target_quantiles(3, 1)
     with pytest.raises(ValueError):
-        radii_and_distances(x, (np.arange(2), np.arange(3)))
+        residual_bundle(stats, targets, previous_orders=(np.arange(2), np.arange(3)))
     with pytest.raises(ValueError):
-        radii_and_distances(x, (np.arange(3), np.arange(4)))
+        residual_bundle(stats, targets, previous_orders=(np.arange(3), np.arange(4)))
+
+
+@given(st.integers(min_value=0, max_value=10**6),
+       st.sampled_from(["random", "duplicated_rows", "collinear", "two_points"]),
+       st.sampled_from(NORMS))
+@settings(max_examples=60, deadline=None)
+def test_value_terms_equal_the_ranked_pass_terms(seed, kind, norm):
+    # the value sorts with np.sort, the gradient's ranked pass gathers
+    # values[order]; both must give the objective the same bits
+    rng = np.random.default_rng(seed)
+    if kind == "two_points":
+        cloud = PointCloud(rng.normal(size=(2, int(rng.integers(1, 5)))))
+    else:
+        cloud = _tie_cloud(kind, rng)
+    n = cloud.n
+    targets = build_target_quantiles(n, cloud.dim)
+    stats = cloud_stats(cloud)
+    expected = [term.hex() for term in value_terms(stats, targets, norm)]
+    orders = (rng.permutation(n), rng.permutation(n * (n - 1) // 2))
+    for previous in (None, orders):
+        ranked = residual_bundle(stats, targets, norm, previous)
+        assert [term.hex() for term in ranked.terms] == expected
+    assert cdf_objective(cloud, targets, norm).hex() == \
+        (float.fromhex(expected[0]) + float.fromhex(expected[1])).hex()
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -220,7 +254,7 @@ def test_gradient_l2_directional_finite_difference():
 def test_paper_verbatim_doubles_distance_contribution():
     targets = build_target_quantiles(6, 3)
     cloud = PointCloud(RNG.normal(size=(6, 3)))
-    residuals = residual_bundle(cloud, targets)
+    residuals = residual_bundle(cloud_stats(cloud), targets)
     # each term alone: zero residuals leave the other term's gradient 0
     distances_only = residuals._replace(radii=np.zeros_like(residuals.radii))
     radii_only = residuals._replace(distances=np.zeros_like(residuals.distances))
@@ -252,8 +286,8 @@ def test_attraction_step_alpha_zero_and_perfect_cloud():
     # from one residual pass
     cloud = PointCloud(RNG.normal(size=(5, 2)))
     targets = build_target_quantiles(5, 2)
-    residuals = residual_bundle(cloud, targets)
-    assert sum(objective_terms_from_residuals(residuals)) == cdf_objective(cloud, targets)
+    residuals = residual_bundle(cloud_stats(cloud), targets)
+    assert sum(residuals.terms) == cdf_objective(cloud, targets)
     grad = gradient_from_residuals(cloud, residuals, "exact_subgradient", "l1")
     assert np.any(grad != 0.0)
     assert np.array_equal(cloud.data - 0.0 * grad, cloud.data)

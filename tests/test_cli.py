@@ -16,6 +16,7 @@ from latentreg.cli import (
 )
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
 from latentreg.stat_tests import battery_ks, battery_values
+from latentreg import svgplot
 from latentreg.svgplot import Curve, render_panel
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -209,11 +210,14 @@ BAD_SPECS = {
     "target_in_config": (["attract"], "target=cauchy\n"),
     "misspelled_key_in_config": (["fig2"], "stpes=3\n"),
     "bits": (["attract", "--target", "quantized", "--bits", "0"], None),
+    "bits_without_quantized_target": (["attract", "--target", "gaussian", "--bits", "3"], None),
+    "bits_in_config_without_quantized_target": (["fig1"], "bits=2\n"),
     "n": (["fig2", "--n", "1"], None),
     "dim": (["fig1", "--dim", "0"], None),
     "steps_zero": (["fig1", "--steps", "0"], None),
     "steps_negative_coordinate": (["attract", "--target", "uniform01", "--steps", "-3"], None),
     "alpha0_zero": (["fig2", "--alpha0", "0"], None),
+    "alpha0_inf": (["attract", "--target", "gaussian", "--alpha0", "inf"], None),
     "num_dirs": (["fig2", "--num-dirs", "0"], None),
     "fig1_dim1": (["fig1", "--dim", "1"], None),
     "coordinate_alpha0": (["attract", "--target", "uniform01", "--alpha0", "2"], None),
@@ -281,3 +285,41 @@ def test_svg_panel_matches_golden(tmp_path):
     render_panel(path, curves, "golden panel", (0.0, 4.0), (0.0, 1.0),
                  x_ticks=(1.0, 2.0, 3.0), y_ticks=(0.0, 0.5, 1.0))
     assert path.read_bytes() == (GOLDEN / "panel.svg").read_bytes()
+
+
+def _per_point_polylines(curves, x_range, y_range):
+    """Polyline points formatted one scalar at a time, the reference for
+    render_panel's array arithmetic."""
+    (x0, x1), (y0, y1) = x_range, y_range
+    plot_w = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
+    plot_h = svgplot.HEIGHT - svgplot.MARGIN_T - svgplot.MARGIN_B
+    lines = []
+    for curve in curves:
+        pts = " ".join("%.3f,%.3f" % (svgplot.MARGIN_L + (x - x0) / (x1 - x0) * plot_w,
+                                      svgplot.HEIGHT - svgplot.MARGIN_B
+                                      - (y - y0) / (y1 - y0) * plot_h)
+                       for x, y in zip(list(curve.xs), list(curve.ys)) if x0 <= x <= x1)
+        if pts:
+            lines.append(f'<polyline points="{pts}" fill="none" '
+                         f'stroke="{curve.color}" stroke-width="{curve.width:g}"/>')
+    return lines
+
+
+@pytest.mark.parametrize("size", [7, 20_000])
+def test_svg_polylines_match_per_point_formatting(tmp_path, size):
+    rng = np.random.default_rng(size)
+    x_range, y_range = (-1.5, 2.5), (-0.25, 1.0)
+    # the range ends themselves are drawn
+    xs = np.sort(np.concatenate([rng.normal(scale=2.0, size=size - 2), x_range]))
+    curves = [Curve(xs, midpoint_probs(size), "#1f77b4"),
+              Curve(xs[::-1].copy(), rng.uniform(-0.5, 1.5, size=size), "#000000",
+                    width=2.0),
+              Curve(xs + 100.0, midpoint_probs(size), "#ff7f0e")]  # wholly outside
+    path = tmp_path / "panel.svg"
+    render_panel(path, curves, "points", x_range, y_range)
+    polylines = [line for line in path.read_text().splitlines()
+                 if line.startswith("<polyline")]
+    assert polylines == _per_point_polylines(curves, x_range, y_range)
+    assert len(polylines) == 2
+    # some points of each drawn curve fall outside x_range
+    assert all(np.any((c.xs < x_range[0]) | (c.xs > x_range[1])) for c in curves[:2])

@@ -11,7 +11,6 @@ from latentreg.cdf_attract import (
     TargetQuantiles,
     build_target_quantiles,
     radii_and_distances,
-    residual_bundle,
 )
 from latentreg.optimizer import (
     CdfAttractionObjective,
@@ -30,8 +29,9 @@ from latentreg.sampling import PointCloud, Rng, sample_uniform_cube
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(n=10, dim=2, seed=0, max_steps=0)
-    with pytest.raises(ValueError):
-        RunConfig(n=10, dim=2, seed=0, alpha0=0.0)
+    for alpha0 in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RunConfig(n=10, dim=2, seed=0, alpha0=alpha0)
     with pytest.raises(ValueError):
         RunConfig(n=10, dim=2, seed=0, schedule="exotic")
 
@@ -155,10 +155,11 @@ def test_non_finite_value_aborts_with_step_index():
 
 
 class _ColdSortObjective(CdfAttractionObjective):
-    """Sorts every cloud from scratch, never from an earlier rank order."""
+    """Ranks every cloud from scratch, never from an earlier rank order."""
 
-    def _residual_pass(self, x, previous):
-        return residual_bundle(x, self.targets)
+    def gradient(self, x):
+        self._orders = None
+        return super().gradient(x)
 
 
 def _trace_bits(trace):
@@ -182,9 +183,33 @@ def test_reused_sort_orders_leave_the_run_unchanged(monkeypatch):
     final, trace = run(config, CdfAttractionObjective(targets))
     assert len(trace) == 60
     assert any(row.alpha < config.alpha0 for row in trace)  # some halvings
-    assert len(resorted) > 2 * 60 and all(resorted)  # every sort after the first
+    # every ranked sort after the first gradient's; candidates are not ranked
+    assert len(resorted) == 2 * (60 - 1) and all(resorted)
     assert _trace_bits(trace) == _trace_bits(cold_trace)
     assert final.data.tobytes() == cold_final.data.tobytes()
+
+
+def test_attraction_ranks_only_the_clouds_whose_gradient_is_taken(monkeypatch):
+    ranked_sorts, values, gradients = [], [], []
+    ranked = cdf_attract._ranked
+
+    def counting_ranked(stat_values, previous_order):
+        ranked_sorts.append(1)
+        return ranked(stat_values, previous_order)
+
+    monkeypatch.setattr(cdf_attract, "_ranked", counting_ranked)
+    objective = CdfAttractionObjective(build_target_quantiles(16, 3))
+    value, gradient = objective.value, objective.gradient
+    objective.value = lambda x: values.append(x) or value(x)
+    objective.gradient = lambda x: gradients.append(x) or gradient(x)
+    config = RunConfig(n=16, dim=3, seed=6, max_steps=60, alpha0=1.0)
+    _, trace = run(config, objective)
+    assert any(row.alpha < config.alpha0 for row in trace)  # rejected candidates
+    # each row asks for its start value and one value per candidate
+    assert len(values) > 2 * len(trace)
+    assert len(gradients) == len(trace)
+    # two statistics, one ranked sort each, per gradient
+    assert len(ranked_sorts) == 2 * len(gradients)
 
 
 def _counting_sq_dists(monkeypatch):
