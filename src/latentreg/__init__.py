@@ -9,14 +9,12 @@ torus variants), a statistical test battery, and an experiment CLI.
 from .baselines import CwaeParams, KernelSpec, cwae, cwae_gradient, mardia_stats, wae_mmd, wae_mmd_gradient
 from .cdf_attract import (
     CoordinateTarget,
-    SortedStat,
     TargetQuantiles,
     build_target_quantiles,
     cdf_objective,
     coordinate_step,
     coordinate_targets,
     midpoint_probs,
-    radii_and_distances,
 )
 from .gaussian_l2 import (
     GaussianComponent,

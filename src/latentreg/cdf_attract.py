@@ -11,14 +11,12 @@ torus with wrapped moves).
 The objective needs only the sorted values: value_terms sorts each
 statistic with a plain np.sort and compares it with its table rank by rank.
 Only a gradient needs to know which element holds which rank; residual_bundle
-builds those rank orders and the per-element residuals, and writes its terms
-with the same definition from values[order], so both give the same bits.
-Ranking uses stable tie-breaking by element index so gradients are
-deterministic across runs. A caller may pass the rank orders of an earlier,
-nearby cloud (the optimizer passes those of the last cloud it ranked): the
-values are then re-sorted starting from that order, which costs little when
-the clouds rank nearly alike. The result always equals a cold stable sort,
-bit for bit.
+ranks the statistics and returns the per-element residuals, which gathered in
+rank order are the value's residuals bit for bit. Ranking breaks ties by
+element index, so gradients are deterministic across runs: a default-kind
+argsort is kept when it sorts the values strictly increasing (distinct values
+have only one sorted order), and a stable argsort ranks any statistic with a
+tie.
 """
 
 from __future__ import annotations
@@ -35,13 +33,11 @@ from .specfun import ChiSquare, chi2_inv_cdf, normal_inv_cdf
 __all__ = [
     "TargetQuantiles",
     "CloudStats",
-    "SortedStat",
     "CoordinateTarget",
     "build_target_quantiles",
     "chi2_quantile_table",
     "midpoint_probs",
     "cloud_stats",
-    "radii_and_distances",
     "cdf_objective",
     "coordinate_targets",
     "coordinate_step",
@@ -129,67 +125,17 @@ def cloud_stats(x: PointCloud) -> CloudStats:
     return CloudStats(radii, np.maximum(0.5 * (radii[iu] + radii[ju]) - gram_pairs, 0.0))
 
 
-@dataclass
-class SortedStat:
-    """Statistic values with their stable sort bookkeeping.
-
-    order maps rank -> element index, inverse_order maps element -> rank;
-    values[order] is nondecreasing and the two permutations compose to the
-    identity."""
-
-    values: np.ndarray
-    order: np.ndarray
-    inverse_order: np.ndarray
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "SortedStat":
-        """Sort values stably: ties keep element-index order."""
-        values = np.asarray(values, dtype=np.float64)
-        order = np.argsort(values, kind="stable")
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.shape[0])
-        return cls(values, order, inverse)
-
-    @property
-    def sorted_values(self) -> np.ndarray:
-        return self.values[self.order]
-
-
-def radii_and_distances(x: PointCloud) -> tuple[SortedStat, SortedStat]:
-    """cloud_stats(x), each statistic with its stable sort bookkeeping."""
-    radii, distances = cloud_stats(x)
-    return SortedStat.from_values(radii), SortedStat.from_values(distances)
-
-
-def _resorted_order(values: np.ndarray, previous_order: np.ndarray,
-                    ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The stable sort order of values and values in that order, found by
-    re-sorting values[previous_order] (cheap when previous_order nearly sorts
-    them already); None when the sorted values are not strictly increasing.
-
-    Strictly increasing sorted values are distinct, so their order is the only
-    one and equals the cold stable argsort's. A tie, a NaN or an index repeated
-    in previous_order breaks the strict increase and leaves the element-index
-    tie-breaking to the cold sort."""
-    order = previous_order[np.argsort(values[previous_order], kind="stable")]
+def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(stable sort order, values in that order). Strictly increasing sorted
+    values are distinct, so the faster default-kind order is the only one; a
+    tie or a NaN breaks the strict increase and leaves the element-index
+    tie-breaking to the stable sort."""
+    order = np.argsort(values)
     ranked = values[order]
-    return (order, ranked) if np.all(ranked[1:] > ranked[:-1]) else None
-
-
-def _ranked(values: np.ndarray, previous_order: np.ndarray | None,
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """(stable sort order, values in that order); previous_order, a
-    permutation of the element indices, is where the sort starts and never
-    changes the result."""
-    if previous_order is not None:
-        if previous_order.shape != values.shape:
-            raise ValueError(f"previous order has shape {previous_order.shape}, "
-                             f"values have {values.shape}")
-        resorted = _resorted_order(values, previous_order)
-        if resorted is not None:
-            return resorted
-    order = np.argsort(values, kind="stable")
-    return order, values[order]
+    if not np.all(ranked[1:] > ranked[:-1]):
+        order = np.argsort(values, kind="stable")
+        ranked = values[order]
+    return order, ranked
 
 
 def _terms(rank_res_r: np.ndarray, rank_res_d: np.ndarray,
@@ -221,35 +167,25 @@ def value_terms(stats: CloudStats, targets: TargetQuantiles,
 
 class Residuals(NamedTuple):
     """Per-element residual of each statistic against the quantile assigned
-    to its rank, the (radii, distances) rank orders, which can start the
-    next cloud's sorts, and the objective terms."""
+    to its rank."""
 
     radii: np.ndarray
     distances: np.ndarray
-    orders: tuple[np.ndarray, np.ndarray]
-    terms: tuple[float, float]
 
 
-def residual_bundle(stats: CloudStats, targets: TargetQuantiles, norm: str = "l1",
-                    previous_orders: tuple[np.ndarray, np.ndarray] | None = None,
-                    ) -> Residuals:
-    """The ranked pass a gradient needs: stable rank orders and per-element
-    residuals. previous_orders, the (radii, distances) orders of an earlier
-    cloud of n points, start the two sorts; the result equals the call
-    without them, bit for bit. The terms come from the same definition as
-    value_terms' and equal them bit for bit."""
+def residual_bundle(stats: CloudStats, targets: TargetQuantiles) -> Residuals:
+    """The ranked pass a gradient needs: each element's residual against the
+    table entry of its rank. Gathered in rank order, the residuals are
+    value_terms' residuals bit for bit."""
     _check_size(stats, targets)
-    prev_r, prev_d = (None, None) if previous_orders is None else previous_orders
-    order_r, ranked_r = _ranked(stats.radii, prev_r)
-    order_d, ranked_d = _ranked(stats.distances, prev_d)
-    rank_res_r = ranked_r - targets.radii
-    rank_res_d = ranked_d - targets.distances
-    terms = _terms(rank_res_r, rank_res_d, norm)
-    res_r = np.empty_like(rank_res_r)
-    res_r[order_r] = rank_res_r
-    res_d = np.empty_like(rank_res_d)
-    res_d[order_d] = rank_res_d
-    return Residuals(res_r, res_d, (order_r, order_d), terms)
+    residuals = []
+    for values, table in ((stats.radii, targets.radii),
+                          (stats.distances, targets.distances)):
+        order, ranked = _ranked(values)
+        res = np.empty_like(ranked)
+        res[order] = ranked - table
+        residuals.append(res)
+    return Residuals(*residuals)
 
 
 def gradient_from_residuals(x: PointCloud, residuals: Residuals, mode: str,

@@ -32,9 +32,9 @@ from .cdf_attract import (
     build_target_quantiles,
     cdf_objective,
     chi2_quantile_table,
+    cloud_stats,
     coordinate_step,
     midpoint_probs,
-    radii_and_distances,
 )
 from .optimizer import (
     CdfAttractionObjective,
@@ -239,16 +239,16 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
         for row, cloud in clouds.items():
             cloud.to_csv(out / f"fig1_{row}_trial{t:02d}_cloud.csv")
             # the statistics the attraction sorts, computed once per cloud
-            radii, dists = radii_and_distances(cloud)
+            stats = cloud_stats(cloud)
             values, reports = {}, {}
-            for stat, sorted_stat in (("radii", radii), ("distances", dists)):
-                v = sorted_stat.sorted_values
+            for stat, unsorted in zip(("radii", "distances"), stats):
+                v = np.sort(unsorted)
                 m = v.shape[0]
                 _write_curve_csv(out / f"fig1_{row}_{stat}_trial{t:02d}.csv", v,
                                  chi2_quantile_table(m, spec.dim), midpoint_probs(m))
                 values[stat] = v
                 reports[stat] = chi2_report(v, spec.dim, stat)
-            direction = "narrow" if float(radii.values.mean()) < spec.dim else "wide"
+            direction = "narrow" if float(stats.radii.mean()) < spec.dim else "wide"
             result[row] = (values, reports, direction)
         return result
 

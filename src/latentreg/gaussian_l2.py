@@ -42,6 +42,8 @@ def _check_covariance(m: np.ndarray, what: str = "covariance") -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} must have finite entries")
     if np.max(np.abs(m - m.T), initial=0.0) > 1e-12:
         raise ValueError(f"{what} must be symmetric within 1e-12")
     try:
@@ -116,9 +118,9 @@ def spherical_product_integral(l: float, sigma2: float, gamma2: float,
                                dim: int) -> float:
     """Product integral for spherical covariances sigma2*I and gamma2*I at
     center separation l: exp(-l^2 / (2 (s2+g2))) / sqrt(2 pi (s2+g2))^D."""
-    if sigma2 <= 0.0 or gamma2 <= 0.0:
+    if not (sigma2 > 0.0 and gamma2 > 0.0):
         raise ValueError("variances must be positive")
-    if l < 0.0:
+    if not l >= 0.0:
         raise ValueError("separation must be nonnegative")
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -129,7 +131,7 @@ def gaussian_power_identity(mu: np.ndarray, sigma: np.ndarray,
                             p: float) -> tuple[float, GaussianComponent]:
     """Rewrite a Gaussian density power as scale * Gaussian:
     rho_{mu,S}^p = |2 pi S|^{(1-p)/2} p^{-D/2} * rho_{mu, S/p}."""
-    if p <= 0.0:
+    if not p > 0.0:
         raise ValueError("power must be positive")
     mu = np.asarray(mu, dtype=np.float64).reshape(-1)
     sigma = _check_covariance(sigma, "sigma")
@@ -164,7 +166,7 @@ class SmoothedSample:
             self.weights = np.asarray(self.weights, dtype=np.float64)
             if self.weights.shape != (n,):
                 raise ValueError("weights length must equal point count")
-            if np.any(self.weights <= 0.0):
+            if not np.all(self.weights > 0.0):
                 raise ValueError("weights must be positive")
             if abs(float(self.weights.sum()) - 1.0) > 1e-12:
                 raise ValueError("weights must sum to 1 within 1e-12")
@@ -172,7 +174,7 @@ class SmoothedSample:
             bw = np.asarray(self.bandwidths, dtype=np.float64).reshape(-1)
             if bw.shape != (n,):
                 raise ValueError("bandwidth count must equal point count")
-            if np.any(bw <= 0.0):
+            if not np.all(bw > 0.0):
                 raise ValueError("spherical bandwidths must be positive")
             self.bandwidths = bw
         else:
@@ -246,7 +248,7 @@ def l2_distance_samples_isotropic(x: PointCloud, y: PointCloud,
     """
     if x.dim != y.dim:
         raise ValueError("clouds must share one dimension")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     four_sigma2 = 4.0 * sigma * sigma
     total = _mean_exp_kernel(x.data, x.data, four_sigma2) \
@@ -340,7 +342,7 @@ def mean_field_sigma(r: float, dim: int, lo: float = 0.25, hi: float = 8.0,
     force grid up to D = 1000. mean_field_sigma(0, dim) == 1 up to the
     search tolerance.
     """
-    if r < 0.0:
+    if not r >= 0.0:
         raise ValueError("radius must be nonnegative")
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)

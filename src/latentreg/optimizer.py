@@ -9,8 +9,8 @@ objective (fresh prior sample per step) takes plain steps.
 Each objective keeps the work derived from the last cloud it saw (distance
 matrices, the attraction's statistics), so the value and gradient of one
 cloud share a single pass. The attraction's line-search candidates need only
-a value, so they are sorted but not ranked; rank orders and residuals are
-built only for the clouds whose gradient is taken.
+a value, so they are sorted but not ranked; residuals are ranked only for
+the clouds whose gradient is taken, each cloud from scratch.
 """
 
 from __future__ import annotations
@@ -177,9 +177,7 @@ class CdfAttractionObjective:
     asked for again at the next step start and the gradient that follows
     reuse them. A value needs only sorted statistics, so a line-search
     candidate is sorted but never ranked. The gradient ranks its cloud's
-    kept statistics, starting from the rank orders of the last cloud it
-    ranked, which is one accepted step away; the result equals a cold stable
-    sort, so trajectories do not depend on it."""
+    kept statistics; nothing else carries over from one cloud to the next."""
 
     deterministic = True
 
@@ -190,8 +188,6 @@ class CdfAttractionObjective:
         self.norm = norm
         self._last_terms: tuple[float, float] = (float("nan"), float("nan"))
         self._memo = _CloudMemo()
-        # rank orders of the last cloud whose gradient was taken
-        self._orders: tuple[np.ndarray, np.ndarray] | None = None
 
     def _evaluate(self, x: PointCloud) -> _AttractionEntry:
         stats = cdf_attract.cloud_stats(x)
@@ -207,9 +203,7 @@ class CdfAttractionObjective:
     def gradient(self, x: PointCloud) -> np.ndarray:
         entry = self._memo.get(x, self._evaluate)
         if entry.residuals is None:
-            entry.residuals = cdf_attract.residual_bundle(
-                entry.stats, self.targets, self.norm, self._orders)
-            self._orders = entry.residuals.orders
+            entry.residuals = cdf_attract.residual_bundle(entry.stats, self.targets)
         return cdf_attract.gradient_from_residuals(x, entry.residuals, self.mode, self.norm)
 
     def trace_extras(self) -> dict[str, float]:

@@ -90,18 +90,18 @@ def reg_lower_gamma(a, x):
     """
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    _check(a <= 0.0, a, "shape parameter a must be positive")
-    _check(x < 0.0, x, "argument x must be nonnegative")
+    _check(~((a > 0.0) & np.isfinite(a)), a, "shape parameter a must be positive and finite")
+    _check(~(x >= 0.0), x, "argument x must be nonnegative")
     return _evaluate(_reg_lower_gamma, a, x)
 
 
 def _reg_lower_gamma(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)  # P(a, 0) = 0
+    out = np.where(x == np.inf, 1.0, 0.0)  # P(a, 0) = 0, P(a, inf) = 1
     below = x < a + 1.0
     series = np.flatnonzero(below & (x != 0.0))
     if series.size:
         out[series] = _lower_gamma_series(a[series], x[series])
-    fraction = np.flatnonzero(~below)
+    fraction = np.flatnonzero(~below & (x != np.inf))
     if fraction.size:
         out[fraction] = 1.0 - _upper_gamma_cf(a[fraction], x[fraction])
     return out
@@ -189,7 +189,7 @@ def _upper_gamma_cf(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def chi2_cdf(dist: ChiSquare, x):
     """CDF of the chi-squared distribution: P(dof/2, x/2)."""
     x = np.asarray(x, dtype=np.float64)
-    _check(x < 0.0, x, "chi-squared argument must be nonnegative")
+    _check(~(x >= 0.0), x, "chi-squared argument must be nonnegative")
     return _evaluate(_chi2_cdf, x, dof=dist.dof)
 
 

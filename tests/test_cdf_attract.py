@@ -9,7 +9,6 @@ from latentreg.cdf_attract import (
     GRADIENT_MODES,
     NORMS,
     CoordinateTarget,
-    SortedStat,
     TargetQuantiles,
     build_target_quantiles,
     cdf_objective,
@@ -18,7 +17,6 @@ from latentreg.cdf_attract import (
     coordinate_targets,
     gradient_from_residuals,
     midpoint_probs,
-    radii_and_distances,
     residual_bundle,
     value_terms,
 )
@@ -35,8 +33,7 @@ def gradient(cloud, targets, mode="exact_subgradient", norm="l1"):
 
 
 def perfect_targets(cloud):
-    radii, dists = radii_and_distances(cloud)
-    return TargetQuantiles(radii.sorted_values, dists.sorted_values)
+    return TargetQuantiles(*map(np.sort, cloud_stats(cloud)))
 
 
 def well_separated_cloud(n, dim, targets):
@@ -44,11 +41,11 @@ def well_separated_cloud(n, dim, targets):
     finite-difference steps cannot flip any sort rank or residual sign."""
     while True:
         cloud = PointCloud(RNG.normal(size=(n, dim)) * 1.6)
-        radii, dists = radii_and_distances(cloud)
-        gap = min(np.abs(radii.sorted_values - targets.radii).min(),
-                  np.abs(dists.sorted_values - targets.distances).min(),
-                  np.diff(radii.sorted_values).min(),
-                  np.diff(dists.sorted_values).min())
+        radii, dists = map(np.sort, cloud_stats(cloud))
+        gap = min(np.abs(radii - targets.radii).min(),
+                  np.abs(dists - targets.distances).min(),
+                  np.diff(radii).min(),
+                  np.diff(dists).min())
         if gap > 1e-4:
             return cloud
 
@@ -80,37 +77,45 @@ def test_target_tables_reject_nonmonotone():
 
 def test_radii_and_distances_tiny_example():
     x = PointCloud(np.array([[0.0, 0.0], [2.0, 0.0]]))
-    radii, dists = radii_and_distances(x)
-    assert radii.values == pytest.approx([0.0, 4.0])
-    assert dists.values == pytest.approx([2.0])
+    radii, dists = cloud_stats(x)
+    assert radii == pytest.approx([0.0, 4.0])
+    assert dists == pytest.approx([2.0])
 
 
 def test_stable_tie_breaking_on_collinear_points():
     # equally spaced collinear points give duplicate pair distances
     x = PointCloud(np.array([[0.0], [1.0], [2.0]]))
-    _, dists = radii_and_distances(x)
-    assert dists.values == pytest.approx([0.5, 2.0, 0.5])
-    # ties resolved by pair enumeration index: (0,1) before (1,2)
-    assert list(dists.order) == [0, 2, 1]
-    assert list(dists.inverse_order) == [0, 2, 1]
+    stats, targets = cloud_stats(x), build_target_quantiles(3, 1)
+    assert stats.distances == pytest.approx([0.5, 2.0, 0.5])
+    # ties resolved by pair enumeration index: (0,1) takes rank 0, (1,2)
+    # rank 1, and (0,2) rank 2
+    table = targets.distances
+    assert residual_bundle(stats, targets).distances.tolist() == \
+        [0.5 - table[0], 2.0 - table[2], 0.5 - table[1]]
 
 
 def test_radii_and_distances_match_brute_force():
     x = PointCloud(RNG.normal(size=(6, 4)))
-    radii, dists = radii_and_distances(x)
+    radii, dists = cloud_stats(x)
     expect_r = [float((x.data[i] ** 2).sum()) for i in range(6)]
     expect_d = [0.5 * float(((x.data[i] - x.data[j]) ** 2).sum())
                 for i in range(6) for j in range(i + 1, 6)]
-    assert np.allclose(radii.values, expect_r, rtol=1e-12, atol=1e-12)
-    assert np.allclose(dists.values, expect_d, rtol=1e-9, atol=1e-12)
+    assert np.allclose(radii, expect_r, rtol=1e-12, atol=1e-12)
+    assert np.allclose(dists, expect_d, rtol=1e-9, atol=1e-12)
+
+
+TIE_KINDS = ["random", "duplicated_rows", "collinear", "long_collinear"]
 
 
 def _tie_cloud(kind, rng):
     n, dim = int(rng.integers(2, 12)), int(rng.integers(1, 5))
-    if kind == "collinear":
-        # three or more equally spaced points on an integer line: exact
-        # duplicate pair distances
-        return PointCloud(np.arange(max(n, 3), dtype=np.float64)[:, None]
+    if kind.endswith("collinear"):
+        # equally spaced points on an integer line: exact duplicate pair
+        # distances. The long kind has more values than numpy sorts by
+        # insertion, so a default-kind argsort there breaks ties out of
+        # element order
+        n = int(rng.integers(20, 40)) if kind == "long_collinear" else max(n, 3)
+        return PointCloud(np.arange(n, dtype=np.float64)[:, None]
                           * rng.integers(1, 4, size=dim))
     data = rng.normal(size=(n, dim))
     if kind == "duplicated_rows":
@@ -118,79 +123,44 @@ def _tie_cloud(kind, rng):
     return PointCloud(data)
 
 
-@given(st.integers(min_value=0, max_value=10**6),
-       st.sampled_from(["random", "duplicated_rows", "collinear"]),
-       st.sampled_from(["permutation", "other_cloud"]))
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(TIE_KINDS))
 @settings(max_examples=60, deadline=None)
-def test_previous_orders_give_the_cold_sort(seed, kind, previous):
+def test_ranked_residuals_follow_the_stable_sort(seed, kind):
+    # ties take ranks in element order, as a stable sort gives them, so each
+    # element's residual is its stable-rank entry of np.sort(v) - table
     rng = np.random.default_rng(seed)
     cloud = _tie_cloud(kind, rng)
-    n = cloud.n
-    if previous == "permutation":
-        orders = (rng.permutation(n), rng.permutation(n * (n - 1) // 2))
-    else:
-        other = radii_and_distances(PointCloud(rng.normal(size=cloud.data.shape)))
-        orders = (other[0].order, other[1].order)
     stats = cloud_stats(cloud)
-    targets = build_target_quantiles(n, cloud.dim)
-    cold_pass = residual_bundle(stats, targets)
-    warm_pass = residual_bundle(stats, targets, previous_orders=orders)
+    targets = build_target_quantiles(cloud.n, cloud.dim)
     ties = []
-    for cold, warm_order, warm_res, cold_res, prev in zip(
-            radii_and_distances(cloud), warm_pass.orders, warm_pass[:2], cold_pass[:2],
-            orders):
-        assert warm_res.tobytes() == cold_res.tobytes()
-        assert np.array_equal(warm_order, cold.order)
-        warm_inverse = np.empty_like(warm_order)
-        warm_inverse[warm_order] = np.arange(warm_order.shape[0])
-        assert np.array_equal(warm_inverse, cold.inverse_order)
-        # the previous order is used exactly when no two values tie
-        ties.append(bool(np.any(np.diff(cold.sorted_values) == 0.0)))
-        assert (cdf_attract._resorted_order(cold.values, prev) is None) == ties[-1]
+    for values, residuals, table in zip(stats, residual_bundle(stats, targets),
+                                        (targets.radii, targets.distances)):
+        stable = np.argsort(values, kind="stable")
+        assert residuals[stable].tobytes() == (np.sort(values) - table).tobytes()
+        ties.append(bool(np.any(np.diff(np.sort(values)) == 0.0)))
     assert any(ties) == (kind != "random")
 
 
-def test_previous_orders_of_another_size_are_rejected():
-    x = PointCloud(np.array([[0.0], [1.0], [2.0]]))
-    stats, targets = cloud_stats(x), build_target_quantiles(3, 1)
-    with pytest.raises(ValueError):
-        residual_bundle(stats, targets, previous_orders=(np.arange(2), np.arange(3)))
-    with pytest.raises(ValueError):
-        residual_bundle(stats, targets, previous_orders=(np.arange(3), np.arange(4)))
-
-
 @given(st.integers(min_value=0, max_value=10**6),
-       st.sampled_from(["random", "duplicated_rows", "collinear", "two_points"]),
+       st.sampled_from(TIE_KINDS + ["two_points"]),
        st.sampled_from(NORMS))
 @settings(max_examples=60, deadline=None)
 def test_value_terms_equal_the_ranked_pass_terms(seed, kind, norm):
-    # the value sorts with np.sort, the gradient's ranked pass gathers
-    # values[order]; both must give the objective the same bits
+    # the value sorts with np.sort; the ranked pass's residuals, gathered in
+    # rank order, must give the objective the same bits
     rng = np.random.default_rng(seed)
     if kind == "two_points":
         cloud = PointCloud(rng.normal(size=(2, int(rng.integers(1, 5)))))
     else:
         cloud = _tie_cloud(kind, rng)
-    n = cloud.n
-    targets = build_target_quantiles(n, cloud.dim)
+    targets = build_target_quantiles(cloud.n, cloud.dim)
     stats = cloud_stats(cloud)
     expected = [term.hex() for term in value_terms(stats, targets, norm)]
-    orders = (rng.permutation(n), rng.permutation(n * (n - 1) // 2))
-    for previous in (None, orders):
-        ranked = residual_bundle(stats, targets, norm, previous)
-        assert [term.hex() for term in ranked.terms] == expected
+    ranked = [residuals[np.argsort(values, kind="stable")]
+              for values, residuals in zip(stats, residual_bundle(stats, targets))]
+    assert [term.hex() for term in cdf_attract._terms(*ranked, norm)] == expected
     assert cdf_objective(cloud, targets, norm).hex() == \
         (float.fromhex(expected[0]) + float.fromhex(expected[1])).hex()
-
-
-@given(st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=25, deadline=None)
-def test_sorted_stat_bookkeeping(seed):
-    rng = np.random.default_rng(seed)
-    stat = SortedStat.from_values(rng.normal(size=rng.integers(1, 40)))
-    assert np.all(np.diff(stat.sorted_values) >= 0)
-    assert np.array_equal(stat.order[stat.inverse_order], np.arange(len(stat.values)))
-    assert np.array_equal(stat.inverse_order[stat.order], np.arange(len(stat.values)))
 
 
 def test_objective_zero_on_perfect_cloud():
@@ -283,11 +253,12 @@ def test_gradient_mode_and_norm_validation():
 
 def test_attraction_step_alpha_zero_and_perfect_cloud():
     # an attraction step is x - alpha * g, with the objective and g taken
-    # from one residual pass
+    # from one cloud's statistics
     cloud = PointCloud(RNG.normal(size=(5, 2)))
     targets = build_target_quantiles(5, 2)
-    residuals = residual_bundle(cloud_stats(cloud), targets)
-    assert sum(residuals.terms) == cdf_objective(cloud, targets)
+    stats = cloud_stats(cloud)
+    residuals = residual_bundle(stats, targets)
+    assert sum(value_terms(stats, targets)) == cdf_objective(cloud, targets)
     grad = gradient_from_residuals(cloud, residuals, "exact_subgradient", "l1")
     assert np.any(grad != 0.0)
     assert np.array_equal(cloud.data - 0.0 * grad, cloud.data)

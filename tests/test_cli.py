@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentreg.baselines import CwaeParams, cwae, mardia_stats
-from latentreg.cdf_attract import midpoint_probs, radii_and_distances
+from latentreg.cdf_attract import cloud_stats, midpoint_probs
 from latentreg.cli import (
     ExperimentSpec,
     _write_curve_csv,
@@ -61,7 +61,7 @@ def test_fig1_distance_curves_are_the_attraction_statistic(tmp_path):
         row, trial = path.stem.split("_distances_")
         cloud = PointCloud.from_csv(out / f"{row}_{trial}_cloud.csv")
         values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0)
-        expected = np.sort(radii_and_distances(cloud)[1].values)
+        expected = np.sort(cloud_stats(cloud).distances)
         assert np.array_equal(values, expected), path.name
 
 

@@ -252,6 +252,28 @@ def test_smoothed_sample_weight_validation():
         SmoothedSample(pts, np.array([1.0, -0.2]))
 
 
+NAN = float("nan")
+NAN_CLOUD = PointCloud(np.arange(6.0).reshape(3, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mean_field_sigma(NAN, 20),
+    lambda: spherical_product_integral(1.0, NAN, 1.0, 2),
+    lambda: spherical_product_integral(1.0, 1.0, NAN, 2),
+    lambda: spherical_product_integral(NAN, 1.0, 1.0, 2),
+    lambda: l2_distance_samples_isotropic(NAN_CLOUD, NAN_CLOUD, NAN),
+    lambda: l2_distance_to_standard_gaussian(NAN_CLOUD, [1.0, NAN, 1.0]),
+    lambda: SmoothedSample(NAN_CLOUD, [1.0, 1.0, 1.0], weights=[0.5, 0.5, NAN]),
+    lambda: gaussian_product_integral(np.zeros(2), np.full((2, 2), NAN), np.eye(2)),
+    lambda: gaussian_product_integral(np.zeros(2), np.eye(2), [[1.0, 0.0], [0.0, np.inf]]),
+    lambda: gaussian_power_identity(np.zeros(2), np.eye(2), NAN),
+], ids=["mean_field_radius", "sigma2", "gamma2", "separation", "isotropic_sigma",
+        "spherical_bandwidth", "weight", "nan_covariance", "inf_covariance", "power"])
+def test_nan_inputs_fail_the_domain_checks(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_mean_field_sigma_at_origin():
     for dim in (2, 5, 20, 50):
         assert mean_field_sigma(0.0, dim) == pytest.approx(1.0, abs=1e-6)

@@ -7,11 +7,7 @@ import pytest
 
 from latentreg import baselines, calibration, cdf_attract, optimizer
 from latentreg.baselines import CwaeParams, KernelSpec
-from latentreg.cdf_attract import (
-    TargetQuantiles,
-    build_target_quantiles,
-    radii_and_distances,
-)
+from latentreg.cdf_attract import TargetQuantiles, build_target_quantiles, cloud_stats
 from latentreg.optimizer import (
     CdfAttractionObjective,
     CwaeObjective,
@@ -42,8 +38,7 @@ def test_attraction_from_perfect_cloud_stops_immediately():
                        schedule="proportional_to_objective", stop_tolerance=1e-9)
     init = initial_cloud(config)
     assert np.array_equal(init.data, sample_uniform_cube(Rng(9), 12, 3, -1.0, 1.0).data)
-    radii, dists = radii_and_distances(init)
-    targets = TargetQuantiles(radii.sorted_values, dists.sorted_values)
+    targets = TargetQuantiles(*map(np.sort, cloud_stats(init)))
     final, trace = run(config, CdfAttractionObjective(targets))
     assert trace == []
     assert np.array_equal(final.data, init.data)
@@ -154,48 +149,41 @@ def test_non_finite_value_aborts_with_step_index():
     assert err.value.step >= 1
 
 
-class _ColdSortObjective(CdfAttractionObjective):
-    """Ranks every cloud from scratch, never from an earlier rank order."""
-
-    def gradient(self, x):
-        self._orders = None
-        return super().gradient(x)
-
-
 def _trace_bits(trace):
     return [(row.step, row.objective.hex(), row.alpha.hex(),
              sorted((k, v.hex()) for k, v in row.extras.items())) for row in trace]
 
 
 def test_reused_sort_orders_leave_the_run_unchanged(monkeypatch):
+    # the ranked pass may keep a default-kind sort order; the run must be the
+    # one a plain stable sort gives
     config = RunConfig(n=16, dim=3, seed=6, max_steps=60, alpha0=1.0)
     targets = build_target_quantiles(16, 3)
-    cold_final, cold_trace = run(config, _ColdSortObjective(targets))
-    resorted = []
-    resort = cdf_attract._resorted_order
-
-    def counting_resort(values, previous_order):
-        order = resort(values, previous_order)
-        resorted.append(order is not None)
-        return order
-
-    monkeypatch.setattr(cdf_attract, "_resorted_order", counting_resort)
     final, trace = run(config, CdfAttractionObjective(targets))
+    stable_sorts = []
+
+    def stable_ranked(values):
+        stable_sorts.append(1)
+        order = np.argsort(values, kind="stable")
+        return order, values[order]
+
+    monkeypatch.setattr(cdf_attract, "_ranked", stable_ranked)
+    stable_final, stable_trace = run(config, CdfAttractionObjective(targets))
     assert len(trace) == 60
     assert any(row.alpha < config.alpha0 for row in trace)  # some halvings
-    # every ranked sort after the first gradient's; candidates are not ranked
-    assert len(resorted) == 2 * (60 - 1) and all(resorted)
-    assert _trace_bits(trace) == _trace_bits(cold_trace)
-    assert final.data.tobytes() == cold_final.data.tobytes()
+    # two ranked sorts per gradient; candidates are not ranked
+    assert len(stable_sorts) == 2 * 60
+    assert _trace_bits(trace) == _trace_bits(stable_trace)
+    assert final.data.tobytes() == stable_final.data.tobytes()
 
 
 def test_attraction_ranks_only_the_clouds_whose_gradient_is_taken(monkeypatch):
     ranked_sorts, values, gradients = [], [], []
     ranked = cdf_attract._ranked
 
-    def counting_ranked(stat_values, previous_order):
+    def counting_ranked(stat_values):
         ranked_sorts.append(1)
-        return ranked(stat_values, previous_order)
+        return ranked(stat_values)
 
     monkeypatch.setattr(cdf_attract, "_ranked", counting_ranked)
     objective = CdfAttractionObjective(build_target_quantiles(16, 3))

@@ -52,6 +52,19 @@ def test_reg_lower_gamma_domain_errors():
         reg_lower_gamma(1.0, -0.1)
 
 
+def test_non_finite_out_of_domain_entries_raise():
+    nan, inf = float("nan"), float("inf")
+    for a, x in ((nan, 1.0), (1.0, nan), (inf, 1.0), (np.array([1.0, inf]), 1.0)):
+        with pytest.raises(ValueError):
+            reg_lower_gamma(a, x)
+    for x in (nan, np.array([1.0, nan])):
+        with pytest.raises(ValueError):
+            chi2_cdf(ChiSquare(2), x)
+    # the upper end of the argument's domain is its limit, not NaN
+    assert reg_lower_gamma(3.5, inf) == 1.0
+    assert chi2_cdf(ChiSquare(7), inf) == 1.0
+
+
 def test_chi2_cdf_closed_form_dof2():
     # chi2_2 CDF is 1 - exp(-x/2); median at 2 ln 2
     d = ChiSquare(2)
