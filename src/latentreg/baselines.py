@@ -61,22 +61,28 @@ def kernel_matrix(kernel: KernelSpec, a: PointCloud, b: PointCloud) -> np.ndarra
     return _kernel(kernel, _sq_dists(a.data, b.data))
 
 
-def _kernel(kernel: KernelSpec, sq: np.ndarray) -> np.ndarray:
-    # k as a function of the squared distance
+def _kernel(kernel: KernelSpec, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # k as a function of the squared distance, written to out (allocated
+    # when None)
     if kernel.kind == "inverse_multiquadric":
         c = 2.0 * kernel.dim
-        return c / (c + sq)
-    return np.exp(-sq)
+        out = np.add(c, sq, out=out)
+        return np.divide(c, out, out=out)
+    out = np.negative(sq, out=out)
+    return np.exp(out, out=out)
 
 
-def _mmd_sq_dists(z: PointCloud, z_tilde: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    # (|z_i - z_j|^2, |z_i - zt_j|^2): all the distance work of wae_mmd and
-    # its gradient, so one pass can serve both
+def _mmd_sq_dists(z: PointCloud, z_tilde: PointCloud, zz: np.ndarray | None = None,
+                  zt: np.ndarray | None = None,
+                  gram: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    # (|z_i - z_j|^2, |z_i - zt_j|^2), written to zz and zt with gram as
+    # scratch: all the distance work of wae_mmd and its gradient, so one
+    # pass can serve both
     if z.n < 2:
         raise ValueError("need at least 2 points in z")
     if z.dim != z_tilde.dim:
         raise ValueError("clouds must share one dimension")
-    return _sq_dists(z.data, z.data), _sq_dists(z.data, z_tilde.data)
+    return _sq_dists(z.data, z.data, zz, gram), _sq_dists(z.data, z_tilde.data, zt, gram)
 
 
 def wae_mmd(z: PointCloud, z_tilde: PointCloud, kernel: KernelSpec) -> float:
@@ -87,20 +93,28 @@ def wae_mmd(z: PointCloud, z_tilde: PointCloud, kernel: KernelSpec) -> float:
     return _wae_mmd(*_mmd_sq_dists(z, z_tilde), kernel)
 
 
-def _wae_mmd(zz: np.ndarray, zt: np.ndarray, kernel: KernelSpec) -> float:
+def _wae_mmd(zz: np.ndarray, zt: np.ndarray, kernel: KernelSpec,
+             scratch: np.ndarray | None = None) -> float:
+    # scratch holds each kernel matrix in turn
     n = zz.shape[0]
-    k_zz = _kernel(kernel, zz)
-    k_zt = _kernel(kernel, zt)
+    k_zz = _kernel(kernel, zz, scratch)
     self_term = (float(k_zz.sum()) - float(np.trace(k_zz))) / (n * (n - 1))
+    k_zt = _kernel(kernel, zt, scratch)
     return self_term - 2.0 * float(k_zt.sum()) / (n * n)
 
 
-def _kernel_grad_weights(kernel: KernelSpec, sq: np.ndarray) -> np.ndarray:
-    # w(s) with d k / d z_i = w(|z_i - y|^2) * (z_i - y)
+def _kernel_grad_weights(kernel: KernelSpec, sq: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    # w(s) with d k / d z_i = w(|z_i - y|^2) * (z_i - y), written to out
+    # like _kernel
     if kernel.kind == "inverse_multiquadric":
         c = 2.0 * kernel.dim
-        return -2.0 * c / (c + sq) ** 2
-    return -2.0 * np.exp(-sq)
+        out = np.add(c, sq, out=out)
+        np.square(out, out=out)
+        return np.divide(-2.0 * c, out, out=out)
+    out = np.negative(sq, out=out)
+    np.exp(out, out=out)
+    return np.multiply(-2.0, out, out=out)
 
 
 def wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud,
@@ -110,13 +124,15 @@ def wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud,
 
 
 def _wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud, zz: np.ndarray,
-                      zt: np.ndarray, kernel: KernelSpec) -> np.ndarray:
+                      zt: np.ndarray, kernel: KernelSpec,
+                      scratch: np.ndarray | None = None) -> np.ndarray:
+    # scratch holds each weight matrix in turn
     n = z.n
-    w_self = _kernel_grad_weights(kernel, zz)
+    w_self = _kernel_grad_weights(kernel, zz, scratch)
     np.fill_diagonal(w_self, 0.0)
-    w_cross = _kernel_grad_weights(kernel, zt)
     # sum_j w_ij (z_i - z_j) = rowsum(w)_i z_i - (w @ z)_i
     g_self = w_self.sum(1)[:, None] * z.data - w_self @ z.data
+    w_cross = _kernel_grad_weights(kernel, zt, scratch)
     g_cross = w_cross.sum(1)[:, None] * z.data - w_cross @ z_tilde.data
     return (2.0 / (n * (n - 1))) * g_self - (2.0 / (n * n)) * g_cross
 
@@ -143,13 +159,15 @@ class CwaeParams:
         return cls(n, dim, (4.0 / (3.0 * n)) ** 0.4)
 
 
-def _cwae_sq_dists(z: PointCloud, params: CwaeParams) -> np.ndarray:
-    # |z_i - z_j|^2: all the distance work of cwae and its gradient
+def _cwae_sq_dists(z: PointCloud, params: CwaeParams, out: np.ndarray | None = None,
+                   gram: np.ndarray | None = None) -> np.ndarray:
+    # |z_i - z_j|^2, written to out with gram as scratch: all the distance
+    # work of cwae and its gradient
     if z.dim < 2:
         raise ValueError("dim must be >= 2")
     if params.n != z.n:
         raise ValueError(f"params.n={params.n} does not match cloud n={z.n}")
-    return _sq_dists(z.data, z.data)
+    return _sq_dists(z.data, z.data, out, gram)
 
 
 def cwae(z: PointCloud, params: CwaeParams) -> float:
@@ -163,10 +181,19 @@ def cwae(z: PointCloud, params: CwaeParams) -> float:
     return _cwae(z, _cwae_sq_dists(z, params), params)
 
 
-def _cwae(z: PointCloud, sq: np.ndarray, params: CwaeParams) -> float:
+def _pair_powers(sq: np.ndarray, m: float, gamma_n: float, power: float,
+                 out: np.ndarray | None) -> np.ndarray:
+    # (gamma_n + sq / m) ** power, written to out (allocated when None)
+    out = np.divide(sq, m, out=out)
+    np.add(gamma_n, out, out=out)
+    return np.power(out, power, out=out)
+
+
+def _cwae(z: PointCloud, sq: np.ndarray, params: CwaeParams,
+          scratch: np.ndarray | None = None) -> float:
     m = 2.0 * z.dim - 3.0
     r = (z.data * z.data).sum(1)
-    pair_term = float(np.sum((params.gamma_n + sq / m) ** -0.5)) / (z.n * z.n)
+    pair_term = float(np.sum(_pair_powers(sq, m, params.gamma_n, -0.5, scratch))) / (z.n * z.n)
     point_term = float(np.sum((params.gamma_n + 0.5 + r / m) ** -0.5)) * 2.0 / z.n
     return pair_term - point_term
 
@@ -176,11 +203,12 @@ def cwae_gradient(z: PointCloud, params: CwaeParams) -> np.ndarray:
     return _cwae_gradient(z, _cwae_sq_dists(z, params), params)
 
 
-def _cwae_gradient(z: PointCloud, sq: np.ndarray, params: CwaeParams) -> np.ndarray:
+def _cwae_gradient(z: PointCloud, sq: np.ndarray, params: CwaeParams,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     n = z.n
     m = 2.0 * z.dim - 3.0
     r = (z.data * z.data).sum(1)
-    w = (params.gamma_n + sq / m) ** -1.5
+    w = _pair_powers(sq, m, params.gamma_n, -1.5, scratch)
     np.fill_diagonal(w, 0.0)
     g_pair = -(2.0 / (m * n * n)) * (w.sum(1)[:, None] * z.data - w @ z.data)
     u = (params.gamma_n + 0.5 + r / m) ** -1.5

@@ -13,6 +13,7 @@ last, since the (2pi)^D factors underflow quickly as D grows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -301,10 +302,20 @@ def mean_field_objective(r: float, sigma: float, dim: int) -> float:
     float (D = 1000, s = 0.3 gives 1.9e-27), and overflow needs
     s < 1/sqrt(4 pi) with D in the hundreds.
     """
+    _check_mean_field(r, dim)
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
     log_prior = -0.5 * dim * _LOG_4PI
     log_self, log_cross = _mean_field_logs(r, sigma, dim)
     return math.exp(log_prior + log_self) + math.exp(log_prior) \
         - math.exp(log_prior + log_cross)
+
+
+def _check_mean_field(r: float, dim: int) -> None:
+    if not math.isfinite(r):
+        raise ValueError(f"radius must be finite, got {r}")
+    if not (isinstance(dim, numbers.Integral) and dim >= 1):
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
 
 
 def _mean_field_logs(r: float, sigma: float, dim: int) -> tuple[float, float]:
@@ -329,27 +340,31 @@ def _mean_field_rank(r: float, sigma: float, dim: int) -> tuple[int, float]:
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section bracket and width for mean_field_sigma
+_SIGMA_LO = 0.25
+_SIGMA_HI = 8.0
+_SIGMA_TOL = 1e-8
 
 
-def mean_field_sigma(r: float, dim: int, lo: float = 0.25, hi: float = 8.0,
-                     tol: float = 1e-8) -> float:
+def mean_field_sigma(r: float, dim: int) -> float:
     """Smoothing width minimizing the mean-field mismatch at radius r.
 
-    Golden-section search; the objective is smooth and unimodal on the
-    bracket. It compares the sigma-dependent terms only, through their logs:
-    next to the constant prior term they would round away at high D, and
-    on their own they leave the float range there. Checked against a brute
-    force grid up to D = 1000. mean_field_sigma(0, dim) == 1 up to the
-    search tolerance.
+    Golden-section search over [0.25, 8] down to a width of 1e-8; the
+    objective is smooth and unimodal on the bracket. It compares the
+    sigma-dependent terms only, through their logs: next to the constant
+    prior term they would round away at high D, and on their own they leave
+    the float range there. Checked against a brute force grid up to
+    D = 1000. mean_field_sigma(0, dim) == 1 up to the search tolerance.
     """
+    _check_mean_field(r, dim)
     if not r >= 0.0:
         raise ValueError("radius must be nonnegative")
-    a, b = lo, hi
+    a, b = _SIGMA_LO, _SIGMA_HI
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc = _mean_field_rank(r, c, dim)
     fd = _mean_field_rank(r, d, dim)
-    while b - a > tol:
+    while b - a > _SIGMA_TOL:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

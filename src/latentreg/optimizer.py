@@ -8,9 +8,13 @@ objective (fresh prior sample per step) takes plain steps.
 
 Each objective keeps the work derived from the last cloud it saw (distance
 matrices, the attraction's statistics), so the value and gradient of one
-cloud share a single pass. The attraction's line-search candidates need only
-a value, so they are sorted but not ranked; residuals are ranked only for
-the clouds whose gradient is taken, each cloud from scratch.
+cloud share a single pass. The baseline objectives write their (n, n)
+distance, Gram and kernel matrices into buffers they own, allocated at the
+first cloud and reused by every later one, so a steady-state step allocates
+no n x n array; the buffers belong to one objective and are never shared.
+The attraction's line-search candidates need only a value, so they are
+sorted but not ranked; residuals are ranked only for the clouds whose
+gradient is taken, each cloud from scratch.
 """
 
 from __future__ import annotations
@@ -82,7 +86,9 @@ class _CloudMemo:
     The key is object identity: run builds a new PointCloud for every
     candidate, asks for the accepted one's value again at the next step
     start, and never mutates a cloud. The objective passes its compute
-    function per call, so the memo holds no reference back to it."""
+    function per call, so the memo holds no reference back to it. An entry
+    may live in the objective's buffers, which compute overwrites for the
+    next cloud, so the memo forgets its cloud before computing."""
 
     def __init__(self) -> None:
         self._cloud: PointCloud | None = None
@@ -91,6 +97,7 @@ class _CloudMemo:
     def get(self, x: PointCloud, compute):
         """The entry for x; on a miss, compute(x) builds it."""
         if self._cloud is not x:
+            self._cloud = None
             self._entry = compute(x)
             self._cloud = x
         return self._entry
@@ -99,11 +106,21 @@ class _CloudMemo:
         self._cloud = self._entry = None
 
 
+def _square_buffers(held: tuple[np.ndarray, ...], count: int,
+                    n: int) -> tuple[np.ndarray, ...]:
+    # held when it is count (n, n) buffers, else count new ones
+    if len(held) == count and held[0].shape == (n, n):
+        return held
+    return tuple(np.empty((n, n)) for _ in range(count))
+
+
 class WaeMmdObjective:
     """MMD against a fresh prior sample drawn at the start of every step.
 
     value and gradient share one pair of squared-distance matrices per
-    cloud; a new prior sample clears them."""
+    cloud; a new prior sample clears them. The objective owns four (n, n)
+    buffers: the two distance matrices, the Gram product and the kernel or
+    gradient weights. A new cloud overwrites the memo's matrices in place."""
 
     deterministic = False
 
@@ -112,20 +129,25 @@ class WaeMmdObjective:
         self.prior_rng = prior_rng
         self._z_tilde: PointCloud | None = None
         self._memo = _CloudMemo()
+        self._buffers: tuple[np.ndarray, ...] = ()
 
     def _matrices(self, x: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-        return baselines._mmd_sq_dists(x, self._z_tilde)
+        self._buffers = _square_buffers(self._buffers, 4, x.n)
+        zz, zt, gram, _ = self._buffers
+        return baselines._mmd_sq_dists(x, self._z_tilde, zz, zt, gram)
 
     def begin_step(self, step: int, x: PointCloud) -> None:
         self._z_tilde = sample_standard_normal(self.prior_rng, x.n, x.dim)
         self._memo.clear()
 
     def value(self, x: PointCloud) -> float:
-        return baselines._wae_mmd(*self._memo.get(x, self._matrices), self.kernel)
+        zz, zt = self._memo.get(x, self._matrices)
+        return baselines._wae_mmd(zz, zt, self.kernel, self._buffers[3])
 
     def gradient(self, x: PointCloud) -> np.ndarray:
-        return baselines._wae_mmd_gradient(x, self._z_tilde,
-                                           *self._memo.get(x, self._matrices), self.kernel)
+        zz, zt = self._memo.get(x, self._matrices)
+        return baselines._wae_mmd_gradient(x, self._z_tilde, zz, zt, self.kernel,
+                                           self._buffers[3])
 
     def trace_extras(self) -> dict[str, float]:
         return {}
@@ -134,17 +156,22 @@ class WaeMmdObjective:
 class CwaeObjective:
     """The CWAE regularizer. One squared-distance matrix per cloud serves
     its value, asked for twice when a candidate is accepted, and the
-    gradient."""
+    gradient. The objective owns three (n, n) buffers: the distance matrix,
+    the Gram product and the pair powers. A new cloud overwrites the memo's
+    distance matrix in place."""
 
     deterministic = True
 
     def __init__(self, params: baselines.CwaeParams) -> None:
         self.params = params
         self._memo = _CloudMemo()
+        self._buffers: tuple[np.ndarray, ...] = ()
 
     def _evaluate(self, x: PointCloud) -> tuple[np.ndarray, float]:
-        sq = baselines._cwae_sq_dists(x, self.params)
-        return sq, baselines._cwae(x, sq, self.params)
+        self._buffers = _square_buffers(self._buffers, 3, x.n)
+        sq, gram, scratch = self._buffers
+        sq = baselines._cwae_sq_dists(x, self.params, sq, gram)
+        return sq, baselines._cwae(x, sq, self.params, scratch)
 
     def begin_step(self, step: int, x: PointCloud) -> None:
         pass
@@ -153,8 +180,8 @@ class CwaeObjective:
         return self._memo.get(x, self._evaluate)[1]
 
     def gradient(self, x: PointCloud) -> np.ndarray:
-        return baselines._cwae_gradient(x, self._memo.get(x, self._evaluate)[0],
-                                        self.params)
+        sq = self._memo.get(x, self._evaluate)[0]
+        return baselines._cwae_gradient(x, sq, self.params, self._buffers[2])
 
     def trace_extras(self) -> dict[str, float]:
         return {}

@@ -186,11 +186,17 @@ def _pair_flat_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, lower
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sq_dists(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+              gram: np.ndarray | None = None) -> np.ndarray:
     """Matrix of squared distances |a_i - b_j|^2 via the Gram expansion,
-    clamped at 0 against cancellation."""
-    return np.maximum((a * a).sum(1)[:, None] + (b * b).sum(1)[None, :]
-                      - 2.0 * a @ b.T, 0.0)
+    clamped at 0 against cancellation.
+
+    out receives the result and gram the product 2 a b^T, both (len(a),
+    len(b)) and distinct; either one left out is allocated. The values do
+    not depend on whether buffers are given."""
+    out = np.add.outer((a * a).sum(1), (b * b).sum(1), out=out)
+    out -= np.matmul(2.0 * a, b.T, out=gram)
+    return np.maximum(out, 0.0, out=out)
 
 
 def sample_standard_normal(rng: Rng, n: int, dim: int) -> PointCloud:

@@ -274,6 +274,30 @@ def test_nan_inputs_fail_the_domain_checks(call):
         call()
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: mean_field_sigma(1.0, 0), ValueError),
+    (lambda: mean_field_sigma(1.0, -3), ValueError),
+    (lambda: mean_field_sigma(1.0, 2.5), ValueError),
+    (lambda: mean_field_sigma(math.inf, 20), ValueError),
+    (lambda: mean_field_sigma(-1.0, 20), ValueError),
+    (lambda: mean_field_objective(1.0, 1.0, 0), ValueError),
+    (lambda: mean_field_objective(1.0, 1.0, 20.0), ValueError),
+    (lambda: mean_field_objective(math.inf, 1.0, 20), ValueError),
+    (lambda: mean_field_objective(-math.inf, 1.0, 20), ValueError),
+    (lambda: mean_field_objective(1.0, NAN, 20), ValueError),
+    (lambda: mean_field_objective(1.0, 0.0, 20), ValueError),
+    # the search bracket and width are fixed: tol=0 looped forever, and a
+    # reversed or NaN bracket returned a value outside [0.25, 8] or nan
+    (lambda: mean_field_sigma(1.0, 20, tol=0.0), TypeError),
+    (lambda: mean_field_sigma(1.0, 20, lo=8.0, hi=0.25), TypeError),
+], ids=["sigma_dim0", "sigma_dim_negative", "sigma_dim_fraction", "sigma_r_inf",
+        "sigma_r_negative", "objective_dim0", "objective_dim_float", "objective_r_inf",
+        "objective_r_minus_inf", "objective_sigma_nan", "objective_sigma0", "tol", "bracket"])
+def test_mean_field_rejects_bad_inputs(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_mean_field_sigma_at_origin():
     for dim in (2, 5, 20, 50):
         assert mean_field_sigma(0.0, dim) == pytest.approx(1.0, abs=1e-6)

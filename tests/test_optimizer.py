@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -204,9 +205,9 @@ def _counting_sq_dists(monkeypatch):
     calls = []
     sq_dists = baselines._sq_dists
 
-    def counting(a, b):
+    def counting(a, b, out=None, gram=None):
         calls.append(1)
-        return sq_dists(a, b)
+        return sq_dists(a, b, out, gram)
 
     monkeypatch.setattr(baselines, "_sq_dists", counting)
     return calls
@@ -283,6 +284,79 @@ def test_wae_mmd_memo_leaves_the_run_unchanged():
     final, trace = run(config, WaeMmdObjective(KernelSpec.imq(5), Rng(8).derive(1)))
     assert _trace_bits(trace) == _trace_bits(direct_trace)
     assert final.data.tobytes() == direct_final.data.tobytes()
+
+
+_BUFFERED_AND_DIRECT = {
+    "cwae": (lambda: CwaeObjective(CwaeParams.for_cloud(30, 6)),
+             lambda: _DirectCwaeObjective(CwaeParams.for_cloud(30, 6))),
+    "wae_mmd_imq": (lambda: WaeMmdObjective(KernelSpec.imq(6), Rng(3).derive(1)),
+                    lambda: _DirectWaeMmdObjective(KernelSpec.imq(6), Rng(3).derive(1))),
+    "wae_mmd_exponential": (
+        lambda: WaeMmdObjective(KernelSpec.exponential(6), Rng(3).derive(1)),
+        lambda: _DirectWaeMmdObjective(KernelSpec.exponential(6), Rng(3).derive(1))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BUFFERED_AND_DIRECT))
+def test_buffered_objectives_equal_the_public_functions_bit_for_bit(kind):
+    make, make_direct = _BUFFERED_AND_DIRECT[kind]
+    objective, direct = make(), make_direct()
+    rng = Rng(11)
+    x1, x2, x3 = (PointCloud(0.5 * rng.normal(30 * 6).reshape(30, 6)) for _ in range(3))
+    # revisits after another cloud overwrote the buffers, and a new prior
+    # sample (WAE-MMD) between them
+    calls = [("begin_step", x1), ("value", x1), ("value", x2), ("gradient", x1),
+             ("gradient", x2), ("value", x1), ("begin_step", x2), ("value", x1),
+             ("gradient", x3), ("value", x3), ("gradient", x2), ("value", x2)]
+    for step, (method, x) in enumerate(calls):
+        if method == "begin_step":
+            objective.begin_step(step, x)
+            direct.begin_step(step, x)
+            continue
+        got, want = getattr(objective, method)(x), getattr(direct, method)(x)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (step, method)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CwaeObjective(CwaeParams.for_cloud(200, 20)),
+    lambda: WaeMmdObjective(KernelSpec.imq(20), Rng(5).derive(1)),
+], ids=["cwae", "wae_mmd"])
+def test_steady_state_steps_allocate_no_square_matrix(make):
+    n, dim = 200, 20
+    objective = make()
+    peaks, growth = [], []
+
+    def measured(method, *args):
+        # the traced peak so far, and how far this call rises above what
+        # was live before it: an (n, n) temporary alone rises n*n*8 bytes
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak)
+        tracemalloc.reset_peak()
+        result = getattr(objective, method)(*args)
+        growth.append(tracemalloc.get_traced_memory()[1] - current)
+        return result
+
+    def step(k, x):
+        # a run's step: start value, gradient, one line-search candidate
+        measured("begin_step", k, x)
+        measured("value", x)
+        candidate = PointCloud(x.data - 1e-3 * measured("gradient", x))
+        measured("value", candidate)
+        return candidate
+
+    x = step(0, sample_uniform_cube(Rng(5), n, dim, -1.0, 1.0))  # allocates the buffers
+    peaks.clear()
+    growth.clear()
+    tracemalloc.start()
+    try:
+        for k in range(1, 4):
+            x = step(k, x)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == 12
+    assert max(peaks) < 2 * n * n * 8
+    assert max(growth) < n * n * 8
 
 
 @pytest.mark.parametrize("make", [

@@ -10,6 +10,7 @@ from latentreg.sampling import (
     Rng,
     _pair_flat_indices,
     _pair_indices,
+    _sq_dists,
     sample_standard_normal,
     sample_uniform_cube,
     sample_unit_directions,
@@ -152,3 +153,20 @@ def test_pair_index_caches_are_read_only():
             cached[0] = 1
     assert all(np.array_equal(a, b)
                for a, b in zip(_pair_indices(5), np.triu_indices(5, k=1)))
+
+
+@pytest.mark.parametrize("n, m, dim", [(7, 7, 3), (5, 11, 4), (13, 2, 1), (200, 200, 20)])
+def test_sq_dists_buffers_leave_the_values_unchanged(n, m, dim):
+    rng = Rng(100 * n + m)
+    a = 3.0 * rng.normal(n * dim).reshape(n, dim)
+    b = 3.0 * rng.normal(m * dim).reshape(m, dim)
+    b[0] = a[0]  # a zero distance, where the clamp acts
+    out, gram = np.full((n, m), np.nan), np.full((n, m), np.nan)
+    fresh = _sq_dists(a, b)
+    assert _sq_dists(a, b, out, gram) is out
+    assert out.tobytes() == fresh.tobytes()
+    # the Gram expansion as one expression, clamped at 0
+    expanded = (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] - 2.0 * a @ b.T
+    assert fresh.tobytes() == np.maximum(expanded, 0.0).tobytes()
+    square, square_gram = np.full((n, n), np.nan), np.full((n, n), np.nan)
+    assert _sq_dists(a, a, square, square_gram).tobytes() == _sq_dists(a, a).tobytes()
