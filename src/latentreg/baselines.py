@@ -88,7 +88,9 @@ def _mmd_sq_dists(z: PointCloud, z_tilde: PointCloud, zz: np.ndarray | None = No
 def wae_mmd(z: PointCloud, z_tilde: PointCloud, kernel: KernelSpec) -> float:
     """MMD-style regularizer against a prior sample z_tilde:
 
-        (1/(n(n-1))) sum_{i != j} k(z_i, z_j) - (2/n^2) sum_{i,j} k(z_i, zt_j)
+        (1/(n(n-1))) sum_{i != j} k(z_i, z_j) - (2/(n m)) sum_{i,j} k(z_i, zt_j)
+
+    with n points in z and m in z_tilde.
     """
     return _wae_mmd(*_mmd_sq_dists(z, z_tilde), kernel)
 
@@ -96,11 +98,11 @@ def wae_mmd(z: PointCloud, z_tilde: PointCloud, kernel: KernelSpec) -> float:
 def _wae_mmd(zz: np.ndarray, zt: np.ndarray, kernel: KernelSpec,
              scratch: np.ndarray | None = None) -> float:
     # scratch holds each kernel matrix in turn
-    n = zz.shape[0]
+    n, m = zt.shape
     k_zz = _kernel(kernel, zz, scratch)
     self_term = (float(k_zz.sum()) - float(np.trace(k_zz))) / (n * (n - 1))
     k_zt = _kernel(kernel, zt, scratch)
-    return self_term - 2.0 * float(k_zt.sum()) / (n * n)
+    return self_term - 2.0 * float(k_zt.sum()) / (n * m)
 
 
 def _kernel_grad_weights(kernel: KernelSpec, sq: np.ndarray,
@@ -127,14 +129,14 @@ def _wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud, zz: np.ndarray,
                       zt: np.ndarray, kernel: KernelSpec,
                       scratch: np.ndarray | None = None) -> np.ndarray:
     # scratch holds each weight matrix in turn
-    n = z.n
+    n, m = z.n, z_tilde.n
     w_self = _kernel_grad_weights(kernel, zz, scratch)
     np.fill_diagonal(w_self, 0.0)
     # sum_j w_ij (z_i - z_j) = rowsum(w)_i z_i - (w @ z)_i
     g_self = w_self.sum(1)[:, None] * z.data - w_self @ z.data
     w_cross = _kernel_grad_weights(kernel, zt, scratch)
     g_cross = w_cross.sum(1)[:, None] * z.data - w_cross @ z_tilde.data
-    return (2.0 / (n * (n - 1))) * g_self - (2.0 / (n * n)) * g_cross
+    return (2.0 / (n * (n - 1))) * g_self - (2.0 / (n * m)) * g_cross
 
 
 @dataclass(frozen=True)

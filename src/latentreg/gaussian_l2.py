@@ -39,7 +39,9 @@ _LOG_4PI = math.log(4.0 * math.pi)
 _LOG_2 = math.log(2.0)
 
 
-def _check_covariance(m: np.ndarray, what: str = "covariance") -> np.ndarray:
+def _check_covariance(m: np.ndarray,
+                      what: str = "covariance") -> tuple[np.ndarray, np.ndarray]:
+    """m as a checked covariance matrix, and its lower Cholesky factor."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
@@ -48,38 +50,50 @@ def _check_covariance(m: np.ndarray, what: str = "covariance") -> np.ndarray:
     if np.max(np.abs(m - m.T), initial=0.0) > 1e-12:
         raise ValueError(f"{what} must be symmetric within 1e-12")
     try:
-        np.linalg.cholesky(m)
+        chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise ValueError(f"{what} is not positive-definite") from None
-    return m
+    return m, chol
 
 
 @dataclass(frozen=True)
 class GaussianComponent:
-    """A single Gaussian density N(center, covariance)."""
+    """A single Gaussian density N(center, covariance).
+
+    The covariance is factored once: the density keeps the inverse Cholesky
+    factor and the log-normalizer -(D log 2pi + log det covariance) / 2."""
 
     center: np.ndarray
     covariance: np.ndarray
+    _inv_chol: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         center = np.asarray(self.center, dtype=np.float64).reshape(-1)
-        cov = _check_covariance(self.covariance)
+        cov, chol = _check_covariance(self.covariance)
         if cov.shape[0] != center.shape[0]:
             raise ValueError("center and covariance dimensions differ")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "_inv_chol", np.linalg.inv(chol))
+        object.__setattr__(self, "_log_norm",
+                           -0.5 * (center.shape[0] * _LOG_2PI + _logdet(chol)))
 
     @property
     def dim(self) -> int:
         return self.center.shape[0]
 
     def log_density(self, x: np.ndarray) -> float:
-        diff = np.asarray(x, dtype=np.float64).reshape(-1) - self.center
-        logdet, quad = _chol_logdet_quad(self.covariance, diff)
-        return -0.5 * (quad + self.dim * _LOG_2PI + logdet)
+        y = self._inv_chol @ (np.asarray(x, dtype=np.float64).reshape(-1) - self.center)
+        return self._log_norm - 0.5 * float(y @ y)
 
     def density(self, x: np.ndarray) -> float:
         return math.exp(self.log_density(x))
+
+
+def _logdet(chol: np.ndarray) -> float:
+    """log det S from the Cholesky factor of S."""
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def _chol_logdet_quad(s: np.ndarray, mu: np.ndarray) -> tuple[float, float]:
@@ -88,7 +102,7 @@ def _chol_logdet_quad(s: np.ndarray, mu: np.ndarray) -> tuple[float, float]:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         raise ValueError("matrix is not positive-definite") from None
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    logdet = _logdet(chol)
     y = np.linalg.solve(chol, mu)
     return logdet, float(y @ y)
 
@@ -102,8 +116,8 @@ def gaussian_product_integral(mu: np.ndarray, sigma: np.ndarray,
     so a single factorization of sigma + gamma suffices.
     """
     mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    sigma = _check_covariance(sigma, "sigma")
-    gamma = _check_covariance(gamma, "gamma")
+    sigma, _ = _check_covariance(sigma, "sigma")
+    gamma, _ = _check_covariance(gamma, "gamma")
     if sigma.shape[0] != gamma.shape[0] or sigma.shape[0] != mu.shape[0]:
         raise ValueError("mu, sigma, gamma dimensions differ")
     return math.exp(_log_pair_integral(mu, sigma, gamma))
@@ -135,9 +149,9 @@ def gaussian_power_identity(mu: np.ndarray, sigma: np.ndarray,
     if not p > 0.0:
         raise ValueError("power must be positive")
     mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    sigma = _check_covariance(sigma, "sigma")
+    sigma, chol = _check_covariance(sigma, "sigma")
     dim = mu.shape[0]
-    logdet = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(sigma)))))
+    logdet = _logdet(chol)
     log_scale = 0.5 * (1.0 - p) * (dim * _LOG_2PI + logdet) - 0.5 * dim * math.log(p)
     return math.exp(log_scale), GaussianComponent(mu, sigma / p)
 
@@ -181,7 +195,7 @@ class SmoothedSample:
         else:
             if len(self.bandwidths) != n:
                 raise ValueError("bandwidth count must equal point count")
-            self.bandwidths = [_check_covariance(b) for b in self.bandwidths]
+            self.bandwidths = [_check_covariance(b)[0] for b in self.bandwidths]
 
     def covariance(self, i: int) -> np.ndarray:
         if self.spherical:

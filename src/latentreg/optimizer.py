@@ -3,8 +3,10 @@
 Deterministic objectives (CWAE, quantile attraction) get backtracking: a step
 that would increase the objective halves alpha, and the accepted objective
 sequence is monotone nonincreasing. When 20 halvings find no step that does
-not increase it, the run ends with a row whose alpha is 0. The stochastic MMD
-objective (fresh prior sample per step) takes plain steps.
+not increase it, the run ends with a row whose alpha is 0. A run may also
+stop at a step start, without a row, at a stop tolerance or, with a stall
+rule, once the objective stops falling. The stochastic MMD objective (fresh
+prior sample per step) takes plain steps and ignores both stops.
 
 Each objective keeps the work derived from the last cloud it saw (distance
 matrices, the attraction's statistics), so the value and gradient of one
@@ -60,6 +62,9 @@ class RunConfig:
     alpha0: float = 1.0
     schedule: str = "constant"  # or "proportional_to_objective"
     stop_tolerance: float | None = None
+    # (window W, fraction f): stop once the objective has fallen by less than
+    # f of its value W accepted steps earlier
+    stall: tuple[int, float] | None = None
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
@@ -68,6 +73,11 @@ class RunConfig:
             raise ValueError(f"alpha0 must be finite and positive, got {self.alpha0}")
         if self.schedule not in ("constant", "proportional_to_objective"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
+        if self.stall is not None:
+            window, fraction = self.stall
+            if not (isinstance(window, int) and window >= 1 and 0.0 < fraction < 1.0):
+                raise ValueError(f"stall needs an integer window >= 1 and a fraction "
+                                 f"in (0, 1), got {self.stall}")
 
 
 @dataclass
@@ -244,11 +254,25 @@ def initial_cloud(config: RunConfig) -> PointCloud:
     return sample_uniform_cube(Rng(config.seed), config.n, config.dim, -1.0, 1.0)
 
 
+def _stalled(stall: tuple[int, float] | None, trace: list[TraceRow],
+             value: float) -> bool:
+    # every row before a step start is an accepted step
+    if stall is None or len(trace) < stall[0]:
+        return False
+    earlier = trace[-stall[0]].objective
+    return earlier - value < stall[1] * earlier
+
+
 def run(config: RunConfig, objective) -> tuple[PointCloud, list[TraceRow]]:
     """Gradient descent; returns the final cloud and one trace row per step.
 
     Each row records the pre-step objective and the alpha actually applied.
-    Stops early once a deterministic objective falls to stop_tolerance."""
+    A deterministic objective stops early at a step start, without writing a
+    row, once its value falls below stop_tolerance or, with a stall rule
+    (W, f), once it has fallen by less than f of its value W accepted steps
+    earlier; either stop costs the one value evaluation of that step start.
+    A run also ends at max_steps, or with an alpha-0 row when 20 halvings
+    find no descent."""
     def checked_value(cloud: PointCloud, step: int) -> float:
         value = objective.value(cloud)
         if not np.isfinite(value):
@@ -262,8 +286,9 @@ def run(config: RunConfig, objective) -> tuple[PointCloud, list[TraceRow]]:
         objective.begin_step(step, x)
         value = checked_value(x, step)
         extras = objective.trace_extras()
-        if objective.deterministic and config.stop_tolerance is not None \
-                and value < config.stop_tolerance:
+        if objective.deterministic and (
+                (config.stop_tolerance is not None and value < config.stop_tolerance)
+                or _stalled(config.stall, trace, value)):
             break
         grad = objective.gradient(x)
         if not np.all(np.isfinite(grad)):

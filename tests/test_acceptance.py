@@ -29,7 +29,15 @@ from latentreg.cdf_attract import (
     gradient_from_residuals,
     residual_bundle,
 )
-from latentreg.cli import ExperimentSpec, cmd_attract_demo, cmd_fig1
+from latentreg.cli import (
+    ATTRACT_BATTERY_STEPS,
+    ExperimentSpec,
+    _attraction_config,
+    cmd_attract_demo,
+    cmd_fig1,
+    cmd_fig2,
+    run_attraction_trial,
+)
 from latentreg.gaussian_l2 import (
     GaussianComponent,
     SmoothedSample,
@@ -76,12 +84,12 @@ def stopped_attraction_runs(targets):
 
 @pytest.fixture(scope="module")
 def battery_attraction_clouds(targets):
-    """Ten attraction runs carried to the mismatch floor (no early stop)."""
+    """Ten attraction runs as fig2 makes them: carried to the mismatch floor
+    and stopped when they stall."""
+    spec = ExperimentSpec("fig2_battery", n=N, dim=DIM)
     clouds = []
     for t in range(TRIALS):
-        config = RunConfig(n=N, dim=DIM, seed=BASE_SEED + t, max_steps=400,
-                           alpha0=calibration.ATTRACT_ALPHA0,
-                           schedule="proportional_to_objective")
+        config = _attraction_config(spec, BASE_SEED + t, stop=False)
         final, _ = run(config, CdfAttractionObjective(targets))
         clouds.append(final)
     return clouds
@@ -324,9 +332,12 @@ def test_fig1_summary_median_ks_ordering(battery_attraction_clouds,
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path):
+    tiny = dict(n=16, dim=3, trials=2, seed=5, jobs=1)
+
     def run_all(out):
-        tiny = dict(n=16, dim=3, trials=2, seed=5, steps=25, jobs=1)
-        cmd_fig1(ExperimentSpec("fig1_grid", out=str(out / "f1"), **tiny))
+        cmd_fig1(ExperimentSpec("fig1_grid", out=str(out / "f1"), steps=25, **tiny))
+        # no step budget: the battery's runs end by their stall rule
+        cmd_fig2(ExperimentSpec("fig2_battery", out=str(out / "f2"), **tiny))
         cmd_attract_demo(ExperimentSpec("attract_demo", target="quantized", bits=1,
                                         n=32, dim=2, trials=1, seed=3,
                                         out=str(out / "q")))
@@ -335,6 +346,13 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
 
     first = run_all(tmp_path)
     second = run_all(tmp_path)
-    report(10, first == second and len(first) > 10,
+    # with no stop tolerance, a run that ends before its budget with a
+    # nonzero last alpha was stopped by the stall rule
+    stalled = 0
+    for t in range(tiny["trials"]):
+        _, _, trace = run_attraction_trial(ExperimentSpec("fig2_battery", **tiny),
+                                           tiny["seed"] + t, stop=False)
+        stalled += len(trace) < ATTRACT_BATTERY_STEPS and trace[-1].alpha > 0.0
+    report(10, first == second and len(first) > 10 and stalled == tiny["trials"],
            "reruns with identical specs produce byte-identical CSV/SVG artifacts",
-           f"{len(first)} files compared")
+           f"{len(first)} files compared; {stalled}/{tiny['trials']} fig2 runs stalled")

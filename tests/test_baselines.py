@@ -44,7 +44,7 @@ def brute_force_wae(z, z_tilde, kernel):
     first = sum(k(z.data[i], z.data[j])
                 for i in range(n) for j in range(n) if i != j) / (n * (n - 1))
     second = sum(k(z.data[i], z_tilde.data[j])
-                 for i in range(n) for j in range(m)) * 2 / (n * n)
+                 for i in range(n) for j in range(m)) * 2 / (n * m)
     return first - second
 
 
@@ -73,9 +73,25 @@ def test_kernel_spec_validation():
 
 
 def test_wae_mmd_two_coincident_points():
+    # every kernel value is k(0) = 1: the self mean 1 minus twice the cross
+    # mean 1, whatever the prior sample's size
     z = PointCloud(np.zeros((2, 3)))
-    z_tilde = PointCloud(np.zeros((1, 3)))
-    assert wae_mmd(z, z_tilde, KernelSpec.imq(3)) == pytest.approx(0.0, abs=1e-15)
+    for m in (1, 2, 5):
+        z_tilde = PointCloud(np.zeros((m, 3)))
+        assert wae_mmd(z, z_tilde, KernelSpec.imq(3)) == pytest.approx(-1.0, abs=1e-15)
+
+
+def test_wae_mmd_duplicated_prior_sample_is_the_same_distribution():
+    # the cross term is a mean over the n x m pairs, so listing every prior
+    # point twice changes neither the value nor the gradient
+    z = PointCloud(RNG.normal(size=(4, 3)))
+    z_tilde = PointCloud(RNG.normal(size=(4, 3)))
+    doubled = PointCloud(np.concatenate([z_tilde.data, z_tilde.data]))
+    for kernel in (KernelSpec.imq(3), KernelSpec.exponential(3)):
+        assert wae_mmd(z, doubled, kernel) == \
+            pytest.approx(wae_mmd(z, z_tilde, kernel), abs=1e-14)
+        assert np.allclose(wae_mmd_gradient(z, doubled, kernel),
+                           wae_mmd_gradient(z, z_tilde, kernel), rtol=0.0, atol=1e-14)
 
 
 def test_wae_mmd_needs_two_points():
@@ -86,10 +102,11 @@ def test_wae_mmd_needs_two_points():
 
 def test_wae_mmd_matches_brute_force():
     z = PointCloud(RNG.normal(size=(5, 3)))
-    z_tilde = PointCloud(RNG.normal(size=(5, 3)))
-    for kernel in (KernelSpec.imq(3), KernelSpec.exponential(3)):
-        assert wae_mmd(z, z_tilde, kernel) == \
-            pytest.approx(brute_force_wae(z, z_tilde, kernel), abs=1e-12)
+    for m in (5, 3):
+        z_tilde = PointCloud(RNG.normal(size=(m, 3)))
+        for kernel in (KernelSpec.imq(3), KernelSpec.exponential(3)):
+            assert wae_mmd(z, z_tilde, kernel) == \
+                pytest.approx(brute_force_wae(z, z_tilde, kernel), abs=1e-12)
 
 
 def test_wae_mmd_gradient_zero_at_coincident_points():
@@ -101,11 +118,12 @@ def test_wae_mmd_gradient_zero_at_coincident_points():
 
 def test_wae_mmd_gradient_matches_finite_differences():
     z = PointCloud(RNG.normal(size=(4, 2)))
-    z_tilde = PointCloud(RNG.normal(size=(4, 2)))
-    for kernel in (KernelSpec.imq(2), KernelSpec.exponential(2)):
-        g = wae_mmd_gradient(z, z_tilde, kernel)
-        fd = central_diff(lambda d: wae_mmd(PointCloud(d), z_tilde, kernel), z.data)
-        assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
+    for m in (4, 7):
+        z_tilde = PointCloud(RNG.normal(size=(m, 2)))
+        for kernel in (KernelSpec.imq(2), KernelSpec.exponential(2)):
+            g = wae_mmd_gradient(z, z_tilde, kernel)
+            fd = central_diff(lambda d: wae_mmd(PointCloud(d), z_tilde, kernel), z.data)
+            assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 def test_wae_mmd_gradient_translation_invariant():

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latentreg import calibration, cli
 from latentreg.baselines import CwaeParams, cwae, mardia_stats
 from latentreg.cdf_attract import cloud_stats, midpoint_probs
 from latentreg.cli import (
@@ -111,6 +112,28 @@ def test_fig2_summary_is_the_battery(tmp_path):
         for side, cloud in clouds.items():
             for test, ks in battery_ks(battery_values(cloud, dirs), reference).items():
                 assert summary[side, test, t] == ks, (side, test, t)
+
+
+def test_only_the_battery_runs_carry_the_stall_rule(monkeypatch):
+    spec = ExperimentSpec("fig2_battery", **TINY)
+    battery = cli._attraction_config(spec, 5, stop=False)
+    assert battery.stall == (calibration.ATTRACT_STALL_WINDOW,
+                             calibration.ATTRACT_STALL_FRACTION)
+    assert battery.stop_tolerance is None
+    tolerance = cli._attraction_config(spec, 5)
+    assert tolerance.stall is None
+    assert tolerance.stop_tolerance == calibration.ATTRACT_STOP_TOLERANCE
+    configs = []
+
+    def recording_run(config, objective):
+        configs.append(config)
+        return cli.initial_cloud(config), []
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    for kind in ("cwae", "wae_mmd"):
+        cli._run_baseline_trial(spec, 5, kind)
+    assert len(configs) == 2
+    assert all(config.stall is None for config in configs)
 
 
 def test_fig2_degenerate_two_points(tmp_path):

@@ -122,6 +122,22 @@ def test_power_identity_pointwise():
         assert base.density(x) ** p == pytest.approx(scale * comp.density(x), rel=1e-12)
 
 
+def test_log_density_matches_the_textbook_formula():
+    # the factor kept from construction gives the density that a fresh
+    # inverse and determinant give, at every query point
+    rng = np.random.default_rng(77)
+    for dim in (1, 3, 8):
+        mu, cov = rng.normal(size=dim), rand_spd(dim, rng)
+        comp = GaussianComponent(mu, cov)
+        inv, (_, logdet) = np.linalg.inv(cov), np.linalg.slogdet(cov)
+        for x in rng.normal(size=(5, dim)):
+            d = x - mu
+            expected = -0.5 * (d @ inv @ d + dim * math.log(2 * math.pi) + logdet)
+            assert comp.log_density(x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        with pytest.raises(ValueError):
+            comp.log_density(np.zeros(dim + 1))
+
+
 def test_l2_distance_identical_samples_is_zero():
     pts = PointCloud(RNG.normal(size=(4, 3)))
     bw = [rand_spd(3) for _ in range(4)]

@@ -31,6 +31,9 @@ def test_run_config_validation():
             RunConfig(n=10, dim=2, seed=0, alpha0=alpha0)
     with pytest.raises(ValueError):
         RunConfig(n=10, dim=2, seed=0, schedule="exotic")
+    for stall in ((0, 0.1), (2.5, 0.1), (25, 0.0), (25, 1.0), (25, float("nan"))):
+        with pytest.raises(ValueError):
+            RunConfig(n=10, dim=2, seed=0, stall=stall)
 
 
 def test_attraction_from_perfect_cloud_stops_immediately():
@@ -81,6 +84,64 @@ def test_attraction_run_reaches_stop_tolerance():
     assert len(trace) < 200
     from latentreg.cdf_attract import cdf_objective
     assert cdf_objective(final, targets) < calibration.ATTRACT_STOP_TOLERANCE
+
+
+class _CountedAttraction(CdfAttractionObjective):
+    evals = 0
+
+    def value(self, x):
+        self.evals += 1
+        return super().value(x)
+
+
+_STALL = (25, 1e-3)
+
+
+def _stall_runs():
+    # the same attraction run with the stall rule, without it, and without it
+    # cut at the stalled run's row count k
+    targets = build_target_quantiles(16, 3)
+    config = RunConfig(n=16, dim=3, seed=5, max_steps=400,
+                       alpha0=calibration.ATTRACT_ALPHA0,
+                       schedule="proportional_to_objective", stall=_STALL)
+    stalled = _CountedAttraction(targets)
+    final, trace = run(config, stalled)
+    config.stall = None
+    _, full_trace = run(config, CdfAttractionObjective(targets))
+    config.max_steps = len(trace)
+    cut = _CountedAttraction(targets)
+    cut_final, cut_trace = run(config, cut)
+    return (final, trace, stalled.evals), full_trace, (cut_final, cut_trace, cut.evals)
+
+
+def test_stalled_run_is_a_prefix_of_the_run_without_the_rule():
+    (final, trace, _), full_trace, (cut_final, cut_trace, _) = _stall_runs()
+    k = len(trace)
+    assert 0 < k < len(full_trace)
+    assert all(row.alpha > 0.0 for row in trace)
+    assert _trace_bits(trace) == _trace_bits(full_trace[:k])
+    assert _trace_bits(cut_trace) == _trace_bits(trace)
+    assert final.data.tobytes() == cut_final.data.tobytes()
+    # it stops at the first step start whose objective is less than f below
+    # the one W accepted steps earlier
+    window, fraction = _STALL
+    objs = [row.objective for row in full_trace]
+    stalls = [s for s in range(window, len(objs))
+              if objs[s - window] - objs[s] < fraction * objs[s - window]]
+    assert stalls[0] == k
+
+
+def test_stalled_run_makes_one_value_call_after_its_last_row():
+    (_, _, evals), _, (_, _, cut_evals) = _stall_runs()
+    # the cut run ends after its last row; the stalled one values its cloud
+    # once more at the next step start
+    assert evals == cut_evals + 1
+
+
+def test_stochastic_objective_ignores_the_stall_rule():
+    config = RunConfig(n=10, dim=2, seed=3, max_steps=6, alpha0=2.0, stall=(1, 0.99))
+    _, trace = run(config, WaeMmdObjective(KernelSpec.imq(2), Rng(3).derive(1)))
+    assert len(trace) == 6
 
 
 def test_identical_configs_give_identical_trace_bytes(tmp_path):
