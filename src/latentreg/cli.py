@@ -168,12 +168,12 @@ def _attraction_config(spec: ExperimentSpec, trial_seed: int,
 
 def run_attraction_trial(spec: ExperimentSpec, trial_seed: int, stop: bool = True):
     """Radii/distance attraction run shared by fig1's bottom row, fig2 and the
-    gaussian demo; returns (initial cloud, final cloud, trace)."""
+    gaussian demo; returns (final cloud, trace). The run starts from
+    initial_cloud(_attraction_config(spec, trial_seed, stop))."""
     targets = build_target_quantiles(spec.n, spec.dim)
     config = _attraction_config(spec, trial_seed, stop=stop)
     objective = CdfAttractionObjective(targets, mode=spec.gradient_mode, norm=spec.norm)
-    final, trace = run(config, objective)
-    return initial_cloud(config), final, trace
+    return run(config, objective)
 
 
 def _run_baseline_trial(spec: ExperimentSpec, trial_seed: int, kind: str) -> PointCloud:
@@ -190,12 +190,57 @@ def _run_baseline_trial(spec: ExperimentSpec, trial_seed: int, kind: str) -> Poi
     return cloud
 
 
-def _write_curve_csv(path: Path, sorted_values: np.ndarray,
-                     target_args: np.ndarray, probs: np.ndarray) -> None:
+# rows formatted by one % call in the curve CSVs
+_CSV_CHUNK = 1024
+
+
+def _curve_tails(target_args: np.ndarray, probs: np.ndarray) -> tuple[str, ...]:
+    """The "target_arg,prob" end of each curve-CSV row, "%.17g" formatted; curves
+    that share their targets share these."""
+    tails: list[str] = []
+    for i in range(0, probs.shape[0], _CSV_CHUNK):
+        chunk = np.column_stack((target_args[i:i + _CSV_CHUNK], probs[i:i + _CSV_CHUNK]))
+        tails.extend((("%.17g,%.17g\n" * chunk.shape[0])
+                      % tuple(chunk.ravel().tolist())).splitlines())
+    return tuple(tails)
+
+
+def _write_curve_csv(path: Path, sorted_values: np.ndarray, tails: tuple[str, ...]) -> None:
+    """EDF curve CSV, one row per sorted value and its _curve_tails entry. The
+    bytes are those of writing each row as "%.17g,%.17g,%.17g\n" % (value,
+    target_arg, prob); only the value column is formatted here, one % call per
+    chunk of _CSV_CHUNK rows."""
+    if sorted_values.shape[0] != len(tails):
+        raise ValueError(f"{sorted_values.shape[0]} values for {len(tails)} curve rows")
     with open(path, "w", newline="") as fh:
         fh.write("value,target_arg,prob\n")
-        for v, t, p in zip(sorted_values, target_args, probs):
-            fh.write("%.17g,%.17g,%.17g\n" % (v, t, p))
+        for i in range(0, len(tails), _CSV_CHUNK):
+            chunk = sorted_values[i:i + _CSV_CHUNK].tolist()
+            items: list = [None] * (2 * len(chunk))
+            items[::2] = chunk
+            items[1::2] = tails[i:i + _CSV_CHUNK]
+            fh.write(("%.17g,%s\n" * len(chunk)) % tuple(items))
+
+
+def _sorted_quantile(sorted_values: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """np.quantile(sorted_values, probs) with numpy's default linear method,
+    read from values that are already sorted: the same virtual index, clipped
+    neighbours, weight and two-branch interpolation, without the partition."""
+    m = sorted_values.shape[0]
+    virtual = (m - 1) * np.asarray(probs, dtype=np.float64)
+    lower = np.floor(virtual)
+    upper = lower + 1
+    above = virtual >= m - 1
+    lower[above] = upper[above] = -1
+    below = virtual < 0
+    lower[below] = upper[below] = 0
+    lower, upper = lower.astype(np.intp), upper.astype(np.intp)
+    gamma = virtual - lower
+    a, b = sorted_values[lower], sorted_values[upper]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 _DECILES = np.arange(1, 10) / 10.0
@@ -236,8 +281,7 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
         clouds = {"gaussian": sample_standard_normal(Rng(trial_seed), spec.n, spec.dim)}
         clouds["wae_mmd"] = _run_baseline_trial(spec, trial_seed, "wae_mmd")
         clouds["cwae"] = _run_baseline_trial(spec, trial_seed, "cwae")
-        _, attract_cloud, trace = run_attraction_trial(spec, trial_seed)
-        clouds["attract"] = attract_cloud
+        clouds["attract"], trace = run_attraction_trial(spec, trial_seed)
         trace_to_csv(trace, out / f"fig1_attract_trial{t:02d}_trace.csv")
         result = {}
         for row, cloud in clouds.items():
@@ -248,8 +292,10 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
             for stat, unsorted in zip(("radii", "distances"), stats):
                 v = np.sort(unsorted)
                 m = v.shape[0]
+                # fig1's distance tails run to n(n-1)/2 rows: built per file, not kept
                 _write_curve_csv(out / f"fig1_{row}_{stat}_trial{t:02d}.csv", v,
-                                 chi2_quantile_table(m, spec.dim), midpoint_probs(m))
+                                 _curve_tails(chi2_quantile_table(m, spec.dim),
+                                              midpoint_probs(m)))
                 values[stat] = v
                 reports[stat] = chi2_report(v, spec.dim, stat)
             direction = "narrow" if float(stats.radii.mean()) < spec.dim else "wide"
@@ -295,50 +341,53 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
     out = spec.out_dir()
     spec.echo(out)
 
+    # every projections curve has n * num_dirs rows against the normal quantiles
+    proj_probs = midpoint_probs(spec.n * spec.num_dirs)
+    proj_tails = _curve_tails(normal_inv_cdf(proj_probs), proj_probs)
+
     def one_trial(t: int):
         trial_seed = spec.seed + t
-        _, attract_cloud, _ = run_attraction_trial(spec, trial_seed, stop=False)
+        attract_cloud, _ = run_attraction_trial(spec, trial_seed, stop=False)
         attract_cloud.to_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv")
         iid_cloud = sample_standard_normal(Rng(trial_seed).derive(4), spec.n, spec.dim)
         reference = sample_standard_normal(Rng(trial_seed).derive(2), spec.n, spec.dim)
         # every cloud projects onto the same per-trial direction set
         dirs = sample_unit_directions(Rng(trial_seed).derive(3), spec.num_dirs, spec.dim)
         ref_values = battery_values(reference, dirs)
-        # keyed on (test, count): pairwise_angles can drop zero vectors
-        ref_quantiles = {}
+        # the reference quantiles' curve rows, keyed on (test, count) since
+        # pairwise_angles can drop zero vectors; both sides share them
+        ref_tails = {}
         per_side = {}
         for side, cloud in (("iid", iid_cloud), ("attract", attract_cloud)):
             values = battery_values(cloud, dirs)
             for test in BATTERY_TESTS:
                 v = values[test]
-                probs = midpoint_probs(v.shape[0])
                 if test == "projections":
-                    targets = normal_inv_cdf(probs)
+                    tails = proj_tails
                 else:
                     key = (test, v.shape[0])
-                    if key not in ref_quantiles:
-                        ref_quantiles[key] = np.quantile(ref_values[test], probs)
-                    targets = ref_quantiles[key]
-                _write_curve_csv(out / f"fig2_{side}_{test}_trial{t:02d}.csv",
-                                 v, targets, probs)
+                    if key not in ref_tails:
+                        probs = midpoint_probs(v.shape[0])
+                        ref_tails[key] = _curve_tails(
+                            _sorted_quantile(ref_values[test], probs), probs)
+                    tails = ref_tails[key]
+                _write_curve_csv(out / f"fig2_{side}_{test}_trial{t:02d}.csv", v, tails)
             per_side[side] = (values, battery_ks(values, ref_values))
         return per_side, ref_values
 
     results = _map_trials(spec, one_trial)
 
-    for side in ("iid", "attract"):
-        for test in BATTERY_TESTS:
+    for test in BATTERY_TESTS:
+        if test == "projections":
+            ps = np.linspace(0.001, 0.999, 200)
+            xs = normal_inv_cdf(ps)
+            ticks = normal_inv_cdf(_DECILES)
+        else:
+            xs = np.sort(np.concatenate([ref_values[test] for _, ref_values in results]))
+            ps = midpoint_probs(xs.shape[0])
+            ticks = _sorted_quantile(xs, _DECILES)
+        for side in ("iid", "attract"):
             trial_values = [per_side[side][0][test] for per_side, _ in results]
-            if test == "projections":
-                ps = np.linspace(0.001, 0.999, 200)
-                xs = normal_inv_cdf(ps)
-                ticks = normal_inv_cdf(_DECILES)
-            else:
-                pooled = np.sort(np.concatenate(
-                    [ref_values[test] for _, ref_values in results]))
-                ps = midpoint_probs(pooled.shape[0])
-                xs = pooled
-                ticks = np.quantile(pooled, _DECILES)
             _edf_panel(out / f"fig2_{side}_{test}.svg", trial_values, xs, ps,
                        f"{side}: {test} EDF", ticks)
 
@@ -421,7 +470,8 @@ def cmd_attract_demo(spec: ExperimentSpec) -> int:
     def one_trial(t: int):
         trial_seed = spec.seed + t
         if target_name == "gaussian":
-            before, after, trace = run_attraction_trial(spec, trial_seed)
+            before = initial_cloud(_attraction_config(spec, trial_seed))
+            after, trace = run_attraction_trial(spec, trial_seed)
             trace_to_csv(trace, out / f"attract_gaussian_trial{t:02d}_trace.csv")
             final_obj = cdf_objective(after, build_target_quantiles(spec.n, spec.dim),
                                       norm=spec.norm)

@@ -3,6 +3,10 @@
 Hand-written polyline panels with a fixed viewBox so experiment figures are
 dependency-free and byte-stable (golden-file testable). Coordinates are
 formatted with fixed precision; no timestamps or random ids.
+
+A polyline's points are formatted one chunk of _CHUNK points per % call. The
+text is byte-identical to formatting each point "%.3f,%.3f" from the scalar
+pixel arithmetic and joining the points with single spaces.
 """
 
 from __future__ import annotations
@@ -37,8 +41,21 @@ class Curve:
         self.width = width
 
 
+# polyline points formatted by one % call
+_CHUNK = 1024
+
+
 def _fmt(v: float) -> str:
     return "%.3f" % v
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """The points as "x,y x,y ..." in "%.3f", one % call per chunk of points."""
+    parts = []
+    for i in range(0, xs.shape[0], _CHUNK):
+        chunk = np.column_stack((xs[i:i + _CHUNK], ys[i:i + _CHUNK]))
+        parts.append(("%.3f,%.3f " * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+    return "".join(parts)[:-1]
 
 
 def render_panel(path, curves: Sequence[Curve], title: str,
@@ -88,8 +105,7 @@ def render_panel(path, curves: Sequence[Curve], title: str,
         # px and py run elementwise: the same float operations, in the same
         # order, as on one scalar, so each point keeps its bits and its text
         keep = (curve.xs >= x0) & (curve.xs <= x1)
-        pts = " ".join("%.3f,%.3f" % point for point in
-                       zip(px(curve.xs[keep]).tolist(), py(curve.ys[keep]).tolist()))
+        pts = _points(px(curve.xs[keep]), py(curve.ys[keep]))
         if pts:
             parts.append(f'<polyline points="{pts}" fill="none" '
                          f'stroke="{curve.color}" stroke-width="{curve.width:g}"/>')

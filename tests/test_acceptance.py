@@ -350,7 +350,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     # nonzero last alpha was stopped by the stall rule
     stalled = 0
     for t in range(tiny["trials"]):
-        _, _, trace = run_attraction_trial(ExperimentSpec("fig2_battery", **tiny),
+        _, trace = run_attraction_trial(ExperimentSpec("fig2_battery", **tiny),
                                            tiny["seed"] + t, stop=False)
         stalled += len(trace) < ATTRACT_BATTERY_STEPS and trace[-1].alpha > 0.0
     report(10, first == second and len(first) > 10 and stalled == tiny["trials"],

@@ -16,6 +16,7 @@ from latentreg.cli import (
     main,
 )
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
+from latentreg.specfun import normal_inv_cdf
 from latentreg.stat_tests import battery_ks, battery_values
 from latentreg import svgplot
 from latentreg.svgplot import Curve, render_panel
@@ -66,17 +67,78 @@ def test_fig1_distance_curves_are_the_attraction_statistic(tmp_path):
         assert np.array_equal(values, expected), path.name
 
 
+def _per_row_curve_csv(values, target_args, probs) -> bytes:
+    """A curve CSV formatted one row at a time, the reference for
+    _write_curve_csv's chunked formatting."""
+    rows = ["value,target_arg,prob\n"]
+    rows += ["%.17g,%.17g,%.17g\n" % row for row in zip(values, target_args, probs)]
+    return "".join(rows).encode()
+
+
 def test_edf_curve_csv(tmp_path):
     probs = midpoint_probs(3)
     path = tmp_path / "curve.csv"
-    _write_curve_csv(path, np.sort(np.array([2.0, 1.0, 3.0])), 4.0 * probs, probs)
-    text = path.read_text().splitlines()
-    assert text[0] == "value,target_arg,prob"
-    assert len(text) == 4
-    first = text[1].split(",")
-    assert float(first[0]) == 1.0
-    assert float(first[1]) == 4.0 * probs[0]
-    assert float(first[2]) == pytest.approx(0.5 / 3)
+    _write_curve_csv(path, np.sort(np.array([2.0, 1.0, 3.0])),
+                     cli._curve_tails(4.0 * probs, probs))
+    assert path.read_bytes() == _per_row_curve_csv([1.0, 2.0, 3.0], 4.0 * probs, probs)
+    assert path.read_text().splitlines()[1] == "1,%.17g,%.17g" % (4.0 * probs[0], 0.5 / 3)
+    # exact bytes across the chunk boundary, with the awkward floats in every column
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, -2.0, 7.0, 1e16, 2.0 ** 53]
+    rng = np.random.default_rng(3)
+    for m in (cli._CSV_CHUNK - 1, cli._CSV_CHUNK, cli._CSV_CHUNK + 1):
+        columns = [rng.permutation(np.resize(np.concatenate(
+            [special, rng.normal(scale=10.0 ** rng.integers(-300, 300), size=m)]), m))
+            for _ in range(3)]
+        values = np.sort(columns[0])
+        _write_curve_csv(path, values, cli._curve_tails(columns[1], columns[2]))
+        assert path.read_bytes() == _per_row_curve_csv(values, columns[1], columns[2]), m
+    with pytest.raises(ValueError):
+        _write_curve_csv(path, np.zeros(4), cli._curve_tails(np.zeros(3), np.zeros(3)))
+
+
+def _numpy_cases():
+    """(sorted values, probabilities) pairs for the quantile drift guard."""
+    rng = np.random.default_rng(12)
+    sizes = [1, 2, 3, 4950] + rng.integers(1, 6001, size=60).tolist()
+    for m in sizes:
+        for values in (rng.normal(size=m),
+                       rng.integers(-3, 4, size=m).astype(np.float64)):  # ties
+            values = np.sort(values)
+            yield values, np.array([0.0, 1.0])
+            yield values, midpoint_probs(m)
+            yield values, np.sort(rng.uniform(size=rng.integers(1, 200)))
+    yield np.array([-0.0, 0.0, 0.0]), np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def test_sorted_quantile_is_numpy_quantile_bit_for_bit():
+    cases = 0
+    for values, probs in _numpy_cases():
+        got = cli._sorted_quantile(values, probs)
+        expected = np.quantile(values, probs)
+        assert got.tobytes() == expected.tobytes(), (values.shape[0], probs)
+        cases += 1
+    assert cases > 370
+
+
+def test_fig2_curve_csvs_are_per_row_formatted(tmp_path):
+    out = tmp_path / "o"
+    spec = ExperimentSpec("fig2_battery", out=str(out), **TINY)
+    assert cmd_fig2(spec) == 0
+    n, dim = TINY["n"], TINY["dim"]
+    for t in range(TINY["trials"]):
+        rng = Rng(TINY["seed"] + t)
+        dirs = sample_unit_directions(rng.derive(3), spec.num_dirs, dim)
+        reference = battery_values(sample_standard_normal(rng.derive(2), n, dim), dirs)
+        clouds = {"attract": PointCloud.from_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv"),
+                  "iid": sample_standard_normal(rng.derive(4), n, dim)}
+        for side, cloud in clouds.items():
+            for test, values in battery_values(cloud, dirs).items():
+                path = out / f"fig2_{side}_{test}_trial{t:02d}.csv"
+                probs = midpoint_probs(values.shape[0])
+                targets = (normal_inv_cdf(probs) if test == "projections"
+                           else np.quantile(reference[test], probs))
+                assert path.read_bytes() == _per_row_curve_csv(values, targets, probs), \
+                    path.name
 
 
 def test_fig2_artifacts_and_determinism(tmp_path):
@@ -288,14 +350,15 @@ def test_gradient_mode_flag_mapping(tmp_path):
 
 
 def test_parallel_jobs_match_single_job(tmp_path):
-    seq = tmp_path / "seq"
-    par = tmp_path / "par"
-    cmd_fig1(ExperimentSpec("fig1_grid", out=str(seq), jobs=1, **TINY))
-    cmd_fig1(ExperimentSpec("fig1_grid", out=str(par), jobs=2, **TINY))
-    a, b = snapshot(seq), snapshot(par)
-    a.pop("config_resolved.txt")
-    b.pop("config_resolved.txt")
-    assert a == b
+    for command, experiment in ((cmd_fig1, "fig1_grid"), (cmd_fig2, "fig2_battery")):
+        seq = tmp_path / experiment / "seq"
+        par = tmp_path / experiment / "par"
+        command(ExperimentSpec(experiment, out=str(seq), jobs=1, **TINY))
+        command(ExperimentSpec(experiment, out=str(par), jobs=2, **TINY))
+        a, b = snapshot(seq), snapshot(par)
+        a.pop("config_resolved.txt")
+        b.pop("config_resolved.txt")
+        assert a == b, experiment
 
 
 def test_svg_panel_matches_golden(tmp_path):
@@ -328,7 +391,8 @@ def _per_point_polylines(curves, x_range, y_range):
     return lines
 
 
-@pytest.mark.parametrize("size", [7, 20_000])
+@pytest.mark.parametrize("size", [7, svgplot._CHUNK - 1, svgplot._CHUNK,
+                                  svgplot._CHUNK + 1, 20_000])
 def test_svg_polylines_match_per_point_formatting(tmp_path, size):
     rng = np.random.default_rng(size)
     x_range, y_range = (-1.5, 2.5), (-0.25, 1.0)
@@ -337,12 +401,15 @@ def test_svg_polylines_match_per_point_formatting(tmp_path, size):
     curves = [Curve(xs, midpoint_probs(size), "#1f77b4"),
               Curve(xs[::-1].copy(), rng.uniform(-0.5, 1.5, size=size), "#000000",
                     width=2.0),
-              Curve(xs + 100.0, midpoint_probs(size), "#ff7f0e")]  # wholly outside
+              Curve(xs + 100.0, midpoint_probs(size), "#ff7f0e"),  # wholly outside
+              # wholly inside: all size points are drawn
+              Curve(np.linspace(*x_range, size), midpoint_probs(size), "#2ca02c")]
     path = tmp_path / "panel.svg"
     render_panel(path, curves, "points", x_range, y_range)
     polylines = [line for line in path.read_text().splitlines()
                  if line.startswith("<polyline")]
     assert polylines == _per_point_polylines(curves, x_range, y_range)
-    assert len(polylines) == 2
+    assert len(polylines) == 3
+    assert polylines[-1].count(",") == size
     # some points of each drawn curve fall outside x_range
     assert all(np.any((c.xs < x_range[0]) | (c.xs > x_range[1])) for c in curves[:2])
