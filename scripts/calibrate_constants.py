@@ -7,11 +7,19 @@ the quantile-mismatch objective of true prior samples) get their reference
 medians and 95th percentiles estimated from seeded prior draws at the
 standard experiment scale n=200, D=20. Run from the repository root:
 
-    python scripts/calibrate_constants.py
+    python scripts/calibrate_constants.py          # rewrite calibration.py
+    python scripts/calibrate_constants.py --check  # compare, write nothing
+
+The constants are reproducible to CHECK_RTOL (1e-12) relative, not bit for
+bit: the chi-squared tables, numpy's reductions and the C library's math
+may move their last digits between machines and library versions. --check
+recomputes every constant and exits 1 if any differs from the committed
+value by more than that.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -35,26 +43,30 @@ TRIALS = 1000
 BASE_SEED = 202_400_000
 NUM_DIRS = 10
 
+CHECK_RTOL = 1e-12
+
 OUT = Path(__file__).resolve().parents[1] / "src" / "latentreg" / "calibration.py"
 
 TEMPLATE = '''"""Monte Carlo reference constants for the statistical battery.
 
 Null distributions of the dependent statistics (pairwise distances, pooled
 projections, two-sample product/angle comparisons) and of the quantile
-mismatch of true prior samples, estimated once from {trials} seeded N(0, I)
-clouds at n={n}, D={dim}. Regenerate with scripts/calibrate_constants.py.
+mismatch of true prior samples, estimated once from {TRIALS} seeded N(0, I)
+clouds at n={N}, D={DIM}. Regenerate with scripts/calibrate_constants.py;
+its --check mode confirms every value to 1e-12 relative, the precision to
+which a rerun on another machine or library version reproduces them.
 """
 
-N = {n}
-DIM = {dim}
-TRIALS = {trials}
-BASE_SEED = {base_seed}
-NUM_DIRS = {num_dirs}
+N = {N}
+DIM = {DIM}
+TRIALS = {TRIALS}
+BASE_SEED = {BASE_SEED}
+NUM_DIRS = {NUM_DIRS}
 
 # median quantile-mismatch objective (l1) of true prior samples, and the
 # default stopping threshold for attraction runs (2x that sampling floor)
-DBAR_MEDIAN = {dbar_median!r}
-ATTRACT_STOP_TOLERANCE = {stop_tol!r}
+DBAR_MEDIAN = {DBAR_MEDIAN!r}
+ATTRACT_STOP_TOLERANCE = {ATTRACT_STOP_TOLERANCE!r}
 
 # default step-size constant for the proportional-to-objective schedule,
 # fixed by the sweep in scripts/sweep_alpha0.py
@@ -71,21 +83,23 @@ ATTRACT_STALL_WINDOW = 25
 ATTRACT_STALL_FRACTION = 1e-3
 
 # one-sample KS against chi-squared(DIM)
-RADII_KS_MEDIAN = {radii_med!r}
-RADII_KS_Q95 = {radii_q95!r}
-DISTANCE_KS_MEDIAN = {dist_med!r}
-DISTANCE_KS_Q95 = {dist_q95!r}
+RADII_KS_MEDIAN = {RADII_KS_MEDIAN!r}
+RADII_KS_Q95 = {RADII_KS_Q95!r}
+DISTANCE_KS_MEDIAN = {DISTANCE_KS_MEDIAN!r}
+DISTANCE_KS_Q95 = {DISTANCE_KS_Q95!r}
 
 # pooled projections onto NUM_DIRS random directions vs the normal CDF
-PROJECTION_KS_Q95 = {proj_q95!r}
+PROJECTION_KS_Q95 = {PROJECTION_KS_Q95!r}
 
 # two-sample KS between independent prior clouds
-SCALAR_KS2_Q95 = {scal_q95!r}
-ANGLE_KS2_Q95 = {angle_q95!r}
+SCALAR_KS2_Q95 = {SCALAR_KS2_Q95!r}
+ANGLE_KS2_Q95 = {ANGLE_KS2_Q95!r}
 '''
 
 
-def main() -> None:
+def constants() -> dict[str, float]:
+    """Every constant of calibration.py that the Monte Carlo runs estimate,
+    with the scale they ran at, keyed by its name there."""
     targets = build_target_quantiles(N, DIM)
     dbar, radii_ks, dist_ks = [], [], []
     battery = {test: [] for test in BATTERY_TESTS}
@@ -110,17 +124,47 @@ def main() -> None:
         return float(np.quantile(v, 0.95))
 
     dbar_median = med(dbar)
-    text = TEMPLATE.format(
-        n=N, dim=DIM, trials=TRIALS, base_seed=BASE_SEED, num_dirs=NUM_DIRS,
-        dbar_median=dbar_median, stop_tol=2.0 * dbar_median,
-        radii_med=med(radii_ks), radii_q95=q95(radii_ks),
-        dist_med=med(dist_ks), dist_q95=q95(dist_ks),
-        proj_q95=q95(battery["projections"]), scal_q95=q95(battery["scalar_products"]),
-        angle_q95=q95(battery["angles"]),
-    )
-    OUT.write_text(text)
+    return {
+        "N": N, "DIM": DIM, "TRIALS": TRIALS, "BASE_SEED": BASE_SEED, "NUM_DIRS": NUM_DIRS,
+        "DBAR_MEDIAN": dbar_median, "ATTRACT_STOP_TOLERANCE": 2.0 * dbar_median,
+        "RADII_KS_MEDIAN": med(radii_ks), "RADII_KS_Q95": q95(radii_ks),
+        "DISTANCE_KS_MEDIAN": med(dist_ks), "DISTANCE_KS_Q95": q95(dist_ks),
+        "PROJECTION_KS_Q95": q95(battery["projections"]),
+        "SCALAR_KS2_Q95": q95(battery["scalar_products"]),
+        "ANGLE_KS2_Q95": q95(battery["angles"]),
+    }
+
+
+def check(values: dict[str, float]) -> int:
+    """Compare recomputed constants with the committed calibration.py: 0 if
+    each agrees to CHECK_RTOL relative, else 1."""
+    from latentreg import calibration
+
+    failed = 0
+    for name, value in values.items():
+        committed = getattr(calibration, name)
+        rel = abs(value - committed) / abs(committed)
+        verdict = "ok" if rel <= CHECK_RTOL else "DIFFERS"
+        failed += verdict != "ok"
+        print(f"{name}: committed {committed!r}, recomputed {value!r}, "
+              f"relative difference {rel:.1e} {verdict}")
+    print(f"{failed} constant(s) differ by more than {CHECK_RTOL:g} relative")
+    return 1 if failed else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="recompute every constant, write nothing, and exit 1 if any "
+                             f"differs from calibration.py by more than {CHECK_RTOL:g} relative")
+    args = parser.parse_args(argv)
+    values = constants()
+    if args.check:
+        return check(values)
+    OUT.write_text(TEMPLATE.format(**values))
     print(f"wrote {OUT}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -12,9 +12,19 @@ their working set. Inputs are processed in blocks of ``_BLOCK`` elements,
 which bounds the working memory of a large call such as a quantile table.
 Everything here is pure and thread-safe.
 
+The chi-squared quantile is one safeguarded Newton loop from the
+Wilson-Hilferty seed. Each iteration makes one incomplete-gamma evaluation,
+whose prefactor x^a e^-x / Gamma(a) also gives the density. On a
+79,800-entry midpoint table (an n=400 distance table) that is 4.43, 3.32
+and 2.95 evaluations per entry at dof 1, 20 and 1000.
+
 Tested accuracy: P(a, x) to 1e-12 absolute against a 40-digit oracle for a
 in [0.5, 500]; chi-squared quantiles round trip to 1e-13 with strictly
-increasing tables for dof in [1, 1000]; normal quantiles round trip to 1e-12
+increasing tables for dof in [1, 1000], and agree with scipy to a relative
+error of at most max(1e-10, 1.01e-13 / (x pdf(x))). That bound comes from
+the absolute stop rule |cdf(x) - q| <= 1e-13, so it is loose where
+1 - q is below about 1e-13: at q = 1 - 1.1e-16 and dof 1 the result is
+100.4 where the true quantile is 68.8. Normal quantiles round trip to 1e-12
 on q in [1e-6, 1 - 1e-6].
 """
 
@@ -96,15 +106,30 @@ def reg_lower_gamma(a, x):
 
 
 def _reg_lower_gamma(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.where(x == np.inf, 1.0, 0.0)  # P(a, 0) = 0, P(a, inf) = 1
+    return _gamma_parts(a, x)[0]
+
+
+def _gamma_parts(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(a, x) and the gamma prefactor x^a e^-x / Gamma(a), which is x times
+    the gamma(a) density at x; the prefactor is computed once and scales
+    both the series and the continued fraction."""
+    p = np.where(x == np.inf, 1.0, 0.0)  # P(a, 0) = 0, P(a, inf) = 1
+    prefactor = np.zeros_like(x)
+    pos = np.flatnonzero((x != 0.0) & (x != np.inf))
+    if not pos.size:
+        return p, prefactor
+    a, x = a[pos], x[pos]
+    scale = np.exp(_log_prefactor(a, x))
+    prefactor[pos] = scale
     below = x < a + 1.0
-    series = np.flatnonzero(below & (x != 0.0))
+    series = np.flatnonzero(below)
     if series.size:
-        out[series] = _lower_gamma_series(a[series], x[series])
-    fraction = np.flatnonzero(~below & (x != np.inf))
+        p[pos[series]] = np.minimum(
+            _lower_gamma_series(a[series], x[series]) * scale[series], 1.0)
+    fraction = np.flatnonzero(~below)
     if fraction.size:
-        out[fraction] = 1.0 - _upper_gamma_cf(a[fraction], x[fraction])
-    return out
+        p[pos[fraction]] = 1.0 - _upper_gamma_cf(a[fraction], x[fraction]) * scale[fraction]
+    return p, prefactor
 
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -129,7 +154,8 @@ def _log_prefactor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     a log(x) - x - lgamma(a) loses digits to cancellation (5e-13 at a=500)."""
     u = (x - a) / a
     log_t = np.where(u > -0.5, np.log1p(u), np.log(x / a))
-    # the shapes of one call are few (one per chi-squared table)
+    if (a == a[0]).all():  # one shape, as in every chi-squared call
+        return a * (log_t - u) + _shape_term(float(a[0]))
     shapes, inverse = np.unique(a, return_inverse=True)
     term = np.array([_shape_term(v) for v in shapes])[inverse.ravel()]
     return a * (log_t - u) + term
@@ -153,7 +179,7 @@ def _lower_gamma_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
             if not live.size:
                 break
     total[live] = sums  # entries that used up _MAX_ITER
-    return np.minimum(total * np.exp(_log_prefactor(a, x)), 1.0)
+    return total  # P(a, x) divided by the prefactor
 
 
 def _upper_gamma_cf(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -183,7 +209,7 @@ def _upper_gamma_cf(a: np.ndarray, x: np.ndarray) -> np.ndarray:
             if not live.size:
                 break
     result[live] = h  # entries that used up _MAX_ITER
-    return result * np.exp(_log_prefactor(a, x))
+    return result  # Q(a, x) divided by the prefactor
 
 
 def chi2_cdf(dist: ChiSquare, x):
@@ -197,21 +223,17 @@ def _chi2_cdf(x: np.ndarray, dof: int) -> np.ndarray:
     return _reg_lower_gamma(np.full_like(x, 0.5 * dof), 0.5 * x)
 
 
-def _chi2_pdf(x: np.ndarray, dof: int) -> np.ndarray:
-    # x times the density is the gamma prefactor at (dof/2, x/2)
-    pdf = np.zeros_like(x)
-    pos = np.flatnonzero(x > 0.0)
-    xp = x[pos]
-    pdf[pos] = np.exp(_log_prefactor(np.full_like(xp, 0.5 * dof), 0.5 * xp)) / xp
-    return pdf
-
-
 def chi2_inv_cdf(dist: ChiSquare, q):
     """Quantile function of the chi-squared distribution.
 
-    Newton iteration seeded by the Wilson-Hilferty cube approximation,
-    safeguarded by a bracketing bisection; each element converges to
-    |cdf(x) - q| <= 1e-13 or stops when a step no longer moves it.
+    Newton iteration seeded by the Wilson-Hilferty cube approximation (on
+    Acklam's normal quantile, without refinement). Each CDF evaluation
+    narrows a bracket [lo, hi] that starts at [0, inf); a step that leaves
+    it bisects, or doubles x while hi is unbounded. Each element converges
+    to |cdf(x) - q| <= 1e-13 or stops when a step no longer moves it: about
+    3 CDF evaluations per entry (2.95-4.43 on an n=400 distance table for
+    dof 1-1000). The relative error is at most 1.01e-13 / (x pdf(x)), which
+    is wide where 1 - q is below about 1e-13.
     """
     q = np.asarray(q, dtype=np.float64)
     _check(~((q > 0.0) & (q < 1.0)), q, "quantile level must lie in (0, 1)")
@@ -220,44 +242,38 @@ def chi2_inv_cdf(dist: ChiSquare, q):
 
 def _chi2_inv_cdf(q: np.ndarray, dof: int) -> np.ndarray:
     d = float(dof)
+    a = np.full_like(q, 0.5 * d)
 
     # Wilson-Hilferty seed; can leave (0, inf) for small q and small dof.
-    z = _normal_inv_cdf(q)
+    z = _acklam(q)
     x = d * (1.0 - 2.0 / (9.0 * d) + z * math.sqrt(2.0 / (9.0 * d))) ** 3
     x[~((x > 0.0) & np.isfinite(x))] = 1e-8
 
-    # double hi until cdf(hi) >= q
-    hi = np.maximum(x, 1e-8)
-    short = np.arange(q.size)
-    for _ in range(2000):
-        short = short[_chi2_cdf(hi[short], dof) < q[short]]
-        if not short.size:
-            break
-        hi[short] *= 2.0
+    # every CDF evaluation narrows the bracket [lo, hi]; a Newton step that
+    # leaves it bisects, or doubles x while hi is still unbounded
     lo = np.zeros_like(x)
-    outside = ~((0.0 < x) & (x < hi))
-    x[outside] = 0.5 * hi[outside]
-
+    hi = np.full_like(x, np.inf)
     root = np.empty_like(x)
     live = np.arange(q.size)
-    for _ in range(200):
-        fx = _chi2_cdf(x, dof) - q
+    for _ in range(_MAX_ITER):
+        cdf, prefactor = _gamma_parts(a, 0.5 * x)
+        fx = cdf - q
         over = fx > 0.0
         hi = np.where(over, x, hi)
         lo = np.where(over, lo, x)
-        p = _chi2_pdf(x, dof)
-        step = np.divide(fx, p, out=np.zeros_like(x), where=p > 0.0)
+        # the density at x is prefactor / x
+        step = np.divide(fx * x, prefactor, out=np.zeros_like(x), where=prefactor > 0.0)
         x_next = x - step
-        newton = (p > 0.0) & (lo < x_next) & (x_next < hi)
-        x_next = np.where(newton, x_next, 0.5 * (lo + hi))
+        newton = (prefactor > 0.0) & (lo < x_next) & (x_next < hi)
+        x_next = np.where(newton, x_next, np.where(hi == np.inf, 2.0 * x, 0.5 * (lo + hi)))
         done = (np.abs(fx) <= 1e-13) | (x_next == x)
         if done.any():
             root[live[done]] = x[done]
-            live, q, x, x_next, lo, hi = _compact(~done, live, q, x, x_next, lo, hi)
+            live, a, q, x, x_next, lo, hi = _compact(~done, live, a, q, x, x_next, lo, hi)
             if not live.size:
                 break
         x = x_next
-    root[live] = x  # entries that used up the iteration budget
+    root[live] = x  # entries that used up _MAX_ITER
     return root
 
 
@@ -284,7 +300,8 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 
 
 # Acklam's rational approximation for the normal quantile (~1.2e-9 relative),
-# refined below by Halley steps to full double precision.
+# refined by two Halley steps to full double precision in _normal_inv_cdf;
+# the chi-squared seed uses it unrefined.
 _ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
              1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
@@ -304,6 +321,15 @@ def normal_inv_cdf(q):
 
 
 def _normal_inv_cdf(q: np.ndarray) -> np.ndarray:
+    x = _acklam(q)
+    for _ in range(2):
+        e = _normal_cdf(x) - q
+        u = e * _SQRT_2PI * _libm(_EXP, 0.5 * x * x)
+        x -= u / (1.0 + 0.5 * x * u)
+    return x
+
+
+def _acklam(q: np.ndarray) -> np.ndarray:
     x = np.empty_like(q)
     low = q < _P_LOW
     high = q > 1.0 - _P_LOW
@@ -314,8 +340,4 @@ def _normal_inv_cdf(q: np.ndarray) -> np.ndarray:
     t = q[mid] - 0.5
     r = t * t
     x[mid] = _horner(_ACKLAM_A, r) * t / _horner(_ACKLAM_B, r)
-    for _ in range(2):
-        e = _normal_cdf(x) - q
-        u = e * _SQRT_2PI * _libm(_EXP, 0.5 * x * x)
-        x -= u / (1.0 + 0.5 * x * u)
     return x

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from latentreg.cdf_attract import chi2_quantile_table
+from latentreg import specfun
+from latentreg.cdf_attract import chi2_quantile_table, midpoint_probs
 from latentreg.specfun import (
     ChiSquare,
     chi2_cdf,
@@ -182,17 +183,37 @@ def test_chi2_quantile_table_round_trip_beyond_dof_400(dof):
 
 
 def test_chi2_quantile_table_matches_scipy_at_n400():
-    # the 79,800-entry distance table of an n=400, D=20 attraction. Stopping
-    # at |cdf(x) - q| <= 1e-13 bounds each entry's relative error by
-    # 1e-13 / (x pdf(x)): below 1e-10 except at the outermost entries.
+    # the 79,800-entry distance table of an n=400 attraction. Stopping at
+    # |cdf(x) - q| <= 1e-13 bounds each entry's relative error by
+    # 1e-13 / (x pdf(x)): below 1e-10 except at the outermost entries. Small
+    # dof is where the seed is weakest and the loop doubles x.
     count = 79800
-    table = chi2_quantile_table(count, 20)
     probs = (np.arange(count) + 0.5) / count
-    ref = stats.chi2.ppf(probs, 20)
-    rel = np.abs(table / ref - 1.0)
-    allowed = np.maximum(1e-10, 1.01e-13 / (ref * stats.chi2.pdf(ref, 20)))
-    assert np.all(rel <= allowed)
-    assert np.max(np.abs(stats.chi2.cdf(table, 20) - probs)) <= 1.01e-13
+    for dof in (1, 2, 20, 1000):
+        table = chi2_quantile_table(count, dof)
+        ref = stats.chi2.ppf(probs, dof)
+        rel = np.abs(table / ref - 1.0)
+        allowed = np.maximum(1e-10, 1.01e-13 / (ref * stats.chi2.pdf(ref, dof)))
+        assert np.all(rel <= allowed), dof
+        assert np.max(np.abs(stats.chi2.cdf(table, dof) - probs)) <= 1.01e-13, dof
+
+
+@pytest.mark.parametrize("dof", [1, 20, 1000])
+def test_chi2_quantile_newton_work_per_entry(dof, monkeypatch):
+    # the quantile loop's one CDF evaluation per iteration keeps the
+    # Wilson-Hilferty seed: about 3 evaluations per entry (4.43 at dof 1),
+    # where discarding seeds or a separate bracketing pass costs 7.5-10
+    evaluated = []
+
+    def counted(a, x):
+        evaluated.append(x.size)
+        return gamma_parts(a, x)
+
+    gamma_parts = specfun._gamma_parts
+    monkeypatch.setattr(specfun, "_gamma_parts", counted)
+    count = 79800
+    chi2_inv_cdf(ChiSquare(dof), midpoint_probs(count))
+    assert sum(evaluated) <= 4.5 * count
 
 
 ARRAY_CASES = [
