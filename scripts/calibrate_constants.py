@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
-"""Regenerate src/latentreg/calibration.py from Monte Carlo runs.
+"""Recompute the Monte Carlo constants of src/latentreg/calibration.py.
 
 Statistics whose null distributions have no usable closed form here (the
 pairwise-distance KS, pooled projections, two-sample product/angle tests, and
 the quantile-mismatch objective of true prior samples) get their reference
-medians and 95th percentiles estimated from seeded prior draws at the
-standard experiment scale n=200, D=20. Run from the repository root:
+medians and 95th percentiles estimated from seeded prior draws at the scale
+that calibration.py itself sets (N, DIM, TRIALS, BASE_SEED, NUM_DIRS). Each
+trial's battery reference is stat_tests.reference_battery, as in fig2. Run
+from the repository root:
 
-    python scripts/calibrate_constants.py          # rewrite calibration.py
+    python scripts/calibrate_constants.py          # rewrite the measured values
     python scripts/calibrate_constants.py --check  # compare, write nothing
+
+Writing sets only the NAME = value line of each measured constant in
+calibration.py and keeps every other byte: the scale, the hand-set schedule
+constants and the comments stay as they are.
 
 The constants are reproducible to CHECK_RTOL (1e-12) relative, not bit for
 bit: the chi-squared tables, numpy's reductions and the C library's math
@@ -20,6 +26,7 @@ value by more than that.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -27,91 +34,36 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from latentreg.calibration import BASE_SEED, DIM, N, NUM_DIRS, TRIALS  # noqa: E402
 from latentreg.cdf_attract import build_target_quantiles, cdf_objective  # noqa: E402
-from latentreg.sampling import Rng, sample_standard_normal, sample_unit_directions  # noqa: E402
+from latentreg.sampling import Rng, sample_standard_normal  # noqa: E402
 from latentreg.stat_tests import (  # noqa: E402
     BATTERY_TESTS,
     battery_ks,
     battery_values,
     distance_test,
     radii_test,
+    reference_battery,
 )
-
-N = 200
-DIM = 20
-TRIALS = 1000
-BASE_SEED = 202_400_000
-NUM_DIRS = 10
 
 CHECK_RTOL = 1e-12
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "latentreg" / "calibration.py"
 
-TEMPLATE = '''"""Monte Carlo reference constants for the statistical battery.
-
-Null distributions of the dependent statistics (pairwise distances, pooled
-projections, two-sample product/angle comparisons) and of the quantile
-mismatch of true prior samples, estimated once from {TRIALS} seeded N(0, I)
-clouds at n={N}, D={DIM}. Regenerate with scripts/calibrate_constants.py;
-its --check mode confirms every value to 1e-12 relative, the precision to
-which a rerun on another machine or library version reproduces them.
-"""
-
-N = {N}
-DIM = {DIM}
-TRIALS = {TRIALS}
-BASE_SEED = {BASE_SEED}
-NUM_DIRS = {NUM_DIRS}
-
-# median quantile-mismatch objective (l1) of true prior samples, and the
-# default stopping threshold for attraction runs (2x that sampling floor)
-DBAR_MEDIAN = {DBAR_MEDIAN!r}
-ATTRACT_STOP_TOLERANCE = {ATTRACT_STOP_TOLERANCE!r}
-
-# default step-size constant for the proportional-to-objective schedule,
-# fixed by the sweep in scripts/sweep_alpha0.py
-ATTRACT_ALPHA0 = 0.2
-
-# stall rule of the test battery's attraction runs: stop once the objective
-# has fallen by less than ATTRACT_STALL_FRACTION of its value
-# ATTRACT_STALL_WINDOW accepted steps earlier. Fixed by the stall sweep in
-# scripts/sweep_alpha0.py as the largest cut in value evaluations that keeps
-# the mean final objective within 0.1% of the 400-step runs': at n=100,
-# seeds 100-119, 50,736 -> 17,484 evaluations, +0.03%; at n=200, ten seeds
-# from BASE_SEED, 26,846 -> 9,932, +0.04%, battery passes 8/10 either way
-ATTRACT_STALL_WINDOW = 25
-ATTRACT_STALL_FRACTION = 1e-3
-
-# one-sample KS against chi-squared(DIM)
-RADII_KS_MEDIAN = {RADII_KS_MEDIAN!r}
-RADII_KS_Q95 = {RADII_KS_Q95!r}
-DISTANCE_KS_MEDIAN = {DISTANCE_KS_MEDIAN!r}
-DISTANCE_KS_Q95 = {DISTANCE_KS_Q95!r}
-
-# pooled projections onto NUM_DIRS random directions vs the normal CDF
-PROJECTION_KS_Q95 = {PROJECTION_KS_Q95!r}
-
-# two-sample KS between independent prior clouds
-SCALAR_KS2_Q95 = {SCALAR_KS2_Q95!r}
-ANGLE_KS2_Q95 = {ANGLE_KS2_Q95!r}
-'''
-
 
 def constants() -> dict[str, float]:
     """Every constant of calibration.py that the Monte Carlo runs estimate,
-    with the scale they ran at, keyed by its name there."""
+    keyed by its name there."""
     targets = build_target_quantiles(N, DIM)
     dbar, radii_ks, dist_ks = [], [], []
     battery = {test: [] for test in BATTERY_TESTS}
     for trial in range(TRIALS):
-        rng = Rng(BASE_SEED + trial)
-        cloud = sample_standard_normal(rng, N, DIM)
-        other = sample_standard_normal(rng.derive(2), N, DIM)
+        cloud = sample_standard_normal(Rng(BASE_SEED + trial), N, DIM)
         dbar.append(cdf_objective(cloud, targets))
         radii_ks.append(radii_test(cloud).ks_linf)
         dist_ks.append(distance_test(cloud).ks_linf)
-        dirs = sample_unit_directions(rng.derive(3), NUM_DIRS, DIM)
-        ks = battery_ks(battery_values(cloud, dirs), battery_values(other, dirs))
+        dirs, ref_values = reference_battery(BASE_SEED + trial, N, DIM, NUM_DIRS)
+        ks = battery_ks(battery_values(cloud, dirs), ref_values)
         for test in BATTERY_TESTS:
             battery[test].append(ks[test])
         if (trial + 1) % 50 == 0:
@@ -125,7 +77,6 @@ def constants() -> dict[str, float]:
 
     dbar_median = med(dbar)
     return {
-        "N": N, "DIM": DIM, "TRIALS": TRIALS, "BASE_SEED": BASE_SEED, "NUM_DIRS": NUM_DIRS,
         "DBAR_MEDIAN": dbar_median, "ATTRACT_STOP_TOLERANCE": 2.0 * dbar_median,
         "RADII_KS_MEDIAN": med(radii_ks), "RADII_KS_Q95": q95(radii_ks),
         "DISTANCE_KS_MEDIAN": med(dist_ks), "DISTANCE_KS_Q95": q95(dist_ks),
@@ -133,6 +84,18 @@ def constants() -> dict[str, float]:
         "SCALAR_KS2_Q95": q95(battery["scalar_products"]),
         "ANGLE_KS2_Q95": q95(battery["angles"]),
     }
+
+
+def rewrite(text: str, values: dict[str, float]) -> str:
+    """text with the line NAME = ... of each name in values set to
+    NAME = repr(value), every other byte kept. A name without exactly one such
+    line is a ValueError."""
+    for name, value in values.items():
+        line = re.compile(rf"^{re.escape(name)} = .*$", re.MULTILINE)
+        text, count = line.subn(lambda _: f"{name} = {value!r}", text)
+        if count != 1:
+            raise ValueError(f"expected one line setting {name}, found {count}")
+    return text
 
 
 def check(values: dict[str, float]) -> int:
@@ -161,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     values = constants()
     if args.check:
         return check(values)
-    OUT.write_text(TEMPLATE.format(**values))
+    OUT.write_text(rewrite(OUT.read_text(), values))
     print(f"wrote {OUT}")
     return 0
 

@@ -43,8 +43,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from latentreg import calibration  # noqa: E402
 from latentreg.cdf_attract import build_target_quantiles  # noqa: E402
 from latentreg.optimizer import CdfAttractionObjective, RunConfig, run  # noqa: E402
-from latentreg.sampling import Rng, sample_standard_normal, sample_unit_directions  # noqa: E402
-from latentreg.stat_tests import battery_ks, battery_values  # noqa: E402
+from latentreg.stat_tests import (  # noqa: E402
+    BATTERY_TESTS,
+    battery_bands,
+    battery_ks,
+    battery_values,
+    reference_battery,
+)
 
 N, DIM = 200, 20
 SEEDS = (1000, 1001, 1002)
@@ -87,12 +92,10 @@ class _CountedObjective(CdfAttractionObjective):
 
 def _battery_pass(cloud, seed: int) -> bool:
     # criterion 6: projections, scalar products and angles inside their bands
-    reference = sample_standard_normal(Rng(seed).derive(2), cloud.n, cloud.dim)
-    dirs = sample_unit_directions(Rng(seed).derive(3), calibration.NUM_DIRS, cloud.dim)
-    ks = battery_ks(battery_values(cloud, dirs), battery_values(reference, dirs))
-    return (ks["projections"] <= calibration.PROJECTION_KS_Q95
-            and ks["scalar_products"] <= calibration.SCALAR_KS2_Q95
-            and ks["angles"] <= calibration.ANGLE_KS2_Q95)
+    dirs, ref_values = reference_battery(seed, cloud.n, cloud.dim, calibration.NUM_DIRS)
+    ks = battery_ks(battery_values(cloud, dirs), ref_values)
+    bands = battery_bands(cloud.n, cloud.dim, calibration.NUM_DIRS)
+    return all(ks[test] <= bands[test] for test in BATTERY_TESTS)
 
 
 def sweep_stall() -> None:

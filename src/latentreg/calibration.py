@@ -3,9 +3,9 @@
 Null distributions of the dependent statistics (pairwise distances, pooled
 projections, two-sample product/angle comparisons) and of the quantile
 mismatch of true prior samples, estimated once from 1000 seeded N(0, I)
-clouds at n=200, D=20. Regenerate with scripts/calibrate_constants.py;
-its --check mode confirms every value to 1e-12 relative, the precision to
-which a rerun on another machine or library version reproduces them.
+clouds at n=200, D=20. scripts/calibrate_constants.py rewrites only their
+lines here; its --check mode confirms each to 1e-12 relative, the precision
+to which a rerun on another machine or library version reproduces them.
 """
 
 N = 200

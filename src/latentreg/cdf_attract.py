@@ -247,12 +247,12 @@ class CoordinateTarget:
     def wraps(self) -> bool:
         return self.kind == "torus_uniform01"
 
-    def rank_positions(self, ranks: np.ndarray, n: int) -> np.ndarray:
-        """Ideal coordinate values for 0-based ranks 0..n-1."""
+    def rank_positions(self, n: int) -> np.ndarray:
+        """Ideal coordinate values of the 0-based ranks 0..n-1, in rank order."""
         if self.kind == "quantized_uniform":
             scale = float(2 ** self.bits)
-            return (np.floor(scale * ranks / n) + 0.5) / scale
-        probs = midpoint_probs(n)[ranks]
+            return (np.floor(scale * np.arange(n) / n) + 0.5) / scale
+        probs = midpoint_probs(n)
         if self.kind == "gaussian":
             return normal_inv_cdf(probs)
         return probs  # uniform01 and torus_uniform01
@@ -260,13 +260,10 @@ class CoordinateTarget:
 
 def coordinate_targets(x: PointCloud, target: CoordinateTarget) -> PointCloud:
     """Per coordinate, map each point's stable rank to the target quantile."""
-    n = x.n
+    positions = target.rank_positions(x.n)
     ideal = np.empty_like(x.data)
     for j in range(x.dim):
-        order = np.argsort(x.data[:, j], kind="stable")
-        ranks = np.empty(n, dtype=np.int64)
-        ranks[order] = np.arange(n)
-        ideal[:, j] = target.rank_positions(ranks, n)
+        ideal[np.argsort(x.data[:, j], kind="stable"), j] = positions
     return PointCloud(ideal)
 
 

@@ -45,21 +45,17 @@ from .optimizer import (
     run,
     trace_to_csv,
 )
-from .sampling import (
-    PointCloud,
-    Rng,
-    sample_standard_normal,
-    sample_uniform_cube,
-    sample_unit_directions,
-)
+from .sampling import PointCloud, Rng, sample_standard_normal, sample_uniform_cube
 from .specfun import ChiSquare, chi2_inv_cdf, normal_inv_cdf
 from .stat_tests import (
     BATTERY_TESTS,
+    battery_bands,
     battery_ks,
     battery_values,
     chi2_report,
     distance_test,
     radii_test,
+    reference_battery,
 )
 from .svgplot import PALETTE, Curve, render_panel
 
@@ -149,16 +145,15 @@ def _map_trials(spec: ExperimentSpec, fn):
         return list(pool.map(fn, range(spec.trials)))
 
 
-def _attraction_config(spec: ExperimentSpec, trial_seed: int,
-                       stop: bool = True) -> RunConfig:
-    # stop=True: fig1's attraction row and attract, stopped at the tolerance;
-    # stop=False: the test battery's runs, stopped when they stall
-    if stop:
-        max_steps, stop_tolerance, stall = spec.steps or ATTRACT_STEPS, \
-            calibration.ATTRACT_STOP_TOLERANCE, None
-    else:
+def _attraction_config(spec: ExperimentSpec, trial_seed: int) -> RunConfig:
+    # the test battery's runs stop when they stall; fig1's attraction row and
+    # attract stop at the tolerance
+    if spec.experiment == "fig2_battery":
         max_steps, stop_tolerance = spec.steps or ATTRACT_BATTERY_STEPS, None
         stall = (calibration.ATTRACT_STALL_WINDOW, calibration.ATTRACT_STALL_FRACTION)
+    else:
+        max_steps, stop_tolerance, stall = spec.steps or ATTRACT_STEPS, \
+            calibration.ATTRACT_STOP_TOLERANCE, None
     return RunConfig(
         n=spec.n, dim=spec.dim, seed=trial_seed, max_steps=max_steps,
         alpha0=spec.alpha0 or calibration.ATTRACT_ALPHA0,
@@ -166,12 +161,12 @@ def _attraction_config(spec: ExperimentSpec, trial_seed: int,
         stall=stall)
 
 
-def run_attraction_trial(spec: ExperimentSpec, trial_seed: int, stop: bool = True):
+def run_attraction_trial(spec: ExperimentSpec, trial_seed: int):
     """Radii/distance attraction run shared by fig1's bottom row, fig2 and the
     gaussian demo; returns (final cloud, trace). The run starts from
-    initial_cloud(_attraction_config(spec, trial_seed, stop))."""
+    initial_cloud(_attraction_config(spec, trial_seed))."""
     targets = build_target_quantiles(spec.n, spec.dim)
-    config = _attraction_config(spec, trial_seed, stop=stop)
+    config = _attraction_config(spec, trial_seed)
     objective = CdfAttractionObjective(targets, mode=spec.gradient_mode, norm=spec.norm)
     return run(config, objective)
 
@@ -325,16 +320,6 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
     return 0
 
 
-def _fig2_band(spec: ExperimentSpec, test: str) -> float | None:
-    if (spec.n, spec.dim) != (calibration.N, calibration.DIM):
-        return None
-    if test == "projections":
-        return calibration.PROJECTION_KS_Q95 if spec.num_dirs == calibration.NUM_DIRS else None
-    if test == "scalar_products":
-        return calibration.SCALAR_KS2_Q95
-    return calibration.ANGLE_KS2_Q95
-
-
 def cmd_fig2(spec: ExperimentSpec) -> int:
     """Projection / scalar-product / angle battery on attraction-converged
     clouds (right column) next to i.i.d. prior clouds (left column)."""
@@ -347,13 +332,11 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
 
     def one_trial(t: int):
         trial_seed = spec.seed + t
-        attract_cloud, _ = run_attraction_trial(spec, trial_seed, stop=False)
+        attract_cloud, _ = run_attraction_trial(spec, trial_seed)
         attract_cloud.to_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv")
         iid_cloud = sample_standard_normal(Rng(trial_seed).derive(4), spec.n, spec.dim)
-        reference = sample_standard_normal(Rng(trial_seed).derive(2), spec.n, spec.dim)
         # every cloud projects onto the same per-trial direction set
-        dirs = sample_unit_directions(Rng(trial_seed).derive(3), spec.num_dirs, spec.dim)
-        ref_values = battery_values(reference, dirs)
+        dirs, ref_values = reference_battery(trial_seed, spec.n, spec.dim, spec.num_dirs)
         # the reference quantiles' curve rows, keyed on (test, count) since
         # pairwise_angles can drop zero vectors; both sides share them
         ref_tails = {}
@@ -393,9 +376,10 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
 
     with open(out / "fig2_summary.csv", "w", newline="") as fh:
         fh.write("side,test,trial,ks_linf,band_q95,pass\n")
+        bands = battery_bands(spec.n, spec.dim, spec.num_dirs)
         for side in ("iid", "attract"):
             for test in BATTERY_TESTS:
-                band = _fig2_band(spec, test)
+                band = bands[test]
                 for t, (per_side, _) in enumerate(results):
                     ks = per_side[side][1][test]
                     band_s = "%.17g" % band if band is not None else ""

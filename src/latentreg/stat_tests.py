@@ -6,7 +6,7 @@ fig2: projections onto random directions against the standard normal, and
 pairwise scalar products and angles compared two-sample with a reference
 cloud. These are reproduction/diagnostic statistics, not calibrated
 p-values; thresholds for the dependent ones come from Monte Carlo runs
-(see latentreg.calibration).
+(latentreg.calibration, read by battery_bands; see reference_battery).
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import calibration
 from .cdf_attract import chi2_quantile_table, cloud_stats
-from .sampling import PointCloud, _pair_indices
+from .sampling import PointCloud, Rng, _pair_indices, sample_standard_normal, sample_unit_directions
 from .specfun import ChiSquare, chi2_cdf, normal_cdf
 
 __all__ = [
@@ -34,6 +35,8 @@ __all__ = [
     "pairwise_angles",
     "battery_values",
     "battery_ks",
+    "reference_battery",
+    "battery_bands",
 ]
 
 
@@ -142,3 +145,27 @@ def battery_ks(values: dict[str, np.ndarray],
     for test in ("scalar_products", "angles"):
         ks[test] = ks_statistic_two_sample(values[test], reference_values[test])
     return ks
+
+
+def reference_battery(seed: int, n: int, dim: int,
+                      num_dirs: int) -> tuple[PointCloud, dict[str, np.ndarray]]:
+    """(dirs, ref_values) of one battery trial: num_dirs unit directions from
+    Rng(seed).derive(3), and the battery_values on them of an n-point prior
+    cloud from Rng(seed).derive(2). A cloud's KS distances are
+    battery_ks(battery_values(cloud, dirs), ref_values)."""
+    dirs = sample_unit_directions(Rng(seed).derive(3), num_dirs, dim)
+    reference = sample_standard_normal(Rng(seed).derive(2), n, dim)
+    return dirs, battery_values(reference, dirs)
+
+
+def battery_bands(n: int, dim: int, num_dirs: int) -> dict[str, float | None]:
+    """The Monte Carlo 95% band of each battery test's KS distance, keyed by
+    BATTERY_TESTS; None where no band is calibrated. Bands exist only at
+    calibration.N points in calibration.DIM dimensions, and the projections'
+    only for calibration.NUM_DIRS directions."""
+    if (n, dim) != (calibration.N, calibration.DIM):
+        return dict.fromkeys(BATTERY_TESTS)
+    return {"projections": (calibration.PROJECTION_KS_Q95
+                            if num_dirs == calibration.NUM_DIRS else None),
+            "scalar_products": calibration.SCALAR_KS2_Q95,
+            "angles": calibration.ANGLE_KS2_Q95}

@@ -47,9 +47,10 @@ from latentreg.gaussian_l2 import (
     mean_field_sigma,
 )
 from latentreg.optimizer import CdfAttractionObjective, CwaeObjective, RunConfig, WaeMmdObjective, run
-from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
+from latentreg.sampling import PointCloud, Rng, sample_standard_normal
 from latentreg.specfun import ChiSquare, chi2_cdf, chi2_inv_cdf
-from latentreg.stat_tests import battery_ks, battery_values, radii_test
+from latentreg.stat_tests import (BATTERY_TESTS, battery_bands, battery_ks, battery_values,
+                                  radii_test, reference_battery)
 
 N, DIM = 200, 20
 BASE_SEED = 1  # the CLI default; trial seeds are BASE_SEED + t
@@ -89,7 +90,7 @@ def battery_attraction_clouds(targets):
     spec = ExperimentSpec("fig2_battery", n=N, dim=DIM)
     clouds = []
     for t in range(TRIALS):
-        config = _attraction_config(spec, BASE_SEED + t, stop=False)
+        config = _attraction_config(spec, BASE_SEED + t)
         final, _ = run(config, CdfAttractionObjective(targets))
         clouds.append(final)
     return clouds
@@ -265,19 +266,12 @@ def test_criterion_5_baselines_deviate_from_chi2(baseline_minimized_clouds):
 
 
 def test_criterion_6_battery_on_attraction_clouds(battery_attraction_clouds):
+    bands = battery_bands(N, DIM, calibration.NUM_DIRS)
     passes = 0
-    stats = []
     for t, cloud in enumerate(battery_attraction_clouds):
-        seed = BASE_SEED + t
-        reference = sample_standard_normal(Rng(seed).derive(2), N, DIM)
-        dirs = sample_unit_directions(Rng(seed).derive(3), calibration.NUM_DIRS, DIM)
-        ks = battery_ks(battery_values(cloud, dirs), battery_values(reference, dirs))
-        p, s, a = ks["projections"], ks["scalar_products"], ks["angles"]
-        ok = (p <= calibration.PROJECTION_KS_Q95
-              and s <= calibration.SCALAR_KS2_Q95
-              and a <= calibration.ANGLE_KS2_Q95)
-        passes += ok
-        stats.append((p, s, a))
+        dirs, ref_values = reference_battery(BASE_SEED + t, N, DIM, calibration.NUM_DIRS)
+        ks = battery_ks(battery_values(cloud, dirs), ref_values)
+        passes += all(ks[test] <= bands[test] for test in BATTERY_TESTS)
     report(6, passes >= 8,
            "attraction clouds pass projection/product/angle 95% bands in >= 8/10",
            f"{passes}/10 pass all three")
@@ -351,7 +345,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     stalled = 0
     for t in range(tiny["trials"]):
         _, trace = run_attraction_trial(ExperimentSpec("fig2_battery", **tiny),
-                                           tiny["seed"] + t, stop=False)
+                                        tiny["seed"] + t)
         stalled += len(trace) < ATTRACT_BATTERY_STEPS and trace[-1].alpha > 0.0
     report(10, first == second and len(first) > 10 and stalled == tiny["trials"],
            "reruns with identical specs produce byte-identical CSV/SVG artifacts",

@@ -313,9 +313,29 @@ def test_coordinate_targets_uniform():
 
 def test_midpoint_probs_match_rank_positions():
     assert midpoint_probs(4).tolist() == [0.125, 0.375, 0.625, 0.875]
-    ranks = RNG.permutation(37)
-    positions = CoordinateTarget("uniform01").rank_positions(ranks, 37)
-    assert np.array_equal(positions, (ranks + 0.5) / 37)
+    positions = CoordinateTarget("uniform01").rank_positions(37)
+    assert np.array_equal(positions, (np.arange(37) + 0.5) / 37)
+
+
+@pytest.mark.parametrize("kind,bits", [("gaussian", None), ("uniform01", None),
+                                       ("torus_uniform01", None), ("quantized_uniform", 2)])
+def test_coordinate_targets_match_the_per_point_rank_formula(kind, bits):
+    # each point's stable rank r in its coordinate, mapped one by one:
+    # (floor(2^bits r / n) + 0.5) / 2^bits for the staircase, else the
+    # target quantile at (r + 0.5)/n; ties keep the point order
+    n, dim = 301, 4
+    data = np.round(RNG.normal(size=(n, dim)), 1)
+    target = CoordinateTarget(kind, bits)
+    expected = np.empty_like(data)
+    for j in range(dim):
+        ranks = np.empty(n, dtype=np.int64)
+        ranks[np.argsort(data[:, j], kind="stable")] = np.arange(n)
+        if kind == "quantized_uniform":
+            expected[:, j] = (np.floor(2.0 ** bits * ranks / n) + 0.5) / 2.0 ** bits
+        else:
+            probs = (ranks + 0.5) / n
+            expected[:, j] = normal_inv_cdf(probs) if kind == "gaussian" else probs
+    assert np.array_equal(coordinate_targets(PointCloud(data), target).data, expected)
 
 
 def test_coordinate_targets_quantized():

@@ -178,13 +178,14 @@ def test_fig2_summary_is_the_battery(tmp_path):
 
 def test_only_the_battery_runs_carry_the_stall_rule(monkeypatch):
     spec = ExperimentSpec("fig2_battery", **TINY)
-    battery = cli._attraction_config(spec, 5, stop=False)
+    battery = cli._attraction_config(spec, 5)
     assert battery.stall == (calibration.ATTRACT_STALL_WINDOW,
                              calibration.ATTRACT_STALL_FRACTION)
     assert battery.stop_tolerance is None
-    tolerance = cli._attraction_config(spec, 5)
-    assert tolerance.stall is None
-    assert tolerance.stop_tolerance == calibration.ATTRACT_STOP_TOLERANCE
+    for experiment in ("fig1_grid", "attract_demo"):
+        tolerance = cli._attraction_config(ExperimentSpec(experiment, **TINY), 5)
+        assert tolerance.stall is None
+        assert tolerance.stop_tolerance == calibration.ATTRACT_STOP_TOLERANCE
     configs = []
 
     def recording_run(config, objective):

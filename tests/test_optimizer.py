@@ -161,9 +161,6 @@ def test_trace_csv_columns(tmp_path):
     trace_to_csv(rows, plain)
     header = plain.read_text().splitlines()[0]
     assert header == "step,objective,alpha,distance_term,radii_term"
-    timed = tmp_path / "timed.csv"
-    trace_to_csv(rows, timed, include_wall_ms=True)
-    assert timed.read_text().splitlines()[0].endswith(",wall_ms")
 
 
 class _NanGradientObjective:

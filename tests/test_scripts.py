@@ -3,24 +3,31 @@ from pathlib import Path
 
 import pytest
 
+from latentreg import calibration
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+# the calibration.py constants that scripts/calibrate_constants.py measures
+MEASURED = ("DBAR_MEDIAN", "ATTRACT_STOP_TOLERANCE", "RADII_KS_MEDIAN", "RADII_KS_Q95",
+            "DISTANCE_KS_MEDIAN", "DISTANCE_KS_Q95", "PROJECTION_KS_Q95",
+            "SCALAR_KS2_Q95", "ANGLE_KS2_Q95")
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("name", ["sweep_alpha0", "calibrate_constants"])
 def test_script_imports_resolve(name):
     # executing the module runs its imports from latentreg; main() is guarded
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.main)
+    assert callable(load_script(name).main)
 
 
 def test_calibration_check_flags_drift_beyond_tolerance(capsys):
-    spec = importlib.util.spec_from_file_location("calibrate_constants",
-                                                  SCRIPTS / "calibrate_constants.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    from latentreg import calibration
+    module = load_script("calibrate_constants")
 
     values = {"DIM": calibration.DIM, "DBAR_MEDIAN": calibration.DBAR_MEDIAN}
     assert module.check(values) == 0
@@ -29,3 +36,25 @@ def test_calibration_check_flags_drift_beyond_tolerance(capsys):
     values["DBAR_MEDIAN"] = calibration.DBAR_MEDIAN * (1.0 + 2.0 * module.CHECK_RTOL)
     assert module.check(values) == 1
     assert "DBAR_MEDIAN" in capsys.readouterr().out.splitlines()[-2]
+
+
+def test_calibration_rewrite_sets_only_the_measured_lines():
+    module = load_script("calibrate_constants")
+    module.TRIALS = 3  # the names, not the values, are checked here
+    assert sorted(module.constants()) == sorted(MEASURED)
+    rewrite = module.rewrite
+    text = Path(calibration.__file__).read_text()
+    committed = {name: getattr(calibration, name) for name in MEASURED}
+    assert rewrite(text, committed) == text
+    changed = rewrite(text, {**committed, "SCALAR_KS2_Q95": 0.5})
+    old_lines, new_lines = text.splitlines(keepends=True), changed.splitlines(keepends=True)
+    assert len(new_lines) == len(old_lines)
+    assert [(a, b) for a, b in zip(old_lines, new_lines) if a != b] == [
+        (f"SCALAR_KS2_Q95 = {calibration.SCALAR_KS2_Q95!r}\n", "SCALAR_KS2_Q95 = 0.5\n")]
+
+
+@pytest.mark.parametrize("text", ["N = 200\n", "N = 200\nDBAR_MEDIAN = 1.0\nDBAR_MEDIAN = 2.0\n",
+                                  "# DBAR_MEDIAN = 1.0\n", "XDBAR_MEDIAN = 1.0\n"])
+def test_calibration_rewrite_needs_exactly_one_line_per_name(text):
+    with pytest.raises(ValueError, match="DBAR_MEDIAN"):
+        load_script("calibrate_constants").rewrite(text, {"DBAR_MEDIAN": 0.5})

@@ -9,6 +9,7 @@ from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_u
 from latentreg.specfun import ChiSquare, chi2_cdf, chi2_inv_cdf, normal_cdf
 from latentreg.stat_tests import (
     BATTERY_TESTS,
+    battery_bands,
     battery_ks,
     battery_values,
     chi2_report,
@@ -199,3 +200,17 @@ def test_reports_are_deterministic():
     assert tuple(a) == BATTERY_TESTS
     assert a == b
 
+
+def test_battery_bands_only_at_the_calibrated_scale():
+    n, dim, dirs = calibration.N, calibration.DIM, calibration.NUM_DIRS
+    assert battery_bands(n, dim, dirs) == {
+        "projections": calibration.PROJECTION_KS_Q95,
+        "scalar_products": calibration.SCALAR_KS2_Q95,
+        "angles": calibration.ANGLE_KS2_Q95}
+    # the two-sample bands do not depend on the directions
+    assert battery_bands(n, dim, dirs + 1) == {
+        "projections": None,
+        "scalar_products": calibration.SCALAR_KS2_Q95,
+        "angles": calibration.ANGLE_KS2_Q95}
+    for off_scale in ((n + 1, dim, dirs), (n, dim - 1, dirs), (100, 20, 10), (16, 3, 10)):
+        assert battery_bands(*off_scale) == dict.fromkeys(BATTERY_TESTS)
