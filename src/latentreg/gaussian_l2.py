@@ -5,6 +5,13 @@ kernel-smoothened point clouds (general per-point covariances, the isotropic
 shortcut, and the distance to the N(0, I) prior), plus the mean-field rule
 for choosing a radius-dependent smoothing width.
 
+Both general distances are E(a, a) + E(b, b) - 2 E(a, b) over one energy
+E(a, b) = sum_ij w_i w'_j d(a_i - b_j, A_i, B_j): the closed form over all
+pairs when both samples have spherical widths, an exactly rounded sum of
+per-pair integrals otherwise. The prior is the one-point sample at the
+origin with unit width. The equal-width isotropic distance keeps its own
+kernel: it needs no logs of width sums, which would double its cost.
+
 Determinants and quadratic forms go through Cholesky factors and
 log-determinants; every product is assembled in log space and exponentiated
 last, since the (2pi)^D factors underflow quickly as D grows.
@@ -19,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sampling import PointCloud, _pair_indices, _sq_dists
+from .sampling import PointCloud, _sq_dists
 
 __all__ = [
     "GaussianComponent",
@@ -94,17 +101,6 @@ class GaussianComponent:
 def _logdet(chol: np.ndarray) -> float:
     """log det S from the Cholesky factor of S."""
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
-def _chol_logdet_quad(s: np.ndarray, mu: np.ndarray) -> tuple[float, float]:
-    """(log det S, mu^T S^-1 mu) via one Cholesky factorization."""
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        raise ValueError("matrix is not positive-definite") from None
-    logdet = _logdet(chol)
-    y = np.linalg.solve(chol, mu)
-    return logdet, float(y @ y)
 
 
 def gaussian_product_integral(mu: np.ndarray, sigma: np.ndarray,
@@ -205,48 +201,53 @@ class SmoothedSample:
 
 def _log_pair_integral(diff: np.ndarray, cov_a: np.ndarray,
                        cov_b: np.ndarray) -> float:
-    logdet, quad = _chol_logdet_quad(cov_a + cov_b, diff)
-    return -0.5 * (quad + diff.shape[0] * _LOG_2PI + logdet)
+    """log of the product integral of N(diff, cov_a) and N(0, cov_b), from one
+    Cholesky factor of cov_a + cov_b."""
+    try:
+        chol = np.linalg.cholesky(cov_a + cov_b)
+    except np.linalg.LinAlgError:
+        raise ValueError("matrix is not positive-definite") from None
+    y = np.linalg.solve(chol, diff)
+    return -0.5 * (float(y @ y) + diff.shape[0] * _LOG_2PI + _logdet(chol))
 
 
-_Mixture = tuple[np.ndarray, list[np.ndarray]]  # (centers, covariances)
+def _energy(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:
+    """sum_ij w_i w'_j exp(log d(a_i - b_j, A_i, B_j) + shift): the L2 inner
+    product of the two smoothened samples times exp(shift), the shift added
+    in log space, before exponentiating.
 
-
-def _mixture(sample: SmoothedSample) -> _Mixture:
-    return sample.points.data, [sample.covariance(i) for i in range(sample.points.n)]
-
-
-def _pair_sum(a: _Mixture, b: _Mixture, rows: np.ndarray, cols: np.ndarray,
-              coefs: np.ndarray, shift: float = 0.0) -> float:
-    """Exactly rounded sum over k of coefs[k] * exp(shift) * the product
-    integral of N(a_i, A_i) and N(b_j, B_j), (i, j) = (rows[k], cols[k]).
-    The shift is added in log space, before exponentiating."""
-    (a_pts, a_covs), (b_pts, b_covs) = a, b
+    Two spherical samples take the closed form over all pairs at once; any
+    other pair is an exactly rounded sum of per-pair integrals, where a
+    sample against itself takes the n diagonal terms and each i < j term
+    twice."""
+    if a.spherical and b.spherical:
+        log_d = _log_spherical(_sq_dists(a.points.data, b.points.data),
+                               np.add.outer(a.bandwidths ** 2, b.bandwidths ** 2), a.points.dim)
+        return float(a.weights @ np.exp(log_d + shift) @ b.weights)
+    if a is b:
+        rows, cols = np.triu_indices(a.points.n)
+        coefs = np.where(rows == cols, 1.0, 2.0) * a.weights[rows] * a.weights[cols]
+    else:
+        rows, cols = np.indices((a.points.n, b.points.n)).reshape(2, -1)
+        coefs = a.weights[rows] * b.weights[cols]
+    covs_a = [a.covariance(i) for i in range(a.points.n)]
+    covs_b = covs_a if a is b else [b.covariance(j) for j in range(b.points.n)]
+    pts_a, pts_b = a.points.data, b.points.data
     return math.fsum(
-        c * math.exp(_log_pair_integral(a_pts[i] - b_pts[j], a_covs[i], b_covs[j]) + shift)
+        c * math.exp(_log_pair_integral(pts_a[i] - pts_b[j], covs_a[i], covs_b[j]) + shift)
         for i, j, c in zip(rows.tolist(), cols.tolist(), coefs.tolist()))
 
 
-def _self_energy(mix: _Mixture, weights: np.ndarray, shift: float = 0.0) -> float:
-    """sum_{i,i'} w_i w_i' d(x_i - x_i', S_i, S_i'): the n diagonal terms
-    plus each i < j term counted twice."""
-    n = weights.shape[0]
-    iu, ju = _pair_indices(n)
-    diag = np.arange(n)
-    coefs = np.concatenate([weights * weights, 2.0 * weights[iu] * weights[ju]])
-    return _pair_sum(mix, mix, np.concatenate([diag, iu]), np.concatenate([diag, ju]),
-                     coefs, shift)
+def _distance(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:
+    """E(a, a) + E(b, b) - 2 E(a, b), each energy times exp(shift)."""
+    return _energy(a, a, shift) + _energy(b, b, shift) - 2.0 * _energy(a, b, shift)
 
 
 def l2_distance_samples(a: SmoothedSample, b: SmoothedSample) -> float:
     """Squared L2 distance between two Gaussian-mixture-smoothened samples."""
     if a.points.dim != b.points.dim:
         raise ValueError("samples must share one dimension")
-    mix_a, mix_b = _mixture(a), _mixture(b)
-    rows, cols = np.indices((a.points.n, b.points.n)).reshape(2, -1)
-    cross = _pair_sum(mix_a, mix_b, rows, cols, np.outer(a.weights, b.weights).ravel())
-    total = _self_energy(mix_a, a.weights) + _self_energy(mix_b, b.weights) - 2.0 * cross
-    return max(total, 0.0)
+    return max(_distance(a, b), 0.0)
 
 
 def _mean_exp_kernel(x: np.ndarray, y: np.ndarray, four_sigma2: float) -> float:
@@ -276,33 +277,17 @@ def l2_distance_to_standard_gaussian(x: PointCloud, bandwidths,
                                      scaled: bool = False) -> float:
     """Squared L2 distance between the smoothened cloud and N(0, I):
 
-        (1/n^2) sum_{i,i'} d(x_i - x_i', S_i, S_i') + (4 pi)^{-D/2)
+        (1/n^2) sum_{i,i'} d(x_i - x_i', S_i, S_i') + (4 pi)^{-D/2}
         - (2/n) sum_i d(x_i, S_i, I)
 
-    With scaled=True every term is multiplied by sqrt(4 pi)^D, which keeps the
+    N(0, I) enters as a one-point sample at the origin with unit width, so
+    the three terms are the energies of l2_distance_samples. With
+    scaled=True every term is multiplied by sqrt(4 pi)^D, which keeps the
     result O(1) in high dimension (sensible for spherical bandwidths).
     """
-    sample = SmoothedSample(x, bandwidths)
-    n, dim = x.n, x.dim
-    shift = 0.5 * dim * _LOG_4PI if scaled else 0.0
-
-    if sample.spherical:
-        sig2 = np.asarray(sample.bandwidths, dtype=np.float64) ** 2
-        pts = x.data
-        sq = _sq_dists(pts, pts)
-        log_self = _log_spherical(sq, sig2[:, None] + sig2[None, :], dim)
-        self_term = float(np.exp(log_self + shift).sum()) / (n * n)
-        log_cross = _log_spherical((pts * pts).sum(1), 1.0 + sig2, dim)
-        cross_term = float(np.exp(log_cross + shift).sum()) * 2.0 / n
-    else:
-        # unit weights: the 1/n factors are applied to the sums
-        mix, ones = _mixture(sample), np.ones(n)
-        prior = (np.zeros((1, dim)), [np.eye(dim)])
-        self_term = _self_energy(mix, ones, shift) / (n * n)
-        cross_term = 2.0 * _pair_sum(mix, prior, np.arange(n), np.zeros(n, dtype=np.int64),
-                                     ones, shift) / n
-    prior_term = math.exp(-0.5 * dim * _LOG_4PI + shift)
-    return self_term + prior_term - cross_term
+    prior = SmoothedSample(PointCloud(np.zeros((1, x.dim))), np.ones(1))
+    shift = 0.5 * x.dim * _LOG_4PI if scaled else 0.0
+    return _distance(SmoothedSample(x, bandwidths), prior, shift)
 
 
 def mean_field_objective(r: float, sigma: float, dim: int) -> float:

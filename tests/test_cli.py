@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentreg import calibration, cli
-from latentreg.baselines import CwaeParams, cwae, mardia_stats
+from latentreg.baselines import CwaeParams, KernelSpec, cwae, mardia_stats, wae_mmd
 from latentreg.cdf_attract import cloud_stats, midpoint_probs
 from latentreg.cli import (
     ExperimentSpec,
@@ -17,7 +17,7 @@ from latentreg.cli import (
 )
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
 from latentreg.specfun import normal_inv_cdf
-from latentreg.stat_tests import battery_ks, battery_values
+from latentreg.stat_tests import battery_ks, battery_values, distance_test, radii_test
 from latentreg import svgplot
 from latentreg.svgplot import Curve, render_panel
 
@@ -271,12 +271,55 @@ def test_eval_mardia_zero_cloud(tmp_path):
 
 def test_eval_malformed_csv_exit_code_and_message(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("1.0,2.0\noops,3.0\n")
-    code = main(["eval", "--cloud", str(bad), "--which", "mardia",
-                 "--out", str(tmp_path / "o")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert ":2:" in err
+    for text, message in (("1.0,2.0\noops,3.0\n", ":2:"), ("\n  \n", "no data rows")):
+        bad.write_text(text)
+        code = main(["eval", "--cloud", str(bad), "--which", "mardia",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+def _eval_rows(cloud, which, seed):
+    if which == "wae_mmd":
+        prior = sample_standard_normal(Rng(seed).derive(1), cloud.n, cloud.dim)
+        return [("wae_mmd", wae_mmd(cloud, prior, KernelSpec.imq(cloud.dim)))]
+    report = radii_test(cloud) if which == "radii" else distance_test(cloud)
+    return [("ks_linf", report.ks_linf), ("l1_area", report.l1_area),
+            ("sample_size", float(report.sample_size))]
+
+
+@pytest.mark.parametrize("which", ["wae_mmd", "radii", "distances"])
+def test_eval_writes_the_statistic(tmp_path, which):
+    cloud = sample_standard_normal(Rng(31), 12, 4)
+    path = tmp_path / "cloud.csv"
+    cloud.to_csv(path)
+    out = tmp_path / "o"
+    assert main(["eval", "--cloud", str(path), "--which", which, "--seed", "7",
+                 "--out", str(out)]) == 0
+    expected = "stat,value\n" + "".join(
+        "%s,%.17g\n" % row for row in _eval_rows(cloud, which, 7))
+    assert (out / f"eval_{which}.csv").read_text() == expected
+
+
+def test_attract_quantized_defaults_to_one_bit(tmp_path):
+    args = ["attract", "--target", "quantized", "--n", "16", "--dim", "2",
+            "--trials", "1", "--seed", "3", "--steps", "10"]
+    assert main(args + ["--out", str(tmp_path / "default")]) == 0
+    assert main(args + ["--bits", "1", "--out", str(tmp_path / "one")]) == 0
+    default, one = snapshot(tmp_path / "default"), snapshot(tmp_path / "one")
+    for files in (default, one):  # the resolved specs differ in out= only
+        lines = files["config_resolved.txt"].splitlines(keepends=True)
+        files["config_resolved.txt"] = b"".join(ln for ln in lines if not ln.startswith(b"out="))
+    assert b"\nbits=1\n" in default["config_resolved.txt"]
+    assert default == one
+
+
+def test_fig2_command_returns_0(tmp_path):
+    argv = ["fig2", "--out", str(tmp_path / "o")]
+    for key, value in TINY.items():
+        argv += [f"--{key}", str(value)]
+    assert main(argv) == 0
+    assert (tmp_path / "o" / "fig2_summary.csv").exists()
 
 
 def test_usage_error_exits_1():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from latentreg import gaussian_l2
 from latentreg.gaussian_l2 import (
     GaussianComponent,
     SmoothedSample,
@@ -239,8 +240,9 @@ def test_prior_distance_full_covariance_matches_quadrature_2d():
 
 def test_full_covariance_sums_match_spherical_paths():
     # the same mixtures, given as widths sigma_i and as matrices sigma_i^2 I:
-    # the prior distance has a closed form for widths and pair sums for
-    # matrices; l2_distance_samples builds sigma_i^2 I from the widths
+    # two spherical samples take the closed form over all pairs, any sample
+    # with matrices the per-pair sum, in both distances (the prior is a
+    # one-point sample with unit width)
     rng = np.random.default_rng(77)
     x = PointCloud(rng.normal(size=(9, 5)))
     y = PointCloud(rng.normal(size=(7, 5)))
@@ -251,11 +253,42 @@ def test_full_covariance_sums_match_spherical_paths():
         spherical = l2_distance_to_standard_gaussian(x, sx, scaled=scaled)
         full = l2_distance_to_standard_gaussian(x, full_x, scaled=scaled)
         assert full == pytest.approx(spherical, rel=1e-10)
-    weights = np.arange(1.0, 10.0) / 45.0
-    spherical = l2_distance_samples(SmoothedSample(x, sx, weights), SmoothedSample(y, sy))
-    full = l2_distance_samples(SmoothedSample(x, full_x, weights), SmoothedSample(y, full_y))
+    wx, wy = np.arange(1.0, 10.0) / 45.0, np.arange(7.0, 0.0, -1.0) / 28.0
+    spherical = l2_distance_samples(SmoothedSample(x, sx, wx), SmoothedSample(y, sy))
+    full = l2_distance_samples(SmoothedSample(x, full_x, wx), SmoothedSample(y, full_y))
     assert spherical > 0.0
     assert full == pytest.approx(spherical, rel=1e-10)
+    # widths on one side, matrices on the other
+    spherical = l2_distance_samples(SmoothedSample(x, sx, wx), SmoothedSample(y, sy, wy))
+    for a, b in ((SmoothedSample(x, sx, wx), SmoothedSample(y, full_y, wy)),
+                 (SmoothedSample(x, full_x, wx), SmoothedSample(y, sy, wy))):
+        assert l2_distance_samples(a, b) == pytest.approx(spherical, rel=1e-10)
+
+
+def test_pair_integral_counts(monkeypatch):
+    # a sample against itself takes each unordered pair once, so the
+    # self-energies cost n(n+1)/2 integrals each, not n^2
+    calls = []
+    real = gaussian_l2._log_pair_integral
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(gaussian_l2, "_log_pair_integral", counting)
+    rng = np.random.default_rng(5)
+    na, nb, dim = 6, 4, 3
+    x, y = PointCloud(rng.normal(size=(na, dim))), PointCloud(rng.normal(size=(nb, dim)))
+    cov_x, cov_y = [rand_spd(dim, rng) for _ in range(na)], [rand_spd(dim, rng) for _ in range(nb)]
+    l2_distance_samples(SmoothedSample(x, cov_x), SmoothedSample(y, cov_y))
+    assert len(calls) == na * (na + 1) // 2 + nb * (nb + 1) // 2 + na * nb
+    calls.clear()
+    l2_distance_to_standard_gaussian(x, cov_x, scaled=True)
+    assert len(calls) == na * (na + 1) // 2 + na
+    calls.clear()
+    l2_distance_samples(SmoothedSample(x, np.ones(na)), SmoothedSample(y, np.ones(nb)))
+    l2_distance_to_standard_gaussian(x, np.ones(na))
+    assert calls == []
 
 
 def test_smoothed_sample_weight_validation():

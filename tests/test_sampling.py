@@ -125,6 +125,15 @@ def test_point_cloud_csv_round_trip(tmp_path):
     assert np.array_equal(cloud.data, back.data)
 
 
+def test_point_cloud_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "cloud.csv"
+    path.write_text("\n1.0,2.0\n   \n3.0,4.0\n\n")
+    assert np.array_equal(PointCloud.from_csv(path).data, [[1.0, 2.0], [3.0, 4.0]])
+    path.write_text("\n \n")
+    with pytest.raises(ValueError, match="no data rows"):
+        PointCloud.from_csv(path)
+
+
 def test_point_cloud_csv_line_numbered_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n1.0\n")

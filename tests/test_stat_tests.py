@@ -126,6 +126,9 @@ def test_two_sample_ks_basic():
     a = np.array([1.0, 2.0, 3.0])
     assert ks_statistic_two_sample(a, a) == 0.0
     assert ks_statistic_two_sample(np.array([0.0, 1.0]), np.array([5.0, 6.0])) == 1.0
+    for empty in ((np.array([]), a), (a, np.array([]))):
+        with pytest.raises(ValueError, match="at least one value"):
+            ks_statistic_two_sample(*empty)
 
 
 def test_scalar_product_test_identity_and_scale():
@@ -181,6 +184,9 @@ def test_angle_test_all_zero_cloud_errors():
     ref = sample_standard_normal(Rng(9), 5, 3)
     with pytest.raises(ValueError), pytest.warns(UserWarning):
         battery(PointCloud(np.zeros((4, 3))), ref)
+    one_nonzero = np.vstack([np.zeros((3, 3)), [[1.0, 2.0, 3.0]]])
+    with pytest.raises(ValueError, match="at least 2 nonzero"), pytest.warns(UserWarning):
+        pairwise_angles(PointCloud(one_nonzero))
 
 
 def test_edf_invariant_under_monotone_reparameterization():
