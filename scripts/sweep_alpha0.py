@@ -16,10 +16,10 @@ fastest setting that stays monotone with a comfortable stability margin
 
 The stall sweep runs the test battery's attraction (400-step budget, no stop
 tolerance) with and without a stall rule (W, f): stop once the objective has
-fallen by less than f of its value W accepted steps earlier. It uses n=100,
-D=20 over seeds 100-119, disjoint from the tests' and the benchmark's, and
-n=200, D=20 over seeds BASE_SEED + t, t < 10, where the battery's 95% bands
-are calibrated. Per setting it reports the value evaluations and steps
+fallen by less than f of the magnitude of its value W accepted steps
+earlier. It uses n=100, D=20 over seeds 100-119, disjoint from the tests'
+and the benchmark's, and n=200, D=20 over seeds BASE_SEED + t, t < 10, where
+the battery's 95% bands are calibrated. Per setting it reports the value evaluations and steps
 summed over the seeds, the mean final objective, and at n=200 how many
 clouds pass all three battery bands (criterion 6's check).
 

@@ -144,10 +144,16 @@ def _terms(rank_res_r: np.ndarray, rank_res_d: np.ndarray,
     residuals sorted_values - table: the one definition of the mismatch."""
     _check_norm(norm)
     if norm == "l1":
-        return float(np.mean(np.abs(rank_res_r))), float(np.mean(np.abs(rank_res_d)))
+        return _mean(np.abs(rank_res_r)), _mean(np.abs(rank_res_d))
     # l2 uses half squared residuals so its gradient is the l1 gradient with
     # each sign replaced by the residual itself
-    return 0.5 * float(np.mean(rank_res_r ** 2)), 0.5 * float(np.mean(rank_res_d ** 2))
+    return 0.5 * _mean(rank_res_r ** 2), 0.5 * _mean(rank_res_d ** 2)
+
+
+def _mean(a: np.ndarray) -> float:
+    # np.mean's float64 arithmetic (one add.reduce, one division by the
+    # count), bit for bit, without its per-call Python overhead
+    return float(np.add.reduce(a)) / a.shape[0]
 
 
 def _check_size(stats: CloudStats, targets: TargetQuantiles) -> None:

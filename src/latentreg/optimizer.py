@@ -63,7 +63,8 @@ class RunConfig:
     schedule: str = "constant"  # or "proportional_to_objective"
     stop_tolerance: float | None = None
     # (window W, fraction f): stop once the objective has fallen by less than
-    # f of its value W accepted steps earlier
+    # f of the magnitude of its value W accepted steps earlier; the magnitude
+    # lets the rule act on a negative objective (CWAE) too
     stall: tuple[int, float] | None = None
 
     def __post_init__(self) -> None:
@@ -254,7 +255,7 @@ def _stalled(stall: tuple[int, float] | None, trace: list[TraceRow],
     if stall is None or len(trace) < stall[0]:
         return False
     earlier = trace[-stall[0]].objective
-    return earlier - value < stall[1] * earlier
+    return earlier - value < stall[1] * abs(earlier)
 
 
 def run(config: RunConfig, objective) -> tuple[PointCloud, list[TraceRow]]:
@@ -263,8 +264,9 @@ def run(config: RunConfig, objective) -> tuple[PointCloud, list[TraceRow]]:
     Each row records the pre-step objective and the alpha actually applied.
     A deterministic objective stops early at a step start, without writing a
     row, once its value falls below stop_tolerance or, with a stall rule
-    (W, f), once it has fallen by less than f of its value W accepted steps
-    earlier; either stop costs the one value evaluation of that step start.
+    (W, f), once it has fallen by less than f of the magnitude of its value
+    W accepted steps earlier; either stop costs the one value evaluation of
+    that step start.
     A run also ends at max_steps, or with an alpha-0 row when 20 halvings
     find no descent."""
     def checked_value(cloud: PointCloud, step: int) -> float:

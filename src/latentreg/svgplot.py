@@ -4,9 +4,14 @@ Hand-written polyline panels with a fixed viewBox so experiment figures are
 dependency-free and byte-stable (golden-file testable). Coordinates are
 formatted with fixed precision; no timestamps or random ids.
 
-A polyline's points are formatted one chunk of _CHUNK points per % call. The
-text is byte-identical to formatting each point "%.3f,%.3f" from the scalar
-pixel arithmetic and joining the points with single spaces.
+Curves are drawn at the plot's resolution. After clipping to the x range and
+mapping to pixels, a polyline keeps its first and last points and each point
+at which the path length, summed as |dx| + |dy| in pixels, enters a new
+_TOLERANCE_PX cell. A dropped point is then less than _TOLERANCE_PX from the
+last kept point, so the drawn polyline is within _TOLERANCE_PX (Hausdorff) of
+the full one. Each kept point has the text "%.3f,%.3f" of the scalar pixel
+arithmetic, and the points are joined with single spaces. The curve CSVs
+written next to a panel keep every point.
 """
 
 from __future__ import annotations
@@ -41,21 +46,31 @@ class Curve:
         self.width = width
 
 
-# polyline points formatted by one % call
-_CHUNK = 1024
+# a drawn polyline stays within this many pixels of the full curve
+_TOLERANCE_PX = 0.5
 
 
 def _fmt(v: float) -> str:
     return "%.3f" % v
 
 
+def _thinned(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Mask of the pixel points a polyline keeps: the first, the last, and
+    each one whose path length from the first, as |dx| + |dy|, enters a new
+    _TOLERANCE_PX cell. A dropped point lies within a path length, and so a
+    distance, of less than _TOLERANCE_PX from the last kept point."""
+    keep = np.ones(xs.shape[0], dtype=bool)
+    if xs.shape[0] > 2:
+        path = np.cumsum(np.abs(np.diff(xs)) + np.abs(np.diff(ys)))
+        keep[1:] = np.diff(np.floor(path / _TOLERANCE_PX), prepend=0.0) != 0.0
+        keep[-1] = True
+    return keep
+
+
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
-    """The points as "x,y x,y ..." in "%.3f", one % call per chunk of points."""
-    parts = []
-    for i in range(0, xs.shape[0], _CHUNK):
-        chunk = np.column_stack((xs[i:i + _CHUNK], ys[i:i + _CHUNK]))
-        parts.append(("%.3f,%.3f " * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
-    return "".join(parts)[:-1]
+    """The points as "x,y x,y ..." in "%.3f"."""
+    return ("%.3f,%.3f " * xs.shape[0])[:-1] % tuple(
+        np.column_stack((xs, ys)).ravel().tolist())
 
 
 def render_panel(path, curves: Sequence[Curve], title: str,
@@ -104,8 +119,10 @@ def render_panel(path, curves: Sequence[Curve], title: str,
     for curve in curves:
         # px and py run elementwise: the same float operations, in the same
         # order, as on one scalar, so each point keeps its bits and its text
-        keep = (curve.xs >= x0) & (curve.xs <= x1)
-        pts = _points(px(curve.xs[keep]), py(curve.ys[keep]))
+        inside = (curve.xs >= x0) & (curve.xs <= x1)
+        xs, ys = px(curve.xs[inside]), py(curve.ys[inside])
+        keep = _thinned(xs, ys)
+        pts = _points(xs[keep], ys[keep])
         if pts:
             parts.append(f'<polyline points="{pts}" fill="none" '
                          f'stroke="{curve.color}" stroke-width="{curve.width:g}"/>')

@@ -163,6 +163,21 @@ def test_value_terms_equal_the_ranked_pass_terms(seed, kind, norm):
         (float.fromhex(expected[0]) + float.fromhex(expected[1])).hex()
 
 
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("size", [1, 2, 4_950, 79_800])
+def test_terms_equal_the_np_mean_form(norm, size):
+    # _terms takes the mean as add.reduce over the count: np.mean's float64
+    # arithmetic, so the terms keep their bits
+    rng = np.random.default_rng(size)
+    res_r, res_d = rng.normal(size=size), rng.normal(scale=3.0, size=size)
+    if norm == "l1":
+        expected = float(np.mean(np.abs(res_r))), float(np.mean(np.abs(res_d)))
+    else:
+        expected = 0.5 * float(np.mean(res_r ** 2)), 0.5 * float(np.mean(res_d ** 2))
+    terms = cdf_attract._terms(res_r, res_d, norm)
+    assert [t.hex() for t in terms] == [t.hex() for t in expected]
+
+
 def test_objective_zero_on_perfect_cloud():
     cloud = PointCloud(RNG.normal(size=(7, 3)))
     targets = perfect_targets(cloud)

@@ -417,27 +417,43 @@ def test_svg_panel_matches_golden(tmp_path):
     assert path.read_bytes() == (GOLDEN / "panel.svg").read_bytes()
 
 
-def _per_point_polylines(curves, x_range, y_range):
-    """Polyline points formatted one scalar at a time, the reference for
-    render_panel's array arithmetic."""
+def _per_point_pixels(curves, x_range, y_range):
+    """(curve, pixel points) for each curve with a point inside x_range, the
+    points mapped one scalar at a time: the reference for render_panel's
+    array arithmetic."""
     (x0, x1), (y0, y1) = x_range, y_range
     plot_w = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
     plot_h = svgplot.HEIGHT - svgplot.MARGIN_T - svgplot.MARGIN_B
-    lines = []
+    drawn = []
     for curve in curves:
-        pts = " ".join("%.3f,%.3f" % (svgplot.MARGIN_L + (x - x0) / (x1 - x0) * plot_w,
-                                      svgplot.HEIGHT - svgplot.MARGIN_B
-                                      - (y - y0) / (y1 - y0) * plot_h)
-                       for x, y in zip(list(curve.xs), list(curve.ys)) if x0 <= x <= x1)
+        pts = [(svgplot.MARGIN_L + (x - x0) / (x1 - x0) * plot_w,
+                svgplot.HEIGHT - svgplot.MARGIN_B - (y - y0) / (y1 - y0) * plot_h)
+               for x, y in zip(list(curve.xs), list(curve.ys)) if x0 <= x <= x1]
         if pts:
-            lines.append(f'<polyline points="{pts}" fill="none" '
-                         f'stroke="{curve.color}" stroke-width="{curve.width:g}"/>')
-    return lines
+            drawn.append((curve, pts))
+    return drawn
 
 
-@pytest.mark.parametrize("size", [7, svgplot._CHUNK - 1, svgplot._CHUNK,
-                                  svgplot._CHUNK + 1, 20_000])
-def test_svg_polylines_match_per_point_formatting(tmp_path, size):
+def _parse_points(texts):
+    return np.array([[float(v) for v in t.split(",")] for t in texts])
+
+
+def _segment_distances(p, a, b):
+    """Distance of each point p[i] from the segment a[i]-b[i]."""
+    ab = b - a
+    length2 = np.einsum("ij,ij->i", ab, ab)
+    t = np.clip(np.einsum("ij,ij->i", p - a, ab) / np.where(length2 > 0, length2, 1.0),
+                0.0, 1.0)
+    return np.hypot(*(a + t[:, None] * ab - p).T)
+
+
+# the point text rounds each coordinate by at most 5e-4 px, which moves a
+# distance between parsed points by less than this
+_TEXT_SLACK_PX = 1.5e-3
+
+
+@pytest.mark.parametrize("size", [7, 1023, 1024, 1025, 20_000, 198_000])
+def test_svg_polylines_are_thinned_to_half_a_pixel(tmp_path, size):
     rng = np.random.default_rng(size)
     x_range, y_range = (-1.5, 2.5), (-0.25, 1.0)
     # the range ends themselves are drawn
@@ -446,14 +462,60 @@ def test_svg_polylines_match_per_point_formatting(tmp_path, size):
               Curve(xs[::-1].copy(), rng.uniform(-0.5, 1.5, size=size), "#000000",
                     width=2.0),
               Curve(xs + 100.0, midpoint_probs(size), "#ff7f0e"),  # wholly outside
-              # wholly inside: all size points are drawn
-              Curve(np.linspace(*x_range, size), midpoint_probs(size), "#2ca02c")]
+              Curve(np.linspace(*x_range, size), midpoint_probs(size), "#2ca02c"),
+              # consecutive points 565/399 px apart: every point is drawn
+              Curve(np.linspace(*x_range, 400), rng.uniform(0.0, 1.0, size=400),
+                    "#d62728")]
+    # some points of each of the first two curves fall outside x_range
+    assert all(np.any((c.xs < x_range[0]) | (c.xs > x_range[1])) for c in curves[:2])
     path = tmp_path / "panel.svg"
     render_panel(path, curves, "points", x_range, y_range)
     polylines = [line for line in path.read_text().splitlines()
                  if line.startswith("<polyline")]
-    assert polylines == _per_point_polylines(curves, x_range, y_range)
-    assert len(polylines) == 3
-    assert polylines[-1].count(",") == size
-    # some points of each drawn curve fall outside x_range
-    assert all(np.any((c.xs < x_range[0]) | (c.xs > x_range[1])) for c in curves[:2])
+    reference = _per_point_pixels(curves, x_range, y_range)
+    assert [curve.color for curve, _ in reference] == ["#1f77b4", "#000000", "#2ca02c",
+                                                       "#d62728"]
+    assert len(polylines) == len(reference)
+    for line, (curve, pts) in zip(polylines, reference):
+        full = ["%.3f,%.3f" % p for p in pts]
+        kept = line.split('points="', 1)[1].split('"', 1)[0].split(" ")
+        assert line == (f'<polyline points="{" ".join(kept)}" fill="none" '
+                        f'stroke="{curve.color}" stroke-width="{curve.width:g}"/>')
+        # the kept points are a subsequence of the full curve's, with its text
+        index, j = [], 0
+        for text in kept:
+            while j < len(full) and full[j] != text:
+                j += 1
+            assert j < len(full), text
+            index.append(j)
+            j += 1
+        # the first and last points are drawn
+        assert index[0] == 0 and index[-1] == len(full) - 1
+        # every point lies within half a pixel of the segment that starts at
+        # the last kept point at or before it
+        full_xy, kept_xy = _parse_points(full), _parse_points(kept)
+        last = np.searchsorted(index, np.arange(len(full)), side="right") - 1
+        nxt = np.minimum(last + 1, len(kept) - 1)
+        dist = _segment_distances(full_xy, kept_xy[last], kept_xy[nxt])
+        assert dist.max() <= svgplot._TOLERANCE_PX + _TEXT_SLACK_PX
+        # one point per half-pixel cell of the path, |dx| + |dy|, at most
+        path_px = sum(abs(b[0] - a[0]) + abs(b[1] - a[1]) for a, b in zip(pts, pts[1:]))
+        assert len(kept) <= path_px / svgplot._TOLERANCE_PX + 3
+        if curve.color == "#d62728":
+            assert kept == full
+
+
+def test_large_edf_panel_matches_golden(tmp_path):
+    # the shape of a fig2 scalar-product panel: twenty 4,950-point trial
+    # EDFs and a 99,000-point reference EDF
+    trials = [np.sort(Rng(t).normal(4_950)) for t in range(20)]
+    reference = np.sort(Rng(99).normal(99_000))
+    curves = [Curve(v, midpoint_probs(v.shape[0]), svgplot.PALETTE[t % 10])
+              for t, v in enumerate(trials)]
+    curves.append(Curve(reference, midpoint_probs(reference.shape[0]), "#000000",
+                        width=2.0))
+    path = tmp_path / "panel_large_edf.svg"
+    render_panel(path, curves, "large EDF panel", (-5.0, 5.0), (0.0, 1.0),
+                 x_ticks=(-2.0, 0.0, 2.0), y_ticks=(0.0, 0.5, 1.0))
+    assert path.read_bytes() == (GOLDEN / "panel_large_edf.svg").read_bytes()
+    assert path.stat().st_size <= 500_000

@@ -138,6 +138,25 @@ def test_stalled_run_makes_one_value_call_after_its_last_row():
     assert evals == cut_evals + 1
 
 
+def test_negative_objective_run_stalls():
+    # CWAE's objective is negative, so the fall is compared with the
+    # magnitude of the value W accepted steps earlier
+    def cwae_trace(stall):
+        config = RunConfig(n=50, dim=10, seed=1, max_steps=400, alpha0=20.0, stall=stall)
+        return run(config, CwaeObjective(CwaeParams.for_cloud(50, 10)))[1]
+
+    trace, full_trace = cwae_trace(_STALL), cwae_trace(None)
+    k = len(trace)
+    assert len(full_trace) == 400 and full_trace[-1].objective < 0.0
+    assert 0 < k < 400
+    assert _trace_bits(trace) == _trace_bits(full_trace[:k])
+    window, fraction = _STALL
+    objs = [row.objective for row in full_trace]
+    stalls = [s for s in range(window, len(objs))
+              if objs[s - window] - objs[s] < fraction * abs(objs[s - window])]
+    assert stalls[0] == k
+
+
 def test_stochastic_objective_ignores_the_stall_rule():
     config = RunConfig(n=10, dim=2, seed=3, max_steps=6, alpha0=2.0, stall=(1, 0.99))
     _, trace = run(config, WaeMmdObjective(KernelSpec.imq(2), Rng(3).derive(1)))
