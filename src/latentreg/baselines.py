@@ -3,7 +3,9 @@
 The WAE-MMD regularizer (inverse-multiquadric or exponential kernel, compared
 against a fresh prior sample), the analytic CWAE regularizer, their exact
 gradients, and the Mardia-style moment statistics used to sanity-check
-multivariate normality.
+multivariate normality. Each gradient reuses its value's pair matrices: the
+WAE-MMD weights come from the kernel matrices, the CWAE weights are the cubes
+of the inverse square roots that the value sums.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {_KINDS}")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
 
     @classmethod
     def imq(cls, dim: int) -> "KernelSpec":
@@ -56,14 +58,14 @@ class KernelSpec:
 
 def kernel_matrix(kernel: KernelSpec, a: PointCloud, b: PointCloud) -> np.ndarray:
     """Matrix of k(a_i, b_j)."""
-    if a.dim != b.dim:
-        raise ValueError("clouds must share one dimension")
+    if not a.dim == b.dim == kernel.dim:
+        raise ValueError(f"cloud dims {a.dim}, {b.dim} and kernel.dim {kernel.dim} differ")
     return _kernel(kernel, _sq_dists(a.data, b.data))
 
 
 def _kernel(kernel: KernelSpec, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # k as a function of the squared distance, written to out (allocated
-    # when None)
+    # when None; sq itself is allowed)
     if kernel.kind == "inverse_multiquadric":
         c = 2.0 * kernel.dim
         out = np.add(c, sq, out=out)
@@ -72,17 +74,23 @@ def _kernel(kernel: KernelSpec, sq: np.ndarray, out: np.ndarray | None = None) -
     return np.exp(out, out=out)
 
 
-def _mmd_sq_dists(z: PointCloud, z_tilde: PointCloud, zz: np.ndarray | None = None,
-                  zt: np.ndarray | None = None,
+def _mmd_sq_dists(z: PointCloud, z_tilde: PointCloud, kernel: KernelSpec,
+                  zz: np.ndarray | None = None, zt: np.ndarray | None = None,
                   gram: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    # (|z_i - z_j|^2, |z_i - zt_j|^2), written to zz and zt with gram as
-    # scratch: all the distance work of wae_mmd and its gradient, so one
-    # pass can serve both
+    # (|z_i - z_j|^2, |z_i - zt_j|^2), written to zz and zt with gram as scratch
     if z.n < 2:
         raise ValueError("need at least 2 points in z")
-    if z.dim != z_tilde.dim:
-        raise ValueError("clouds must share one dimension")
+    if not z.dim == z_tilde.dim == kernel.dim:
+        raise ValueError(f"cloud dims {z.dim}, {z_tilde.dim} and kernel.dim {kernel.dim} differ")
     return _sq_dists(z.data, z.data, zz, gram), _sq_dists(z.data, z_tilde.data, zt, gram)
+
+
+def _mmd_kernels(z: PointCloud, z_tilde: PointCloud, kernel: KernelSpec,
+                 zz: np.ndarray | None = None, zt: np.ndarray | None = None,
+                 gram: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    # (k(z_i, z_j), k(z_i, zt_j)), each written over its distance matrix
+    zz, zt = _mmd_sq_dists(z, z_tilde, kernel, zz, zt, gram)
+    return _kernel(kernel, zz, zz), _kernel(kernel, zt, zt)
 
 
 def wae_mmd(z: PointCloud, z_tilde: PointCloud, kernel: KernelSpec) -> float:
@@ -92,51 +100,43 @@ def wae_mmd(z: PointCloud, z_tilde: PointCloud, kernel: KernelSpec) -> float:
 
     with n points in z and m in z_tilde.
     """
-    return _wae_mmd(*_mmd_sq_dists(z, z_tilde), kernel)
+    return _wae_mmd(*_mmd_kernels(z, z_tilde, kernel))
 
 
-def _wae_mmd(zz: np.ndarray, zt: np.ndarray, kernel: KernelSpec,
-             scratch: np.ndarray | None = None) -> float:
-    # scratch holds each kernel matrix in turn
-    n, m = zt.shape
-    k_zz = _kernel(kernel, zz, scratch)
+def _wae_mmd(k_zz: np.ndarray, k_zt: np.ndarray) -> float:
+    n, m = k_zt.shape
     self_term = (float(k_zz.sum()) - float(np.trace(k_zz))) / (n * (n - 1))
-    k_zt = _kernel(kernel, zt, scratch)
     return self_term - 2.0 * float(k_zt.sum()) / (n * m)
 
 
-def _kernel_grad_weights(kernel: KernelSpec, sq: np.ndarray,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    # w(s) with d k / d z_i = w(|z_i - y|^2) * (z_i - y), written to out
-    # like _kernel
+def _weights_from_kernel(kernel: KernelSpec, k: np.ndarray,
+                         out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    # (v, a) with d k(z_i, y) / d z_i = a v (z_i - y), v written to out:
+    # dk/ds in s = |z_i - y|^2 is -k^2/(2D) (inverse multiquadric) or -k
+    # (exponential), so v is k^2 with a = -1/D, or -2k with a = 1
     if kernel.kind == "inverse_multiquadric":
-        c = 2.0 * kernel.dim
-        out = np.add(c, sq, out=out)
-        np.square(out, out=out)
-        return np.divide(-2.0 * c, out, out=out)
-    out = np.negative(sq, out=out)
-    np.exp(out, out=out)
-    return np.multiply(-2.0, out, out=out)
+        return np.square(k, out=out), -1.0 / kernel.dim
+    return np.multiply(-2.0, k, out=out), 1.0
 
 
 def wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud,
                      kernel: KernelSpec) -> np.ndarray:
     """Exact gradient of wae_mmd with respect to the rows of z."""
-    return _wae_mmd_gradient(z, z_tilde, *_mmd_sq_dists(z, z_tilde), kernel)
+    return _wae_mmd_gradient(z, z_tilde, *_mmd_kernels(z, z_tilde, kernel), kernel)
 
 
-def _wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud, zz: np.ndarray,
-                      zt: np.ndarray, kernel: KernelSpec,
+def _wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud, k_zz: np.ndarray,
+                      k_zt: np.ndarray, kernel: KernelSpec,
                       scratch: np.ndarray | None = None) -> np.ndarray:
     # scratch holds each weight matrix in turn
     n, m = z.n, z_tilde.n
-    w_self = _kernel_grad_weights(kernel, zz, scratch)
+    w_self, a = _weights_from_kernel(kernel, k_zz, scratch)
     np.fill_diagonal(w_self, 0.0)
     # sum_j w_ij (z_i - z_j) = rowsum(w)_i z_i - (w @ z)_i
     g_self = w_self.sum(1)[:, None] * z.data - w_self @ z.data
-    w_cross = _kernel_grad_weights(kernel, zt, scratch)
+    w_cross, _ = _weights_from_kernel(kernel, k_zt, scratch)
     g_cross = w_cross.sum(1)[:, None] * z.data - w_cross @ z_tilde.data
-    return (2.0 / (n * (n - 1))) * g_self - (2.0 / (n * m)) * g_cross
+    return (2.0 * a / (n * (n - 1))) * g_self - (2.0 * a / (n * m)) * g_cross
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,10 @@ class CwaeParams:
     gamma_n: float
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2 (the 2D-3 scale must be positive)")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
+            raise ValueError(f"dim must be an integer >= 2 (2D-3 > 0), got {self.dim!r}")
         expected = (4.0 / (3.0 * self.n)) ** 0.4
         if abs(self.gamma_n - expected) > 1e-12 * expected:
             raise ValueError(f"gamma_n={self.gamma_n} does not match (4/(3n))^0.4={expected}")
@@ -163,13 +163,21 @@ class CwaeParams:
 
 def _cwae_sq_dists(z: PointCloud, params: CwaeParams, out: np.ndarray | None = None,
                    gram: np.ndarray | None = None) -> np.ndarray:
-    # |z_i - z_j|^2, written to out with gram as scratch: all the distance
-    # work of cwae and its gradient
-    if z.dim < 2:
-        raise ValueError("dim must be >= 2")
-    if params.n != z.n:
-        raise ValueError(f"params.n={params.n} does not match cloud n={z.n}")
+    # |z_i - z_j|^2, written to out with gram as scratch
+    if (params.n, params.dim) != (z.n, z.dim):
+        raise ValueError(f"params for {(params.n, params.dim)} do not fit a {z.data.shape} cloud")
     return _sq_dists(z.data, z.data, out, gram)
+
+
+def _cwae_roots(z: PointCloud, params: CwaeParams, out: np.ndarray | None = None,
+                gram: np.ndarray | None = None) -> np.ndarray:
+    # (gamma_n + |z_i - z_j|^2/(2D-3))^{-1/2}, written to out with gram as
+    # scratch: the pair matrix that cwae sums and whose cubes weight its gradient
+    roots = _cwae_sq_dists(z, params, out, gram)
+    np.divide(roots, 2.0 * z.dim - 3.0, out=roots)
+    np.add(params.gamma_n, roots, out=roots)
+    np.sqrt(roots, out=roots)
+    return np.divide(1.0, roots, out=roots)
 
 
 def cwae(z: PointCloud, params: CwaeParams) -> float:
@@ -180,37 +188,30 @@ def cwae(z: PointCloud, params: CwaeParams) -> float:
 
     with g = gamma_n. The i = j diagonal is included, as printed.
     """
-    return _cwae(z, _cwae_sq_dists(z, params), params)
+    return _cwae(z, _cwae_roots(z, params), params)
 
 
-def _pair_powers(sq: np.ndarray, m: float, gamma_n: float, power: float,
-                 out: np.ndarray | None) -> np.ndarray:
-    # (gamma_n + sq / m) ** power, written to out (allocated when None)
-    out = np.divide(sq, m, out=out)
-    np.add(gamma_n, out, out=out)
-    return np.power(out, power, out=out)
-
-
-def _cwae(z: PointCloud, sq: np.ndarray, params: CwaeParams,
-          scratch: np.ndarray | None = None) -> float:
+def _cwae(z: PointCloud, roots: np.ndarray, params: CwaeParams) -> float:
     m = 2.0 * z.dim - 3.0
     r = (z.data * z.data).sum(1)
-    pair_term = float(np.sum(_pair_powers(sq, m, params.gamma_n, -0.5, scratch))) / (z.n * z.n)
+    pair_term = float(np.sum(roots)) / (z.n * z.n)
     point_term = float(np.sum((params.gamma_n + 0.5 + r / m) ** -0.5)) * 2.0 / z.n
     return pair_term - point_term
 
 
 def cwae_gradient(z: PointCloud, params: CwaeParams) -> np.ndarray:
     """Exact gradient of cwae with respect to the rows of z."""
-    return _cwae_gradient(z, _cwae_sq_dists(z, params), params)
+    return _cwae_gradient(z, _cwae_roots(z, params), params)
 
 
-def _cwae_gradient(z: PointCloud, sq: np.ndarray, params: CwaeParams,
+def _cwae_gradient(z: PointCloud, roots: np.ndarray, params: CwaeParams,
                    scratch: np.ndarray | None = None) -> np.ndarray:
+    # the weights (gamma_n + sq/m)^{-3/2}, cubed roots, go to scratch
     n = z.n
     m = 2.0 * z.dim - 3.0
     r = (z.data * z.data).sum(1)
-    w = _pair_powers(sq, m, params.gamma_n, -1.5, scratch)
+    w = np.multiply(roots, roots, out=scratch)
+    w *= roots
     np.fill_diagonal(w, 0.0)
     g_pair = -(2.0 / (m * n * n)) * (w.sum(1)[:, None] * z.data - w @ z.data)
     u = (params.gamma_n + 0.5 + r / m) ** -1.5

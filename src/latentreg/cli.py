@@ -59,9 +59,9 @@ from .stat_tests import (
 )
 from .svgplot import PALETTE, Curve, render_panel
 
-# locally calibrated run defaults for the optimized EDF-grid rows; the plain
-# descent traces are flat (relative objective change < 1e-4 over the trailing
-# 100 steps) well before these step counts
+# run defaults for the optimized EDF-grid rows; the baseline budgets are not
+# shown to reach a minimum (n=200, D=20, seed 1: CWAE ends 0.002 above where
+# alpha0 = 5000 gets in 500 steps; README, "Calibrated defaults")
 CWAE_ALPHA0 = 20.0
 WAE_ALPHA0 = 200.0
 BASELINE_STEPS = 1000

@@ -8,12 +8,12 @@ stop at a step start, without a row, at a stop tolerance or, with a stall
 rule, once the objective stops falling. The stochastic MMD objective (fresh
 prior sample per step) takes plain steps and ignores both stops.
 
-Each objective keeps the work derived from the last cloud it saw (distance
-matrices, the attraction's statistics), so the value and gradient of one
-cloud share a single pass. The baseline objectives write their (n, n)
-distance, Gram and kernel matrices into buffers they own, allocated at the
-first cloud and reused by every later one, so a steady-state step allocates
-no n x n array; the buffers belong to one objective and are never shared.
+Each objective keeps the work derived from the last cloud it saw (WAE-MMD's
+kernel matrices, CWAE's inverse square roots, the attraction's statistics),
+so the value and gradient of one cloud share a single pass. The baselines
+write their (n, n) pair, Gram and weight matrices into buffers they own,
+allocated at the first cloud and reused by every later one, so a steady-state
+step allocates no n x n array; the buffers belong to one objective only.
 The attraction's line-search candidates need only a value, so they are
 sorted but not ranked; residuals are ranked only for the clouds whose
 gradient is taken, each cloud from scratch.
@@ -128,10 +128,10 @@ def _square_buffers(held: tuple[np.ndarray, ...], count: int,
 class WaeMmdObjective:
     """MMD against a fresh prior sample drawn at the start of every step.
 
-    value and gradient share one pair of squared-distance matrices per
-    cloud; a new prior sample clears them. The objective owns four (n, n)
-    buffers: the two distance matrices, the Gram product and the kernel or
-    gradient weights. A new cloud overwrites the memo's matrices in place."""
+    value and gradient share one pair of kernel matrices per cloud; a new
+    prior sample clears them. The objective owns four (n, n) buffers: the
+    kernel matrices (each written over its distances), the Gram product and
+    the gradient weights. A new cloud overwrites the memo's matrices."""
 
     deterministic = False
 
@@ -145,19 +145,18 @@ class WaeMmdObjective:
     def _matrices(self, x: PointCloud) -> tuple[np.ndarray, np.ndarray]:
         self._buffers = _square_buffers(self._buffers, 4, x.n)
         zz, zt, gram, _ = self._buffers
-        return baselines._mmd_sq_dists(x, self._z_tilde, zz, zt, gram)
+        return baselines._mmd_kernels(x, self._z_tilde, self.kernel, zz, zt, gram)
 
     def begin_step(self, step: int, x: PointCloud) -> None:
         self._z_tilde = sample_standard_normal(self.prior_rng, x.n, x.dim)
         self._memo.clear()
 
     def value(self, x: PointCloud) -> float:
-        zz, zt = self._memo.get(x, self._matrices)
-        return baselines._wae_mmd(zz, zt, self.kernel, self._buffers[3])
+        return baselines._wae_mmd(*self._memo.get(x, self._matrices))
 
     def gradient(self, x: PointCloud) -> np.ndarray:
-        zz, zt = self._memo.get(x, self._matrices)
-        return baselines._wae_mmd_gradient(x, self._z_tilde, zz, zt, self.kernel,
+        k_zz, k_zt = self._memo.get(x, self._matrices)
+        return baselines._wae_mmd_gradient(x, self._z_tilde, k_zz, k_zt, self.kernel,
                                            self._buffers[3])
 
     def trace_extras(self) -> dict[str, float]:
@@ -165,11 +164,11 @@ class WaeMmdObjective:
 
 
 class CwaeObjective:
-    """The CWAE regularizer. One squared-distance matrix per cloud serves
-    its value, asked for twice when a candidate is accepted, and the
-    gradient. The objective owns three (n, n) buffers: the distance matrix,
-    the Gram product and the pair powers. A new cloud overwrites the memo's
-    distance matrix in place."""
+    """The CWAE regularizer. One matrix of inverse square roots per cloud
+    serves its value, asked for twice when a candidate is accepted, and the
+    gradient, whose weights are their cubes. The objective owns three (n, n)
+    buffers: the roots (written over the distances), the Gram product and the
+    weights. A new cloud overwrites the memo's roots in place."""
 
     deterministic = True
 
@@ -180,9 +179,9 @@ class CwaeObjective:
 
     def _evaluate(self, x: PointCloud) -> tuple[np.ndarray, float]:
         self._buffers = _square_buffers(self._buffers, 3, x.n)
-        sq, gram, scratch = self._buffers
-        sq = baselines._cwae_sq_dists(x, self.params, sq, gram)
-        return sq, baselines._cwae(x, sq, self.params, scratch)
+        roots, gram, _ = self._buffers
+        roots = baselines._cwae_roots(x, self.params, roots, gram)
+        return roots, baselines._cwae(x, roots, self.params)
 
     def begin_step(self, step: int, x: PointCloud) -> None:
         pass
@@ -191,8 +190,8 @@ class CwaeObjective:
         return self._memo.get(x, self._evaluate)[1]
 
     def gradient(self, x: PointCloud) -> np.ndarray:
-        sq = self._memo.get(x, self._evaluate)[0]
-        return baselines._cwae_gradient(x, sq, self.params, self._buffers[2])
+        roots = self._memo.get(x, self._evaluate)[0]
+        return baselines._cwae_gradient(x, roots, self.params, self._buffers[2])
 
     def trace_extras(self) -> dict[str, float]:
         return {}

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from latentreg.baselines import (
     CwaeParams,
     KernelSpec,
+    _cwae_gradient,
+    _cwae_roots,
+    _weights_from_kernel,
     cwae,
     cwae_gradient,
     kernel_matrix,
@@ -16,7 +19,7 @@ from latentreg.baselines import (
     wae_mmd_gradient,
 )
 from latentreg.gaussian_l2 import l2_distance_samples_isotropic
-from latentreg.sampling import PointCloud, Rng, sample_standard_normal
+from latentreg.sampling import PointCloud, Rng, _sq_dists, sample_standard_normal
 
 RNG = np.random.default_rng(99)
 
@@ -70,6 +73,72 @@ def test_kernel_spec_validation():
         KernelSpec("rbf", 3)
     with pytest.raises(ValueError):
         KernelSpec("exponential", 0)
+
+
+def test_sizes_must_be_integers():
+    with pytest.raises(ValueError):
+        KernelSpec("exponential", 2.5)
+    with pytest.raises(ValueError):
+        CwaeParams.for_cloud(5.0, 3)
+    with pytest.raises(ValueError):
+        CwaeParams(5, 3.0, (4 / 15) ** 0.4)
+    assert KernelSpec.imq(np.int64(3)).dim == 3
+    assert CwaeParams.for_cloud(np.int64(5), np.int64(3)).n == 5
+
+
+def test_a_kernel_for_another_dim_is_rejected():
+    # the IMQ constant is 2 * kernel.dim: a kernel for D=7 on 3-D clouds
+    # would silently use 14 in place of 6
+    z = PointCloud(RNG.normal(size=(5, 3)))
+    z_tilde = PointCloud(RNG.normal(size=(4, 3)))
+    for kernel in (KernelSpec.imq(7), KernelSpec.exponential(2)):
+        for call in (wae_mmd, wae_mmd_gradient):
+            with pytest.raises(ValueError, match="kernel.dim"):
+                call(z, z_tilde, kernel)
+        with pytest.raises(ValueError, match="kernel.dim"):
+            kernel_matrix(kernel, z, z_tilde)
+
+
+def test_cwae_params_for_another_dim_are_rejected():
+    z = PointCloud(RNG.normal(size=(5, 3)))
+    for params in (CwaeParams.for_cloud(5, 7), CwaeParams.for_cloud(4, 3)):
+        for call in (cwae, cwae_gradient):
+            with pytest.raises(ValueError, match="do not fit"):
+                call(z, params)
+
+
+@pytest.mark.parametrize("n,dim", [(200, 20), (7, 2)])
+def test_cwae_weights_are_the_cubed_roots(n, dim):
+    z = PointCloud(RNG.normal(size=(n, dim)))
+    params = CwaeParams.for_cloud(n, dim)
+    base = params.gamma_n + _sq_dists(z.data, z.data) / (2 * dim - 3)
+    roots = _cwae_roots(z, params)
+    np.testing.assert_allclose(roots, base ** -0.5, rtol=1e-14, atol=0.0)
+    weights = np.empty((n, n))
+    _cwae_gradient(z, roots, params, weights)  # leaves its weights in scratch
+    want = base ** -1.5
+    np.fill_diagonal(want, 0.0)
+    np.testing.assert_allclose(weights, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n,dim", [(200, 20), (7, 2)])
+def test_imq_weights_from_the_kernel_matrix(n, dim):
+    z = PointCloud(RNG.normal(size=(n, dim)))
+    y = PointCloud(RNG.normal(size=(n + 3, dim)))
+    kernel = KernelSpec.imq(dim)
+    v, a = _weights_from_kernel(kernel, kernel_matrix(kernel, z, y))
+    c = 2.0 * dim
+    want = -2.0 * c / (c + _sq_dists(z.data, y.data)) ** 2
+    np.testing.assert_allclose(a * v, want, rtol=1e-14, atol=0.0)
+
+
+def test_exponential_weights_keep_their_bits():
+    z = PointCloud(0.3 * RNG.normal(size=(40, 5)))
+    y = PointCloud(0.3 * RNG.normal(size=(30, 5)))
+    kernel = KernelSpec.exponential(5)
+    v, a = _weights_from_kernel(kernel, kernel_matrix(kernel, z, y))
+    assert a == 1.0
+    assert v.tobytes() == (-2.0 * np.exp(-_sq_dists(z.data, y.data))).tobytes()
 
 
 def test_wae_mmd_two_coincident_points():

@@ -290,6 +290,13 @@ def _counting_sq_dists(monkeypatch):
     return calls
 
 
+def _evaluated_candidates(trace, alpha0):
+    # each row evaluates its first candidate and one per halving; alpha 0
+    # marks a row that used up every halving
+    return sum(1 + (optimizer._MAX_HALVINGS if row.alpha == 0.0 else
+                    round(math.log2(alpha0 / row.alpha))) for row in trace)
+
+
 def test_cwae_run_builds_one_distance_matrix_per_evaluated_cloud(monkeypatch):
     calls = _counting_sq_dists(monkeypatch)
     objective = CwaeObjective(CwaeParams.for_cloud(40, 20))
@@ -298,14 +305,36 @@ def test_cwae_run_builds_one_distance_matrix_per_evaluated_cloud(monkeypatch):
     objective.value = lambda x: requests.append(x) or value(x)
     config = RunConfig(n=40, dim=20, seed=4, max_steps=60, alpha0=1e6)
     _, trace = run(config, objective)
-    # each row evaluates its first candidate and one per halving; alpha 0
-    # marks a row that used up every halving
-    candidates = sum(1 + (optimizer._MAX_HALVINGS if row.alpha == 0.0 else
-                          round(math.log2(config.alpha0 / row.alpha))) for row in trace)
+    candidates = _evaluated_candidates(trace, config.alpha0)
     assert candidates > 2 * len(trace)  # the line search halves
     assert len(calls) == 1 + candidates
     # the step-start request for the accepted candidate is served from the memo
     assert len(requests) == len(trace) + candidates
+
+
+def test_cwae_run_takes_one_root_pass_per_evaluated_cloud(monkeypatch):
+    roots = []
+    cwae_roots = baselines._cwae_roots
+    monkeypatch.setattr(baselines, "_cwae_roots",
+                        lambda *args: roots.append(1) or cwae_roots(*args))
+    objective = CwaeObjective(CwaeParams.for_cloud(40, 20))
+    in_gradient = []
+    gradient = objective.gradient
+
+    def counted_gradient(x):
+        before = len(roots)
+        result = gradient(x)
+        in_gradient.append(len(roots) - before)
+        return result
+
+    objective.gradient = counted_gradient
+    config = RunConfig(n=40, dim=20, seed=4, max_steps=60, alpha0=1e6)
+    _, trace = run(config, objective)
+    candidates = _evaluated_candidates(trace, config.alpha0)
+    assert candidates > 2 * len(trace)
+    assert len(roots) == 1 + candidates
+    # every gradient reuses its cloud's roots
+    assert len(in_gradient) == len(trace) and not any(in_gradient)
 
 
 def test_wae_mmd_run_builds_two_distance_matrices_per_step(monkeypatch):
