@@ -10,7 +10,15 @@ E(a, b) = sum_ij w_i w'_j d(a_i - b_j, A_i, B_j): the closed form over all
 pairs when both samples have spherical widths, an exactly rounded sum of
 per-pair integrals otherwise. The prior is the one-point sample at the
 origin with unit width. The equal-width isotropic distance keeps its own
-kernel: it needs no logs of width sums, which would double its cost.
+kernel, exp(-|x - y|^2 / 4 sigma^2), which needs no logs of width sums.
+
+Every energy is evaluated in pieces of about _BLOCK_ELEMENTS floats (2 MB),
+whatever the sample sizes and the dimension. The spherical and isotropic
+kernels run over row blocks of the first cloud against the whole second
+cloud, in two buffers allocated once per energy; each block is reduced to
+one float and the block sums are added exactly. The full-covariance pairs
+run in chunks: the covariances are stacked once per sample, and each chunk
+of pairs takes one batched Cholesky factorization.
 
 Determinants and quadratic forms go through Cholesky factors and
 log-determinants; every product is assembled in log space and exponentiated
@@ -44,6 +52,10 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_4PI = math.log(4.0 * math.pi)
 _LOG_2 = math.log(2.0)
+# floats per row block of a kernel matrix and per chunk of stacked pair
+# covariances (2 MB): a block has max(1, _BLOCK_ELEMENTS // m) rows against
+# m points, a chunk max(1, _BLOCK_ELEMENTS // D^2) pairs
+_BLOCK_ELEMENTS = 2 ** 18
 
 
 def _check_covariance(m: np.ndarray,
@@ -98,9 +110,9 @@ class GaussianComponent:
         return math.exp(self.log_density(x))
 
 
-def _logdet(chol: np.ndarray) -> float:
-    """log det S from the Cholesky factor of S."""
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+def _logdet(chol: np.ndarray):
+    """log det S from the Cholesky factor of S, or the logs of a stack's."""
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(-1)
 
 
 def gaussian_product_integral(mu: np.ndarray, sigma: np.ndarray,
@@ -116,13 +128,20 @@ def gaussian_product_integral(mu: np.ndarray, sigma: np.ndarray,
     gamma, _ = _check_covariance(gamma, "gamma")
     if sigma.shape[0] != gamma.shape[0] or sigma.shape[0] != mu.shape[0]:
         raise ValueError("mu, sigma, gamma dimensions differ")
-    return math.exp(_log_pair_integral(mu, sigma, gamma))
+    return math.exp(_log_pair_integral(mu[None], sigma[None], gamma[None])[0])
 
 
-def _log_spherical(sq_dist, total, dim: int):
+def _log_spherical(sq_dist: np.ndarray, total: np.ndarray, dim: int) -> np.ndarray:
     """log of the product integral of two spherical Gaussians whose variances
-    sum to total, at squared center separation sq_dist (scalars or arrays)."""
-    return -0.5 * (sq_dist / total + dim * (_LOG_2PI + np.log(total)))
+    sum to total, at squared center separation sq_dist: float arrays of one
+    shape, both overwritten. The result is left in sq_dist."""
+    sq_dist /= total
+    np.log(total, out=total)
+    total += _LOG_2PI
+    total *= dim
+    sq_dist += total
+    sq_dist *= -0.5
+    return sq_dist
 
 
 def spherical_product_integral(l: float, sigma2: float, gamma2: float,
@@ -135,7 +154,7 @@ def spherical_product_integral(l: float, sigma2: float, gamma2: float,
         raise ValueError("separation must be nonnegative")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return math.exp(_log_spherical(l * l, sigma2 + gamma2, dim))
+    return math.exp(_log_spherical(np.array([l * l]), np.array([sigma2 + gamma2]), dim)[0])
 
 
 def gaussian_power_identity(mu: np.ndarray, sigma: np.ndarray,
@@ -158,7 +177,7 @@ class SmoothedSample:
 
     bandwidths is either a length-n array of scalars sigma_i (spherical
     covariance sigma_i^2 I) or a length-n sequence of full DxD covariance
-    matrices. weights defaults to uniform 1/n.
+    matrices, kept as one (n, D, D) stack. weights defaults to uniform 1/n.
     """
 
     points: PointCloud
@@ -167,10 +186,8 @@ class SmoothedSample:
     spherical: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.points.n
-        # decided once: the check builds an object array of all bandwidths
-        self.spherical = np.ndim(self.bandwidths) == 1 and np.ndim(
-            np.asarray(self.bandwidths, dtype=object)[0]) == 0
+        n, dim = self.points.n, self.points.dim
+        self.spherical = len(self.bandwidths) > 0 and np.ndim(self.bandwidths[0]) == 0
         if self.weights is None:
             self.weights = np.full(n, 1.0 / n)
         else:
@@ -191,24 +208,51 @@ class SmoothedSample:
         else:
             if len(self.bandwidths) != n:
                 raise ValueError("bandwidth count must equal point count")
-            self.bandwidths = [_check_covariance(b)[0] for b in self.bandwidths]
+            for i, b in enumerate(self.bandwidths):
+                if np.shape(b) != (dim, dim):
+                    raise ValueError(f"covariance {i} has shape {np.shape(b)}, but the "
+                                     f"cloud's points need shape {(dim, dim)}")
+            self.bandwidths = np.stack([_check_covariance(b)[0] for b in self.bandwidths])
 
-    def covariance(self, i: int) -> np.ndarray:
+    def covariances(self) -> np.ndarray:
+        """The (n, D, D) stack of the point covariances."""
         if self.spherical:
-            return float(self.bandwidths[i]) ** 2 * np.eye(self.points.dim)
-        return self.bandwidths[i]
+            return self.bandwidths[:, None, None] ** 2 * np.eye(self.points.dim)
+        return self.bandwidths
 
 
 def _log_pair_integral(diff: np.ndarray, cov_a: np.ndarray,
-                       cov_b: np.ndarray) -> float:
-    """log of the product integral of N(diff, cov_a) and N(0, cov_b), from one
-    Cholesky factor of cov_a + cov_b."""
+                       cov_b: np.ndarray) -> np.ndarray:
+    """logs of the product integrals of N(diff_k, cov_a_k) and N(0, cov_b_k)
+    over a stack of k pairs, (k, D) differences and (k, D, D) covariances,
+    from one batched Cholesky factorization of cov_a + cov_b."""
     try:
         chol = np.linalg.cholesky(cov_a + cov_b)
     except np.linalg.LinAlgError:
         raise ValueError("matrix is not positive-definite") from None
-    y = np.linalg.solve(chol, diff)
-    return -0.5 * (float(y @ y) + diff.shape[0] * _LOG_2PI + _logdet(chol))
+    # chol y = diff by forward substitution, one coordinate at a time over
+    # the whole stack: np.linalg.solve would LU-factor each triangle again
+    y = np.empty_like(diff)
+    for c in range(diff.shape[1]):
+        y[:, c] = (diff[:, c] - np.einsum("kj,kj->k", chol[:, c, :c], y[:, :c])) / chol[:, c, c]
+    return -0.5 * ((y * y).sum(-1) + diff.shape[-1] * _LOG_2PI + _logdet(chol))
+
+
+def _block_sum(x: np.ndarray, y: np.ndarray, kernel) -> float:
+    """Exactly rounded sum of kernel(rows, sq, spare) over the row blocks of
+    x: sq is the block of _sq_dists(x, y) for the slice rows of x, and spare
+    a free buffer of sq's shape. kernel may overwrite both and returns the
+    block's float. The two buffers are allocated once, for the first block."""
+    block = max(1, _BLOCK_ELEMENTS // len(y))
+    out = np.empty((min(block, len(x)), len(y)))
+    gram = np.empty_like(out)
+    parts = []
+    for start in range(0, len(x), block):
+        rows = slice(start, min(start + block, len(x)))
+        k = rows.stop - start
+        sq = _sq_dists(x[rows], y, out=out[:k], gram=gram[:k])
+        parts.append(kernel(rows, sq, gram[:k]))
+    return math.fsum(parts)
 
 
 def _energy(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:
@@ -216,26 +260,37 @@ def _energy(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:
     product of the two smoothened samples times exp(shift), the shift added
     in log space, before exponentiating.
 
-    Two spherical samples take the closed form over all pairs at once; any
-    other pair is an exactly rounded sum of per-pair integrals, where a
-    sample against itself takes the n diagonal terms and each i < j term
-    twice."""
+    Two spherical samples take the closed form over row blocks; any other
+    pair is an exactly rounded sum of per-pair integrals, taken in chunks,
+    where a sample against itself takes the n diagonal terms and each i < j
+    term twice."""
+    dim = a.points.dim
     if a.spherical and b.spherical:
-        log_d = _log_spherical(_sq_dists(a.points.data, b.points.data),
-                               np.add.outer(a.bandwidths ** 2, b.bandwidths ** 2), a.points.dim)
-        return float(a.weights @ np.exp(log_d + shift) @ b.weights)
+        var_a, var_b = a.bandwidths ** 2, b.bandwidths ** 2
+
+        def kernel(rows, sq, total):
+            np.add.outer(var_a[rows], var_b, out=total)
+            log_d = _log_spherical(sq, total, dim)
+            log_d += shift
+            return float(a.weights[rows] @ np.exp(log_d, out=log_d) @ b.weights)
+
+        return _block_sum(a.points.data, b.points.data, kernel)
     if a is b:
         rows, cols = np.triu_indices(a.points.n)
         coefs = np.where(rows == cols, 1.0, 2.0) * a.weights[rows] * a.weights[cols]
     else:
         rows, cols = np.indices((a.points.n, b.points.n)).reshape(2, -1)
         coefs = a.weights[rows] * b.weights[cols]
-    covs_a = [a.covariance(i) for i in range(a.points.n)]
-    covs_b = covs_a if a is b else [b.covariance(j) for j in range(b.points.n)]
+    covs_a = a.covariances()
+    covs_b = covs_a if a is b else b.covariances()
     pts_a, pts_b = a.points.data, b.points.data
-    return math.fsum(
-        c * math.exp(_log_pair_integral(pts_a[i] - pts_b[j], covs_a[i], covs_b[j]) + shift)
-        for i, j, c in zip(rows.tolist(), cols.tolist(), coefs.tolist()))
+    chunk = max(1, _BLOCK_ELEMENTS // (dim * dim))
+    terms = []
+    for start in range(0, len(rows), chunk):
+        i, j = rows[start:start + chunk], cols[start:start + chunk]
+        logs = _log_pair_integral(pts_a[i] - pts_b[j], covs_a[i], covs_b[j])
+        terms.extend((coefs[start:start + chunk] * np.exp(logs + shift)).tolist())
+    return math.fsum(terms)
 
 
 def _distance(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:
@@ -251,7 +306,11 @@ def l2_distance_samples(a: SmoothedSample, b: SmoothedSample) -> float:
 
 
 def _mean_exp_kernel(x: np.ndarray, y: np.ndarray, four_sigma2: float) -> float:
-    return float(np.mean(np.exp(-_sq_dists(x, y) / four_sigma2)))
+    def kernel(rows, sq, spare):
+        sq /= -four_sigma2
+        return float(np.exp(sq, out=sq).sum())
+
+    return _block_sum(x, y, kernel) / (len(x) * len(y))
 
 
 def l2_distance_samples_isotropic(x: PointCloud, y: PointCloud,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from latentreg.gaussian_l2 import (
     mean_field_sigma,
     spherical_product_integral,
 )
-from latentreg.sampling import PointCloud
+from latentreg.sampling import PointCloud, _sq_dists
 
 RNG = np.random.default_rng(1234)
 
@@ -267,13 +268,14 @@ def test_full_covariance_sums_match_spherical_paths():
 
 def test_pair_integral_counts(monkeypatch):
     # a sample against itself takes each unordered pair once, so the
-    # self-energies cost n(n+1)/2 integrals each, not n^2
-    calls = []
+    # self-energies cost n(n+1)/2 integrals each, not n^2; a call takes a
+    # stack of pairs, so the integrals are the rows the calls receive
+    rows = []
     real = gaussian_l2._log_pair_integral
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(diff, *args):
+        rows.append(diff.shape[0])
+        return real(diff, *args)
 
     monkeypatch.setattr(gaussian_l2, "_log_pair_integral", counting)
     rng = np.random.default_rng(5)
@@ -281,14 +283,98 @@ def test_pair_integral_counts(monkeypatch):
     x, y = PointCloud(rng.normal(size=(na, dim))), PointCloud(rng.normal(size=(nb, dim)))
     cov_x, cov_y = [rand_spd(dim, rng) for _ in range(na)], [rand_spd(dim, rng) for _ in range(nb)]
     l2_distance_samples(SmoothedSample(x, cov_x), SmoothedSample(y, cov_y))
-    assert len(calls) == na * (na + 1) // 2 + nb * (nb + 1) // 2 + na * nb
-    calls.clear()
+    assert sum(rows) == na * (na + 1) // 2 + nb * (nb + 1) // 2 + na * nb
+    rows.clear()
     l2_distance_to_standard_gaussian(x, cov_x, scaled=True)
-    assert len(calls) == na * (na + 1) // 2 + na
-    calls.clear()
+    assert sum(rows) == na * (na + 1) // 2 + na
+    rows.clear()
     l2_distance_samples(SmoothedSample(x, np.ones(na)), SmoothedSample(y, np.ones(nb)))
     l2_distance_to_standard_gaussian(x, np.ones(na))
-    assert calls == []
+    assert rows == []
+
+
+def _dense_spherical_energy(a, b, shift):
+    # the whole (n, m) kernel matrix at once
+    total = np.add.outer(a.bandwidths ** 2, b.bandwidths ** 2)
+    sq = _sq_dists(a.points.data, b.points.data)
+    log_d = -0.5 * (sq / total + a.points.dim * (math.log(2 * math.pi) + np.log(total)))
+    return float(a.weights @ np.exp(log_d + shift) @ b.weights)
+
+
+BLOCK_ROWS, M = 8, 5
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               2 * BLOCK_ROWS + 3])
+def test_blocked_kernels_match_a_dense_reference(monkeypatch, n):
+    # BLOCK_ROWS rows per block against M points; the self-energies split
+    # into blocks of _BLOCK_ELEMENTS // n rows
+    monkeypatch.setattr(gaussian_l2, "_BLOCK_ELEMENTS", BLOCK_ROWS * M)
+    rng = np.random.default_rng(n)
+    dim = 4
+    x, y = PointCloud(rng.normal(size=(n, dim))), PointCloud(rng.normal(size=(M, dim)) + 0.5)
+    wx, wy = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, M)
+    a = SmoothedSample(x, rng.uniform(0.5, 1.5, n), wx / wx.sum())
+    b = SmoothedSample(y, rng.uniform(0.5, 1.5, M), wy / wy.sum())
+    for shift in (0.0, 0.5 * dim * math.log(4 * math.pi)):
+        for u, v in ((a, a), (b, b), (a, b), (b, a)):
+            assert gaussian_l2._energy(u, v, shift) == pytest.approx(
+                _dense_spherical_energy(u, v, shift), rel=1e-13, abs=0.0)
+    for u, v in ((x, x), (y, y), (x, y), (y, x)):
+        dense = float(np.mean(np.exp(-_sq_dists(u.data, v.data) / 2.56)))
+        assert gaussian_l2._mean_exp_kernel(u.data, v.data, 2.56) == pytest.approx(
+            dense, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("elements", [1, 20, 2 ** 18])
+def test_chunked_pair_sums_match_the_per_pair_sum(monkeypatch, elements):
+    # 1, 2 and all pairs per chunk at D = 3 against one integral per pair
+    monkeypatch.setattr(gaussian_l2, "_BLOCK_ELEMENTS", elements)
+    rng = np.random.default_rng(8)
+    na, nb, dim = 7, 5, 3
+    x, y = PointCloud(rng.normal(size=(na, dim))), PointCloud(rng.normal(size=(nb, dim)))
+    cov_x, cov_y = [rand_spd(dim, rng) for _ in range(na)], [rand_spd(dim, rng) for _ in range(nb)]
+    wx = rng.uniform(0.5, 1.5, na)
+    a, b = SmoothedSample(x, cov_x, wx / wx.sum()), SmoothedSample(y, cov_y)
+    for u, v in ((a, a), (a, b), (b, a)):
+        per_pair = math.fsum(
+            wi * wj * gaussian_product_integral(pi - pj, ci, cj)
+            for pi, ci, wi in zip(u.points.data, u.covariances(), u.weights)
+            for pj, cj, wj in zip(v.points.data, v.covariances(), v.weights))
+        assert gaussian_l2._energy(u, v) == pytest.approx(per_pair, rel=1e-13, abs=0.0)
+
+
+def test_pair_stack_with_one_indefinite_sum_is_rejected():
+    covs_a = np.stack([np.eye(3)] * 4)
+    covs_b = covs_a.copy()
+    covs_b[2] = -1.5 * np.eye(3)
+    with pytest.raises(ValueError, match="matrix is not positive-definite"):
+        gaussian_l2._log_pair_integral(np.zeros((4, 3)), covs_a, covs_b)
+
+
+def test_blocked_energies_stay_small_at_n2000():
+    # one 2000 x 2000 float matrix is 32 MB; the blocks stay under half of it
+    rng = np.random.default_rng(9)
+    x = PointCloud(rng.standard_normal((2000, 20)))
+    y = PointCloud(rng.standard_normal((2000, 20)))
+    widths = rng.uniform(0.5, 1.5, 2000)
+    for call in (lambda: l2_distance_to_standard_gaussian(x, widths, scaled=True),
+                 lambda: l2_distance_samples_isotropic(x, y, 1.0)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+
+
+def test_covariances_must_fit_the_cloud():
+    cloud = PointCloud(np.zeros((4, 5)))
+    with pytest.raises(ValueError, match=r"covariance 0 has shape \(3, 3\).*\(5, 5\)"):
+        SmoothedSample(cloud, [np.eye(3)] * 4)
+    with pytest.raises(ValueError, match=r"covariance 3 has shape \(4, 4\).*\(5, 5\)"):
+        SmoothedSample(cloud, [np.eye(5)] * 3 + [np.eye(4)])
 
 
 def test_smoothed_sample_weight_validation():
