@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration
-from .baselines import CwaeParams, KernelSpec, cwae, mardia_stats, wae_mmd
+from .baselines import KernelSpec, cwae, mardia_stats, wae_mmd
 from .cdf_attract import (
     GRADIENT_MODES,
     NORMS,
@@ -172,15 +172,14 @@ def run_attraction_trial(spec: ExperimentSpec, trial_seed: int):
 
 
 def _run_baseline_trial(spec: ExperimentSpec, trial_seed: int, kind: str) -> PointCloud:
-    steps = spec.steps or BASELINE_STEPS
     if kind == "cwae":
-        config = RunConfig(n=spec.n, dim=spec.dim, seed=trial_seed, max_steps=steps,
-                           alpha0=spec.alpha0 or CWAE_ALPHA0, schedule="constant")
-        objective = CwaeObjective(CwaeParams.for_cloud(spec.n, spec.dim))
+        alpha0, objective = CWAE_ALPHA0, CwaeObjective()
     else:
-        config = RunConfig(n=spec.n, dim=spec.dim, seed=trial_seed, max_steps=steps,
-                           alpha0=spec.alpha0 or WAE_ALPHA0, schedule="constant")
-        objective = WaeMmdObjective(KernelSpec.imq(spec.dim), Rng(trial_seed).derive(1))
+        alpha0 = WAE_ALPHA0
+        objective = WaeMmdObjective(KernelSpec.imq(), Rng(trial_seed).derive(1))
+    config = RunConfig(n=spec.n, dim=spec.dim, seed=trial_seed,
+                       max_steps=spec.steps or BASELINE_STEPS,
+                       alpha0=spec.alpha0 or alpha0, schedule="constant")
     cloud, _ = run(config, objective)
     return cloud
 
@@ -292,7 +291,7 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
                                  _curve_tails(chi2_quantile_table(m, spec.dim),
                                               midpoint_probs(m)))
                 values[stat] = v
-                reports[stat] = chi2_report(v, spec.dim, stat)
+                reports[stat] = chi2_report(v, spec.dim)
             direction = "narrow" if float(stats.radii.mean()) < spec.dim else "wide"
             result[row] = (values, reports, direction)
         return result
@@ -405,9 +404,9 @@ def cmd_eval(cloud_csv: str, which: str, seed: int, out: str) -> int:
                 ("second_moment", second)]
     elif which == "wae_mmd":
         z_tilde = sample_standard_normal(Rng(seed).derive(1), cloud.n, cloud.dim)
-        rows = [("wae_mmd", wae_mmd(cloud, z_tilde, KernelSpec.imq(cloud.dim)))]
+        rows = [("wae_mmd", wae_mmd(cloud, z_tilde, KernelSpec.imq()))]
     elif which == "cwae":
-        rows = [("cwae", cwae(cloud, CwaeParams.for_cloud(cloud.n, cloud.dim)))]
+        rows = [("cwae", cwae(cloud))]
     else:
         report = radii_test(cloud) if which == "radii" else distance_test(cloud)
         rows = [("ks_linf", report.ks_linf), ("l1_area", report.l1_area),

@@ -164,24 +164,24 @@ class WaeMmdObjective:
 
 
 class CwaeObjective:
-    """The CWAE regularizer. One matrix of inverse square roots per cloud
-    serves its value, asked for twice when a candidate is accepted, and the
-    gradient, whose weights are their cubes. The objective owns three (n, n)
-    buffers: the roots (written over the distances), the Gram product and the
-    weights. A new cloud overwrites the memo's roots in place."""
+    """The CWAE regularizer, its constants taken from each cloud it is given.
+    One matrix of inverse square roots per cloud serves its value, asked for
+    twice when a candidate is accepted, and the gradient, whose weights are
+    their cubes. The objective owns three (n, n) buffers: the roots (written
+    over the distances), the Gram product and the weights. A new cloud
+    overwrites the memo's roots in place."""
 
     deterministic = True
 
-    def __init__(self, params: baselines.CwaeParams) -> None:
-        self.params = params
+    def __init__(self) -> None:
         self._memo = _CloudMemo()
         self._buffers: tuple[np.ndarray, ...] = ()
 
     def _evaluate(self, x: PointCloud) -> tuple[np.ndarray, float]:
         self._buffers = _square_buffers(self._buffers, 3, x.n)
         roots, gram, _ = self._buffers
-        roots = baselines._cwae_roots(x, self.params, roots, gram)
-        return roots, baselines._cwae(x, roots, self.params)
+        roots = baselines._cwae_roots(x, roots, gram)
+        return roots, baselines._cwae(x, roots)
 
     def begin_step(self, step: int, x: PointCloud) -> None:
         pass
@@ -191,7 +191,7 @@ class CwaeObjective:
 
     def gradient(self, x: PointCloud) -> np.ndarray:
         roots = self._memo.get(x, self._evaluate)[0]
-        return baselines._cwae_gradient(x, roots, self.params, self._buffers[2])
+        return baselines._cwae_gradient(x, roots, self._buffers[2])
 
     def trace_extras(self) -> dict[str, float]:
         return {}

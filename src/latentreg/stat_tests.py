@@ -42,7 +42,6 @@ __all__ = [
 
 @dataclass
 class TestReport:
-    name: str
     ks_linf: float
     l1_area: float
     sample_size: int
@@ -73,25 +72,25 @@ def ks_statistic_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def chi2_report(values: np.ndarray, dim: int, name: str) -> TestReport:
+def chi2_report(values: np.ndarray, dim: int) -> TestReport:
     """KS distance and quantile-mismatch area of values against the
     chi-squared(dim) CDF."""
     dist = ChiSquare(dim)
     ks = ks_statistic(values, lambda t: chi2_cdf(dist, t))
     table = chi2_quantile_table(values.shape[0], dim)
     area = float(np.mean(np.abs(np.sort(values) - table)))
-    return TestReport(name, ks, area, int(values.shape[0]))
+    return TestReport(ks, area, int(values.shape[0]))
 
 
 def radii_test(x: PointCloud) -> TestReport:
     """Squared radii against the chi-squared(dim) CDF."""
-    return chi2_report((x.data * x.data).sum(1), x.dim, "radii")
+    return chi2_report((x.data * x.data).sum(1), x.dim)
 
 
 def distance_test(x: PointCloud) -> TestReport:
     """Half squared pairwise distances, the values the attraction sorts,
     against the chi-squared(dim) CDF."""
-    return chi2_report(cloud_stats(x).distances, x.dim, "distances")
+    return chi2_report(cloud_stats(x).distances, x.dim)
 
 
 def projections(x: PointCloud, dirs: PointCloud) -> np.ndarray:

@@ -14,7 +14,6 @@ from scipy import integrate
 
 from latentreg import calibration
 from latentreg.baselines import (
-    CwaeParams,
     KernelSpec,
     cwae,
     cwae_gradient,
@@ -103,10 +102,10 @@ def baseline_minimized_clouds():
     for t in range(TRIALS):
         seed = BASE_SEED + t
         config = RunConfig(n=N, dim=DIM, seed=seed, max_steps=1000, alpha0=20.0)
-        cloud, _ = run(config, CwaeObjective(CwaeParams.for_cloud(N, DIM)))
+        cloud, _ = run(config, CwaeObjective())
         result["cwae"].append(cloud)
         config = RunConfig(n=N, dim=DIM, seed=seed, max_steps=1000, alpha0=200.0)
-        cloud, _ = run(config, WaeMmdObjective(KernelSpec.imq(DIM), Rng(seed).derive(1)))
+        cloud, _ = run(config, WaeMmdObjective(KernelSpec.imq(), Rng(seed).derive(1)))
         result["wae_mmd"].append(cloud)
     return result
 
@@ -202,18 +201,17 @@ def test_criterion_3_gradient_fidelity(targets):
     rng = np.random.default_rng(31337)
     worst = 0.0
     for i in range(20):
-        kernel = KernelSpec.imq(3) if i % 2 == 0 else KernelSpec.exponential(3)
+        kernel = KernelSpec.imq() if i % 2 == 0 else KernelSpec.exponential()
         z = PointCloud(rng.normal(size=(5, 3)))
         zt = PointCloud(rng.normal(size=(5, 3)))
         grad = wae_mmd_gradient(z, zt, kernel)
         err = _directional_fd(lambda d: wae_mmd(PointCloud(d), zt, kernel),
                               z.data, grad, 1e-5)
         worst = max(worst, err)
-    params = CwaeParams.for_cloud(5, 20)
     for _ in range(20):
         z = PointCloud(rng.normal(size=(5, 20)))
-        grad = cwae_gradient(z, params)
-        err = _directional_fd(lambda d: cwae(PointCloud(d), params), z.data, grad, 1e-5)
+        grad = cwae_gradient(z)
+        err = _directional_fd(lambda d: cwae(PointCloud(d)), z.data, grad, 1e-5)
         worst = max(worst, err)
     small_targets = build_target_quantiles(5, 3)
     done = 0

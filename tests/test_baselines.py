@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentreg.baselines import (
-    CwaeParams,
     KernelSpec,
+    _cwae_gamma,
     _cwae_gradient,
     _cwae_roots,
     _weights_from_kernel,
@@ -19,6 +19,7 @@ from latentreg.baselines import (
     wae_mmd_gradient,
 )
 from latentreg.gaussian_l2 import l2_distance_samples_isotropic
+from latentreg.optimizer import CwaeObjective
 from latentreg.sampling import PointCloud, Rng, _sq_dists, sample_standard_normal
 
 RNG = np.random.default_rng(99)
@@ -40,7 +41,7 @@ def brute_force_wae(z, z_tilde, kernel):
     def k(a, b):
         s = float(((a - b) ** 2).sum())
         if kernel.kind == "inverse_multiquadric":
-            return 2 * kernel.dim / (2 * kernel.dim + s)
+            return 2 * z.dim / (2 * z.dim + s)
         return math.exp(-s)
 
     n, m = z.n, z_tilde.n
@@ -51,9 +52,9 @@ def brute_force_wae(z, z_tilde, kernel):
     return first - second
 
 
-def brute_force_cwae(z, params):
+def brute_force_cwae(z):
     n, m = z.n, 2 * z.dim - 3
-    g = params.gamma_n
+    g = (4 / (3 * n)) ** 0.4
     pair = sum((g + float(((z.data[i] - z.data[j]) ** 2).sum()) / m) ** -0.5
                for i in range(n) for j in range(n)) / (n * n)
     point = sum((g + 0.5 + float((z.data[i] ** 2).sum()) / m) ** -0.5
@@ -63,59 +64,33 @@ def brute_force_cwae(z, params):
 
 def test_imq_kernel_at_zero_distance():
     for dim in (1, 3, 20):
-        k = kernel_matrix(KernelSpec.imq(dim), PointCloud(np.zeros((1, dim))),
+        k = kernel_matrix(KernelSpec.imq(), PointCloud(np.zeros((1, dim))),
                           PointCloud(np.zeros((1, dim))))
         assert k[0, 0] == 1.0
 
 
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
-        KernelSpec("rbf", 3)
-    with pytest.raises(ValueError):
-        KernelSpec("exponential", 0)
+        KernelSpec("rbf")
 
 
-def test_sizes_must_be_integers():
-    with pytest.raises(ValueError):
-        KernelSpec("exponential", 2.5)
-    with pytest.raises(ValueError):
-        CwaeParams.for_cloud(5.0, 3)
-    with pytest.raises(ValueError):
-        CwaeParams(5, 3.0, (4 / 15) ** 0.4)
-    assert KernelSpec.imq(np.int64(3)).dim == 3
-    assert CwaeParams.for_cloud(np.int64(5), np.int64(3)).n == 5
-
-
-def test_a_kernel_for_another_dim_is_rejected():
-    # the IMQ constant is 2 * kernel.dim: a kernel for D=7 on 3-D clouds
-    # would silently use 14 in place of 6
+def test_clouds_of_different_dims_are_rejected():
     z = PointCloud(RNG.normal(size=(5, 3)))
-    z_tilde = PointCloud(RNG.normal(size=(4, 3)))
-    for kernel in (KernelSpec.imq(7), KernelSpec.exponential(2)):
-        for call in (wae_mmd, wae_mmd_gradient):
-            with pytest.raises(ValueError, match="kernel.dim"):
+    z_tilde = PointCloud(RNG.normal(size=(4, 2)))
+    for kernel in (KernelSpec.imq(), KernelSpec.exponential()):
+        for call in (wae_mmd, wae_mmd_gradient, lambda a, b, k: kernel_matrix(k, a, b)):
+            with pytest.raises(ValueError, match="dims 3 and 2 differ"):
                 call(z, z_tilde, kernel)
-        with pytest.raises(ValueError, match="kernel.dim"):
-            kernel_matrix(kernel, z, z_tilde)
-
-
-def test_cwae_params_for_another_dim_are_rejected():
-    z = PointCloud(RNG.normal(size=(5, 3)))
-    for params in (CwaeParams.for_cloud(5, 7), CwaeParams.for_cloud(4, 3)):
-        for call in (cwae, cwae_gradient):
-            with pytest.raises(ValueError, match="do not fit"):
-                call(z, params)
 
 
 @pytest.mark.parametrize("n,dim", [(200, 20), (7, 2)])
 def test_cwae_weights_are_the_cubed_roots(n, dim):
     z = PointCloud(RNG.normal(size=(n, dim)))
-    params = CwaeParams.for_cloud(n, dim)
-    base = params.gamma_n + _sq_dists(z.data, z.data) / (2 * dim - 3)
-    roots = _cwae_roots(z, params)
+    base = (4 / (3 * n)) ** 0.4 + _sq_dists(z.data, z.data) / (2 * dim - 3)
+    roots = _cwae_roots(z)
     np.testing.assert_allclose(roots, base ** -0.5, rtol=1e-14, atol=0.0)
     weights = np.empty((n, n))
-    _cwae_gradient(z, roots, params, weights)  # leaves its weights in scratch
+    _cwae_gradient(z, roots, weights)  # leaves its weights in scratch
     want = base ** -1.5
     np.fill_diagonal(want, 0.0)
     np.testing.assert_allclose(weights, want, rtol=1e-14, atol=0.0)
@@ -125,8 +100,8 @@ def test_cwae_weights_are_the_cubed_roots(n, dim):
 def test_imq_weights_from_the_kernel_matrix(n, dim):
     z = PointCloud(RNG.normal(size=(n, dim)))
     y = PointCloud(RNG.normal(size=(n + 3, dim)))
-    kernel = KernelSpec.imq(dim)
-    v, a = _weights_from_kernel(kernel, kernel_matrix(kernel, z, y))
+    kernel = KernelSpec.imq()
+    v, a = _weights_from_kernel(kernel, dim, kernel_matrix(kernel, z, y))
     c = 2.0 * dim
     want = -2.0 * c / (c + _sq_dists(z.data, y.data)) ** 2
     np.testing.assert_allclose(a * v, want, rtol=1e-14, atol=0.0)
@@ -135,8 +110,8 @@ def test_imq_weights_from_the_kernel_matrix(n, dim):
 def test_exponential_weights_keep_their_bits():
     z = PointCloud(0.3 * RNG.normal(size=(40, 5)))
     y = PointCloud(0.3 * RNG.normal(size=(30, 5)))
-    kernel = KernelSpec.exponential(5)
-    v, a = _weights_from_kernel(kernel, kernel_matrix(kernel, z, y))
+    kernel = KernelSpec.exponential()
+    v, a = _weights_from_kernel(kernel, 5, kernel_matrix(kernel, z, y))
     assert a == 1.0
     assert v.tobytes() == (-2.0 * np.exp(-_sq_dists(z.data, y.data))).tobytes()
 
@@ -147,7 +122,7 @@ def test_wae_mmd_two_coincident_points():
     z = PointCloud(np.zeros((2, 3)))
     for m in (1, 2, 5):
         z_tilde = PointCloud(np.zeros((m, 3)))
-        assert wae_mmd(z, z_tilde, KernelSpec.imq(3)) == pytest.approx(-1.0, abs=1e-15)
+        assert wae_mmd(z, z_tilde, KernelSpec.imq()) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_wae_mmd_duplicated_prior_sample_is_the_same_distribution():
@@ -156,7 +131,7 @@ def test_wae_mmd_duplicated_prior_sample_is_the_same_distribution():
     z = PointCloud(RNG.normal(size=(4, 3)))
     z_tilde = PointCloud(RNG.normal(size=(4, 3)))
     doubled = PointCloud(np.concatenate([z_tilde.data, z_tilde.data]))
-    for kernel in (KernelSpec.imq(3), KernelSpec.exponential(3)):
+    for kernel in (KernelSpec.imq(), KernelSpec.exponential()):
         assert wae_mmd(z, doubled, kernel) == \
             pytest.approx(wae_mmd(z, z_tilde, kernel), abs=1e-14)
         assert np.allclose(wae_mmd_gradient(z, doubled, kernel),
@@ -166,14 +141,14 @@ def test_wae_mmd_duplicated_prior_sample_is_the_same_distribution():
 def test_wae_mmd_needs_two_points():
     with pytest.raises(ValueError):
         wae_mmd(PointCloud(np.zeros((1, 2))), PointCloud(np.zeros((1, 2))),
-                KernelSpec.imq(2))
+                KernelSpec.imq())
 
 
 def test_wae_mmd_matches_brute_force():
     z = PointCloud(RNG.normal(size=(5, 3)))
     for m in (5, 3):
         z_tilde = PointCloud(RNG.normal(size=(m, 3)))
-        for kernel in (KernelSpec.imq(3), KernelSpec.exponential(3)):
+        for kernel in (KernelSpec.imq(), KernelSpec.exponential()):
             assert wae_mmd(z, z_tilde, kernel) == \
                 pytest.approx(brute_force_wae(z, z_tilde, kernel), abs=1e-12)
 
@@ -181,7 +156,7 @@ def test_wae_mmd_matches_brute_force():
 def test_wae_mmd_gradient_zero_at_coincident_points():
     z = PointCloud(np.zeros((3, 2)))
     z_tilde = PointCloud(np.zeros((3, 2)))
-    g = wae_mmd_gradient(z, z_tilde, KernelSpec.imq(2))
+    g = wae_mmd_gradient(z, z_tilde, KernelSpec.imq())
     assert np.all(g == 0.0)
 
 
@@ -189,7 +164,7 @@ def test_wae_mmd_gradient_matches_finite_differences():
     z = PointCloud(RNG.normal(size=(4, 2)))
     for m in (4, 7):
         z_tilde = PointCloud(RNG.normal(size=(m, 2)))
-        for kernel in (KernelSpec.imq(2), KernelSpec.exponential(2)):
+        for kernel in (KernelSpec.imq(), KernelSpec.exponential()):
             g = wae_mmd_gradient(z, z_tilde, kernel)
             fd = central_diff(lambda d: wae_mmd(PointCloud(d), z_tilde, kernel), z.data)
             assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
@@ -198,7 +173,7 @@ def test_wae_mmd_gradient_matches_finite_differences():
 def test_wae_mmd_gradient_translation_invariant():
     z = PointCloud(RNG.normal(size=(4, 3)))
     z_tilde = PointCloud(RNG.normal(size=(4, 3)))
-    kernel = KernelSpec.imq(3)
+    kernel = KernelSpec.imq()
     shift = RNG.normal(size=3)
     g0 = wae_mmd_gradient(z, z_tilde, kernel)
     g1 = wae_mmd_gradient(PointCloud(z.data + shift),
@@ -207,54 +182,46 @@ def test_wae_mmd_gradient_translation_invariant():
 
 
 def test_cwae_params():
-    p = CwaeParams.for_cloud(200, 20)
-    assert p.gamma_n == pytest.approx((4 / 600) ** 0.4, rel=1e-12)
-    assert p.gamma_n == pytest.approx(0.13476, abs=1e-5)
-    with pytest.raises(ValueError):
-        CwaeParams(10, 1, (4 / 30) ** 0.4)
-    with pytest.raises(ValueError):
-        CwaeParams(10, 20, 0.5)
+    assert _cwae_gamma(200) == pytest.approx((4 / 600) ** 0.4, rel=1e-12)
+    assert _cwae_gamma(200) == pytest.approx(0.13476, abs=1e-5)
 
 
 def test_cwae_single_point_closed_form():
-    params = CwaeParams.for_cloud(1, 20)
     z = PointCloud(np.zeros((1, 20)))
-    g1 = params.gamma_n
-    assert cwae(z, params) == pytest.approx(g1 ** -0.5 - 2 * (g1 + 0.5) ** -0.5,
+    g1 = (4 / 3) ** 0.4
+    assert cwae(z) == pytest.approx(g1 ** -0.5 - 2 * (g1 + 0.5) ** -0.5,
                                             rel=1e-14)
 
 
 def test_cwae_matches_brute_force():
     z = PointCloud(RNG.normal(size=(5, 20)))
-    params = CwaeParams.for_cloud(5, 20)
-    assert cwae(z, params) == pytest.approx(brute_force_cwae(z, params), abs=1e-12)
+    assert cwae(z) == pytest.approx(brute_force_cwae(z), abs=1e-12)
 
 
 def test_cwae_rejects_dim1():
-    with pytest.raises(ValueError):
-        CwaeParams.for_cloud(5, 1)
+    z = PointCloud(RNG.normal(size=(5, 1)))
+    for call in (cwae, cwae_gradient, CwaeObjective().value):
+        with pytest.raises(ValueError, match="dim >= 2"):
+            call(z)
 
 
 def test_cwae_gradient_zero_at_origin_point():
-    params = CwaeParams.for_cloud(1, 20)
-    g = cwae_gradient(PointCloud(np.zeros((1, 20))), params)
+    g = cwae_gradient(PointCloud(np.zeros((1, 20))))
     assert np.all(g == 0.0)
 
 
 def test_cwae_gradient_matches_finite_differences():
     z = PointCloud(RNG.normal(size=(4, 20)))
-    params = CwaeParams.for_cloud(4, 20)
-    g = cwae_gradient(z, params)
-    fd = central_diff(lambda d: cwae(PointCloud(d), params), z.data)
+    g = cwae_gradient(z)
+    fd = central_diff(lambda d: cwae(PointCloud(d)), z.data)
     assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 def test_cwae_gradient_rotation_equivariant():
     z = PointCloud(RNG.normal(size=(5, 6)))
-    params = CwaeParams.for_cloud(5, 6)
     q, _ = np.linalg.qr(RNG.normal(size=(6, 6)))
-    g_rotated = cwae_gradient(PointCloud(z.data @ q.T), params)
-    assert np.allclose(g_rotated, cwae_gradient(z, params) @ q.T, atol=1e-12)
+    g_rotated = cwae_gradient(PointCloud(z.data @ q.T))
+    assert np.allclose(g_rotated, cwae_gradient(z) @ q.T, atol=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -265,11 +232,10 @@ def test_values_permutation_invariant(seed):
     z_tilde = PointCloud(rng.normal(size=(6, 4)))
     perm = rng.permutation(6)
     z_p = PointCloud(z.data[perm])
-    kernel = KernelSpec.imq(4)
+    kernel = KernelSpec.imq()
     assert wae_mmd(z_p, z_tilde, kernel) == pytest.approx(
         wae_mmd(z, z_tilde, kernel), rel=1e-12)
-    params = CwaeParams.for_cloud(6, 4)
-    assert cwae(z_p, params) == pytest.approx(cwae(z, params), rel=1e-12)
+    assert cwae(z_p) == pytest.approx(cwae(z), rel=1e-12)
     assert mardia_stats(z_p) == pytest.approx(mardia_stats(z), rel=1e-12)
 
 
@@ -277,7 +243,7 @@ def test_exponential_kernel_consistent_with_isotropic_l2():
     # exp(-|x-y|^2) equals the isotropic pair kernel at 4 sigma^2 = 1
     x = PointCloud(RNG.normal(size=(5, 3)))
     y = PointCloud(RNG.normal(size=(4, 3)))
-    kernel = KernelSpec.exponential(3)
+    kernel = KernelSpec.exponential()
     via_kernel = (float(kernel_matrix(kernel, x, x).sum()) / 25
                   + float(kernel_matrix(kernel, y, y).sum()) / 16
                   - 2 * float(kernel_matrix(kernel, x, y).sum()) / 20)
@@ -289,14 +255,10 @@ def test_mardia_single_origin_point():
     assert mardia_stats(PointCloud(np.zeros((1, 20)))) == (0.0, 0.0, 0.0)
 
 
-def test_mardia_reference_value_dim20():
-    # D (D + 2) for the fourth moment of N(0, I_20)
-    assert 20 * (20 + 2) == 440
-
-
 def test_mardia_on_seeded_gaussian_sample():
-    cloud = sample_standard_normal(Rng(314), 2000, 20)
+    dim = 20
+    cloud = sample_standard_normal(Rng(314), 2000, dim)
     skew, kurt, second = mardia_stats(cloud)
-    assert abs(kurt - 440.0) <= 25.0
-    assert abs(second - 20.0) <= 0.7
+    assert abs(kurt - dim * (dim + 2)) <= 25.0  # E|z|^4 = D (D + 2) for N(0, I_D)
+    assert abs(second - dim) <= 0.7
     assert abs(skew) <= 2000.0 * 0.05  # third-moment statistic hovers near zero

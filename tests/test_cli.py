@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentreg import calibration, cli
-from latentreg.baselines import CwaeParams, KernelSpec, cwae, mardia_stats, wae_mmd
+from latentreg.baselines import KernelSpec, cwae, mardia_stats, wae_mmd
 from latentreg.cdf_attract import cloud_stats, midpoint_probs
 from latentreg.cli import (
     ExperimentSpec,
@@ -258,7 +258,16 @@ def test_eval_round_trip_is_bit_exact(tmp_path):
     assert code == 0
     written = (tmp_path / "o" / "eval_cwae.csv").read_text().splitlines()[1]
     value = float(written.split(",")[1])
-    assert value == cwae(cloud, CwaeParams.for_cloud(25, 6))
+    assert value == cwae(cloud)
+
+
+def test_eval_cwae_on_a_one_column_cloud_exits_2(tmp_path, capsys):
+    path = tmp_path / "line.csv"
+    PointCloud(np.arange(5.0).reshape(5, 1)).to_csv(path)
+    code = main(["eval", "--cloud", str(path), "--which", "cwae",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "dim >= 2" in capsys.readouterr().err
 
 
 def test_eval_mardia_zero_cloud(tmp_path):
@@ -282,7 +291,7 @@ def test_eval_malformed_csv_exit_code_and_message(tmp_path, capsys):
 def _eval_rows(cloud, which, seed):
     if which == "wae_mmd":
         prior = sample_standard_normal(Rng(seed).derive(1), cloud.n, cloud.dim)
-        return [("wae_mmd", wae_mmd(cloud, prior, KernelSpec.imq(cloud.dim)))]
+        return [("wae_mmd", wae_mmd(cloud, prior, KernelSpec.imq()))]
     report = radii_test(cloud) if which == "radii" else distance_test(cloud)
     return [("ks_linf", report.ks_linf), ("l1_area", report.l1_area),
             ("sample_size", float(report.sample_size))]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from latentreg import baselines, calibration, cdf_attract, optimizer
-from latentreg.baselines import CwaeParams, KernelSpec
+from latentreg.baselines import KernelSpec
 from latentreg.cdf_attract import TargetQuantiles, build_target_quantiles, cloud_stats
 from latentreg.optimizer import (
     CdfAttractionObjective,
@@ -50,7 +50,7 @@ def test_attraction_from_perfect_cloud_stops_immediately():
 
 def test_cwae_accepted_sequence_monotone():
     config = RunConfig(n=60, dim=20, seed=3, max_steps=150, alpha0=50.0)
-    _, trace = run(config, CwaeObjective(CwaeParams.for_cloud(60, 20)))
+    _, trace = run(config, CwaeObjective())
     objs = [r.objective for r in trace]
     assert len(objs) > 10
     assert all(b <= a for a, b in zip(objs, objs[1:]))
@@ -58,7 +58,7 @@ def test_cwae_accepted_sequence_monotone():
 
 def test_backtracking_keeps_monotonicity_under_huge_alpha():
     config = RunConfig(n=40, dim=20, seed=4, max_steps=60, alpha0=1e6)
-    _, trace = run(config, CwaeObjective(CwaeParams.for_cloud(40, 20)))
+    _, trace = run(config, CwaeObjective())
     objs = [r.objective for r in trace]
     assert all(b <= a for a, b in zip(objs, objs[1:]))
 
@@ -67,7 +67,7 @@ def test_wae_mmd_noisy_but_windowed_means_decrease():
     # resampling makes single steps noisy; 100-step window means still slide
     # down across the first 2100 steps (lag-5 window comparison)
     config = RunConfig(n=100, dim=20, seed=5, max_steps=2100, alpha0=2.0)
-    _, trace = run(config, WaeMmdObjective(KernelSpec.imq(20), Rng(5).derive(1)))
+    _, trace = run(config, WaeMmdObjective(KernelSpec.imq(), Rng(5).derive(1)))
     objs = np.array([r.objective for r in trace])
     assert np.any(np.diff(objs) > 0)  # genuinely noisy
     means = objs.reshape(21, 100).mean(1)
@@ -143,7 +143,7 @@ def test_negative_objective_run_stalls():
     # magnitude of the value W accepted steps earlier
     def cwae_trace(stall):
         config = RunConfig(n=50, dim=10, seed=1, max_steps=400, alpha0=20.0, stall=stall)
-        return run(config, CwaeObjective(CwaeParams.for_cloud(50, 10)))[1]
+        return run(config, CwaeObjective())[1]
 
     trace, full_trace = cwae_trace(_STALL), cwae_trace(None)
     k = len(trace)
@@ -159,7 +159,7 @@ def test_negative_objective_run_stalls():
 
 def test_stochastic_objective_ignores_the_stall_rule():
     config = RunConfig(n=10, dim=2, seed=3, max_steps=6, alpha0=2.0, stall=(1, 0.99))
-    _, trace = run(config, WaeMmdObjective(KernelSpec.imq(2), Rng(3).derive(1)))
+    _, trace = run(config, WaeMmdObjective(KernelSpec.imq(), Rng(3).derive(1)))
     assert len(trace) == 6
 
 
@@ -299,7 +299,7 @@ def _evaluated_candidates(trace, alpha0):
 
 def test_cwae_run_builds_one_distance_matrix_per_evaluated_cloud(monkeypatch):
     calls = _counting_sq_dists(monkeypatch)
-    objective = CwaeObjective(CwaeParams.for_cloud(40, 20))
+    objective = CwaeObjective()
     requests = []
     value = objective.value
     objective.value = lambda x: requests.append(x) or value(x)
@@ -317,7 +317,7 @@ def test_cwae_run_takes_one_root_pass_per_evaluated_cloud(monkeypatch):
     cwae_roots = baselines._cwae_roots
     monkeypatch.setattr(baselines, "_cwae_roots",
                         lambda *args: roots.append(1) or cwae_roots(*args))
-    objective = CwaeObjective(CwaeParams.for_cloud(40, 20))
+    objective = CwaeObjective()
     in_gradient = []
     gradient = objective.gradient
 
@@ -340,13 +340,13 @@ def test_cwae_run_takes_one_root_pass_per_evaluated_cloud(monkeypatch):
 def test_wae_mmd_run_builds_two_distance_matrices_per_step(monkeypatch):
     calls = _counting_sq_dists(monkeypatch)
     config = RunConfig(n=20, dim=4, seed=7, max_steps=25, alpha0=2.0)
-    _, trace = run(config, WaeMmdObjective(KernelSpec.imq(4), Rng(7).derive(1)))
+    _, trace = run(config, WaeMmdObjective(KernelSpec.imq(), Rng(7).derive(1)))
     assert len(trace) == 25
     assert len(calls) == 2 * 25
 
 
 def test_wae_mmd_new_prior_sample_clears_the_memo():
-    objective = WaeMmdObjective(KernelSpec.imq(4), Rng(7).derive(1))
+    objective = WaeMmdObjective(KernelSpec.imq(), Rng(7).derive(1))
     x = sample_uniform_cube(Rng(7), 20, 4, -1.0, 1.0)
     for step in range(2):
         objective.begin_step(step, x)
@@ -357,10 +357,10 @@ class _DirectCwaeObjective(CwaeObjective):
     """CWAE through the public functions, one distance pass per call."""
 
     def value(self, x):
-        return baselines.cwae(x, self.params)
+        return baselines.cwae(x)
 
     def gradient(self, x):
-        return baselines.cwae_gradient(x, self.params)
+        return baselines.cwae_gradient(x)
 
 
 class _DirectWaeMmdObjective(WaeMmdObjective):
@@ -376,9 +376,8 @@ class _DirectWaeMmdObjective(WaeMmdObjective):
 @pytest.mark.parametrize("alpha0", [50.0, 1e6])
 def test_cwae_memo_leaves_the_run_unchanged(alpha0):
     config = RunConfig(n=40, dim=20, seed=4, max_steps=60, alpha0=alpha0)
-    params = CwaeParams.for_cloud(40, 20)
-    direct_final, direct_trace = run(config, _DirectCwaeObjective(params))
-    final, trace = run(config, CwaeObjective(params))
+    direct_final, direct_trace = run(config, _DirectCwaeObjective())
+    final, trace = run(config, CwaeObjective())
     assert _trace_bits(trace) == _trace_bits(direct_trace)
     assert final.data.tobytes() == direct_final.data.tobytes()
 
@@ -386,20 +385,19 @@ def test_cwae_memo_leaves_the_run_unchanged(alpha0):
 def test_wae_mmd_memo_leaves_the_run_unchanged():
     config = RunConfig(n=30, dim=5, seed=8, max_steps=50, alpha0=2.0)
     direct_final, direct_trace = run(
-        config, _DirectWaeMmdObjective(KernelSpec.imq(5), Rng(8).derive(1)))
-    final, trace = run(config, WaeMmdObjective(KernelSpec.imq(5), Rng(8).derive(1)))
+        config, _DirectWaeMmdObjective(KernelSpec.imq(), Rng(8).derive(1)))
+    final, trace = run(config, WaeMmdObjective(KernelSpec.imq(), Rng(8).derive(1)))
     assert _trace_bits(trace) == _trace_bits(direct_trace)
     assert final.data.tobytes() == direct_final.data.tobytes()
 
 
 _BUFFERED_AND_DIRECT = {
-    "cwae": (lambda: CwaeObjective(CwaeParams.for_cloud(30, 6)),
-             lambda: _DirectCwaeObjective(CwaeParams.for_cloud(30, 6))),
-    "wae_mmd_imq": (lambda: WaeMmdObjective(KernelSpec.imq(6), Rng(3).derive(1)),
-                    lambda: _DirectWaeMmdObjective(KernelSpec.imq(6), Rng(3).derive(1))),
+    "cwae": (CwaeObjective, _DirectCwaeObjective),
+    "wae_mmd_imq": (lambda: WaeMmdObjective(KernelSpec.imq(), Rng(3).derive(1)),
+                    lambda: _DirectWaeMmdObjective(KernelSpec.imq(), Rng(3).derive(1))),
     "wae_mmd_exponential": (
-        lambda: WaeMmdObjective(KernelSpec.exponential(6), Rng(3).derive(1)),
-        lambda: _DirectWaeMmdObjective(KernelSpec.exponential(6), Rng(3).derive(1))),
+        lambda: WaeMmdObjective(KernelSpec.exponential(), Rng(3).derive(1)),
+        lambda: _DirectWaeMmdObjective(KernelSpec.exponential(), Rng(3).derive(1))),
 }
 
 
@@ -423,9 +421,26 @@ def test_buffered_objectives_equal_the_public_functions_bit_for_bit(kind):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (step, method)
 
 
+@pytest.mark.parametrize("kind", sorted(_BUFFERED_AND_DIRECT))
+def test_one_objective_serves_clouds_of_any_shape(kind):
+    # n and D come from each cloud, so the buffers are re-sized for the
+    # (40, 3) cloud and again for the (30, 6) one
+    make, make_direct = _BUFFERED_AND_DIRECT[kind]
+    objective, direct = make(), make_direct()
+    rng = Rng(12)
+    x1 = PointCloud(0.5 * rng.normal(30 * 6).reshape(30, 6))
+    x2 = PointCloud(0.5 * rng.normal(40 * 3).reshape(40, 3))
+    for step, x in enumerate((x1, x2, x1)):
+        objective.begin_step(step, x)
+        direct.begin_step(step, x)
+        for method in ("value", "gradient"):
+            got, want = getattr(objective, method)(x), getattr(direct, method)(x)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (step, method)
+
+
 @pytest.mark.parametrize("make", [
-    lambda: CwaeObjective(CwaeParams.for_cloud(200, 20)),
-    lambda: WaeMmdObjective(KernelSpec.imq(20), Rng(5).derive(1)),
+    lambda: CwaeObjective(),
+    lambda: WaeMmdObjective(KernelSpec.imq(), Rng(5).derive(1)),
 ], ids=["cwae", "wae_mmd"])
 def test_steady_state_steps_allocate_no_square_matrix(make):
     n, dim = 200, 20
@@ -466,8 +481,8 @@ def test_steady_state_steps_allocate_no_square_matrix(make):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: CwaeObjective(CwaeParams.for_cloud(12, 3)),
-    lambda: WaeMmdObjective(KernelSpec.imq(3), Rng(2).derive(1)),
+    lambda: CwaeObjective(),
+    lambda: WaeMmdObjective(KernelSpec.imq(), Rng(2).derive(1)),
     lambda: CdfAttractionObjective(build_target_quantiles(12, 3)),
 ])
 def test_objective_and_its_memo_free_without_the_cycle_collector(make):

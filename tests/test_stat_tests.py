@@ -31,7 +31,7 @@ def battery(x, reference, dirs_rng=None, num_dirs=10):
 
 def test_edf_vs_cdf_exact_quantiles():
     for n in (4, 50):
-        report = chi2_report(chi2_quantile_table(n, 5), 5, "table")
+        report = chi2_report(chi2_quantile_table(n, 5), 5)
         assert report.ks_linf == pytest.approx(0.5 / n, abs=1e-12)
         assert report.l1_area == pytest.approx(0.0, abs=1e-12)
 
@@ -41,7 +41,7 @@ def test_edf_vs_cdf_single_median_point():
     median = chi2_inv_cdf(dist, 0.5)
     assert ks_statistic(np.array([median]), lambda t: chi2_cdf(dist, t)) \
         == pytest.approx(0.5, abs=1e-10)
-    report = chi2_report(np.array([median]), 7, "median")
+    report = chi2_report(np.array([median]), 7)
     assert report.ks_linf == pytest.approx(0.5, abs=1e-10)
     assert report.l1_area == pytest.approx(0.0, abs=1e-12)
     assert report.sample_size == 1
@@ -51,7 +51,7 @@ def test_edf_vs_cdf_rejects_empty():
     with pytest.raises(ValueError):
         ks_statistic(np.array([]), lambda t: t)
     with pytest.raises(ValueError):
-        chi2_report(np.array([]), 3, "empty")
+        chi2_report(np.array([]), 3)
 
 
 def test_ks_seeded_chi2_samples_within_critical_value():
