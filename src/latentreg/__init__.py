@@ -6,7 +6,7 @@ distributions toward chi-squared targets (plus coordinate-wise, quantized and
 torus variants), a statistical test battery, and an experiment CLI.
 """
 
-from .baselines import KernelSpec, cwae, cwae_gradient, mardia_stats, wae_mmd, wae_mmd_gradient
+from .baselines import cwae, cwae_gradient, mardia_stats, wae_mmd, wae_mmd_gradient
 from .cdf_attract import (
     CoordinateTarget,
     TargetQuantiles,

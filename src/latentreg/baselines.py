@@ -1,26 +1,22 @@
 """Reference latent-space regularizers and moment statistics.
 
-The WAE-MMD regularizer (inverse-multiquadric or exponential kernel, compared
-against a fresh prior sample), the analytic CWAE regularizer, their exact
-gradients, and the Mardia-style moment statistics used to sanity-check
-multivariate normality. Both regularizers take their constants from the
-cloud they are given: the inverse-multiquadric scale 2D from its dimension,
-CWAE's gamma_n = (4/(3n))^{2/5} from its size. Each gradient reuses its
-value's pair matrices: the WAE-MMD weights come from the kernel matrices,
-the CWAE weights are the cubes of the inverse square roots that the value
-sums.
+The WAE-MMD regularizer (inverse-multiquadric kernel, compared against a
+fresh prior sample), the analytic CWAE regularizer, their exact gradients,
+and the Mardia-style moment statistics used to sanity-check multivariate
+normality. Both regularizers take their constants from the cloud they are
+given: the inverse-multiquadric scale 2D from its dimension, CWAE's
+gamma_n = (4/(3n))^{2/5} from its size. Each gradient reuses its value's
+pair matrices: the WAE-MMD weights are the squared kernel entries, the CWAE
+weights are the cubes of the inverse square roots that the value sums.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sampling import PointCloud, _sq_dists
 
 __all__ = [
-    "KernelSpec",
     "kernel_matrix",
     "wae_mmd",
     "wae_mmd_gradient",
@@ -29,52 +25,23 @@ __all__ = [
     "mardia_stats",
 ]
 
-_KINDS = ("inverse_multiquadric", "exponential")
 
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel choice for the MMD regularizer, D being the cloud's dimension.
-
-    inverse_multiquadric: k(x, y) = 2D / (2D + |x-y|^2).
-    exponential:          k(x, y) = exp(-|x-y|^2).
-    """
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {_KINDS}")
-
-    @classmethod
-    def imq(cls) -> "KernelSpec":
-        return cls("inverse_multiquadric")
-
-    @classmethod
-    def exponential(cls) -> "KernelSpec":
-        return cls("exponential")
-
-
-def kernel_matrix(kernel: KernelSpec, a: PointCloud, b: PointCloud) -> np.ndarray:
-    """Matrix of k(a_i, b_j)."""
+def kernel_matrix(a: PointCloud, b: PointCloud) -> np.ndarray:
+    """Matrix of the inverse-multiquadric kernel 2D / (2D + |a_i - b_j|^2)."""
     if a.dim != b.dim:
         raise ValueError(f"cloud dims {a.dim} and {b.dim} differ")
-    return _kernel(kernel, a.dim, _sq_dists(a.data, b.data))
+    return _imq(a.dim, _sq_dists(a.data, b.data))
 
 
-def _kernel(kernel: KernelSpec, dim: int, sq: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
+def _imq(dim: int, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # k as a function of the squared distance, written to out (allocated
     # when None; sq itself is allowed)
-    if kernel.kind == "inverse_multiquadric":
-        c = 2.0 * dim
-        out = np.add(c, sq, out=out)
-        return np.divide(c, out, out=out)
-    out = np.negative(sq, out=out)
-    return np.exp(out, out=out)
+    c = 2.0 * dim
+    out = np.add(c, sq, out=out)
+    return np.divide(c, out, out=out)
 
 
-def _mmd_kernels(z: PointCloud, z_tilde: PointCloud, kernel: KernelSpec,
+def _mmd_kernels(z: PointCloud, z_tilde: PointCloud,
                  zz: np.ndarray | None = None, zt: np.ndarray | None = None,
                  gram: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     # (k(z_i, z_j), k(z_i, zt_j)), each written over its squared-distance
@@ -85,17 +52,17 @@ def _mmd_kernels(z: PointCloud, z_tilde: PointCloud, kernel: KernelSpec,
         raise ValueError(f"cloud dims {z.dim} and {z_tilde.dim} differ")
     zz = _sq_dists(z.data, z.data, zz, gram)
     zt = _sq_dists(z.data, z_tilde.data, zt, gram)
-    return _kernel(kernel, z.dim, zz, zz), _kernel(kernel, z.dim, zt, zt)
+    return _imq(z.dim, zz, zz), _imq(z.dim, zt, zt)
 
 
-def wae_mmd(z: PointCloud, z_tilde: PointCloud, kernel: KernelSpec) -> float:
+def wae_mmd(z: PointCloud, z_tilde: PointCloud) -> float:
     """MMD-style regularizer against a prior sample z_tilde:
 
         (1/(n(n-1))) sum_{i != j} k(z_i, z_j) - (2/(n m)) sum_{i,j} k(z_i, zt_j)
 
-    with n points in z and m in z_tilde.
+    with n points in z, m in z_tilde and k the kernel of kernel_matrix.
     """
-    return _wae_mmd(*_mmd_kernels(z, z_tilde, kernel))
+    return _wae_mmd(*_mmd_kernels(z, z_tilde))
 
 
 def _wae_mmd(k_zz: np.ndarray, k_zt: np.ndarray) -> float:
@@ -104,32 +71,22 @@ def _wae_mmd(k_zz: np.ndarray, k_zt: np.ndarray) -> float:
     return self_term - 2.0 * float(k_zt.sum()) / (n * m)
 
 
-def _weights_from_kernel(kernel: KernelSpec, dim: int, k: np.ndarray,
-                         out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    # (v, a) with d k(z_i, y) / d z_i = a v (z_i - y), v written to out:
-    # dk/ds in s = |z_i - y|^2 is -k^2/(2D) (inverse multiquadric) or -k
-    # (exponential), so v is k^2 with a = -1/D, or -2k with a = 1
-    if kernel.kind == "inverse_multiquadric":
-        return np.square(k, out=out), -1.0 / dim
-    return np.multiply(-2.0, k, out=out), 1.0
-
-
-def wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud,
-                     kernel: KernelSpec) -> np.ndarray:
+def wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud) -> np.ndarray:
     """Exact gradient of wae_mmd with respect to the rows of z."""
-    return _wae_mmd_gradient(z, z_tilde, *_mmd_kernels(z, z_tilde, kernel), kernel)
+    return _wae_mmd_gradient(z, z_tilde, *_mmd_kernels(z, z_tilde))
 
 
 def _wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud, k_zz: np.ndarray,
-                      k_zt: np.ndarray, kernel: KernelSpec,
-                      scratch: np.ndarray | None = None) -> np.ndarray:
-    # scratch holds each weight matrix in turn
+                      k_zt: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    # d k(z_i, y) / d z_i = a k^2 (z_i - y) with a = -1/D, since dk/ds in
+    # s = |z_i - y|^2 is -k^2/(2D); scratch holds each weight matrix k^2 in turn
     n, m = z.n, z_tilde.n
-    w_self, a = _weights_from_kernel(kernel, z.dim, k_zz, scratch)
+    a = -1.0 / z.dim
+    w_self = np.square(k_zz, out=scratch)
     np.fill_diagonal(w_self, 0.0)
     # sum_j w_ij (z_i - z_j) = rowsum(w)_i z_i - (w @ z)_i
     g_self = w_self.sum(1)[:, None] * z.data - w_self @ z.data
-    w_cross, _ = _weights_from_kernel(kernel, z.dim, k_zt, scratch)
+    w_cross = np.square(k_zt, out=scratch)
     g_cross = w_cross.sum(1)[:, None] * z.data - w_cross @ z_tilde.data
     return (2.0 * a / (n * (n - 1))) * g_self - (2.0 * a / (n * m)) * g_cross
 

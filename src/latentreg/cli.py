@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration
-from .baselines import KernelSpec, cwae, mardia_stats, wae_mmd
+from .baselines import cwae, mardia_stats, wae_mmd
 from .cdf_attract import (
     GRADIENT_MODES,
     NORMS,
@@ -117,6 +117,14 @@ class ExperimentSpec:
             # the CWAE row of the EDF grid needs dim >= 2
             (self.experiment != "fig1_grid" or self.dim >= 2,
              f"fig1 needs dim >= 2, got {self.dim}"),
+            # settings a command never reads are rejected, not ignored
+            (self.experiment == "attract_demo" or self.target == "gaussian",
+             f"target applies only to attract, got target {self.target!r}"),
+            (self.experiment == "fig2_battery" or self.num_dirs == 10,
+             f"num_dirs applies only to fig2, got {self.num_dirs}"),
+            (self.target == "gaussian"
+             or (self.norm, self.gradient_mode) == ("l1", "exact_subgradient"),
+             f"norm and gradient_mode do not apply to the {self.target!r} target"),
             # a coordinate step is a convex move toward its targets
             (self.experiment != "attract_demo" or self.target == "gaussian"
              or self.alpha0 is None or self.alpha0 <= 1.0,
@@ -176,7 +184,7 @@ def _run_baseline_trial(spec: ExperimentSpec, trial_seed: int, kind: str) -> Poi
         alpha0, objective = CWAE_ALPHA0, CwaeObjective()
     else:
         alpha0 = WAE_ALPHA0
-        objective = WaeMmdObjective(KernelSpec.imq(), Rng(trial_seed).derive(1))
+        objective = WaeMmdObjective(Rng(trial_seed).derive(1))
     config = RunConfig(n=spec.n, dim=spec.dim, seed=trial_seed,
                        max_steps=spec.steps or BASELINE_STEPS,
                        alpha0=spec.alpha0 or alpha0, schedule="constant")
@@ -404,7 +412,7 @@ def cmd_eval(cloud_csv: str, which: str, seed: int, out: str) -> int:
                 ("second_moment", second)]
     elif which == "wae_mmd":
         z_tilde = sample_standard_normal(Rng(seed).derive(1), cloud.n, cloud.dim)
-        rows = [("wae_mmd", wae_mmd(cloud, z_tilde, KernelSpec.imq()))]
+        rows = [("wae_mmd", wae_mmd(cloud, z_tilde))]
     elif which == "cwae":
         rows = [("cwae", cwae(cloud))]
     else:
@@ -521,7 +529,10 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key}")
+        values[key] = value.strip()
     return values
 
 _SPEC_CASTS = {

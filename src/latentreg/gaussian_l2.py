@@ -6,7 +6,8 @@ shortcut, and the distance to the N(0, I) prior), plus the mean-field rule
 for choosing a radius-dependent smoothing width.
 
 Both general distances are E(a, a) + E(b, b) - 2 E(a, b) over one energy
-E(a, b) = sum_ij w_i w'_j d(a_i - b_j, A_i, B_j): the closed form over all
+E(a, b) = sum_ij w_i w'_j d(a_i - b_j, A_i, B_j), with w_i = 1/n and
+w'_j = 1/m for samples of n and m points: the closed form over all
 pairs when both samples have spherical widths, an exactly rounded sum of
 per-pair integrals otherwise. The prior is the one-point sample at the
 origin with unit width. The equal-width isotropic distance keeps its own
@@ -177,27 +178,18 @@ class SmoothedSample:
 
     bandwidths is either a length-n array of scalars sigma_i (spherical
     covariance sigma_i^2 I) or a length-n sequence of full DxD covariance
-    matrices, kept as one (n, D, D) stack. weights defaults to uniform 1/n.
+    matrices, kept as one (n, D, D) stack. Every point has weight 1/n.
     """
 
     points: PointCloud
     bandwidths: np.ndarray | Sequence[np.ndarray]
-    weights: np.ndarray | None = None
+    weights: np.ndarray = field(init=False)
     spherical: bool = field(init=False)
 
     def __post_init__(self) -> None:
         n, dim = self.points.n, self.points.dim
         self.spherical = len(self.bandwidths) > 0 and np.ndim(self.bandwidths[0]) == 0
-        if self.weights is None:
-            self.weights = np.full(n, 1.0 / n)
-        else:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if self.weights.shape != (n,):
-                raise ValueError("weights length must equal point count")
-            if not np.all(self.weights > 0.0):
-                raise ValueError("weights must be positive")
-            if abs(float(self.weights.sum()) - 1.0) > 1e-12:
-                raise ValueError("weights must sum to 1 within 1e-12")
+        self.weights = np.full(n, 1.0 / n)
         if self.spherical:
             bw = np.asarray(self.bandwidths, dtype=np.float64).reshape(-1)
             if bw.shape != (n,):

@@ -126,7 +126,7 @@ def _square_buffers(held: tuple[np.ndarray, ...], count: int,
 
 
 class WaeMmdObjective:
-    """MMD against a fresh prior sample drawn at the start of every step.
+    """IMQ-kernel MMD against a fresh prior sample drawn at every step.
 
     value and gradient share one pair of kernel matrices per cloud; a new
     prior sample clears them. The objective owns four (n, n) buffers: the
@@ -135,8 +135,7 @@ class WaeMmdObjective:
 
     deterministic = False
 
-    def __init__(self, kernel: baselines.KernelSpec, prior_rng: Rng) -> None:
-        self.kernel = kernel
+    def __init__(self, prior_rng: Rng) -> None:
         self.prior_rng = prior_rng
         self._z_tilde: PointCloud | None = None
         self._memo = _CloudMemo()
@@ -145,7 +144,7 @@ class WaeMmdObjective:
     def _matrices(self, x: PointCloud) -> tuple[np.ndarray, np.ndarray]:
         self._buffers = _square_buffers(self._buffers, 4, x.n)
         zz, zt, gram, _ = self._buffers
-        return baselines._mmd_kernels(x, self._z_tilde, self.kernel, zz, zt, gram)
+        return baselines._mmd_kernels(x, self._z_tilde, zz, zt, gram)
 
     def begin_step(self, step: int, x: PointCloud) -> None:
         self._z_tilde = sample_standard_normal(self.prior_rng, x.n, x.dim)
@@ -156,8 +155,7 @@ class WaeMmdObjective:
 
     def gradient(self, x: PointCloud) -> np.ndarray:
         k_zz, k_zt = self._memo.get(x, self._matrices)
-        return baselines._wae_mmd_gradient(x, self._z_tilde, k_zz, k_zt, self.kernel,
-                                           self._buffers[3])
+        return baselines._wae_mmd_gradient(x, self._z_tilde, k_zz, k_zt, self._buffers[3])
 
     def trace_extras(self) -> dict[str, float]:
         return {}

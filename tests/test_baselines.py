@@ -1,16 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentreg.baselines import (
-    KernelSpec,
     _cwae_gamma,
     _cwae_gradient,
     _cwae_roots,
-    _weights_from_kernel,
+    _wae_mmd_gradient,
     cwae,
     cwae_gradient,
     kernel_matrix,
@@ -18,7 +15,6 @@ from latentreg.baselines import (
     wae_mmd,
     wae_mmd_gradient,
 )
-from latentreg.gaussian_l2 import l2_distance_samples_isotropic
 from latentreg.optimizer import CwaeObjective
 from latentreg.sampling import PointCloud, Rng, _sq_dists, sample_standard_normal
 
@@ -37,12 +33,10 @@ def central_diff(f, data, h=1e-5):
     return g
 
 
-def brute_force_wae(z, z_tilde, kernel):
+def brute_force_wae(z, z_tilde):
     def k(a, b):
         s = float(((a - b) ** 2).sum())
-        if kernel.kind == "inverse_multiquadric":
-            return 2 * z.dim / (2 * z.dim + s)
-        return math.exp(-s)
+        return 2 * z.dim / (2 * z.dim + s)
 
     n, m = z.n, z_tilde.n
     first = sum(k(z.data[i], z.data[j])
@@ -64,23 +58,16 @@ def brute_force_cwae(z):
 
 def test_imq_kernel_at_zero_distance():
     for dim in (1, 3, 20):
-        k = kernel_matrix(KernelSpec.imq(), PointCloud(np.zeros((1, dim))),
-                          PointCloud(np.zeros((1, dim))))
+        k = kernel_matrix(PointCloud(np.zeros((1, dim))), PointCloud(np.zeros((1, dim))))
         assert k[0, 0] == 1.0
-
-
-def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec("rbf")
 
 
 def test_clouds_of_different_dims_are_rejected():
     z = PointCloud(RNG.normal(size=(5, 3)))
     z_tilde = PointCloud(RNG.normal(size=(4, 2)))
-    for kernel in (KernelSpec.imq(), KernelSpec.exponential()):
-        for call in (wae_mmd, wae_mmd_gradient, lambda a, b, k: kernel_matrix(k, a, b)):
-            with pytest.raises(ValueError, match="dims 3 and 2 differ"):
-                call(z, z_tilde, kernel)
+    for call in (wae_mmd, wae_mmd_gradient, kernel_matrix):
+        with pytest.raises(ValueError, match="dims 3 and 2 differ"):
+            call(z, z_tilde)
 
 
 @pytest.mark.parametrize("n,dim", [(200, 20), (7, 2)])
@@ -99,21 +86,14 @@ def test_cwae_weights_are_the_cubed_roots(n, dim):
 @pytest.mark.parametrize("n,dim", [(200, 20), (7, 2)])
 def test_imq_weights_from_the_kernel_matrix(n, dim):
     z = PointCloud(RNG.normal(size=(n, dim)))
-    y = PointCloud(RNG.normal(size=(n + 3, dim)))
-    kernel = KernelSpec.imq()
-    v, a = _weights_from_kernel(kernel, dim, kernel_matrix(kernel, z, y))
+    y = PointCloud(RNG.normal(size=(n, dim)))
+    weights = np.empty((n, n))
+    # leaves its last weights, the cross term's k^2, in scratch: -k^2/D is
+    # d k(z_i, y_j) / d z_i over (z_i - y_j)
+    _wae_mmd_gradient(z, y, kernel_matrix(z, z), kernel_matrix(z, y), weights)
     c = 2.0 * dim
     want = -2.0 * c / (c + _sq_dists(z.data, y.data)) ** 2
-    np.testing.assert_allclose(a * v, want, rtol=1e-14, atol=0.0)
-
-
-def test_exponential_weights_keep_their_bits():
-    z = PointCloud(0.3 * RNG.normal(size=(40, 5)))
-    y = PointCloud(0.3 * RNG.normal(size=(30, 5)))
-    kernel = KernelSpec.exponential()
-    v, a = _weights_from_kernel(kernel, 5, kernel_matrix(kernel, z, y))
-    assert a == 1.0
-    assert v.tobytes() == (-2.0 * np.exp(-_sq_dists(z.data, y.data))).tobytes()
+    np.testing.assert_allclose(-weights / dim, want, rtol=1e-14, atol=0.0)
 
 
 def test_wae_mmd_two_coincident_points():
@@ -122,7 +102,7 @@ def test_wae_mmd_two_coincident_points():
     z = PointCloud(np.zeros((2, 3)))
     for m in (1, 2, 5):
         z_tilde = PointCloud(np.zeros((m, 3)))
-        assert wae_mmd(z, z_tilde, KernelSpec.imq()) == pytest.approx(-1.0, abs=1e-15)
+        assert wae_mmd(z, z_tilde) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_wae_mmd_duplicated_prior_sample_is_the_same_distribution():
@@ -131,32 +111,27 @@ def test_wae_mmd_duplicated_prior_sample_is_the_same_distribution():
     z = PointCloud(RNG.normal(size=(4, 3)))
     z_tilde = PointCloud(RNG.normal(size=(4, 3)))
     doubled = PointCloud(np.concatenate([z_tilde.data, z_tilde.data]))
-    for kernel in (KernelSpec.imq(), KernelSpec.exponential()):
-        assert wae_mmd(z, doubled, kernel) == \
-            pytest.approx(wae_mmd(z, z_tilde, kernel), abs=1e-14)
-        assert np.allclose(wae_mmd_gradient(z, doubled, kernel),
-                           wae_mmd_gradient(z, z_tilde, kernel), rtol=0.0, atol=1e-14)
+    assert wae_mmd(z, doubled) == pytest.approx(wae_mmd(z, z_tilde), abs=1e-14)
+    assert np.allclose(wae_mmd_gradient(z, doubled), wae_mmd_gradient(z, z_tilde),
+                       rtol=0.0, atol=1e-14)
 
 
 def test_wae_mmd_needs_two_points():
     with pytest.raises(ValueError):
-        wae_mmd(PointCloud(np.zeros((1, 2))), PointCloud(np.zeros((1, 2))),
-                KernelSpec.imq())
+        wae_mmd(PointCloud(np.zeros((1, 2))), PointCloud(np.zeros((1, 2))))
 
 
 def test_wae_mmd_matches_brute_force():
     z = PointCloud(RNG.normal(size=(5, 3)))
     for m in (5, 3):
         z_tilde = PointCloud(RNG.normal(size=(m, 3)))
-        for kernel in (KernelSpec.imq(), KernelSpec.exponential()):
-            assert wae_mmd(z, z_tilde, kernel) == \
-                pytest.approx(brute_force_wae(z, z_tilde, kernel), abs=1e-12)
+        assert wae_mmd(z, z_tilde) == pytest.approx(brute_force_wae(z, z_tilde), abs=1e-12)
 
 
 def test_wae_mmd_gradient_zero_at_coincident_points():
     z = PointCloud(np.zeros((3, 2)))
     z_tilde = PointCloud(np.zeros((3, 2)))
-    g = wae_mmd_gradient(z, z_tilde, KernelSpec.imq())
+    g = wae_mmd_gradient(z, z_tilde)
     assert np.all(g == 0.0)
 
 
@@ -164,20 +139,17 @@ def test_wae_mmd_gradient_matches_finite_differences():
     z = PointCloud(RNG.normal(size=(4, 2)))
     for m in (4, 7):
         z_tilde = PointCloud(RNG.normal(size=(m, 2)))
-        for kernel in (KernelSpec.imq(), KernelSpec.exponential()):
-            g = wae_mmd_gradient(z, z_tilde, kernel)
-            fd = central_diff(lambda d: wae_mmd(PointCloud(d), z_tilde, kernel), z.data)
-            assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
+        g = wae_mmd_gradient(z, z_tilde)
+        fd = central_diff(lambda d: wae_mmd(PointCloud(d), z_tilde), z.data)
+        assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 def test_wae_mmd_gradient_translation_invariant():
     z = PointCloud(RNG.normal(size=(4, 3)))
     z_tilde = PointCloud(RNG.normal(size=(4, 3)))
-    kernel = KernelSpec.imq()
     shift = RNG.normal(size=3)
-    g0 = wae_mmd_gradient(z, z_tilde, kernel)
-    g1 = wae_mmd_gradient(PointCloud(z.data + shift),
-                          PointCloud(z_tilde.data + shift), kernel)
+    g0 = wae_mmd_gradient(z, z_tilde)
+    g1 = wae_mmd_gradient(PointCloud(z.data + shift), PointCloud(z_tilde.data + shift))
     assert np.allclose(g0, g1, atol=1e-14)
 
 
@@ -232,23 +204,9 @@ def test_values_permutation_invariant(seed):
     z_tilde = PointCloud(rng.normal(size=(6, 4)))
     perm = rng.permutation(6)
     z_p = PointCloud(z.data[perm])
-    kernel = KernelSpec.imq()
-    assert wae_mmd(z_p, z_tilde, kernel) == pytest.approx(
-        wae_mmd(z, z_tilde, kernel), rel=1e-12)
+    assert wae_mmd(z_p, z_tilde) == pytest.approx(wae_mmd(z, z_tilde), rel=1e-12)
     assert cwae(z_p) == pytest.approx(cwae(z), rel=1e-12)
     assert mardia_stats(z_p) == pytest.approx(mardia_stats(z), rel=1e-12)
-
-
-def test_exponential_kernel_consistent_with_isotropic_l2():
-    # exp(-|x-y|^2) equals the isotropic pair kernel at 4 sigma^2 = 1
-    x = PointCloud(RNG.normal(size=(5, 3)))
-    y = PointCloud(RNG.normal(size=(4, 3)))
-    kernel = KernelSpec.exponential()
-    via_kernel = (float(kernel_matrix(kernel, x, x).sum()) / 25
-                  + float(kernel_matrix(kernel, y, y).sum()) / 16
-                  - 2 * float(kernel_matrix(kernel, x, y).sum()) / 20)
-    assert l2_distance_samples_isotropic(x, y, 0.5) == \
-        pytest.approx(via_kernel, abs=1e-12)
 
 
 def test_mardia_single_origin_point():

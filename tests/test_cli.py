@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentreg import calibration, cli
-from latentreg.baselines import KernelSpec, cwae, mardia_stats, wae_mmd
+from latentreg.baselines import cwae, wae_mmd
 from latentreg.cdf_attract import cloud_stats, midpoint_probs
 from latentreg.cli import (
     ExperimentSpec,
@@ -291,7 +291,7 @@ def test_eval_malformed_csv_exit_code_and_message(tmp_path, capsys):
 def _eval_rows(cloud, which, seed):
     if which == "wae_mmd":
         prior = sample_standard_normal(Rng(seed).derive(1), cloud.n, cloud.dim)
-        return [("wae_mmd", wae_mmd(cloud, prior, KernelSpec.imq()))]
+        return [("wae_mmd", wae_mmd(cloud, prior))]
     report = radii_test(cloud) if which == "radii" else distance_test(cloud)
     return [("ks_linf", report.ks_linf), ("l1_area", report.l1_area),
             ("sample_size", float(report.sample_size))]
@@ -359,6 +359,11 @@ BAD_SPECS = {
     "num_dirs": (["fig2", "--num-dirs", "0"], None),
     "fig1_dim1": (["fig1", "--dim", "1"], None),
     "coordinate_alpha0": (["attract", "--target", "uniform01", "--alpha0", "2"], None),
+    "target_in_config_outside_attract": (["fig1"], "target=torus\n"),
+    "num_dirs_outside_fig2": (["fig1", "--num-dirs", "50"], None),
+    "norm_and_gradient_mode_with_coordinate_target": (
+        ["attract", "--target", "torus", "--norm", "l2", "--gradient-mode", "paper"], None),
+    "duplicate_key_in_config": (["fig1"], "n=10\nn=9\n"),
 }
 
 

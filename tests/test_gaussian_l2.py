@@ -197,6 +197,22 @@ def test_isotropic_scaling_consistency():
         assert plain == pytest.approx(general * factor, rel=1e-9)
 
 
+def test_isotropic_matches_an_explicit_double_sum():
+    # the three means of exp(-|u-v|^2/(4 sigma^2)), one pair at a time
+    rng = np.random.default_rng(5)
+    x = PointCloud(rng.normal(size=(5, 3)))
+    y = PointCloud(rng.normal(size=(4, 3)))
+
+    def mean_kernel(a, b, sigma):
+        return sum(math.exp(-float(((u - v) ** 2).sum()) / (4 * sigma * sigma))
+                   for u in a.data for v in b.data) / (a.n * b.n)
+
+    for sigma in (0.5, 1.3):
+        want = mean_kernel(x, x, sigma) + mean_kernel(y, y, sigma) \
+            - 2 * mean_kernel(x, y, sigma)
+        assert l2_distance_samples_isotropic(x, y, sigma) == pytest.approx(want, abs=1e-12)
+
+
 def test_prior_distance_single_standard_point():
     x = PointCloud(np.zeros((1, 4)))
     val = l2_distance_to_standard_gaussian(x, np.array([1.0]), scaled=True)
@@ -254,15 +270,13 @@ def test_full_covariance_sums_match_spherical_paths():
         spherical = l2_distance_to_standard_gaussian(x, sx, scaled=scaled)
         full = l2_distance_to_standard_gaussian(x, full_x, scaled=scaled)
         assert full == pytest.approx(spherical, rel=1e-10)
-    wx, wy = np.arange(1.0, 10.0) / 45.0, np.arange(7.0, 0.0, -1.0) / 28.0
-    spherical = l2_distance_samples(SmoothedSample(x, sx, wx), SmoothedSample(y, sy))
-    full = l2_distance_samples(SmoothedSample(x, full_x, wx), SmoothedSample(y, full_y))
+    spherical = l2_distance_samples(SmoothedSample(x, sx), SmoothedSample(y, sy))
+    full = l2_distance_samples(SmoothedSample(x, full_x), SmoothedSample(y, full_y))
     assert spherical > 0.0
     assert full == pytest.approx(spherical, rel=1e-10)
     # widths on one side, matrices on the other
-    spherical = l2_distance_samples(SmoothedSample(x, sx, wx), SmoothedSample(y, sy, wy))
-    for a, b in ((SmoothedSample(x, sx, wx), SmoothedSample(y, full_y, wy)),
-                 (SmoothedSample(x, full_x, wx), SmoothedSample(y, sy, wy))):
+    for a, b in ((SmoothedSample(x, sx), SmoothedSample(y, full_y)),
+                 (SmoothedSample(x, full_x), SmoothedSample(y, sy))):
         assert l2_distance_samples(a, b) == pytest.approx(spherical, rel=1e-10)
 
 
@@ -313,9 +327,8 @@ def test_blocked_kernels_match_a_dense_reference(monkeypatch, n):
     rng = np.random.default_rng(n)
     dim = 4
     x, y = PointCloud(rng.normal(size=(n, dim))), PointCloud(rng.normal(size=(M, dim)) + 0.5)
-    wx, wy = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, M)
-    a = SmoothedSample(x, rng.uniform(0.5, 1.5, n), wx / wx.sum())
-    b = SmoothedSample(y, rng.uniform(0.5, 1.5, M), wy / wy.sum())
+    a = SmoothedSample(x, rng.uniform(0.5, 1.5, n))
+    b = SmoothedSample(y, rng.uniform(0.5, 1.5, M))
     for shift in (0.0, 0.5 * dim * math.log(4 * math.pi)):
         for u, v in ((a, a), (b, b), (a, b), (b, a)):
             assert gaussian_l2._energy(u, v, shift) == pytest.approx(
@@ -334,8 +347,7 @@ def test_chunked_pair_sums_match_the_per_pair_sum(monkeypatch, elements):
     na, nb, dim = 7, 5, 3
     x, y = PointCloud(rng.normal(size=(na, dim))), PointCloud(rng.normal(size=(nb, dim)))
     cov_x, cov_y = [rand_spd(dim, rng) for _ in range(na)], [rand_spd(dim, rng) for _ in range(nb)]
-    wx = rng.uniform(0.5, 1.5, na)
-    a, b = SmoothedSample(x, cov_x, wx / wx.sum()), SmoothedSample(y, cov_y)
+    a, b = SmoothedSample(x, cov_x), SmoothedSample(y, cov_y)
     for u, v in ((a, a), (a, b), (b, a)):
         per_pair = math.fsum(
             wi * wj * gaussian_product_integral(pi - pj, ci, cj)
@@ -380,8 +392,6 @@ def test_covariances_must_fit_the_cloud():
 def test_smoothed_sample_weight_validation():
     pts = PointCloud(np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        SmoothedSample(pts, np.array([1.0, 1.0]), weights=np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
         SmoothedSample(pts, np.array([1.0]))
     with pytest.raises(ValueError):
         SmoothedSample(pts, np.array([1.0, -0.2]))
@@ -398,12 +408,11 @@ NAN_CLOUD = PointCloud(np.arange(6.0).reshape(3, 2))
     lambda: spherical_product_integral(NAN, 1.0, 1.0, 2),
     lambda: l2_distance_samples_isotropic(NAN_CLOUD, NAN_CLOUD, NAN),
     lambda: l2_distance_to_standard_gaussian(NAN_CLOUD, [1.0, NAN, 1.0]),
-    lambda: SmoothedSample(NAN_CLOUD, [1.0, 1.0, 1.0], weights=[0.5, 0.5, NAN]),
     lambda: gaussian_product_integral(np.zeros(2), np.full((2, 2), NAN), np.eye(2)),
     lambda: gaussian_product_integral(np.zeros(2), np.eye(2), [[1.0, 0.0], [0.0, np.inf]]),
     lambda: gaussian_power_identity(np.zeros(2), np.eye(2), NAN),
 ], ids=["mean_field_radius", "sigma2", "gamma2", "separation", "isotropic_sigma",
-        "spherical_bandwidth", "weight", "nan_covariance", "inf_covariance", "power"])
+        "spherical_bandwidth", "nan_covariance", "inf_covariance", "power"])
 def test_nan_inputs_fail_the_domain_checks(call):
     with pytest.raises(ValueError):
         call()

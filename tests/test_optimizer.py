@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from latentreg import baselines, calibration, cdf_attract, optimizer
-from latentreg.baselines import KernelSpec
 from latentreg.cdf_attract import TargetQuantiles, build_target_quantiles, cloud_stats
 from latentreg.optimizer import (
     CdfAttractionObjective,
@@ -67,7 +66,7 @@ def test_wae_mmd_noisy_but_windowed_means_decrease():
     # resampling makes single steps noisy; 100-step window means still slide
     # down across the first 2100 steps (lag-5 window comparison)
     config = RunConfig(n=100, dim=20, seed=5, max_steps=2100, alpha0=2.0)
-    _, trace = run(config, WaeMmdObjective(KernelSpec.imq(), Rng(5).derive(1)))
+    _, trace = run(config, WaeMmdObjective(Rng(5).derive(1)))
     objs = np.array([r.objective for r in trace])
     assert np.any(np.diff(objs) > 0)  # genuinely noisy
     means = objs.reshape(21, 100).mean(1)
@@ -159,7 +158,7 @@ def test_negative_objective_run_stalls():
 
 def test_stochastic_objective_ignores_the_stall_rule():
     config = RunConfig(n=10, dim=2, seed=3, max_steps=6, alpha0=2.0, stall=(1, 0.99))
-    _, trace = run(config, WaeMmdObjective(KernelSpec.imq(), Rng(3).derive(1)))
+    _, trace = run(config, WaeMmdObjective(Rng(3).derive(1)))
     assert len(trace) == 6
 
 
@@ -340,17 +339,17 @@ def test_cwae_run_takes_one_root_pass_per_evaluated_cloud(monkeypatch):
 def test_wae_mmd_run_builds_two_distance_matrices_per_step(monkeypatch):
     calls = _counting_sq_dists(monkeypatch)
     config = RunConfig(n=20, dim=4, seed=7, max_steps=25, alpha0=2.0)
-    _, trace = run(config, WaeMmdObjective(KernelSpec.imq(), Rng(7).derive(1)))
+    _, trace = run(config, WaeMmdObjective(Rng(7).derive(1)))
     assert len(trace) == 25
     assert len(calls) == 2 * 25
 
 
 def test_wae_mmd_new_prior_sample_clears_the_memo():
-    objective = WaeMmdObjective(KernelSpec.imq(), Rng(7).derive(1))
+    objective = WaeMmdObjective(Rng(7).derive(1))
     x = sample_uniform_cube(Rng(7), 20, 4, -1.0, 1.0)
     for step in range(2):
         objective.begin_step(step, x)
-        assert objective.value(x) == baselines.wae_mmd(x, objective._z_tilde, objective.kernel)
+        assert objective.value(x) == baselines.wae_mmd(x, objective._z_tilde)
 
 
 class _DirectCwaeObjective(CwaeObjective):
@@ -367,10 +366,10 @@ class _DirectWaeMmdObjective(WaeMmdObjective):
     """WAE-MMD through the public functions, one distance pass per call."""
 
     def value(self, x):
-        return baselines.wae_mmd(x, self._z_tilde, self.kernel)
+        return baselines.wae_mmd(x, self._z_tilde)
 
     def gradient(self, x):
-        return baselines.wae_mmd_gradient(x, self._z_tilde, self.kernel)
+        return baselines.wae_mmd_gradient(x, self._z_tilde)
 
 
 @pytest.mark.parametrize("alpha0", [50.0, 1e6])
@@ -385,19 +384,16 @@ def test_cwae_memo_leaves_the_run_unchanged(alpha0):
 def test_wae_mmd_memo_leaves_the_run_unchanged():
     config = RunConfig(n=30, dim=5, seed=8, max_steps=50, alpha0=2.0)
     direct_final, direct_trace = run(
-        config, _DirectWaeMmdObjective(KernelSpec.imq(), Rng(8).derive(1)))
-    final, trace = run(config, WaeMmdObjective(KernelSpec.imq(), Rng(8).derive(1)))
+        config, _DirectWaeMmdObjective(Rng(8).derive(1)))
+    final, trace = run(config, WaeMmdObjective(Rng(8).derive(1)))
     assert _trace_bits(trace) == _trace_bits(direct_trace)
     assert final.data.tobytes() == direct_final.data.tobytes()
 
 
 _BUFFERED_AND_DIRECT = {
     "cwae": (CwaeObjective, _DirectCwaeObjective),
-    "wae_mmd_imq": (lambda: WaeMmdObjective(KernelSpec.imq(), Rng(3).derive(1)),
-                    lambda: _DirectWaeMmdObjective(KernelSpec.imq(), Rng(3).derive(1))),
-    "wae_mmd_exponential": (
-        lambda: WaeMmdObjective(KernelSpec.exponential(), Rng(3).derive(1)),
-        lambda: _DirectWaeMmdObjective(KernelSpec.exponential(), Rng(3).derive(1))),
+    "wae_mmd_imq": (lambda: WaeMmdObjective(Rng(3).derive(1)),
+                    lambda: _DirectWaeMmdObjective(Rng(3).derive(1))),
 }
 
 
@@ -440,7 +436,7 @@ def test_one_objective_serves_clouds_of_any_shape(kind):
 
 @pytest.mark.parametrize("make", [
     lambda: CwaeObjective(),
-    lambda: WaeMmdObjective(KernelSpec.imq(), Rng(5).derive(1)),
+    lambda: WaeMmdObjective(Rng(5).derive(1)),
 ], ids=["cwae", "wae_mmd"])
 def test_steady_state_steps_allocate_no_square_matrix(make):
     n, dim = 200, 20
@@ -482,7 +478,7 @@ def test_steady_state_steps_allocate_no_square_matrix(make):
 
 @pytest.mark.parametrize("make", [
     lambda: CwaeObjective(),
-    lambda: WaeMmdObjective(KernelSpec.imq(), Rng(2).derive(1)),
+    lambda: WaeMmdObjective(Rng(2).derive(1)),
     lambda: CdfAttractionObjective(build_target_quantiles(12, 3)),
 ])
 def test_objective_and_its_memo_free_without_the_cycle_collector(make):
