@@ -3,7 +3,7 @@
 The core algorithm: compute the n squared radii and n' = n(n-1)/2 half
 squared pairwise distances of a point cloud, sort both, pair rank i with the
 chi-squared quantile at probability (i - 0.5)/count, and gradient-descend the
-l1 (or l2) mismatch. Also the coordinate-wise variant that snaps each
+l1 mismatch. Also the coordinate-wise variant that snaps each
 coordinate's order statistics onto a 1-D target (Gaussian, uniform on [0,1],
 a quantized staircase attracting mass to codeword centers, or the uniform
 torus with wrapped moves).
@@ -41,12 +41,7 @@ __all__ = [
     "cdf_objective",
     "coordinate_targets",
     "coordinate_step",
-    "GRADIENT_MODES",
-    "NORMS",
 ]
-
-GRADIENT_MODES = ("exact_subgradient", "paper_verbatim")
-NORMS = ("l1", "l2")
 
 
 @dataclass(frozen=True)
@@ -138,16 +133,10 @@ def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, ranked
 
 
-def _terms(rank_res_r: np.ndarray, rank_res_d: np.ndarray,
-           norm: str) -> tuple[float, float]:
-    """The radii and distance terms of the objective from the rank-order
-    residuals sorted_values - table: the one definition of the mismatch."""
-    _check_norm(norm)
-    if norm == "l1":
-        return _mean(np.abs(rank_res_r)), _mean(np.abs(rank_res_d))
-    # l2 uses half squared residuals so its gradient is the l1 gradient with
-    # each sign replaced by the residual itself
-    return 0.5 * _mean(rank_res_r ** 2), 0.5 * _mean(rank_res_d ** 2)
+def _terms(rank_res_r: np.ndarray, rank_res_d: np.ndarray) -> tuple[float, float]:
+    """The radii and distance terms, each the mean absolute rank-order
+    residual sorted_values - table: the one definition of the mismatch."""
+    return _mean(np.abs(rank_res_r)), _mean(np.abs(rank_res_d))
 
 
 def _mean(a: np.ndarray) -> float:
@@ -162,13 +151,12 @@ def _check_size(stats: CloudStats, targets: TargetQuantiles) -> None:
                          f"cloud has n={stats.radii.shape[0]}")
 
 
-def value_terms(stats: CloudStats, targets: TargetQuantiles,
-                norm: str = "l1") -> tuple[float, float]:
+def value_terms(stats: CloudStats, targets: TargetQuantiles) -> tuple[float, float]:
     """(radii term, distance term) of the objective. The value needs only the
     sorted values, so a plain np.sort replaces the ranked pass."""
     _check_size(stats, targets)
     return _terms(np.sort(stats.radii) - targets.radii,
-                  np.sort(stats.distances) - targets.distances, norm)
+                  np.sort(stats.distances) - targets.distances)
 
 
 class Residuals(NamedTuple):
@@ -194,28 +182,14 @@ def residual_bundle(stats: CloudStats, targets: TargetQuantiles) -> Residuals:
     return Residuals(*residuals)
 
 
-def gradient_from_residuals(x: PointCloud, residuals: Residuals, mode: str,
-                            norm: str) -> np.ndarray:
-    """Gradient (l2) or subgradient (l1, with sign(0) = 0) of cdf_objective.
-
-    exact_subgradient uses the true distance-term coefficient 1/n';
-    paper_verbatim doubles it to 2/n', which only reweights that term.
-    """
-    _check_mode(mode)
-    _check_norm(norm)
-    res_r, res_d = residuals.radii, residuals.distances
+def gradient_from_residuals(x: PointCloud, residuals: Residuals) -> np.ndarray:
+    """Subgradient of cdf_objective, with sign(0) = 0. The distance term's
+    coefficient is its true 1/n'."""
     n = x.n
-    n_pairs = res_d.shape[0]
-    factor_r = np.sign(res_r) if norm == "l1" else res_r
-    factor_d = np.sign(res_d) if norm == "l1" else res_d
+    grad = (2.0 / n) * np.sign(residuals.radii)[:, None] * x.data
 
-    grad = (2.0 / n) * factor_r[:, None] * x.data
-
-    dist_coef = 1.0 / n_pairs
-    if mode == "paper_verbatim":
-        dist_coef *= 2.0
     upper, lower = _pair_flat_indices(n)
-    pair_weights = dist_coef * factor_d
+    pair_weights = (1.0 / residuals.distances.shape[0]) * np.sign(residuals.distances)
     w = np.zeros((n, n))
     w_flat = w.ravel()  # a view: w is C-ordered
     w_flat[upper] = pair_weights
@@ -225,8 +199,11 @@ def gradient_from_residuals(x: PointCloud, residuals: Residuals, mode: str,
 
 
 def cdf_objective(x: PointCloud, targets: TargetQuantiles, norm: str = "l1") -> float:
-    """Quantile mismatch; zero iff sorted stats equal the tables (l1)."""
-    term_r, term_d = value_terms(cloud_stats(x), targets, norm)
+    """Quantile mismatch; zero iff sorted stats equal the tables. norm is kept
+    only for the benchmark's norm="l1" call; any other value raises."""
+    if norm != "l1":
+        raise ValueError(f"unknown norm {norm!r}; the mismatch is l1")
+    term_r, term_d = value_terms(cloud_stats(x), targets)
     return term_r + term_d
 
 
@@ -285,12 +262,3 @@ def coordinate_step(x: PointCloud, target: CoordinateTarget,
         return PointCloud(np.mod(x.data + alpha * delta, 1.0))
     return PointCloud(x.data + alpha * delta)
 
-
-def _check_mode(mode: str) -> None:
-    if mode not in GRADIENT_MODES:
-        raise ValueError(f"unknown gradient mode {mode!r}; expected one of {GRADIENT_MODES}")
-
-
-def _check_norm(norm: str) -> None:
-    if norm not in NORMS:
-        raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")

@@ -26,8 +26,6 @@ import numpy as np
 from . import calibration
 from .baselines import cwae, mardia_stats, wae_mmd
 from .cdf_attract import (
-    GRADIENT_MODES,
-    NORMS,
     CoordinateTarget,
     build_target_quantiles,
     cdf_objective,
@@ -74,7 +72,6 @@ ATTRACT_BATTERY_STEPS = 400
 COORD_STEPS = 200
 COORD_ALPHA = 0.5
 
-_GRADIENT_MODES = {"exact": "exact_subgradient", "paper": "paper_verbatim"}
 _ATTRACT_TARGETS = ("gaussian", "uniform01", "torus", "quantized")
 
 
@@ -89,8 +86,6 @@ class ExperimentSpec:
     alpha0: float | None = None
     out: str = "latentreg_out"
     jobs: int = 1
-    gradient_mode: str = "exact_subgradient"
-    norm: str = "l1"
     num_dirs: int = 10
     target: str = "gaussian"
     bits: int | None = None  # quantized target only, where it defaults to 1
@@ -101,9 +96,6 @@ class ExperimentSpec:
             (self.dim >= 1, f"dim must be >= 1, got {self.dim}"),
             (self.trials >= 1, f"trials must be >= 1, got {self.trials}"),
             (self.jobs >= 1, f"jobs must be >= 1, got {self.jobs}"),
-            (self.norm in NORMS, f"norm must be one of {NORMS}, got {self.norm!r}"),
-            (self.gradient_mode in GRADIENT_MODES,
-             f"gradient_mode must be one of {GRADIENT_MODES}, got {self.gradient_mode!r}"),
             (self.target in _ATTRACT_TARGETS,
              f"target must be one of {_ATTRACT_TARGETS}, got {self.target!r}"),
             (self.bits is None or self.bits >= 1, f"bits must be >= 1, got {self.bits}"),
@@ -122,9 +114,6 @@ class ExperimentSpec:
              f"target applies only to attract, got target {self.target!r}"),
             (self.experiment == "fig2_battery" or self.num_dirs == 10,
              f"num_dirs applies only to fig2, got {self.num_dirs}"),
-            (self.target == "gaussian"
-             or (self.norm, self.gradient_mode) == ("l1", "exact_subgradient"),
-             f"norm and gradient_mode do not apply to the {self.target!r} target"),
             # a coordinate step is a convex move toward its targets
             (self.experiment != "attract_demo" or self.target == "gaussian"
              or self.alpha0 is None or self.alpha0 <= 1.0,
@@ -175,7 +164,7 @@ def run_attraction_trial(spec: ExperimentSpec, trial_seed: int):
     initial_cloud(_attraction_config(spec, trial_seed))."""
     targets = build_target_quantiles(spec.n, spec.dim)
     config = _attraction_config(spec, trial_seed)
-    objective = CdfAttractionObjective(targets, mode=spec.gradient_mode, norm=spec.norm)
+    objective = CdfAttractionObjective(targets)
     return run(config, objective)
 
 
@@ -404,7 +393,8 @@ def cmd_eval(cloud_csv: str, which: str, seed: int, out: str) -> int:
     cloud = PointCloud.from_csv(cloud_csv)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    print(f"cloud={cloud_csv} n={cloud.n} dim={cloud.dim} which={which} seed={seed}")
+    seed_note = f" seed={seed}" if which == "wae_mmd" else ""
+    print(f"cloud={cloud_csv} n={cloud.n} dim={cloud.dim} which={which}{seed_note}")
     rows: list[tuple[str, float]] = []
     if which == "mardia":
         skew, kurt, second = mardia_stats(cloud)
@@ -464,8 +454,7 @@ def cmd_attract_demo(spec: ExperimentSpec) -> int:
             before = initial_cloud(_attraction_config(spec, trial_seed))
             after, trace = run_attraction_trial(spec, trial_seed)
             trace_to_csv(trace, out / f"attract_gaussian_trial{t:02d}_trace.csv")
-            final_obj = cdf_objective(after, build_target_quantiles(spec.n, spec.dim),
-                                      norm=spec.norm)
+            final_obj = cdf_objective(after, build_target_quantiles(spec.n, spec.dim))
             summary = ("final_objective", final_obj)
         else:
             kind = {"uniform01": "uniform01", "torus": "torus_uniform01",
@@ -513,8 +502,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha0", type=float, default=None)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--gradient-mode", choices=("exact", "paper"), default=None)
-    p.add_argument("--norm", choices=("l1", "l2"), default=None)
     p.add_argument("--num-dirs", type=int, default=None)
     p.add_argument("--config", type=str, default=None,
                    help="key=value file; flags override file values")
@@ -536,9 +523,8 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 _SPEC_CASTS = {
-    "n": int, "dim": int, "trials": int, "seed": int, "steps": int,
-    "alpha0": float, "out": str, "jobs": int, "gradient_mode": str,
-    "norm": str, "num_dirs": int, "target": str, "bits": int,
+    "n": int, "dim": int, "trials": int, "seed": int, "steps": int, "alpha0": float,
+    "out": str, "jobs": int, "num_dirs": int, "target": str, "bits": int,
 }
 
 
@@ -556,8 +542,6 @@ def _build_spec(experiment: str, args: argparse.Namespace) -> ExperimentSpec:
             value = file_values.get(name)
         if value is None:
             continue
-        if name == "gradient_mode":
-            value = _GRADIENT_MODES.get(value, value)
         values[name] = cast(value)
     return ExperimentSpec(experiment, **values)
 
@@ -573,7 +557,8 @@ def main(argv: list[str] | None = None) -> int:
     p_eval = sub.add_parser("eval", help="evaluate one statistic on a cloud CSV")
     p_eval.add_argument("--cloud", required=True)
     p_eval.add_argument("--which", required=True, choices=_EVAL_CHOICES)
-    p_eval.add_argument("--seed", type=int, default=1)
+    p_eval.add_argument("--seed", type=int, default=None,
+                        help="prior sample seed of --which wae_mmd (default 1)")
     p_eval.add_argument("--out", type=str, default="latentreg_out")
     p_attract = sub.add_parser("attract", help="attraction demo runs")
     _add_common(p_attract)
@@ -582,7 +567,10 @@ def main(argv: list[str] | None = None) -> int:
     p_attract.add_argument("--bits", type=int, default=None)
 
     args = parser.parse_args(argv)
-    if args.command != "eval":
+    if args.command == "eval":
+        if args.seed is not None and args.which != "wae_mmd":
+            parser.error(f"--seed applies only to --which wae_mmd, got --which {args.which}")
+    else:
         experiment = {"fig1": "fig1_grid", "fig2": "fig2_battery",
                       "attract": "attract_demo"}[args.command]
         try:  # a bad spec is a usage error, reported before any file is written
@@ -595,7 +583,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fig2":
             return cmd_fig2(spec)
         if args.command == "eval":
-            return cmd_eval(args.cloud, args.which, args.seed, args.out)
+            return cmd_eval(args.cloud, args.which, 1 if args.seed is None else args.seed,
+                            args.out)
         return cmd_attract_demo(spec)
     except Exception as exc:  # runtime/numeric failure -> exit 2
         sys.stderr.write(f"latentreg: error: {exc}\n")

@@ -207,18 +207,15 @@ class CdfAttractionObjective:
 
     deterministic = True
 
-    def __init__(self, targets: cdf_attract.TargetQuantiles,
-                 mode: str = "exact_subgradient", norm: str = "l1") -> None:
+    def __init__(self, targets: cdf_attract.TargetQuantiles) -> None:
         self.targets = targets
-        self.mode = mode
-        self.norm = norm
         self._last_terms: tuple[float, float] = (float("nan"), float("nan"))
         self._memo = _CloudMemo()
         self._residuals: cdf_attract.Residuals | None = None
 
     def _evaluate(self, x: PointCloud) -> tuple[cdf_attract.CloudStats, tuple[float, float]]:
         stats = cdf_attract.cloud_stats(x)
-        return stats, cdf_attract.value_terms(stats, self.targets, self.norm)
+        return stats, cdf_attract.value_terms(stats, self.targets)
 
     def begin_step(self, step: int, x: PointCloud) -> None:
         pass
@@ -233,7 +230,7 @@ class CdfAttractionObjective:
         # again (n=400, D=20: 19k minor page faults per run instead of 3.7k)
         self._residuals = cdf_attract.residual_bundle(self._memo.get(x, self._evaluate)[0],
                                                       self.targets)
-        return cdf_attract.gradient_from_residuals(x, self._residuals, self.mode, self.norm)
+        return cdf_attract.gradient_from_residuals(x, self._residuals)
 
     def trace_extras(self) -> dict[str, float]:
         return {"radii_term": self._last_terms[0],

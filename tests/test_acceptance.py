@@ -220,7 +220,7 @@ def test_criterion_3_gradient_fidelity(targets):
         if gap < 1e-4:  # keep clear of ties and sign flips
             continue
         residuals = residual_bundle(cloud_stats(cloud), small_targets)
-        grad = gradient_from_residuals(cloud, residuals, "exact_subgradient", "l1")
+        grad = gradient_from_residuals(cloud, residuals)
         err = _directional_fd(lambda d: cdf_objective(PointCloud(d), small_targets),
                               cloud.data, grad, 1e-7)
         worst = max(worst, err)

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentreg.cdf_attract import (
-    GRADIENT_MODES,
-    NORMS,
     CoordinateTarget,
     TargetQuantiles,
     build_target_quantiles,
@@ -27,9 +25,8 @@ from latentreg.specfun import normal_inv_cdf
 RNG = np.random.default_rng(2718)
 
 
-def gradient(cloud, targets, mode="exact_subgradient", norm="l1"):
-    return gradient_from_residuals(cloud, residual_bundle(cloud_stats(cloud), targets),
-                                   mode, norm)
+def gradient(cloud, targets):
+    return gradient_from_residuals(cloud, residual_bundle(cloud_stats(cloud), targets))
 
 
 def perfect_targets(cloud):
@@ -142,10 +139,9 @@ def test_ranked_residuals_follow_the_stable_sort(seed, kind):
 
 
 @given(st.integers(min_value=0, max_value=10**6),
-       st.sampled_from(TIE_KINDS + ["two_points"]),
-       st.sampled_from(NORMS))
+       st.sampled_from(TIE_KINDS + ["two_points"]))
 @settings(max_examples=60, deadline=None)
-def test_value_terms_equal_the_ranked_pass_terms(seed, kind, norm):
+def test_value_terms_equal_the_ranked_pass_terms(seed, kind):
     # the value sorts with np.sort; the ranked pass's residuals, gathered in
     # rank order, must give the objective the same bits
     rng = np.random.default_rng(seed)
@@ -155,26 +151,22 @@ def test_value_terms_equal_the_ranked_pass_terms(seed, kind, norm):
         cloud = _tie_cloud(kind, rng)
     targets = build_target_quantiles(cloud.n, cloud.dim)
     stats = cloud_stats(cloud)
-    expected = [term.hex() for term in value_terms(stats, targets, norm)]
+    expected = [term.hex() for term in value_terms(stats, targets)]
     ranked = [residuals[np.argsort(values, kind="stable")]
               for values, residuals in zip(stats, residual_bundle(stats, targets))]
-    assert [term.hex() for term in cdf_attract._terms(*ranked, norm)] == expected
-    assert cdf_objective(cloud, targets, norm).hex() == \
+    assert [term.hex() for term in cdf_attract._terms(*ranked)] == expected
+    assert cdf_objective(cloud, targets).hex() == \
         (float.fromhex(expected[0]) + float.fromhex(expected[1])).hex()
 
 
-@pytest.mark.parametrize("norm", NORMS)
 @pytest.mark.parametrize("size", [1, 2, 4_950, 79_800])
-def test_terms_equal_the_np_mean_form(norm, size):
+def test_terms_equal_the_np_mean_form(size):
     # _terms takes the mean as add.reduce over the count: np.mean's float64
     # arithmetic, so the terms keep their bits
     rng = np.random.default_rng(size)
     res_r, res_d = rng.normal(size=size), rng.normal(scale=3.0, size=size)
-    if norm == "l1":
-        expected = float(np.mean(np.abs(res_r))), float(np.mean(np.abs(res_d)))
-    else:
-        expected = 0.5 * float(np.mean(res_r ** 2)), 0.5 * float(np.mean(res_d ** 2))
-    terms = cdf_attract._terms(res_r, res_d, norm)
+    expected = float(np.mean(np.abs(res_r))), float(np.mean(np.abs(res_d)))
+    terms = cdf_attract._terms(res_r, res_d)
     assert [t.hex() for t in terms] == [t.hex() for t in expected]
 
 
@@ -183,7 +175,6 @@ def test_objective_zero_on_perfect_cloud():
     targets = perfect_targets(cloud)
     assert cdf_objective(cloud, targets) == 0.0
     assert np.all(gradient(cloud, targets) == 0.0)
-    assert np.all(gradient(cloud, targets, mode="paper_verbatim") == 0.0)
 
 
 def test_objective_two_point_hand_value():
@@ -213,7 +204,7 @@ def test_objective_permutation_invariant_translation_sensitive(seed):
 def test_gradient_directional_finite_difference():
     targets = build_target_quantiles(5, 3)
     cloud = well_separated_cloud(5, 3, targets)
-    grad = gradient(cloud, targets, mode="exact_subgradient")
+    grad = gradient(cloud, targets)
     h = 1e-7
     for _ in range(4):
         v = RNG.normal(size=cloud.data.shape)
@@ -224,42 +215,13 @@ def test_gradient_directional_finite_difference():
         assert fd == pytest.approx(float((grad * v).sum()), rel=1e-4)
 
 
-def test_gradient_l2_directional_finite_difference():
-    targets = build_target_quantiles(5, 3)
-    cloud = well_separated_cloud(5, 3, targets)
-    grad = gradient(cloud, targets, norm="l2")
-    h = 1e-6
-    v = RNG.normal(size=cloud.data.shape)
-    v /= np.linalg.norm(v)
-    up = cdf_objective(PointCloud(cloud.data + h * v), targets, norm="l2")
-    down = cdf_objective(PointCloud(cloud.data - h * v), targets, norm="l2")
-    assert (up - down) / (2 * h) == pytest.approx(float((grad * v).sum()), rel=1e-5)
-
-
-def test_paper_verbatim_doubles_distance_contribution():
-    targets = build_target_quantiles(6, 3)
-    cloud = PointCloud(RNG.normal(size=(6, 3)))
-    residuals = residual_bundle(cloud_stats(cloud), targets)
-    # each term alone: zero residuals leave the other term's gradient 0
-    distances_only = residuals._replace(radii=np.zeros_like(residuals.radii))
-    radii_only = residuals._replace(distances=np.zeros_like(residuals.distances))
-    dist_exact = gradient_from_residuals(cloud, distances_only, "exact_subgradient", "l1")
-    dist_verbatim = gradient_from_residuals(cloud, distances_only, "paper_verbatim", "l1")
-    assert np.any(dist_exact != 0.0)
-    assert np.array_equal(dist_verbatim, 2.0 * dist_exact)
-    radii_exact = gradient_from_residuals(cloud, radii_only, "exact_subgradient", "l1")
-    radii_verbatim = gradient_from_residuals(cloud, radii_only, "paper_verbatim", "l1")
-    assert np.any(radii_exact != 0.0)
-    assert np.array_equal(radii_verbatim, radii_exact)
-
-
-def test_gradient_mode_and_norm_validation():
+def test_norm_and_table_size_validation():
+    # the benchmark's norm="l1" keyword takes no other value
     targets = build_target_quantiles(3, 2)
     cloud = PointCloud(RNG.normal(size=(3, 2)))
+    assert cdf_objective(cloud, targets, norm="l1") == cdf_objective(cloud, targets)
     with pytest.raises(ValueError):
-        gradient(cloud, targets, mode="bogus")
-    with pytest.raises(ValueError):
-        gradient(cloud, targets, norm="linf")
+        cdf_objective(cloud, targets, norm="l2")
     with pytest.raises(ValueError):
         cdf_objective(cloud, targets, norm="linf")
     with pytest.raises(ValueError):
@@ -274,15 +236,12 @@ def test_attraction_step_alpha_zero_and_perfect_cloud():
     stats = cloud_stats(cloud)
     residuals = residual_bundle(stats, targets)
     assert sum(value_terms(stats, targets)) == cdf_objective(cloud, targets)
-    grad = gradient_from_residuals(cloud, residuals, "exact_subgradient", "l1")
+    grad = gradient_from_residuals(cloud, residuals)
     assert np.any(grad != 0.0)
     assert np.array_equal(cloud.data - 0.0 * grad, cloud.data)
     perfect = perfect_targets(cloud)
     assert cdf_objective(cloud, perfect) == 0.0
-    for mode in GRADIENT_MODES:
-        for norm in NORMS:
-            assert np.array_equal(cloud.data - 5.0 * gradient(cloud, perfect, mode, norm),
-                                  cloud.data)
+    assert np.array_equal(cloud.data - 5.0 * gradient(cloud, perfect), cloud.data)
 
 
 def test_single_small_step_improves_objective():

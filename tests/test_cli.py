@@ -303,11 +303,32 @@ def test_eval_writes_the_statistic(tmp_path, which):
     path = tmp_path / "cloud.csv"
     cloud.to_csv(path)
     out = tmp_path / "o"
-    assert main(["eval", "--cloud", str(path), "--which", which, "--seed", "7",
+    # only wae_mmd reads a seed
+    seed = ["--seed", "7"] if which == "wae_mmd" else []
+    assert main(["eval", "--cloud", str(path), "--which", which, *seed,
                  "--out", str(out)]) == 0
     expected = "stat,value\n" + "".join(
         "%s,%.17g\n" % row for row in _eval_rows(cloud, which, 7))
     assert (out / f"eval_{which}.csv").read_text() == expected
+
+
+def test_eval_seed_applies_only_to_wae_mmd(tmp_path, capsys):
+    path = tmp_path / "cloud.csv"
+    sample_standard_normal(Rng(31), 12, 4).to_csv(path)
+    for which in ("cwae", "mardia", "radii", "distances"):
+        out = tmp_path / which
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--cloud", str(path), "--which", which, "--seed", "7",
+                  "--out", str(out)])
+        assert exc.value.code == 1
+        assert not out.exists()
+        assert "--seed applies only to --which wae_mmd" in capsys.readouterr().err
+    # without --seed, wae_mmd draws its prior sample from seed 1
+    for name, seed in (("default", []), ("one", ["--seed", "1"])):
+        assert main(["eval", "--cloud", str(path), "--which", "wae_mmd", *seed,
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "default" / "eval_wae_mmd.csv").read_bytes() == \
+        (tmp_path / "one" / "eval_wae_mmd.csv").read_bytes()
 
 
 def test_attract_quantized_defaults_to_one_bit(tmp_path):
@@ -345,6 +366,11 @@ BAD_SPECS = {
     "jobs": (["fig1", "--jobs", "0"], None),
     "norm_in_config": (["fig1"], "norm=l3\n"),
     "gradient_mode_in_config": (["fig2"], "gradient_mode=sideways\n"),
+    # the attraction's one objective is the l1 mismatch with its exact
+    # subgradient; the settings that chose another are unknown
+    "norm_flag": (["attract", "--norm", "l2"], None),
+    "gradient_mode_flag": (["fig2", "--gradient-mode", "paper"], None),
+    "default_norm_in_config": (["attract"], "norm=l1\n"),
     "target_in_config": (["attract"], "target=cauchy\n"),
     "misspelled_key_in_config": (["fig2"], "stpes=3\n"),
     "bits": (["attract", "--target", "quantized", "--bits", "0"], None),
@@ -361,8 +387,6 @@ BAD_SPECS = {
     "coordinate_alpha0": (["attract", "--target", "uniform01", "--alpha0", "2"], None),
     "target_in_config_outside_attract": (["fig1"], "target=torus\n"),
     "num_dirs_outside_fig2": (["fig1", "--num-dirs", "50"], None),
-    "norm_and_gradient_mode_with_coordinate_target": (
-        ["attract", "--target", "torus", "--norm", "l2", "--gradient-mode", "paper"], None),
     "duplicate_key_in_config": (["fig1"], "n=10\nn=9\n"),
 }
 
@@ -394,17 +418,7 @@ def test_config_file_and_flag_override(tmp_path):
     assert resolved["n"] == "12"      # flag wins
     assert resolved["dim"] == "2"     # file wins over default
     assert resolved["trials"] == "1"
-    assert resolved["norm"] == "l1"   # built-in default
-
-
-def test_gradient_mode_flag_mapping(tmp_path):
-    out = tmp_path / "o"
-    code = main(["attract", "--target", "gaussian", "--n", "8", "--dim", "2",
-                 "--trials", "1", "--steps", "4", "--seed", "1",
-                 "--gradient-mode", "paper", "--out", str(out)])
-    assert code == 0
-    resolved = (out / "config_resolved.txt").read_text()
-    assert "gradient_mode=paper_verbatim" in resolved
+    assert resolved["num_dirs"] == "10"   # built-in default
 
 
 def test_parallel_jobs_match_single_job(tmp_path):
