@@ -34,7 +34,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from latentreg.calibration import BASE_SEED, DIM, N, NUM_DIRS, TRIALS  # noqa: E402
+from latentreg.calibration import BASE_SEED, DIM, N, TRIALS  # noqa: E402
 from latentreg.cdf_attract import build_target_quantiles, cdf_objective  # noqa: E402
 from latentreg.sampling import Rng, sample_standard_normal  # noqa: E402
 from latentreg.stat_tests import (  # noqa: E402
@@ -62,7 +62,7 @@ def constants() -> dict[str, float]:
         dbar.append(cdf_objective(cloud, targets))
         radii_ks.append(radii_test(cloud).ks_linf)
         dist_ks.append(distance_test(cloud).ks_linf)
-        dirs, ref_values = reference_battery(BASE_SEED + trial, N, DIM, NUM_DIRS)
+        dirs, ref_values = reference_battery(BASE_SEED + trial, N, DIM)
         ks = battery_ks(battery_values(cloud, dirs), ref_values)
         for test in BATTERY_TESTS:
             battery[test].append(ks[test])

@@ -92,9 +92,9 @@ class _CountedObjective(CdfAttractionObjective):
 
 def _battery_pass(cloud, seed: int) -> bool:
     # criterion 6: projections, scalar products and angles inside their bands
-    dirs, ref_values = reference_battery(seed, cloud.n, cloud.dim, calibration.NUM_DIRS)
+    dirs, ref_values = reference_battery(seed, cloud.n, cloud.dim)
     ks = battery_ks(battery_values(cloud, dirs), ref_values)
-    bands = battery_bands(cloud.n, cloud.dim, calibration.NUM_DIRS)
+    bands = battery_bands(cloud.n, cloud.dim)
     return all(ks[test] <= bands[test] for test in BATTERY_TESTS)
 
 

@@ -31,6 +31,7 @@ from .sampling import PointCloud, _pair_flat_indices, _pair_indices
 from .specfun import ChiSquare, chi2_inv_cdf, normal_inv_cdf
 
 __all__ = [
+    "MAX_BITS",
     "TargetQuantiles",
     "CloudStats",
     "CoordinateTarget",
@@ -208,6 +209,9 @@ def cdf_objective(x: PointCloud, targets: TargetQuantiles, norm: str = "l1") -> 
 
 
 _COORD_KINDS = ("gaussian", "uniform01", "quantized_uniform", "torus_uniform01")
+# the largest rate at which every codeword centre (m + 0.5)/2^bits, a ratio of
+# an odd integer below 2^(bits+1) to a power of two, is an exact double
+MAX_BITS = 52
 
 
 @dataclass(frozen=True)
@@ -221,8 +225,8 @@ class CoordinateTarget:
         if self.kind not in _COORD_KINDS:
             raise ValueError(f"unknown coordinate target {self.kind!r}")
         if self.kind == "quantized_uniform":
-            if self.bits is None or self.bits < 1:
-                raise ValueError("quantized_uniform needs bits >= 1")
+            if self.bits is None or not 1 <= self.bits <= MAX_BITS:
+                raise ValueError(f"quantized_uniform needs bits in [1, {MAX_BITS}]")
         elif self.bits is not None:
             raise ValueError("bits only applies to quantized_uniform")
 

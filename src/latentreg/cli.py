@@ -7,10 +7,12 @@ scale, single-cloud evaluation, and attraction demos.
     latentreg attract --target quantized --bits 1 --n 64 --dim 2 --out DIR
 
 All outputs (CSV and SVG) are deterministic for a fixed spec: rerunning a
-command writes byte-identical files. Flags override an optional key=value
---config file; every resolved value is echoed to OUT/config_resolved.txt.
-Exit codes: 0 success, 1 usage error, 2 runtime failure. The merged spec is
-validated before any file is written; a bad value is a usage error.
+command writes byte-identical files. Flags are the only input, and only for
+settings some run varies; step sizes are the constants below and in
+latentreg.calibration. Every resolved value is echoed to
+OUT/config_resolved.txt. Exit codes: 0 success, 1 usage error, 2 runtime
+failure. The spec is validated before any file is written; a bad value or an
+unknown flag is a usage error.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from . import calibration
 from .baselines import cwae, mardia_stats, wae_mmd
 from .cdf_attract import (
+    MAX_BITS,
     CoordinateTarget,
     build_target_quantiles,
     cdf_objective,
@@ -83,10 +86,8 @@ class ExperimentSpec:
     trials: int = 10
     seed: int = 1
     steps: int | None = None
-    alpha0: float | None = None
     out: str = "latentreg_out"
     jobs: int = 1
-    num_dirs: int = 10
     target: str = "gaussian"
     bits: int | None = None  # quantized target only, where it defaults to 1
 
@@ -98,26 +99,18 @@ class ExperimentSpec:
             (self.jobs >= 1, f"jobs must be >= 1, got {self.jobs}"),
             (self.target in _ATTRACT_TARGETS,
              f"target must be one of {_ATTRACT_TARGETS}, got {self.target!r}"),
-            (self.bits is None or self.bits >= 1, f"bits must be >= 1, got {self.bits}"),
+            (self.bits is None or 1 <= self.bits <= MAX_BITS,
+             f"bits must lie in [1, {MAX_BITS}], got {self.bits}"),
             (self.bits is None or self.target == "quantized",
              f"bits applies only to the quantized target, got target {self.target!r}"),
             (self.steps is None or self.steps >= 1,
              f"steps must be >= 1, got {self.steps}"),
-            (self.alpha0 is None or (np.isfinite(self.alpha0) and self.alpha0 > 0.0),
-             f"alpha0 must be finite and > 0, got {self.alpha0}"),
-            (self.num_dirs >= 1, f"num_dirs must be >= 1, got {self.num_dirs}"),
             # the CWAE row of the EDF grid needs dim >= 2
             (self.experiment != "fig1_grid" or self.dim >= 2,
              f"fig1 needs dim >= 2, got {self.dim}"),
             # settings a command never reads are rejected, not ignored
             (self.experiment == "attract_demo" or self.target == "gaussian",
              f"target applies only to attract, got target {self.target!r}"),
-            (self.experiment == "fig2_battery" or self.num_dirs == 10,
-             f"num_dirs applies only to fig2, got {self.num_dirs}"),
-            # a coordinate step is a convex move toward its targets
-            (self.experiment != "attract_demo" or self.target == "gaussian"
-             or self.alpha0 is None or self.alpha0 <= 1.0,
-             f"a coordinate target needs alpha0 <= 1, got {self.alpha0}"),
         )
         for ok, message in checks:
             if not ok:
@@ -153,7 +146,7 @@ def _attraction_config(spec: ExperimentSpec, trial_seed: int) -> RunConfig:
             calibration.ATTRACT_STOP_TOLERANCE, None
     return RunConfig(
         n=spec.n, dim=spec.dim, seed=trial_seed, max_steps=max_steps,
-        alpha0=spec.alpha0 or calibration.ATTRACT_ALPHA0,
+        alpha0=calibration.ATTRACT_ALPHA0,
         schedule="proportional_to_objective", stop_tolerance=stop_tolerance,
         stall=stall)
 
@@ -176,7 +169,7 @@ def _run_baseline_trial(spec: ExperimentSpec, trial_seed: int, kind: str) -> Poi
         objective = WaeMmdObjective(Rng(trial_seed).derive(1))
     config = RunConfig(n=spec.n, dim=spec.dim, seed=trial_seed,
                        max_steps=spec.steps or BASELINE_STEPS,
-                       alpha0=spec.alpha0 or alpha0, schedule="constant")
+                       alpha0=alpha0, schedule="constant")
     cloud, _ = run(config, objective)
     return cloud
 
@@ -322,8 +315,8 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
     out = spec.out_dir()
     spec.echo(out)
 
-    # every projections curve has n * num_dirs rows against the normal quantiles
-    proj_probs = midpoint_probs(spec.n * spec.num_dirs)
+    # every projections curve has n * NUM_DIRS rows against the normal quantiles
+    proj_probs = midpoint_probs(spec.n * calibration.NUM_DIRS)
     proj_tails = _curve_tails(normal_inv_cdf(proj_probs), proj_probs)
 
     def one_trial(t: int):
@@ -332,7 +325,7 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
         attract_cloud.to_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv")
         iid_cloud = sample_standard_normal(Rng(trial_seed).derive(4), spec.n, spec.dim)
         # every cloud projects onto the same per-trial direction set
-        dirs, ref_values = reference_battery(trial_seed, spec.n, spec.dim, spec.num_dirs)
+        dirs, ref_values = reference_battery(trial_seed, spec.n, spec.dim)
         # the reference quantiles' curve rows, keyed on (test, count) since
         # pairwise_angles can drop zero vectors; both sides share them
         ref_tails = {}
@@ -372,7 +365,7 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
 
     with open(out / "fig2_summary.csv", "w", newline="") as fh:
         fh.write("side,test,trial,ks_linf,band_q95,pass\n")
-        bands = battery_bands(spec.n, spec.dim, spec.num_dirs)
+        bands = battery_bands(spec.n, spec.dim)
         for side in ("iid", "attract"):
             for test in BATTERY_TESTS:
                 band = bands[test]
@@ -461,10 +454,9 @@ def cmd_attract_demo(spec: ExperimentSpec) -> int:
                     "quantized": "quantized_uniform"}[target_name]
             coord_target = CoordinateTarget(kind, spec.bits)
             before = sample_uniform_cube(Rng(trial_seed), spec.n, spec.dim, 0.0, 1.0)
-            alpha = spec.alpha0 or COORD_ALPHA
             after = before
             for _ in range(spec.steps or COORD_STEPS):
-                after, previous = coordinate_step(after, coord_target, alpha), after
+                after, previous = coordinate_step(after, coord_target, COORD_ALPHA), after
                 if np.max(np.abs(after.data - previous.data)) < 1e-12:
                     break
             if target_name == "quantized":
@@ -499,51 +491,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--alpha0", type=float, default=None)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--num-dirs", type=int, default=None)
-    p.add_argument("--config", type=str, default=None,
-                   help="key=value file; flags override file values")
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in values:
-            raise ValueError(f"{path}:{lineno}: duplicate key {key}")
-        values[key] = value.strip()
-    return values
-
-_SPEC_CASTS = {
-    "n": int, "dim": int, "trials": int, "seed": int, "steps": int, "alpha0": float,
-    "out": str, "jobs": int, "num_dirs": int, "target": str, "bits": int,
-}
-
-
-def _build_spec(experiment: str, args: argparse.Namespace) -> ExperimentSpec:
-    """Flags over config-file values over defaults, validated once merged."""
-    file_values = _read_config_file(args.config) if args.config else {}
-    unknown = sorted(set(file_values) - set(_SPEC_CASTS))
-    if unknown:
-        raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
-                         f"expected one of {', '.join(_SPEC_CASTS)}")
-    values = {}
-    for name, cast in _SPEC_CASTS.items():
-        value = getattr(args, name, None)
-        if value is None:
-            value = file_values.get(name)
-        if value is None:
-            continue
-        values[name] = cast(value)
-    return ExperimentSpec(experiment, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -573,9 +522,11 @@ def main(argv: list[str] | None = None) -> int:
     else:
         experiment = {"fig1": "fig1_grid", "fig2": "fig2_battery",
                       "attract": "attract_demo"}[args.command]
+        given = {name: value for name, value in vars(args).items()
+                 if name != "command" and value is not None}
         try:  # a bad spec is a usage error, reported before any file is written
-            spec = _build_spec(experiment, args)
-        except (OSError, ValueError) as exc:
+            spec = ExperimentSpec(experiment, **given)
+        except ValueError as exc:
             parser.error(str(exc))
     try:
         if args.command == "fig1":

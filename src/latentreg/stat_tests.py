@@ -146,25 +146,23 @@ def battery_ks(values: dict[str, np.ndarray],
     return ks
 
 
-def reference_battery(seed: int, n: int, dim: int,
-                      num_dirs: int) -> tuple[PointCloud, dict[str, np.ndarray]]:
-    """(dirs, ref_values) of one battery trial: num_dirs unit directions from
-    Rng(seed).derive(3), and the battery_values on them of an n-point prior
-    cloud from Rng(seed).derive(2). A cloud's KS distances are
+def reference_battery(seed: int, n: int, dim: int) -> tuple[PointCloud, dict[str, np.ndarray]]:
+    """(dirs, ref_values) of one battery trial: calibration.NUM_DIRS unit
+    directions from Rng(seed).derive(3), and the battery_values on them of an
+    n-point prior cloud from Rng(seed).derive(2). A cloud's KS distances are
     battery_ks(battery_values(cloud, dirs), ref_values)."""
-    dirs = sample_unit_directions(Rng(seed).derive(3), num_dirs, dim)
+    dirs = sample_unit_directions(Rng(seed).derive(3), calibration.NUM_DIRS, dim)
     reference = sample_standard_normal(Rng(seed).derive(2), n, dim)
     return dirs, battery_values(reference, dirs)
 
 
-def battery_bands(n: int, dim: int, num_dirs: int) -> dict[str, float | None]:
+def battery_bands(n: int, dim: int) -> dict[str, float | None]:
     """The Monte Carlo 95% band of each battery test's KS distance, keyed by
-    BATTERY_TESTS; None where no band is calibrated. Bands exist only at
-    calibration.N points in calibration.DIM dimensions, and the projections'
-    only for calibration.NUM_DIRS directions."""
+    BATTERY_TESTS, for the reference_battery of that (n, dim); None where no
+    band is calibrated. Bands exist only at calibration.N points in
+    calibration.DIM dimensions."""
     if (n, dim) != (calibration.N, calibration.DIM):
         return dict.fromkeys(BATTERY_TESTS)
-    return {"projections": (calibration.PROJECTION_KS_Q95
-                            if num_dirs == calibration.NUM_DIRS else None),
+    return {"projections": calibration.PROJECTION_KS_Q95,
             "scalar_products": calibration.SCALAR_KS2_Q95,
             "angles": calibration.ANGLE_KS2_Q95}

@@ -261,10 +261,10 @@ def test_criterion_5_baselines_deviate_from_chi2(baseline_minimized_clouds):
 
 
 def test_criterion_6_battery_on_attraction_clouds(battery_attraction_clouds):
-    bands = battery_bands(N, DIM, calibration.NUM_DIRS)
+    bands = battery_bands(N, DIM)
     passes = 0
     for t, cloud in enumerate(battery_attraction_clouds):
-        dirs, ref_values = reference_battery(BASE_SEED + t, N, DIM, calibration.NUM_DIRS)
+        dirs, ref_values = reference_battery(BASE_SEED + t, N, DIM)
         ks = battery_ks(battery_values(cloud, dirs), ref_values)
         passes += all(ks[test] <= bands[test] for test in BATTERY_TESTS)
     report(6, passes >= 8,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentreg.cdf_attract import (
+    MAX_BITS,
     CoordinateTarget,
     TargetQuantiles,
     build_target_quantiles,
@@ -335,6 +337,22 @@ def test_coordinate_target_validation():
         CoordinateTarget("quantized_uniform")
     with pytest.raises(ValueError):
         CoordinateTarget("uniform01", bits=2)
+    # past MAX_BITS the top centre (2^(bits+1) - 1)/2^(bits+1) rounds to 1.0,
+    # and 2 ** bits overflows a double from bits = 1024
+    for bits in (0, MAX_BITS + 1, 1100):
+        with pytest.raises(ValueError):
+            CoordinateTarget("quantized_uniform", bits=bits)
+
+
+def test_codeword_centres_are_exact_up_to_max_bits():
+    assert MAX_BITS == 52
+    n = 8  # 2^bits r / n is exact, so the floor picks codeword 2^bits r // n
+    for bits in (1, 20, MAX_BITS):
+        positions = CoordinateTarget("quantized_uniform", bits=bits).rank_positions(n)
+        expected = [Fraction(2 * (2 ** bits * r // n) + 1, 2 ** (bits + 1)) for r in range(n)]
+        assert [Fraction(v) for v in positions] == expected, bits
+    top = 2 ** (MAX_BITS + 2) - 1  # the top centre at MAX_BITS + 1, times 2^(MAX_BITS + 2)
+    assert Fraction(top / 2.0 ** (MAX_BITS + 2)) != Fraction(top, 2 ** (MAX_BITS + 2))
 
 
 def test_coordinate_step_alpha_one_hits_targets():

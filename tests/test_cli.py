@@ -127,7 +127,7 @@ def test_fig2_curve_csvs_are_per_row_formatted(tmp_path):
     n, dim = TINY["n"], TINY["dim"]
     for t in range(TINY["trials"]):
         rng = Rng(TINY["seed"] + t)
-        dirs = sample_unit_directions(rng.derive(3), spec.num_dirs, dim)
+        dirs = sample_unit_directions(rng.derive(3), calibration.NUM_DIRS, dim)
         reference = battery_values(sample_standard_normal(rng.derive(2), n, dim), dirs)
         clouds = {"attract": PointCloud.from_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv"),
                   "iid": sample_standard_normal(rng.derive(4), n, dim)}
@@ -167,7 +167,7 @@ def test_fig2_summary_is_the_battery(tmp_path):
     n, dim = TINY["n"], TINY["dim"]
     for t in range(TINY["trials"]):
         rng = Rng(TINY["seed"] + t)
-        dirs = sample_unit_directions(rng.derive(3), spec.num_dirs, dim)
+        dirs = sample_unit_directions(rng.derive(3), calibration.NUM_DIRS, dim)
         reference = battery_values(sample_standard_normal(rng.derive(2), n, dim), dirs)
         clouds = {"attract": PointCloud.from_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv"),
                   "iid": sample_standard_normal(rng.derive(4), n, dim)}
@@ -362,63 +362,50 @@ def test_usage_error_exits_1():
 
 
 BAD_SPECS = {
-    "trials": (["attract", "--trials", "0"], None),
-    "jobs": (["fig1", "--jobs", "0"], None),
-    "norm_in_config": (["fig1"], "norm=l3\n"),
-    "gradient_mode_in_config": (["fig2"], "gradient_mode=sideways\n"),
+    "trials": ["attract", "--trials", "0"],
+    "jobs": ["fig1", "--jobs", "0"],
+    # flags are the only input: there is no settings file
+    "config_flag": ["fig1", "--config", "spec.cfg"],
+    # the battery's bands exist only for calibration.NUM_DIRS directions, and
+    # each run takes its own step constant
+    "num_dirs_flag": ["fig2", "--num-dirs", "10"],
+    "alpha0_flag": ["fig1", "--alpha0", "0.2"],
     # the attraction's one objective is the l1 mismatch with its exact
     # subgradient; the settings that chose another are unknown
-    "norm_flag": (["attract", "--norm", "l2"], None),
-    "gradient_mode_flag": (["fig2", "--gradient-mode", "paper"], None),
-    "default_norm_in_config": (["attract"], "norm=l1\n"),
-    "target_in_config": (["attract"], "target=cauchy\n"),
-    "misspelled_key_in_config": (["fig2"], "stpes=3\n"),
-    "bits": (["attract", "--target", "quantized", "--bits", "0"], None),
-    "bits_without_quantized_target": (["attract", "--target", "gaussian", "--bits", "3"], None),
-    "bits_in_config_without_quantized_target": (["fig1"], "bits=2\n"),
-    "n": (["fig2", "--n", "1"], None),
-    "dim": (["fig1", "--dim", "0"], None),
-    "steps_zero": (["fig1", "--steps", "0"], None),
-    "steps_negative_coordinate": (["attract", "--target", "uniform01", "--steps", "-3"], None),
-    "alpha0_zero": (["fig2", "--alpha0", "0"], None),
-    "alpha0_inf": (["attract", "--target", "gaussian", "--alpha0", "inf"], None),
-    "num_dirs": (["fig2", "--num-dirs", "0"], None),
-    "fig1_dim1": (["fig1", "--dim", "1"], None),
-    "coordinate_alpha0": (["attract", "--target", "uniform01", "--alpha0", "2"], None),
-    "target_in_config_outside_attract": (["fig1"], "target=torus\n"),
-    "num_dirs_outside_fig2": (["fig1", "--num-dirs", "50"], None),
-    "duplicate_key_in_config": (["fig1"], "n=10\nn=9\n"),
+    "norm_flag": ["attract", "--norm", "l2"],
+    "gradient_mode_flag": ["fig2", "--gradient-mode", "paper"],
+    "target_flag": ["attract", "--target", "cauchy"],
+    "misspelled_flag": ["fig2", "--stpes", "3"],
+    "bits": ["attract", "--target", "quantized", "--bits", "0"],
+    "bits_too_large": ["attract", "--target", "quantized", "--bits", "1100"],
+    "bits_without_quantized_target": ["attract", "--target", "gaussian", "--bits", "3"],
+    "n": ["fig2", "--n", "1"],
+    "dim": ["fig1", "--dim", "0"],
+    "steps_zero": ["fig1", "--steps", "0"],
+    "steps_negative_coordinate": ["attract", "--target", "uniform01", "--steps", "-3"],
+    "fig1_dim1": ["fig1", "--dim", "1"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SPECS))
-def test_bad_spec_exits_1_before_writing(tmp_path, case, capsys):
-    argv, config = BAD_SPECS[case]
-    out = tmp_path / "o"
-    argv = argv + ["--out", str(out)]
-    if config is not None:
-        cfg = tmp_path / "spec.cfg"
-        cfg.write_text(config)
-        argv += ["--config", str(cfg)]
+def test_bad_spec_exits_1_before_writing(tmp_path, monkeypatch, case, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.cfg").write_text("n=10\n")  # a readable file for --config
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(BAD_SPECS[case] + ["--out", str(tmp_path / "o")])
     assert exc.value.code == 1
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.cfg"]
     assert "error:" in capsys.readouterr().err
 
 
-def test_config_file_and_flag_override(tmp_path):
-    cfg = tmp_path / "spec.cfg"
-    cfg.write_text("n=14\ndim=2\ntrials=1\nsteps=5\nseed=9\n# comment\n")
-    out = tmp_path / "o"
-    code = main(["fig1", "--config", str(cfg), "--n", "12", "--out", str(out)])
-    assert code == 0
-    resolved = dict(line.split("=", 1)
-                    for line in (out / "config_resolved.txt").read_text().splitlines())
-    assert resolved["n"] == "12"      # flag wins
-    assert resolved["dim"] == "2"     # file wins over default
-    assert resolved["trials"] == "1"
-    assert resolved["num_dirs"] == "10"   # built-in default
+# settings that no flag of the command gives are still checked for a Python caller
+@pytest.mark.parametrize("experiment,setting,message", [
+    ("fig2_battery", {"target": "torus"}, "target applies only to attract"),
+    ("fig1_grid", {"bits": 2}, "bits applies only to the quantized target"),
+], ids=["target_outside_attract", "bits_outside_attract"])
+def test_spec_rejects_settings_its_command_never_reads(experiment, setting, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(experiment, **setting)
 
 
 def test_parallel_jobs_match_single_job(tmp_path):

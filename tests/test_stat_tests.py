@@ -208,15 +208,10 @@ def test_reports_are_deterministic():
 
 
 def test_battery_bands_only_at_the_calibrated_scale():
-    n, dim, dirs = calibration.N, calibration.DIM, calibration.NUM_DIRS
-    assert battery_bands(n, dim, dirs) == {
+    n, dim = calibration.N, calibration.DIM
+    assert battery_bands(n, dim) == {
         "projections": calibration.PROJECTION_KS_Q95,
         "scalar_products": calibration.SCALAR_KS2_Q95,
         "angles": calibration.ANGLE_KS2_Q95}
-    # the two-sample bands do not depend on the directions
-    assert battery_bands(n, dim, dirs + 1) == {
-        "projections": None,
-        "scalar_products": calibration.SCALAR_KS2_Q95,
-        "angles": calibration.ANGLE_KS2_Q95}
-    for off_scale in ((n + 1, dim, dirs), (n, dim - 1, dirs), (100, 20, 10), (16, 3, 10)):
+    for off_scale in ((n + 1, dim), (n, dim - 1), (100, 20), (16, 3)):
         assert battery_bands(*off_scale) == dict.fromkeys(BATTERY_TESTS)
