@@ -17,9 +17,15 @@ Every energy is evaluated in pieces of about _BLOCK_ELEMENTS floats (2 MB),
 whatever the sample sizes and the dimension. The spherical and isotropic
 kernels run over row blocks of the first cloud against the whole second
 cloud, in two buffers allocated once per energy; each block is reduced to
-one float and the block sums are added exactly. The full-covariance pairs
-run in chunks: the covariances are stacked once per sample, and each chunk
-of pairs takes one batched Cholesky factorization.
+floats and the block sums are added exactly. A cloud against itself gives
+a symmetric matrix, so its row blocks run over one triangle of blocks only:
+the part right of each diagonal block is counted twice. The
+full-covariance pairs run in chunks: the covariances are stacked once per
+sample, and each chunk of pairs takes one batched Cholesky factorization;
+a sample against itself takes each unordered pair once.
+
+The mean-field width is a bracketed Newton solve of the mismatch's
+stationarity condition, written as a difference of logs.
 
 Determinants and quadratic forms go through Cholesky factors and
 log-determinants; every product is assembled in log space and exponentiated
@@ -53,6 +59,7 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_4PI = math.log(4.0 * math.pi)
 _LOG_2 = math.log(2.0)
+_EPS = 2.0 ** -52
 # floats per row block of a kernel matrix and per chunk of stacked pair
 # covariances (2 MB): a block has max(1, _BLOCK_ELEMENTS // m) rows against
 # m points, a chunk max(1, _BLOCK_ELEMENTS // D^2) pairs
@@ -230,20 +237,39 @@ def _log_pair_integral(diff: np.ndarray, cov_a: np.ndarray,
     return -0.5 * ((y * y).sum(-1) + diff.shape[-1] * _LOG_2PI + _logdet(chol))
 
 
-def _block_sum(x: np.ndarray, y: np.ndarray, kernel) -> float:
-    """Exactly rounded sum of kernel(rows, sq, spare) over the row blocks of
-    x: sq is the block of _sq_dists(x, y) for the slice rows of x, and spare
-    a free buffer of sq's shape. kernel may overwrite both and returns the
-    block's float. The two buffers are allocated once, for the first block."""
-    block = max(1, _BLOCK_ELEMENTS // len(y))
-    out = np.empty((min(block, len(x)), len(y)))
+def _block_sum(x: np.ndarray, y: np.ndarray | None, kernel) -> float:
+    """Exactly rounded sum of a kernel matrix over the points x against y,
+    or against x itself when y is None.
+
+    kernel(rows, cols, sq, spare) gets sq, the block of _sq_dists(x, y) for
+    the slice rows of x and the slice cols of y, and spare, a free buffer of
+    sq's shape. It may overwrite both and returns the block's kernel values,
+    an array of sq's shape. Row block [s, e) meets all of y. Against itself
+    the matrix is symmetric, so the block meets only the columns [s, n):
+    its diagonal square [s, e)^2 is counted once and the part to its right
+    twice, which skips about half of the pairs. The block floats are added
+    exactly. The two buffers are allocated once, flat, for the first
+    block; each block views their head in its own shape."""
+    symmetric = y is None
+    y = x if symmetric else y
+    n, m = len(x), len(y)
+    block = max(1, _BLOCK_ELEMENTS // m)
+    out = np.empty(min(block, n) * m)
     gram = np.empty_like(out)
     parts = []
-    for start in range(0, len(x), block):
-        rows = slice(start, min(start + block, len(x)))
-        k = rows.stop - start
-        sq = _sq_dists(x[rows], y, out=out[:k], gram=gram[:k])
-        parts.append(kernel(rows, sq, gram[:k]))
+    for start in range(0, n, block):
+        rows = slice(start, min(start + block, n))
+        cols = slice(start if symmetric else 0, m)
+        shape = (rows.stop - start, cols.stop - cols.start)
+        size = shape[0] * shape[1]
+        spare = gram[:size].reshape(shape)
+        sq = _sq_dists(x[rows], y[cols], out=out[:size].reshape(shape), gram=spare)
+        values = kernel(rows, cols, sq, spare)
+        if symmetric:
+            parts.append(float(values[:, :shape[0]].sum()))
+            parts.append(2.0 * float(values[:, shape[0]:].sum()))
+        else:
+            parts.append(float(values.sum()))
     return math.fsum(parts)
 
 
@@ -252,21 +278,23 @@ def _energy(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:
     product of the two smoothened samples times exp(shift), the shift added
     in log space, before exponentiating.
 
-    Two spherical samples take the closed form over row blocks; any other
-    pair is an exactly rounded sum of per-pair integrals, taken in chunks,
-    where a sample against itself takes the n diagonal terms and each i < j
+    Two spherical samples take the closed form over row blocks, summed
+    before the uniform weights are applied; any other pair is an exactly
+    rounded sum of per-pair integrals, taken in chunks. A sample against
+    itself takes one triangle: the n diagonal terms once and each i < j
     term twice."""
     dim = a.points.dim
     if a.spherical and b.spherical:
         var_a, var_b = a.bandwidths ** 2, b.bandwidths ** 2
 
-        def kernel(rows, sq, total):
-            np.add.outer(var_a[rows], var_b, out=total)
+        def kernel(rows, cols, sq, total):
+            np.add.outer(var_a[rows], var_b[cols], out=total)
             log_d = _log_spherical(sq, total, dim)
             log_d += shift
-            return float(a.weights[rows] @ np.exp(log_d, out=log_d) @ b.weights)
+            return np.exp(log_d, out=log_d)
 
-        return _block_sum(a.points.data, b.points.data, kernel)
+        total = _block_sum(a.points.data, None if a is b else b.points.data, kernel)
+        return total * a.weights[0] * b.weights[0]
     if a is b:
         rows, cols = np.triu_indices(a.points.n)
         coefs = np.where(rows == cols, 1.0, 2.0) * a.weights[rows] * a.weights[cols]
@@ -298,11 +326,11 @@ def l2_distance_samples(a: SmoothedSample, b: SmoothedSample) -> float:
 
 
 def _mean_exp_kernel(x: np.ndarray, y: np.ndarray, four_sigma2: float) -> float:
-    def kernel(rows, sq, spare):
+    def kernel(rows, cols, sq, spare):
         sq /= -four_sigma2
-        return float(np.exp(sq, out=sq).sum())
+        return np.exp(sq, out=sq)
 
-    return _block_sum(x, y, kernel) / (len(x) * len(y))
+    return _block_sum(x, None if y is x else y, kernel) / (len(x) * len(y))
 
 
 def l2_distance_samples_isotropic(x: PointCloud, y: PointCloud,
@@ -338,7 +366,7 @@ def l2_distance_to_standard_gaussian(x: PointCloud, bandwidths,
     """
     prior = SmoothedSample(PointCloud(np.zeros((1, x.dim))), np.ones(1))
     shift = 0.5 * x.dim * _LOG_4PI if scaled else 0.0
-    return _distance(SmoothedSample(x, bandwidths), prior, shift)
+    return max(_distance(SmoothedSample(x, bandwidths), prior, shift), 0.0)
 
 
 def mean_field_objective(r: float, sigma: float, dim: int) -> float:
@@ -376,51 +404,74 @@ def _mean_field_logs(r: float, sigma: float, dim: int) -> tuple[float, float]:
             _LOG_2 - 0.5 * r * r / (1.0 + s2) + 0.5 * dim * (_LOG_2 - math.log(1.0 + s2)))
 
 
-def _mean_field_rank(r: float, sigma: float, dim: int) -> tuple[int, float]:
-    # a key that orders sigmas as self - cross, the sigma-dependent part of
-    # the mismatch, from the logs alone, so no term over- or underflows:
-    # (0, -log(cross - self)) where the part is negative, (1, log(self - cross))
-    # elsewhere
-    log_self, log_cross = _mean_field_logs(r, sigma, dim)
-    if log_cross > log_self:
-        return 0, -log_cross - math.log1p(-math.exp(log_self - log_cross))
-    if log_cross == log_self:
-        return 1, -math.inf
-    return 1, log_self + math.log1p(-math.exp(log_cross - log_self))
+def _mean_field_psi(r2: float, sigma: float, dim: int) -> tuple[float, float, float]:
+    # psi(sigma), its derivative and its rounding level. The mismatch's
+    # sigma-dependent part is S - C, the self and cross terms of
+    # _mean_field_logs; psi = log(-S') - log(-C') is positive while the
+    # mismatch still falls and 0 where it is stationary. As a sum of logs it
+    # neither over- nor underflows. With u = 1 + s^2,
+    #   psi = -(D+2) log s + (D/2+2) log u + r^2/(2u) - log(D u - r^2)
+    #         + log D - (D/2+1) log 2,
+    # and psi = +inf where D u <= r^2: C still grows there, so the mismatch
+    # falls
+    u = 1.0 + sigma * sigma
+    gap = dim * u - r2
+    if gap <= 0.0:
+        return math.inf, 0.0, 0.0
+    terms = (-(dim + 2) * math.log(sigma), (0.5 * dim + 2.0) * math.log(u), 0.5 * r2 / u,
+             -math.log(gap), math.log(dim) - (0.5 * dim + 1.0) * _LOG_2)
+    slope = -(dim + 2) / sigma + (dim + 4) * sigma / u - r2 * sigma / (u * u) \
+        - 2.0 * dim * sigma / gap
+    # each term rounds to about one ulp of itself, and log(gap) inherits
+    # the cancellation of D u - r^2
+    level = _EPS * (sum(map(abs, terms)) + (dim * u + r2) / gap)
+    return sum(terms), slope, level
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# golden-section bracket and width for mean_field_sigma
+# bracket of mean_field_sigma and its Newton iteration budget
 _SIGMA_LO = 0.25
 _SIGMA_HI = 8.0
-_SIGMA_TOL = 1e-8
+_SIGMA_ITERATIONS = 100
 
 
 def mean_field_sigma(r: float, dim: int) -> float:
     """Smoothing width minimizing the mean-field mismatch at radius r.
 
-    Golden-section search over [0.25, 8] down to a width of 1e-8; the
-    objective is smooth and unimodal on the bracket. It compares the
+    A bracketed Newton solve of the stationarity condition psi(sigma) = 0
+    (see _mean_field_psi) from sigma = sqrt(1 + r^2/D). psi compares the
     sigma-dependent terms only, through their logs: next to the constant
     prior term they would round away at high D, and on their own they leave
-    the float range there. Checked against a brute force grid up to
-    D = 1000. mean_field_sigma(0, dim) == 1 up to the search tolerance.
+    the float range there. The bracket is [max(0.25, sqrt(r^2/D - 1)), 8],
+    since the mismatch strictly falls where D (1 + sigma^2) <= r^2. A step
+    that leaves the bracket is replaced by bisection. The solve stops once
+    |psi| is at its rounding level or a step is under two ulps of sigma,
+    after about seven evaluations of psi. Where psi keeps one sign on the
+    bracket, the result is the end the mismatch falls toward. Checked
+    against a 50-digit minimizer to 1e-12 and a brute force grid up to
+    D = 1000; mean_field_sigma(0, dim) == 1 to rounding.
     """
     _check_mean_field(r, dim)
     if not r >= 0.0:
         raise ValueError("radius must be nonnegative")
-    a, b = _SIGMA_LO, _SIGMA_HI
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = _mean_field_rank(r, c, dim)
-    fd = _mean_field_rank(r, d, dim)
-    while b - a > _SIGMA_TOL:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = _mean_field_rank(r, c, dim)
+    r2 = r * r
+    lo, hi = max(_SIGMA_LO, math.sqrt(max(r2 / dim - 1.0, 0.0))), _SIGMA_HI
+    if _mean_field_psi(r2, hi, dim)[0] >= 0.0:
+        return hi
+    if lo == _SIGMA_LO and _mean_field_psi(r2, lo, dim)[0] <= 0.0:
+        return lo
+    sigma = min(math.sqrt(1.0 + r2 / dim), hi)
+    for _ in range(_SIGMA_ITERATIONS):
+        psi, slope, level = _mean_field_psi(r2, sigma, dim)
+        if abs(psi) <= level:
+            break
+        if psi > 0.0:
+            lo = sigma
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = _mean_field_rank(r, d, dim)
-    return 0.5 * (a + b)
+            hi = sigma
+        step = sigma - psi / slope if slope < 0.0 else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - sigma) <= 2.0 * _EPS * sigma:
+            return step
+        sigma = step
+    return sigma

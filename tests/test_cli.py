@@ -238,6 +238,17 @@ def test_attract_quantized_codeword_fraction(tmp_path):
     assert fraction >= 0.9
 
 
+@pytest.mark.parametrize("bits", [40, 45])
+def test_attract_quantized_converges_at_high_bits(tmp_path, bits):
+    # the run stops only when no coordinate moves at all; a 1e-12 stop left
+    # about half of the coordinates outside the 2^-(bits+2) tolerance here
+    spec = ExperimentSpec("attract_demo", target="quantized", bits=bits, n=64, dim=2,
+                          trials=2, seed=1, out=str(tmp_path / "o"))
+    assert cmd_attract_demo(spec) == 0
+    summary = (tmp_path / "o" / "attract_quantized_summary.csv").read_text()
+    assert [float(line.split(",")[2]) for line in summary.splitlines()[1:]] == [1.0, 1.0]
+
+
 def test_attract_demo_emits_histograms(tmp_path):
     spec = ExperimentSpec("attract_demo", target="uniform01", n=10, dim=3, trials=1,
                           seed=8, out=str(tmp_path / "o"))

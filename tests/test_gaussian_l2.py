@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +233,14 @@ def test_prior_distance_sigma1_shortcut():
     assert scaled == pytest.approx(shortcut, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [7, 12, 23])
+def test_prior_distance_is_never_negative(n):
+    # n unit-width points at the origin are N(0, 1) itself; the three
+    # energies cancel to a few -1e-16 before the clamp (n = 7 with
+    # full-matrix self-energies, n = 12 and 23 with the triangle)
+    assert l2_distance_to_standard_gaussian(PointCloud(np.zeros((n, 1))), np.ones(n)) == 0.0
+
+
 def test_prior_distance_matches_quadrature_1d():
     pts = np.array([[0.4], [-1.1]])
     sigmas = np.array([0.8, 1.3])
@@ -381,6 +390,35 @@ def test_blocked_energies_stay_small_at_n2000():
         assert peak < 16_000_000
 
 
+@pytest.mark.parametrize("n, block", [(1, 8), (7, 8), (40, 8), (43, 8), (43, 1), (2000, None)])
+def test_self_energies_take_one_triangle_of_blocks(monkeypatch, n, block):
+    # a cloud against itself takes row block [s, e) against the columns
+    # [s, n) only: at most n(n + block)/2 kernel entries, not n^2; a cloud
+    # against another takes all n m
+    if block is not None:
+        monkeypatch.setattr(gaussian_l2, "_BLOCK_ELEMENTS", block * n)
+    block = gaussian_l2._BLOCK_ELEMENTS // n
+    entries = []
+    real = gaussian_l2._sq_dists
+
+    def counting(a, b, **buffers):
+        entries.append(len(a) * len(b))
+        return real(a, b, **buffers)
+
+    monkeypatch.setattr(gaussian_l2, "_sq_dists", counting)
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=(n, 3)), rng.normal(size=(5, 3))
+    a = SmoothedSample(PointCloud(x), rng.uniform(0.5, 1.5, n))
+    for self_energy in (lambda: gaussian_l2._energy(a, a),
+                        lambda: gaussian_l2._mean_exp_kernel(x, x, 2.0)):
+        entries.clear()
+        self_energy()
+        assert sum(entries) <= n * (n + block) // 2
+    entries.clear()
+    gaussian_l2._mean_exp_kernel(x, y, 2.0)
+    assert sum(entries) == 5 * n
+
+
 def test_covariances_must_fit_the_cloud():
     cloud = PointCloud(np.zeros((4, 5)))
     with pytest.raises(ValueError, match=r"covariance 0 has shape \(3, 3\).*\(5, 5\)"):
@@ -498,3 +536,56 @@ def test_mean_field_objective_three_term_formula(dim):
             - 2.0 * math.exp(-r * r / (2.0 * (1.0 + s2))) \
             / math.sqrt(2.0 * math.pi * (1.0 + s2)) ** dim
         assert mean_field_objective(r, sigma, dim) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _mean_field_psi(r, sigma, dim):
+    # the stationarity condition of the mean-field mismatch, log(-S') -
+    # log(-C') for its self term S and cross term C, and its rounding level
+    # (the ulps of its terms, the cancellation in D u - r^2, and one ulp of
+    # sigma times its slope)
+    u = 1.0 + sigma * sigma
+    gap = dim * u - r * r
+    terms = [-(dim + 2) * math.log(sigma), (dim / 2 + 2) * math.log(u), r * r / (2 * u),
+             -math.log(gap), math.log(dim) - (dim / 2 + 1) * math.log(2.0)]
+    slope = -(dim + 2) / sigma + (dim + 4) * sigma / u - r * r * sigma / u ** 2 \
+        - 2 * dim * sigma / gap
+    level = 2.0 ** -52 * (sum(map(abs, terms)) + (dim * u + r * r) / gap
+                          + sigma * abs(slope))
+    return math.fsum(terms), level
+
+
+@pytest.mark.parametrize("r, dim", [(0.0, 20), (0.123, 20), (2.0, 20), (1.0, 1), (5.0, 5)])
+def test_mean_field_sigma_matches_an_mpmath_minimizer(r, dim):
+    # the stationary point of the two sigma-dependent terms at 50 digits:
+    # bisection on mpmath's own numerical derivative, which changes sign
+    # once on [0.5, 4]
+    with mpmath.workdps(50):
+        rr = mpmath.mpf(r)
+
+        def mismatch(s):
+            u = 1 + s * s
+            return s ** -dim - 2 * (2 / u) ** (mpmath.mpf(dim) / 2) * mpmath.exp(-rr * rr / (2 * u))
+
+        best = mpmath.findroot(lambda s: mpmath.diff(mismatch, s),
+                               (mpmath.mpf(0.5), mpmath.mpf(4)), solver="bisect")
+    assert mean_field_sigma(r, dim) == pytest.approx(float(best), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 20, 50, 600, 1000])
+def test_mean_field_sigma_solves_the_stationarity_condition(dim):
+    # each width is an end of the bracket [max(0.25, sqrt(r^2/D - 1)), 8]
+    # or a root of psi to its rounding level
+    for r in np.linspace(0.0, 3.0 * math.sqrt(dim) + 5.0, 101):
+        r = float(r)
+        sigma = mean_field_sigma(r, dim)
+        if sigma in (0.25, 8.0):
+            continue
+        assert sigma > math.sqrt(max(r * r / dim - 1.0, 0.0))
+        psi, level = _mean_field_psi(r, sigma, dim)
+        assert abs(psi) <= level
+
+
+def test_mean_field_sigma_stops_at_the_bracket_end():
+    # at D = 1, r = 10 the mismatch still falls at sigma = 8
+    assert mean_field_sigma(10.0, 1) == 8.0
+    assert mean_field_objective(10.0, 8.0, 1) < mean_field_objective(10.0, 7.99, 1)
