@@ -13,10 +13,14 @@ statistic with a plain np.sort and compares it with its table rank by rank.
 Only a gradient needs to know which element holds which rank; residual_bundle
 ranks the statistics and returns the per-element residuals, which gathered in
 rank order are the value's residuals bit for bit. Ranking breaks ties by
-element index, so gradients are deterministic across runs: a default-kind
-argsort is kept when it sorts the values strictly increasing (distinct values
-have only one sorted order), and a stable argsort ranks any statistic with a
-tie.
+element index, so gradients are deterministic across runs. One in-place sort
+of packed uint64 keys ranks a statistic: each value's bits with the low
+ceil(log2 m) bits replaced by its element index. The order it reads back is
+kept when it sorts the values strictly increasing (distinct values have only
+one sorted order). A tie or two values that agree above the index bits break
+that strict increase, and a stable sort of the nearly sorted gathered values
+repairs the order; a negative value, -0.0 or a NaN sends the statistic to a
+stable argsort.
 """
 
 from __future__ import annotations
@@ -122,15 +126,35 @@ def cloud_stats(x: PointCloud) -> CloudStats:
 
 
 def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(stable sort order, values in that order). Strictly increasing sorted
-    values are distinct, so the faster default-kind order is the only one; a
-    tie or a NaN breaks the strict increase and leaves the element-index
-    tie-breaking to the stable sort."""
-    order = np.argsort(values)
+    """(stable sort order, values in that order).
+
+    One sort of packed uint64 keys: each value's bits with the low
+    ceil(log2 m) bits replaced by its element index, so the sorted keys
+    carry the order in those bits. Bit patterns of nonnegative doubles sort
+    as the values do, so the order is exact unless two values agree above
+    the index bits, or a value is negative, -0.0 or NaN; each of those
+    breaks the strict increase of the gathered values. Strictly increasing
+    values have only one sorted order, so the packed order is kept then.
+    Otherwise, when no value has a sign bit or is NaN, equal values share
+    their keys' high bits and are already in index order, so a stable sort
+    of the nearly sorted gathered values finishes the ranking; any other
+    statistic is ranked by a stable argsort of its own."""
+    m = values.shape[0]
+    mask = np.uint64((1 << (m - 1).bit_length()) - 1)
+    keys = values.view(np.uint64) & ~mask
+    keys |= np.arange(m, dtype=np.uint64)
+    keys.sort()
+    keys &= mask
+    order = keys.view(np.intp)
     ranked = values[order]
     if not np.all(ranked[1:] > ranked[:-1]):
-        order = np.argsort(values, kind="stable")
-        ranked = values[order]
+        # a value with a sign bit, or a NaN, sorts last in the packed order
+        if np.signbit(ranked[-1]) or np.isnan(ranked[-1]):
+            order = np.argsort(values, kind="stable")
+            ranked = values[order]
+        else:
+            repair = np.argsort(ranked, kind="stable")
+            order, ranked = order[repair], ranked[repair]
     return order, ranked
 
 
@@ -257,12 +281,15 @@ def coordinate_targets(x: PointCloud, target: CoordinateTarget) -> PointCloud:
 def coordinate_step(x: PointCloud, target: CoordinateTarget,
                     alpha: float) -> PointCloud:
     """Convex move x + alpha (ideal - x); the torus target moves along the
-    shorter wrapped displacement and reduces the result modulo 1."""
+    shorter wrapped displacement and reduces the result modulo 1. Where
+    alpha (ideal - x) rounds away, as it does once x is an ulp from its
+    target at alpha = 1/2, the coordinate takes the full move instead."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     delta = coordinate_targets(x, target).data - x.data
     if target.wraps:
         delta = np.mod(delta + 0.5, 1.0) - 0.5
-        return PointCloud(np.mod(x.data + alpha * delta, 1.0))
-    return PointCloud(x.data + alpha * delta)
-
+    moved = x.data + alpha * delta
+    stuck = (moved == x.data) & (delta != 0.0)
+    moved[stuck] += delta[stuck]
+    return PointCloud(np.mod(moved, 1.0) if target.wraps else moved)

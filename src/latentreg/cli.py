@@ -430,8 +430,7 @@ def codeword_fraction(cloud: PointCloud, bits: int) -> float:
     (m + 0.5)/2^bits.
 
     At bits = 52 that tolerance, 2^-54, is half an ulp of a coordinate in
-    [0.5, 1), so only an exact center counts there; the demo's runs settle
-    one ulp below it, and the fraction reads about 0.5."""
+    [0.5, 1), so only an exact center counts there."""
     scale = float(2 ** bits)
     centers = (np.floor(cloud.data * scale) + 0.5) / scale
     near = np.abs(cloud.data - centers) <= 2.0 ** -(bits + 2)

@@ -13,16 +13,20 @@ which bounds the working memory of a large call such as a quantile table.
 Everything here is pure and thread-safe.
 
 The chi-squared quantile is one safeguarded Newton loop from the
-Wilson-Hilferty seed. Each iteration makes one incomplete-gamma evaluation,
-whose prefactor x^a e^-x / Gamma(a) also gives the density. On a
-79,800-entry midpoint table (an n=400 distance table) that is 4.43, 3.32
-and 2.95 evaluations per entry at dof 1, 20 and 1000.
+Wilson-Hilferty seed. The seed takes one incomplete-gamma evaluation, whose
+prefactor x^a e^-x / Gamma(a) also gives the density. A later Newton move
+that stays in the bracket and moves x by at most 5% adds the 4-node
+Gauss-Legendre integral of the density over the move to the CDF; bisection
+and doubling moves evaluate it in full. On a 79,800-entry midpoint table (an
+n=400 distance table) that is 1.54, 1.00 and 1.00 full evaluations and
+14.5, 11.7 and 9.7 density values per entry at dof 1, 20 and 1000.
 
 Tested accuracy: P(a, x) to 1e-12 absolute against a 40-digit oracle for a
 in [0.5, 500]; chi-squared quantiles round trip to 1e-13 with strictly
 increasing tables for dof in [1, 1000], and agree with scipy to a relative
 error of at most max(1e-10, 1.01e-13 / (x pdf(x))). That bound comes from
-the absolute stop rule |cdf(x) - q| <= 1e-13, so it is loose where
+the absolute stop rule |cdf(x) - q| <= 9e-14 on the loop's CDF, which is
+within 2.2e-15 of a full evaluation, so it is loose where
 1 - q is below about 1e-13: at q = 1 - 1.1e-16 and dof 1 the result is
 100.4 where the true quantile is 68.8. Normal quantiles round trip to 1e-12
 on q in [1e-6, 1 - 1e-6].
@@ -227,13 +231,18 @@ def chi2_inv_cdf(dist: ChiSquare, q):
     """Quantile function of the chi-squared distribution.
 
     Newton iteration seeded by the Wilson-Hilferty cube approximation (on
-    Acklam's normal quantile, without refinement). Each CDF evaluation
-    narrows a bracket [lo, hi] that starts at [0, inf); a step that leaves
-    it bisects, or doubles x while hi is unbounded. Each element converges
-    to |cdf(x) - q| <= 1e-13 or stops when a step no longer moves it: about
-    3 CDF evaluations per entry (2.95-4.43 on an n=400 distance table for
-    dof 1-1000). The relative error is at most 1.01e-13 / (x pdf(x)), which
-    is wide where 1 - q is below about 1e-13.
+    Acklam's normal quantile, without refinement). Each CDF value narrows a
+    bracket [lo, hi] that starts at [0, inf); a step that leaves it bisects,
+    or doubles x while hi is unbounded. The CDF at the seed is one full
+    incomplete-gamma evaluation. After a Newton move that stays in the
+    bracket and moves x by at most 5%, the CDF grows by the 4-node
+    Gauss-Legendre integral of the density over the move; a bisection or
+    doubling evaluates it in full. Each element converges to
+    |cdf(x) - q| <= 9e-14, which keeps the round trip through chi2_cdf
+    within 1e-13, or stops when a step no longer moves it. On an n=400
+    distance table that is 1.00-1.54 full evaluations and 9.7-14.5 density
+    values per entry for dof 1-1000. The relative error is at most
+    1.01e-13 / (x pdf(x)), which is wide where 1 - q is below about 1e-13.
     """
     q = np.asarray(q, dtype=np.float64)
     _check(~((q > 0.0) & (q < 1.0)), q, "quantile level must lie in (0, 1)")
@@ -242,21 +251,21 @@ def chi2_inv_cdf(dist: ChiSquare, q):
 
 def _chi2_inv_cdf(q: np.ndarray, dof: int) -> np.ndarray:
     d = float(dof)
-    a = np.full_like(q, 0.5 * d)
+    a = 0.5 * d
 
     # Wilson-Hilferty seed; can leave (0, inf) for small q and small dof.
     z = _acklam(q)
     x = d * (1.0 - 2.0 / (9.0 * d) + z * math.sqrt(2.0 / (9.0 * d))) ** 3
     x[~((x > 0.0) & np.isfinite(x))] = 1e-8
 
-    # every CDF evaluation narrows the bracket [lo, hi]; a Newton step that
+    # every CDF value narrows the bracket [lo, hi]; a Newton step that
     # leaves it bisects, or doubles x while hi is still unbounded
     lo = np.zeros_like(x)
     hi = np.full_like(x, np.inf)
+    cdf, prefactor = _gamma_parts(np.full_like(x, a), 0.5 * x)
     root = np.empty_like(x)
     live = np.arange(q.size)
     for _ in range(_MAX_ITER):
-        cdf, prefactor = _gamma_parts(a, 0.5 * x)
         fx = cdf - q
         over = fx > 0.0
         hi = np.where(over, x, hi)
@@ -266,15 +275,69 @@ def _chi2_inv_cdf(q: np.ndarray, dof: int) -> np.ndarray:
         x_next = x - step
         newton = (prefactor > 0.0) & (lo < x_next) & (x_next < hi)
         x_next = np.where(newton, x_next, np.where(hi == np.inf, 2.0 * x, 0.5 * (lo + hi)))
-        done = (np.abs(fx) <= 1e-13) | (x_next == x)
+        done = (np.abs(fx) <= _STOP) | (x_next == x)
         if done.any():
             root[live[done]] = x[done]
-            live, a, q, x, x_next, lo, hi = _compact(~done, live, a, q, x, x_next, lo, hi)
+            live, q, x, x_next, lo, hi, cdf, prefactor, newton = _compact(
+                ~done, live, q, x, x_next, lo, hi, cdf, prefactor, newton)
             if not live.size:
                 break
+        short = newton & (np.abs(x_next - x) <= _SHORT_MOVE * x)
+        cdf, prefactor = _chi2_cdf_after_move(a, x, x_next, cdf, prefactor, short)
         x = x_next
     root[live] = x  # entries that used up _MAX_ITER
     return root
+
+
+# Gauss-Legendre rule with 4 nodes on [-1, 1]: nodes -+sqrt(3/7 +- (2/7) sqrt(6/5)),
+# weights (18 -+ sqrt(30)) / 36. Written out, since numpy.polynomial's
+# leggauss would cost an eigensolver call and its memory at import.
+_GL_NODES = (-0.8611363115940526, -0.33998104358485626,
+             0.33998104358485626, 0.8611363115940526)
+_GL_OUTER, _GL_INNER = 0.34785484513745357, 0.6521451548625464
+# offsets of the four nodes and of the move's end from its start, in units
+# of half the move
+_MOVE_OFFSETS = np.array([1.0 + v for v in _GL_NODES] + [2.0])[:, None]
+# the largest move, relative to x, whose CDF change is integrated
+_SHORT_MOVE = 0.05
+# the quantile loop's stop rule |cdf - q| <= _STOP leaves 1e-14 of the
+# promised 1e-13 round trip to the gap between an integrated CDF and a full
+# evaluation, at most 2.2e-15 on midpoint tables of 100-79,800 entries for
+# dof 1-1000
+_STOP = 9e-14
+
+
+def _density_ratios(a: float, x: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The chi-squared(2a) density at x + half * offset, over the density at
+    x, for each of _MOVE_OFFSETS: (1 + s)^(a-1) e^(-half offset / 2) with
+    s = half offset / x."""
+    return np.exp((a - 1.0) * np.log1p((half / x) * _MOVE_OFFSETS)
+                  - (0.5 * half) * _MOVE_OFFSETS)
+
+
+def _chi2_cdf_after_move(a: float, x: np.ndarray, x_next: np.ndarray, cdf: np.ndarray,
+                         prefactor: np.ndarray, short: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The chi-squared(2a) CDF and the gamma prefactor at x_next. A short
+    move adds the 4-node Gauss-Legendre integral of the density over
+    [x, x_next] to cdf, the CDF at x; any other move evaluates the CDF in
+    full."""
+    cdf_next = np.empty_like(x)
+    prefactor_next = np.empty_like(x)
+    full = np.flatnonzero(~short)
+    if full.size:
+        cdf_next[full], prefactor_next[full] = _gamma_parts(np.full(full.size, a),
+                                                            0.5 * x_next[full])
+    near = np.flatnonzero(short)
+    if near.size:
+        start, end = x[near], x_next[near]
+        half = 0.5 * (end - start)
+        ratio = _density_ratios(a, start, half)
+        density = prefactor[near] / start
+        area = _GL_OUTER * (ratio[0] + ratio[3]) + _GL_INNER * (ratio[1] + ratio[2])
+        cdf_next[near] = cdf[near] + (half * density) * area
+        prefactor_next[near] = (end * density) * ratio[4]
+    return cdf_next, prefactor_next
 
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)

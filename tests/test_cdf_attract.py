@@ -161,6 +161,65 @@ def test_value_terms_equal_the_ranked_pass_terms(seed, kind):
         (float.fromhex(expected[0]) + float.fromhex(expected[1])).hex()
 
 
+def _stable_ranked(values):
+    order = np.argsort(values, kind="stable")
+    return order, values[order]
+
+
+def _assert_stable_ranking(values):
+    order, ranked = cdf_attract._ranked(values)
+    expected_order, expected_ranked = _stable_ranked(values)
+    assert order.tolist() == expected_order.tolist()
+    assert ranked.tobytes() == expected_ranked.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 4_950, 79_800])
+def test_packed_ranking_is_the_stable_argsort(size):
+    rng = np.random.default_rng(size)
+    _assert_stable_ranking(rng.chisquare(20, size=size))
+    _assert_stable_ranking(rng.chisquare(20, size=size)[::-1].copy())
+
+
+def test_packed_ranking_falls_back_on_ties_zeros_and_shared_high_bits(monkeypatch):
+    rng = np.random.default_rng(5)
+    ties = rng.integers(0, 50, size=4_950).astype(np.float64)
+    zeros = np.where(rng.random(64) < 0.5, 0.0, -0.0)
+    mixed = np.concatenate((zeros, rng.random(64)))
+    rng.shuffle(mixed)
+    # values one ulp apart agree above the 13 index bits of a 4,950-entry
+    # key, so the packed sort orders them by element index: descending here
+    base = np.full(4_950, 7.0).view(np.uint64) + np.arange(4_950, 0, -1, dtype=np.uint64)
+    shared_high_bits = base.view(np.float64)
+    signed = rng.normal(size=300)
+    signed[[3, 50, 120]] = np.nan
+    stable_sorts = []
+    argsort = np.argsort
+
+    def counted(values, *args, **kwargs):
+        stable_sorts.append((kwargs.get("kind"), values.shape[0]))
+        return argsort(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    for values in (ties, zeros, mixed, shared_high_bits, signed):
+        _assert_stable_ranking(values)
+    # each _ranked call above falls back to one stable sort, and the
+    # reference adds one more
+    assert stable_sorts == [("stable", v.shape[0]) for v in
+                            (ties, ties, zeros, zeros, mixed, mixed, shared_high_bits,
+                             shared_high_bits, signed, signed)]
+
+
+def test_residual_bundle_equals_the_stable_argsort_pass_at_n400():
+    cloud = PointCloud(np.random.default_rng(400).normal(size=(400, 20)))
+    stats, targets = cloud_stats(cloud), build_target_quantiles(400, 20)
+    for values, residuals, table in zip(stats, residual_bundle(stats, targets),
+                                        (targets.radii, targets.distances)):
+        order, ranked = _stable_ranked(values)
+        expected = np.empty_like(ranked)
+        expected[order] = ranked - table
+        assert residuals.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("size", [1, 2, 4_950, 79_800])
 def test_terms_equal_the_np_mean_form(size):
     # _terms takes the mean as add.reduce over the count: np.mean's float64
@@ -386,6 +445,18 @@ def test_coordinate_step_alpha_validation():
     for alpha in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             coordinate_step(x, CoordinateTarget("uniform01"), alpha)
+
+
+def test_coordinate_step_lands_on_a_target_one_ulp_away():
+    # half of a one-ulp gap rounds back to x, so the step takes the full move
+    for target in (CoordinateTarget("quantized_uniform", MAX_BITS),
+                   CoordinateTarget("torus_uniform01")):
+        ideal = target.rank_positions(4)
+        stepped = coordinate_step(PointCloud(np.nextafter(ideal, 0.0)[:, None]), target, 0.5)
+        # on the torus only moves in [0.5, 1) keep their one-ulp displacement
+        # through the wrap, whose rounding unit is 2^-53
+        upper = slice(None) if not target.wraps else slice(2, None)
+        assert stepped.data[upper, 0].tolist() == ideal[upper].tolist()
 
 
 @given(st.integers(min_value=0, max_value=10**6))

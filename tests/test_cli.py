@@ -238,10 +238,12 @@ def test_attract_quantized_codeword_fraction(tmp_path):
     assert fraction >= 0.9
 
 
-@pytest.mark.parametrize("bits", [40, 45])
+@pytest.mark.parametrize("bits", [40, 45, 51, 52])
 def test_attract_quantized_converges_at_high_bits(tmp_path, bits):
     # the run stops only when no coordinate moves at all; a 1e-12 stop left
-    # about half of the coordinates outside the 2^-(bits+2) tolerance here
+    # about half of the coordinates outside the 2^-(bits+2) tolerance here.
+    # At bits 52 that tolerance is below an ulp in [0.5, 1), so a coordinate
+    # must land on its centre: half of a one-ulp gap rounds away
     spec = ExperimentSpec("attract_demo", target="quantized", bits=bits, n=64, dim=2,
                           trials=2, seed=1, out=str(tmp_path / "o"))
     assert cmd_attract_demo(spec) == 0

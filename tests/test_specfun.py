@@ -189,7 +189,7 @@ def test_chi2_quantile_table_matches_scipy_at_n400():
     # dof is where the seed is weakest and the loop doubles x.
     count = 79800
     probs = (np.arange(count) + 0.5) / count
-    for dof in (1, 2, 20, 1000):
+    for dof in (1, 2, 5, 20, 100, 400, 1000):
         table = chi2_quantile_table(count, dof)
         ref = stats.chi2.ppf(probs, dof)
         rel = np.abs(table / ref - 1.0)
@@ -200,20 +200,37 @@ def test_chi2_quantile_table_matches_scipy_at_n400():
 
 @pytest.mark.parametrize("dof", [1, 20, 1000])
 def test_chi2_quantile_newton_work_per_entry(dof, monkeypatch):
-    # the quantile loop's one CDF evaluation per iteration keeps the
-    # Wilson-Hilferty seed: about 3 evaluations per entry (4.43 at dof 1),
-    # where discarding seeds or a separate bracketing pass costs 7.5-10
-    evaluated = []
+    # the seed takes the one full incomplete-gamma evaluation an entry needs
+    # at dof >= 20; later Newton moves of at most 5% integrate the density
+    # over the move at 4 nodes plus the end, 5 density values each. Measured
+    # on this 79,800-entry table: 1.54, 1.00 and 1.00 full evaluations and
+    # 14.5, 11.7 and 9.7 density values per entry at dof 1, 20 and 1000
+    evaluated, densities = [], []
 
-    def counted(a, x):
+    def counted_full(a, x):
         evaluated.append(x.size)
         return gamma_parts(a, x)
 
-    gamma_parts = specfun._gamma_parts
-    monkeypatch.setattr(specfun, "_gamma_parts", counted)
+    def counted_density(a, x, half):
+        ratios = density_ratios(a, x, half)
+        densities.append(ratios.size)
+        return ratios
+
+    gamma_parts, density_ratios = specfun._gamma_parts, specfun._density_ratios
+    monkeypatch.setattr(specfun, "_gamma_parts", counted_full)
+    monkeypatch.setattr(specfun, "_density_ratios", counted_density)
     count = 79800
     chi2_inv_cdf(ChiSquare(dof), midpoint_probs(count))
-    assert sum(evaluated) <= 4.5 * count
+    full_bound, density_bound = {1: (1.7, 15.0), 20: (1.1, 12.0), 1000: (1.1, 10.0)}[dof]
+    assert sum(evaluated) <= full_bound * count
+    assert sum(densities) <= density_bound * count
+
+
+def test_gauss_legendre_literals_match_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    assert np.allclose(specfun._GL_NODES, nodes, rtol=0.0, atol=1e-15)
+    assert np.allclose([specfun._GL_OUTER, specfun._GL_INNER, specfun._GL_INNER,
+                        specfun._GL_OUTER], weights, rtol=0.0, atol=1e-15)
 
 
 ARRAY_CASES = [
