@@ -5,9 +5,11 @@ fresh prior sample), the analytic CWAE regularizer, their exact gradients,
 and the Mardia-style moment statistics used to sanity-check multivariate
 normality. Both regularizers take their constants from the cloud they are
 given: the inverse-multiquadric scale 2D from its dimension, CWAE's
-gamma_n = (4/(3n))^{2/5} from its size. Each gradient reuses its value's
-pair matrices: the WAE-MMD weights are the squared kernel entries, the CWAE
-weights are the cubes of the inverse square roots that the value sums.
+gamma_n = (4/(3n))^{2/5} from its size. Each pair matrix is one product of
+augmented factors that folds in the kernel's shift and scale (2D + sq, and
+gamma_n + sq/(2D-3)), and each gradient reuses its value's pair matrices:
+the WAE-MMD weights are the squared kernel entries, the CWAE weights are
+the cubes of the inverse square roots that the value sums.
 """
 
 from __future__ import annotations
@@ -26,33 +28,22 @@ __all__ = [
 ]
 
 
-def kernel_matrix(a: PointCloud, b: PointCloud) -> np.ndarray:
-    """Matrix of the inverse-multiquadric kernel 2D / (2D + |a_i - b_j|^2)."""
+def kernel_matrix(a: PointCloud, b: PointCloud, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix of the inverse-multiquadric kernel 2D / (2D + |a_i - b_j|^2),
+    written to out when given."""
     if a.dim != b.dim:
         raise ValueError(f"cloud dims {a.dim} and {b.dim} differ")
-    return _imq(a.dim, _sq_dists(a.data, b.data))
-
-
-def _imq(dim: int, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # k as a function of the squared distance, written to out (allocated
-    # when None; sq itself is allowed)
-    c = 2.0 * dim
-    out = np.add(c, sq, out=out)
+    c = 2.0 * a.dim
+    out = _sq_dists(a.data, b.data, out, shift=c)
     return np.divide(c, out, out=out)
 
 
-def _mmd_kernels(z: PointCloud, z_tilde: PointCloud,
-                 zz: np.ndarray | None = None, zt: np.ndarray | None = None,
-                 gram: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    # (k(z_i, z_j), k(z_i, zt_j)), each written over its squared-distance
-    # matrix in zz and zt, with gram as scratch
+def _mmd_kernels(z: PointCloud, z_tilde: PointCloud, zz: np.ndarray | None = None,
+                 zt: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    # (k(z_i, z_j), k(z_i, zt_j)), written to zz and zt
     if z.n < 2:
         raise ValueError("need at least 2 points in z")
-    if z.dim != z_tilde.dim:
-        raise ValueError(f"cloud dims {z.dim} and {z_tilde.dim} differ")
-    zz = _sq_dists(z.data, z.data, zz, gram)
-    zt = _sq_dists(z.data, z_tilde.data, zt, gram)
-    return _imq(z.dim, zz, zz), _imq(z.dim, zt, zt)
+    return kernel_matrix(z, z, zz), kernel_matrix(z, z_tilde, zt)
 
 
 def wae_mmd(z: PointCloud, z_tilde: PointCloud) -> float:
@@ -96,15 +87,13 @@ def _cwae_gamma(n: int) -> float:
     return (4.0 / (3.0 * n)) ** 0.4
 
 
-def _cwae_roots(z: PointCloud, out: np.ndarray | None = None,
-                gram: np.ndarray | None = None) -> np.ndarray:
-    # (gamma_n + |z_i - z_j|^2/(2D-3))^{-1/2}, written to out with gram as
-    # scratch: the pair matrix that cwae sums and whose cubes weight its gradient
+def _cwae_roots(z: PointCloud, out: np.ndarray | None = None) -> np.ndarray:
+    # (gamma_n + |z_i - z_j|^2/(2D-3))^{-1/2}, written to out: the pair
+    # matrix that cwae sums and whose cubes weight its gradient
     if z.dim < 2:
         raise ValueError(f"cwae needs dim >= 2 (2D-3 > 0), got a {z.data.shape} cloud")
-    roots = _sq_dists(z.data, z.data, out, gram)
-    np.divide(roots, 2.0 * z.dim - 3.0, out=roots)
-    np.add(_cwae_gamma(z.n), roots, out=roots)
+    roots = _sq_dists(z.data, z.data, out, scale=1.0 / (2.0 * z.dim - 3.0),
+                      shift=_cwae_gamma(z.n))
     np.sqrt(roots, out=roots)
     return np.divide(1.0, roots, out=roots)
 

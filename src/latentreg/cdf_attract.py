@@ -281,14 +281,15 @@ def coordinate_targets(x: PointCloud, target: CoordinateTarget) -> PointCloud:
 def coordinate_step(x: PointCloud, target: CoordinateTarget,
                     alpha: float) -> PointCloud:
     """Convex move x + alpha (ideal - x); the torus target moves along the
-    shorter wrapped displacement and reduces the result modulo 1. Where
+    shorter wrapped displacement d - rint(d), which is exact (d = +-1/2
+    keeps its sign), and reduces the result modulo 1. Where
     alpha (ideal - x) rounds away, as it does once x is an ulp from its
     target at alpha = 1/2, the coordinate takes the full move instead."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     delta = coordinate_targets(x, target).data - x.data
     if target.wraps:
-        delta = np.mod(delta + 0.5, 1.0) - 0.5
+        delta -= np.rint(delta)
     moved = x.data + alpha * delta
     stuck = (moved == x.data) & (delta != 0.0)
     moved[stuck] += delta[stuck]

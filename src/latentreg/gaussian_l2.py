@@ -237,34 +237,33 @@ def _log_pair_integral(diff: np.ndarray, cov_a: np.ndarray,
     return -0.5 * ((y * y).sum(-1) + diff.shape[-1] * _LOG_2PI + _logdet(chol))
 
 
-def _block_sum(x: np.ndarray, y: np.ndarray | None, kernel) -> float:
+def _block_sum(x: np.ndarray, y: np.ndarray | None, kernel, scale: float = 1.0) -> float:
     """Exactly rounded sum of a kernel matrix over the points x against y,
     or against x itself when y is None.
 
-    kernel(rows, cols, sq, spare) gets sq, the block of _sq_dists(x, y) for
-    the slice rows of x and the slice cols of y, and spare, a free buffer of
-    sq's shape. It may overwrite both and returns the block's kernel values,
-    an array of sq's shape. Row block [s, e) meets all of y. Against itself
-    the matrix is symmetric, so the block meets only the columns [s, n):
-    its diagonal square [s, e)^2 is counted once and the part to its right
-    twice, which skips about half of the pairs. The block floats are added
-    exactly. The two buffers are allocated once, flat, for the first
-    block; each block views their head in its own shape."""
+    kernel(rows, cols, sq, spare) gets sq, the block of
+    _sq_dists(x, y, scale=scale) over the slices rows of x and cols of y
+    (scale can fold in the kernel's own factor), and spare, a free buffer of
+    sq's shape. It may overwrite both and returns the block's kernel values.
+    Row block [s, e) meets all of y. Against itself the matrix is symmetric,
+    so the block meets only the columns [s, n): its diagonal square [s, e)^2
+    is counted once and the part to its right twice, which skips about half
+    of the pairs. The block floats are added exactly. The distance and spare
+    buffers are allocated once, flat; each block views their heads."""
     symmetric = y is None
     y = x if symmetric else y
     n, m = len(x), len(y)
     block = max(1, _BLOCK_ELEMENTS // m)
     out = np.empty(min(block, n) * m)
-    gram = np.empty_like(out)
+    spare = np.empty_like(out)
     parts = []
     for start in range(0, n, block):
         rows = slice(start, min(start + block, n))
         cols = slice(start if symmetric else 0, m)
         shape = (rows.stop - start, cols.stop - cols.start)
         size = shape[0] * shape[1]
-        spare = gram[:size].reshape(shape)
-        sq = _sq_dists(x[rows], y[cols], out=out[:size].reshape(shape), gram=spare)
-        values = kernel(rows, cols, sq, spare)
+        sq = _sq_dists(x[rows], y[cols], out=out[:size].reshape(shape), scale=scale)
+        values = kernel(rows, cols, sq, spare[:size].reshape(shape))
         if symmetric:
             parts.append(float(values[:, :shape[0]].sum()))
             parts.append(2.0 * float(values[:, shape[0]:].sum()))
@@ -326,11 +325,9 @@ def l2_distance_samples(a: SmoothedSample, b: SmoothedSample) -> float:
 
 
 def _mean_exp_kernel(x: np.ndarray, y: np.ndarray, four_sigma2: float) -> float:
-    def kernel(rows, cols, sq, spare):
-        sq /= -four_sigma2
-        return np.exp(sq, out=sq)
-
-    return _block_sum(x, None if y is x else y, kernel) / (len(x) * len(y))
+    total = _block_sum(x, None if y is x else y,
+                       lambda rows, cols, sq, spare: np.exp(sq, out=sq), -1.0 / four_sigma2)
+    return total / (len(x) * len(y))
 
 
 def l2_distance_samples_isotropic(x: PointCloud, y: PointCloud,

@@ -129,9 +129,9 @@ class WaeMmdObjective:
     """IMQ-kernel MMD against a fresh prior sample drawn at every step.
 
     value and gradient share one pair of kernel matrices per cloud; a new
-    prior sample clears them. The objective owns four (n, n) buffers: the
-    kernel matrices (each written over its distances), the Gram product and
-    the gradient weights. A new cloud overwrites the memo's matrices."""
+    prior sample clears them. The objective owns three (n, n) buffers: the
+    two kernel matrices and the gradient weights. A new cloud overwrites the
+    memo's matrices."""
 
     deterministic = False
 
@@ -142,9 +142,8 @@ class WaeMmdObjective:
         self._buffers: tuple[np.ndarray, ...] = ()
 
     def _matrices(self, x: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-        self._buffers = _square_buffers(self._buffers, 4, x.n)
-        zz, zt, gram, _ = self._buffers
-        return baselines._mmd_kernels(x, self._z_tilde, zz, zt, gram)
+        self._buffers = _square_buffers(self._buffers, 3, x.n)
+        return baselines._mmd_kernels(x, self._z_tilde, *self._buffers[:2])
 
     def begin_step(self, step: int, x: PointCloud) -> None:
         self._z_tilde = sample_standard_normal(self.prior_rng, x.n, x.dim)
@@ -155,7 +154,7 @@ class WaeMmdObjective:
 
     def gradient(self, x: PointCloud) -> np.ndarray:
         k_zz, k_zt = self._memo.get(x, self._matrices)
-        return baselines._wae_mmd_gradient(x, self._z_tilde, k_zz, k_zt, self._buffers[3])
+        return baselines._wae_mmd_gradient(x, self._z_tilde, k_zz, k_zt, self._buffers[2])
 
     def trace_extras(self) -> dict[str, float]:
         return {}
@@ -165,9 +164,8 @@ class CwaeObjective:
     """The CWAE regularizer, its constants taken from each cloud it is given.
     One matrix of inverse square roots per cloud serves its value, asked for
     twice when a candidate is accepted, and the gradient, whose weights are
-    their cubes. The objective owns three (n, n) buffers: the roots (written
-    over the distances), the Gram product and the weights. A new cloud
-    overwrites the memo's roots in place."""
+    their cubes. The objective owns two (n, n) buffers: the roots and the
+    weights. A new cloud overwrites the memo's roots in place."""
 
     deterministic = True
 
@@ -176,9 +174,8 @@ class CwaeObjective:
         self._buffers: tuple[np.ndarray, ...] = ()
 
     def _evaluate(self, x: PointCloud) -> tuple[np.ndarray, float]:
-        self._buffers = _square_buffers(self._buffers, 3, x.n)
-        roots, gram, _ = self._buffers
-        roots = baselines._cwae_roots(x, roots, gram)
+        self._buffers = _square_buffers(self._buffers, 2, x.n)
+        roots = baselines._cwae_roots(x, self._buffers[0])
         return roots, baselines._cwae(x, roots)
 
     def begin_step(self, step: int, x: PointCloud) -> None:
@@ -189,7 +186,7 @@ class CwaeObjective:
 
     def gradient(self, x: PointCloud) -> np.ndarray:
         roots = self._memo.get(x, self._evaluate)[0]
-        return baselines._cwae_gradient(x, roots, self._buffers[2])
+        return baselines._cwae_gradient(x, roots, self._buffers[1])
 
     def trace_extras(self) -> dict[str, float]:
         return {}

@@ -16,6 +16,7 @@ replay them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -59,18 +60,24 @@ class Rng:
         return Rng(_mix64((self.seed + int(stream_id) * _GOLDEN) & _MASK))
 
     def _raw(self, count: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
+        z = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
         self._counter += count
-        z = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self.seed)
+        shifted = np.empty_like(z)  # every step runs in place
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+            z *= np.uint64(mix)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        return z
 
     def uniform(self, count: int) -> np.ndarray:
         """i.i.d. Uniform[0, 1) doubles."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        return (self._raw(count) >> np.uint64(11)).astype(np.float64) * _U53
+        z = self._raw(count)
+        z >>= np.uint64(11)
+        return z * _U53
 
     def normal(self, count: int) -> np.ndarray:
         """i.i.d. standard normal doubles via polar rejection."""
@@ -84,7 +91,8 @@ class Rng:
             filled = 1
         while filled < count:
             need_pairs = (count - filled + 1) // 2
-            batch = need_pairs + max(8, need_pairs // 2)
+            # pairs are accepted at rate pi/4: a 3.4-sigma margin rarely needs a second batch
+            batch = int(need_pairs * (4.0 / math.pi) + 2.0 * math.sqrt(need_pairs)) + 8
             start = self._counter
             u = self.uniform(2 * batch)
             a = 2.0 * u[0::2] - 1.0
@@ -187,16 +195,24 @@ def _pair_flat_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
-              gram: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of squared distances |a_i - b_j|^2 via the Gram expansion,
-    clamped at 0 against cancellation.
+              scale: float = 1.0, shift: float = 0.0) -> np.ndarray:
+    """shift + scale |a_i - b_j|^2 over the rows of a and b, from one matrix
+    product of augmented factors:
 
-    out receives the result and gram the product 2 a b^T, both (len(a),
-    len(b)) and distinct; either one left out is allocated. The values do
-    not depend on whether buffers are given."""
-    out = np.add.outer((a * a).sum(1), (b * b).sum(1), out=out)
-    out -= np.matmul(2.0 * a, b.T, out=gram)
-    return np.maximum(out, 0.0, out=out)
+        [shift/2 + scale |a_i|^2, 1, -2 scale a_i] . [1, shift/2 + scale |b_j|^2, b_j]
+
+    The result is clamped at shift against cancellation, from below when
+    scale > 0 and from above when scale < 0. out, a (len(a), len(b))
+    buffer, receives it when given; the values do not depend on out."""
+    fa = np.empty((len(a), a.shape[1] + 2))
+    fb = np.empty((b.shape[1] + 2, len(b)))  # transposed: row-major factors multiply faster
+    fa[:, 0] = 0.5 * shift + scale * np.einsum("ij,ij->i", a, a)
+    fb[1] = 0.5 * shift + scale * np.einsum("ij,ij->i", b, b)
+    fa[:, 1] = fb[0] = 1.0
+    np.multiply(a, -2.0 * scale, out=fa[:, 2:])
+    fb[2:] = b.T
+    out = np.matmul(fa, fb, out=out)
+    return (np.maximum if scale > 0 else np.minimum)(out, shift, out=out)
 
 
 def sample_standard_normal(rng: Rng, n: int, dim: int) -> PointCloud:

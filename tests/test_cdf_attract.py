@@ -453,10 +453,19 @@ def test_coordinate_step_lands_on_a_target_one_ulp_away():
                    CoordinateTarget("torus_uniform01")):
         ideal = target.rank_positions(4)
         stepped = coordinate_step(PointCloud(np.nextafter(ideal, 0.0)[:, None]), target, 0.5)
-        # on the torus only moves in [0.5, 1) keep their one-ulp displacement
-        # through the wrap, whose rounding unit is 2^-53
-        upper = slice(None) if not target.wraps else slice(2, None)
-        assert stepped.data[upper, 0].tolist() == ideal[upper].tolist()
+        # the torus wrap keeps every one-ulp displacement, in [0, 0.5) too
+        assert stepped.data[:, 0].tolist() == ideal.tolist()
+
+
+def test_coordinate_step_torus_half_displacement_keeps_its_sign():
+    # n = 2 torus targets are 0.25 and 0.75, by rank. A point half a turn
+    # from its target, either way as short, moves the way its displacement
+    # points: 0.25 -> 0.75 forward (+0.5), 0.75 -> 0.25 backward (-0.5)
+    target = CoordinateTarget("torus_uniform01")
+    forward = coordinate_step(PointCloud(np.array([[0.125], [0.25]])), target, 0.5)
+    assert forward.data[:, 0].tolist() == [0.1875, 0.5]
+    backward = coordinate_step(PointCloud(np.array([[0.75], [0.875]])), target, 0.5)
+    assert backward.data[:, 0].tolist() == [0.5, 0.8125]
 
 
 @given(st.integers(min_value=0, max_value=10**6))

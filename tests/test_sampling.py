@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -164,18 +165,95 @@ def test_pair_index_caches_are_read_only():
                for a, b in zip(_pair_indices(5), np.triu_indices(5, k=1)))
 
 
-@pytest.mark.parametrize("n, m, dim", [(7, 7, 3), (5, 11, 4), (13, 2, 1), (200, 200, 20)])
-def test_sq_dists_buffers_leave_the_values_unchanged(n, m, dim):
+SQ_DISTS_SHAPES = [(7, 7, 3), (5, 11, 4), (13, 2, 1), (200, 200, 20)]
+
+
+def _sq_dists_inputs(n, m, dim, offset=0.0):
     rng = Rng(100 * n + m)
-    a = 3.0 * rng.normal(n * dim).reshape(n, dim)
-    b = 3.0 * rng.normal(m * dim).reshape(m, dim)
+    a = offset + 3.0 * rng.normal(n * dim).reshape(n, dim)
+    b = offset + 3.0 * rng.normal(m * dim).reshape(m, dim)
     b[0] = a[0]  # a zero distance, where the clamp acts
-    out, gram = np.full((n, m), np.nan), np.full((n, m), np.nan)
+    return a, b
+
+
+def _brute_force_within_rounding(a, b, got, scale=1.0, shift=0.0):
+    # the product sums D + 2 terms whose magnitudes add up to at most
+    # |shift| + |scale| (|a_i| + |b_j|)^2, so a rounding bound is 4 (D + 2)
+    # eps times that; brute force differences the points before squaring
+    want = shift + scale * ((a[:, None] - b[None]) ** 2).sum(-1)
+    norms = np.sqrt((a * a).sum(1))[:, None] + np.sqrt((b * b).sum(1))[None, :]
+    bound = 4 * (a.shape[1] + 2) * np.finfo(float).eps * (abs(shift) + abs(scale) * norms ** 2)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("n, m, dim", SQ_DISTS_SHAPES)
+def test_sq_dists_buffers_leave_the_values_unchanged(n, m, dim):
+    a, b = _sq_dists_inputs(n, m, dim)
+    out = np.full((n, m), np.nan)
     fresh = _sq_dists(a, b)
-    assert _sq_dists(a, b, out, gram) is out
+    assert _sq_dists(a, b, out) is out
     assert out.tobytes() == fresh.tobytes()
-    # the Gram expansion as one expression, clamped at 0
-    expanded = (a * a).sum(1)[:, None] + (b * b).sum(1)[None, :] - 2.0 * a @ b.T
-    assert fresh.tobytes() == np.maximum(expanded, 0.0).tobytes()
-    square, square_gram = np.full((n, n), np.nan), np.full((n, n), np.nan)
-    assert _sq_dists(a, a, square, square_gram).tobytes() == _sq_dists(a, a).tobytes()
+    _brute_force_within_rounding(a, b, fresh)
+    square = np.full((n, n), np.nan)
+    assert _sq_dists(a, a, square).tobytes() == _sq_dists(a, a).tobytes()
+
+
+@pytest.mark.parametrize("n, m, dim", SQ_DISTS_SHAPES)
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (1.0 / 37.0, 0.0208), (1.0, 40.0),
+                                          (-1.0 / 5.12, 0.0), (-0.3, 2.5)])
+def test_sq_dists_scaled_and_shifted_match_brute_force(n, m, dim, offset, scale, shift):
+    a, b = _sq_dists_inputs(n, m, dim, offset)
+    got = _sq_dists(a, b, scale=scale, shift=shift)
+    _brute_force_within_rounding(a, b, got, scale, shift)
+    out = np.full((n, m), np.nan)
+    assert _sq_dists(a, b, out, scale, shift) is out
+    assert out.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.25, 3.0), (-0.25, 0.0), (-2.0, -1.5)])
+def test_sq_dists_clamp_never_crosses_the_shift(scale, shift):
+    # a cloud offset by 1e3 against a copy of itself: cancellation moves
+    # each zero distance by up to about 1e-8, to either side, so the clamp
+    # has to act on the diagonal
+    a, _ = _sq_dists_inputs(200, 200, 20, offset=1e3)
+    got = _sq_dists(a, a.copy(), scale=scale, shift=shift)
+    assert np.all(got >= shift) if scale > 0 else np.all(got <= shift)
+    assert np.any(np.diagonal(got) == shift)
+
+
+# sha256 of Rng(7).normal(n) rounded to float32. The module's constants fix
+# the stream, so the size of the batches Rng.normal draws must not change
+# these. The last bit of np.log differs between SIMD implementations, and a
+# one-ulp change in a double moves its float32 rounding with probability
+# about 2^-29, so the digests hold on any machine.
+NORMAL_DIGESTS = {
+    1: "0bdc5e2b3cb942398cc53f805d81e60199cc1a2c924207979d0f5e137d94f53d",
+    2: "5532eeba0efcc4452d9b18066d5055cf30d748ba180f71771f3a0502f9aa3ef2",
+    999: "44507e5f03cb8f45633567a7aafa53d0888070dbfb06af87ce61a72b51d147e3",
+    1000: "34d85e41c4373fdaa78fb59b0a3ba5e1626659b0ae8395970d27759479ce2d79",
+    6000: "171cf7cae653b0ed9cccbae3c78005559d621bf138f7ec505c2476c1670770f7",
+    6001: "619fffa121c56a63fb5dbf34421f5ff00032d08273b432f4d06270f3486a2179",
+}
+
+
+def _digest(values):
+    return hashlib.sha256(values.astype(np.float32).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("count", sorted(NORMAL_DIGESTS))
+def test_normal_streams_are_pinned(count):
+    assert _digest(Rng(7).normal(count)) == NORMAL_DIGESTS[count]
+
+
+def test_normal_stream_is_pinned_across_calls_with_a_carried_spare():
+    rng = Rng(7)
+    parts = [rng.normal(k) for k in (3, 5, 1, 1000, 2)]  # odd counts leave a spare
+    assert _digest(np.concatenate(parts)) == \
+        "b1ea688da67970538bfa0e8e26a414bca1c9bb863f20c7e910e23cd3b4495c0d"
+    assert rng._spare_normal == pytest.approx(1.2301707771279933, rel=1e-15)
+    # the counter stops at the pair that completed the last request; the
+    # uniforms after it are exact on any machine
+    assert rng._counter == 1284
+    assert hashlib.sha256(rng.uniform(8).tobytes()).hexdigest() == \
+        "666bf91ea5e9e8bd8be3fc48416ea69d0b3a749c68b5e957d4fe4bb0038b0a75"
