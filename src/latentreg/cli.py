@@ -13,6 +13,13 @@ latentreg.calibration. Every resolved value is echoed to
 OUT/config_resolved.txt. Exit codes: 0 success, 1 usage error, 2 runtime
 failure. The spec is validated before any file is written; a bad value or an
 unknown flag is a usage error.
+
+fig1 and fig2 differ only in the clouds they make and in their summary CSVs:
+_judge sorts each statistic of a cloud and takes its KS distance, and
+_write_curves writes every curve CSV and panel. A curve's target column is
+formatted once per (statistic, count) and kept for the whole run when the
+target is a parametric law, or for one trial when it is that trial's
+reference cloud.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from .cdf_attract import (
     CoordinateTarget,
     build_target_quantiles,
     cdf_objective,
-    chi2_quantile_table,
     cloud_stats,
     coordinate_step,
     midpoint_probs,
@@ -76,6 +82,7 @@ COORD_STEPS = 200
 COORD_ALPHA = 0.5
 
 _ATTRACT_TARGETS = ("gaussian", "uniform01", "torus", "quantized")
+_SEED_LIMIT = 2 ** 64  # Rng keeps 64 bits: a seed outside [0, 2**64) would wrap
 
 
 @dataclass
@@ -96,6 +103,9 @@ class ExperimentSpec:
             (self.n >= 2, f"n must be >= 2, got {self.n}"),
             (self.dim >= 1, f"dim must be >= 1, got {self.dim}"),
             (self.trials >= 1, f"trials must be >= 1, got {self.trials}"),
+            (0 <= self.seed and self.seed + self.trials <= _SEED_LIMIT,
+             f"trial seeds seed..seed+trials-1 must lie in [0, 2**64), "
+             f"got {self.seed}..{self.seed + self.trials - 1}"),
             (self.jobs >= 1, f"jobs must be >= 1, got {self.jobs}"),
             (self.target in _ATTRACT_TARGETS,
              f"target must be one of {_ATTRACT_TARGETS}, got {self.target!r}"),
@@ -228,30 +238,68 @@ def _sorted_quantile(sorted_values: np.ndarray, probs: np.ndarray) -> np.ndarray
 
 
 _DECILES = np.arange(1, 10) / 10.0
-
-
-def _chi2_deciles(dim: int) -> np.ndarray:
-    return chi2_inv_cdf(ChiSquare(dim), _DECILES)
-
-
+_LAW_PS = np.linspace(0.001, 0.999, 200)
 _Y_TICKS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def _edf_panel(path: Path, trial_values: list[np.ndarray], target_xs: np.ndarray,
-               target_ps: np.ndarray, title: str, x_ticks) -> None:
-    """Overlay per-trial EDF polylines with the target CDF curve in black."""
-    hi = max(float(target_xs[-1]), max(float(v[-1]) for v in trial_values))
-    lo = min(0.0, float(target_xs[0]), min(float(v[0]) for v in trial_values))
-    curves = []
-    for idx, values in enumerate(trial_values):
-        curves.append(Curve(values, midpoint_probs(values.shape[0]),
-                            PALETTE[idx % len(PALETTE)]))
-    curves.append(Curve(target_xs, target_ps, "#000000", width=2.0))
-    render_panel(path, curves, title, (lo, hi * 1.02), (0.0, 1.0),
-                 x_ticks=x_ticks, y_ticks=_Y_TICKS)
+def _judge(cloud: PointCloud, battery=None) -> dict[str, tuple[np.ndarray, object]]:
+    """{stat: (sorted values, KS)} of a cloud. Without a battery the stats are
+    its squared radii and half squared pair distances (cloud_stats), each
+    with its chi2_report against chi-squared(dim); with battery = (dirs,
+    reference values) of reference_battery they are BATTERY_TESTS, each with
+    its battery_ks distance."""
+    if battery is None:
+        stats = {stat: np.sort(v) for stat, v in cloud_stats(cloud)._asdict().items()}
+        return {stat: (v, chi2_report(v, cloud.dim)) for stat, v in stats.items()}
+    values = battery_values(cloud, battery[0])
+    ks = battery_ks(values, battery[1])
+    return {test: (values[test], ks[test]) for test in BATTERY_TESTS}
 
 
-FIG1_ROWS = ("gaussian", "wae_mmd", "cwae", "attract")
+def _write_curves(out: Path, prefix: str, judged: dict[str, list[dict]],
+                  targets: dict, title: str) -> None:
+    """Every curve CSV and SVG panel of judged = {row: [judged trial]}:
+    out/{prefix}_{row}_{stat}_trial{t:02d}.csv per trial, and a panel
+    out/{prefix}_{row}_{stat}.svg of the trials' EDFs over the target CDF,
+    titled title.format(row=row, stat=stat). targets[stat] is a parametric
+    law's inverse CDF, or a reference cloud's sorted values per trial: trial
+    t's curves take their quantiles and the panels their pooled EDF."""
+    for stat, target in targets.items():
+        if callable(target):
+            xs, ps, ticks = target(_LAW_PS), _LAW_PS, target(_DECILES)
+        else:
+            xs = np.sort(np.concatenate(target))
+            ps, ticks = midpoint_probs(xs.shape[0]), _sorted_quantile(xs, _DECILES)
+        for row, trials in judged.items():
+            trial_values = [trial[stat][0] for trial in trials]
+            hi = max(float(xs[-1]), max(float(v[-1]) for v in trial_values))
+            lo = min(0.0, float(xs[0]), min(float(v[0]) for v in trial_values))
+            curves = [Curve(v, midpoint_probs(v.shape[0]), PALETTE[i % len(PALETTE)])
+                      for i, v in enumerate(trial_values)]
+            curves.append(Curve(xs, ps, "#000000", width=2.0))
+            render_panel(out / f"{prefix}_{row}_{stat}.svg", curves,
+                         title.format(row=row, stat=stat), (lo, hi * 1.02), (0.0, 1.0),
+                         x_ticks=ticks, y_ticks=_Y_TICKS)
+    law_tails: dict[tuple[str, int], tuple[str, ...]] = {}
+    for t, row_trials in enumerate(zip(*judged.values())):
+        # dropped with their trial: kept for a 20-trial fig2 run they add about 15 MB
+        reference_tails: dict[tuple[str, int], tuple[str, ...]] = {}
+        for row, trial in zip(judged, row_trials):
+            for stat, (values, _) in trial.items():
+                target, key = targets[stat], (stat, values.shape[0])
+                tails = law_tails if callable(target) else reference_tails
+                if key not in tails:
+                    probs = midpoint_probs(key[1])
+                    tails[key] = _curve_tails(target(probs) if callable(target)
+                                              else _sorted_quantile(target[t], probs), probs)
+                _write_curve_csv(out / f"{prefix}_{row}_{stat}_trial{t:02d}.csv",
+                                 values, tails[key])
+
+
+def _by_row(results: list[tuple[dict, object]]) -> tuple[dict[str, list], tuple]:
+    """[({row: judged trial}, extra)] by trial as ({row: [judged trial]}, extras)."""
+    trials, extras = zip(*results)
+    return {row: [trial[row] for trial in trials] for row in trials[0]}, extras
 
 
 def cmd_fig1(spec: ExperimentSpec) -> int:
@@ -267,45 +315,24 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
         clouds["cwae"] = _run_baseline_trial(spec, trial_seed, "cwae")
         clouds["attract"], trace = run_attraction_trial(spec, trial_seed)
         trace_to_csv(trace, out / f"fig1_attract_trial{t:02d}_trace.csv")
-        result = {}
+        directions = {}  # narrow or wide by the mean squared radius
         for row, cloud in clouds.items():
             cloud.to_csv(out / f"fig1_{row}_trial{t:02d}_cloud.csv")
-            # the statistics the attraction sorts, computed once per cloud
-            stats = cloud_stats(cloud)
-            values, reports = {}, {}
-            for stat, unsorted in zip(("radii", "distances"), stats):
-                v = np.sort(unsorted)
-                m = v.shape[0]
-                # fig1's distance tails run to n(n-1)/2 rows: built per file, not kept
-                _write_curve_csv(out / f"fig1_{row}_{stat}_trial{t:02d}.csv", v,
-                                 _curve_tails(chi2_quantile_table(m, spec.dim),
-                                              midpoint_probs(m)))
-                values[stat] = v
-                reports[stat] = chi2_report(v, spec.dim)
-            direction = "narrow" if float(stats.radii.mean()) < spec.dim else "wide"
-            result[row] = (values, reports, direction)
-        return result
+            directions[row] = "narrow" if (cloud.data ** 2).sum(1).mean() < spec.dim else "wide"
+        return {row: _judge(cloud) for row, cloud in clouds.items()}, directions
 
-    results = _map_trials(spec, one_trial)
-
-    deciles = _chi2_deciles(spec.dim)
-    target_ps = np.linspace(0.001, 0.999, 200)
-    target_xs = chi2_inv_cdf(ChiSquare(spec.dim), target_ps)
-    for row in FIG1_ROWS:
-        for stat in ("radii", "distances"):
-            _edf_panel(out / f"fig1_{row}_{stat}.svg",
-                       [res[row][0][stat] for res in results],
-                       target_xs, target_ps,
-                       f"{row}: sorted {stat} vs chi2({spec.dim}) CDF", deciles)
-
+    judged, directions = _by_row(_map_trials(spec, one_trial))
+    chi2 = ChiSquare(spec.dim)
+    _write_curves(out, "fig1", judged,
+                  dict.fromkeys(("radii", "distances"), lambda p: chi2_inv_cdf(chi2, p)),
+                  "{row}: sorted {stat} vs chi2(%d) CDF" % spec.dim)
     with open(out / "fig1_summary.csv", "w", newline="") as fh:
         fh.write("row,trial,stat,ks_linf,l1_area,direction\n")
-        for row in FIG1_ROWS:
-            for t, res in enumerate(results):
-                for stat in ("radii", "distances"):
-                    rep = res[row][1][stat]
+        for row, trials in judged.items():
+            for t, trial in enumerate(trials):
+                for stat, (_, rep) in trial.items():
                     fh.write("%s,%d,%s,%.17g,%.17g,%s\n"
-                             % (row, t, stat, rep.ks_linf, rep.l1_area, res[row][2]))
+                             % (row, t, stat, rep.ks_linf, rep.l1_area, directions[t][row]))
     return 0
 
 
@@ -315,63 +342,30 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
     out = spec.out_dir()
     spec.echo(out)
 
-    # every projections curve has n * NUM_DIRS rows against the normal quantiles
-    proj_probs = midpoint_probs(spec.n * calibration.NUM_DIRS)
-    proj_tails = _curve_tails(normal_inv_cdf(proj_probs), proj_probs)
-
     def one_trial(t: int):
         trial_seed = spec.seed + t
         attract_cloud, _ = run_attraction_trial(spec, trial_seed)
         attract_cloud.to_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv")
         iid_cloud = sample_standard_normal(Rng(trial_seed).derive(4), spec.n, spec.dim)
         # every cloud projects onto the same per-trial direction set
-        dirs, ref_values = reference_battery(trial_seed, spec.n, spec.dim)
-        # the reference quantiles' curve rows, keyed on (test, count) since
-        # pairwise_angles can drop zero vectors; both sides share them
-        ref_tails = {}
-        per_side = {}
-        for side, cloud in (("iid", iid_cloud), ("attract", attract_cloud)):
-            values = battery_values(cloud, dirs)
-            for test in BATTERY_TESTS:
-                v = values[test]
-                if test == "projections":
-                    tails = proj_tails
-                else:
-                    key = (test, v.shape[0])
-                    if key not in ref_tails:
-                        probs = midpoint_probs(v.shape[0])
-                        ref_tails[key] = _curve_tails(
-                            _sorted_quantile(ref_values[test], probs), probs)
-                    tails = ref_tails[key]
-                _write_curve_csv(out / f"fig2_{side}_{test}_trial{t:02d}.csv", v, tails)
-            per_side[side] = (values, battery_ks(values, ref_values))
-        return per_side, ref_values
+        battery = reference_battery(trial_seed, spec.n, spec.dim)
+        return {"iid": _judge(iid_cloud, battery),
+                "attract": _judge(attract_cloud, battery)}, battery[1]
 
-    results = _map_trials(spec, one_trial)
-
-    for test in BATTERY_TESTS:
-        if test == "projections":
-            ps = np.linspace(0.001, 0.999, 200)
-            xs = normal_inv_cdf(ps)
-            ticks = normal_inv_cdf(_DECILES)
-        else:
-            xs = np.sort(np.concatenate([ref_values[test] for _, ref_values in results]))
-            ps = midpoint_probs(xs.shape[0])
-            ticks = _sorted_quantile(xs, _DECILES)
-        for side in ("iid", "attract"):
-            trial_values = [per_side[side][0][test] for per_side, _ in results]
-            _edf_panel(out / f"fig2_{side}_{test}.svg", trial_values, xs, ps,
-                       f"{side}: {test} EDF", ticks)
-
+    judged, references = _by_row(_map_trials(spec, one_trial))
+    targets = {"projections": normal_inv_cdf}
+    for test in BATTERY_TESTS[1:]:
+        targets[test] = [ref_values[test] for ref_values in references]
+    _write_curves(out, "fig2", judged, targets, "{row}: {stat} EDF")
+    bands = battery_bands(spec.n, spec.dim)
     with open(out / "fig2_summary.csv", "w", newline="") as fh:
         fh.write("side,test,trial,ks_linf,band_q95,pass\n")
-        bands = battery_bands(spec.n, spec.dim)
-        for side in ("iid", "attract"):
+        for side, trials in judged.items():
             for test in BATTERY_TESTS:
                 band = bands[test]
-                for t, (per_side, _) in enumerate(results):
-                    ks = per_side[side][1][test]
-                    band_s = "%.17g" % band if band is not None else ""
+                band_s = "" if band is None else "%.17g" % band
+                for t, trial in enumerate(trials):
+                    ks = trial[test][1]
                     ok = "" if band is None else str(int(ks <= band))
                     fh.write("%s,%s,%d,%.17g,%s,%s\n" % (side, test, t, ks, band_s, ok))
     return 0
@@ -522,6 +516,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "eval":
         if args.seed is not None and args.which != "wae_mmd":
             parser.error(f"--seed applies only to --which wae_mmd, got --which {args.which}")
+        if args.seed is not None and not 0 <= args.seed < _SEED_LIMIT:
+            parser.error(f"--seed must lie in [0, 2**64), got {args.seed}")
     else:
         experiment = {"fig1": "fig1_grid", "fig2": "fig2_battery",
                       "attract": "attract_demo"}[args.command]

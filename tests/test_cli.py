@@ -5,7 +5,7 @@ import pytest
 
 from latentreg import calibration, cli
 from latentreg.baselines import cwae, wae_mmd
-from latentreg.cdf_attract import cloud_stats, midpoint_probs
+from latentreg.cdf_attract import chi2_quantile_table, cloud_stats, midpoint_probs
 from latentreg.cli import (
     ExperimentSpec,
     _write_curve_csv,
@@ -17,7 +17,13 @@ from latentreg.cli import (
 )
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
 from latentreg.specfun import normal_inv_cdf
-from latentreg.stat_tests import battery_ks, battery_values, distance_test, radii_test
+from latentreg.stat_tests import (
+    battery_ks,
+    battery_values,
+    chi2_report,
+    distance_test,
+    radii_test,
+)
 from latentreg import svgplot
 from latentreg.svgplot import Curve, render_panel
 
@@ -120,25 +126,75 @@ def test_sorted_quantile_is_numpy_quantile_bit_for_bit():
     assert cases > 370
 
 
-def test_fig2_curve_csvs_are_per_row_formatted(tmp_path):
-    out = tmp_path / "o"
-    spec = ExperimentSpec("fig2_battery", out=str(out), **TINY)
-    assert cmd_fig2(spec) == 0
+def _fig1_curves(out, t):
+    """{(row, stat): (sorted values, target_args)} of fig1's trial t, from its
+    written clouds: the chi-squared(dim) quantiles at the midpoint ranks."""
+    curves = {}
+    for row in ("gaussian", "wae_mmd", "cwae", "attract"):
+        cloud = PointCloud.from_csv(out / f"fig1_{row}_trial{t:02d}_cloud.csv")
+        for stat, values in cloud_stats(cloud)._asdict().items():
+            curves[row, stat] = (np.sort(values),
+                                 chi2_quantile_table(values.shape[0], TINY["dim"]))
+    return curves
+
+
+def _fig2_curves(out, t):
+    """{(side, test): (sorted values, target_args)} of fig2's trial t: the
+    normal quantiles for projections, the trial's reference cloud's
+    (np.quantile) for scalar products and angles."""
     n, dim = TINY["n"], TINY["dim"]
+    rng = Rng(TINY["seed"] + t)
+    dirs = sample_unit_directions(rng.derive(3), calibration.NUM_DIRS, dim)
+    reference = battery_values(sample_standard_normal(rng.derive(2), n, dim), dirs)
+    clouds = {"attract": PointCloud.from_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv"),
+              "iid": sample_standard_normal(rng.derive(4), n, dim)}
+    curves = {}
+    for side, cloud in clouds.items():
+        for test, values in battery_values(cloud, dirs).items():
+            probs = midpoint_probs(values.shape[0])
+            curves[side, test] = (values, normal_inv_cdf(probs) if test == "projections"
+                                  else np.quantile(reference[test], probs))
+    return curves
+
+
+# (command, experiment, expected curves of a trial, target columns formatted
+# per run and per trial): a parametric law's column is formatted once per run
+# and count, a reference cloud's once per trial
+CURVE_CASES = {"fig1": (cmd_fig1, "fig1_grid", _fig1_curves, 2, 0),
+               "fig2": (cmd_fig2, "fig2_battery", _fig2_curves, 1, 2)}
+
+
+@pytest.mark.parametrize("case", sorted(CURVE_CASES))
+def test_curve_csvs_are_per_row_formatted(tmp_path, monkeypatch, case):
+    command, experiment, expected_curves, per_run, per_trial = CURVE_CASES[case]
+    calls, curve_tails = [], cli._curve_tails
+
+    def counting_curve_tails(target_args, probs):
+        calls.append(probs.shape[0])
+        return curve_tails(target_args, probs)
+
+    monkeypatch.setattr(cli, "_curve_tails", counting_curve_tails)
+    out = tmp_path / "o"
+    assert command(ExperimentSpec(experiment, out=str(out), **TINY)) == 0
+    assert len(calls) == per_run + per_trial * TINY["trials"]
     for t in range(TINY["trials"]):
-        rng = Rng(TINY["seed"] + t)
-        dirs = sample_unit_directions(rng.derive(3), calibration.NUM_DIRS, dim)
-        reference = battery_values(sample_standard_normal(rng.derive(2), n, dim), dirs)
-        clouds = {"attract": PointCloud.from_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv"),
-                  "iid": sample_standard_normal(rng.derive(4), n, dim)}
-        for side, cloud in clouds.items():
-            for test, values in battery_values(cloud, dirs).items():
-                path = out / f"fig2_{side}_{test}_trial{t:02d}.csv"
-                probs = midpoint_probs(values.shape[0])
-                targets = (normal_inv_cdf(probs) if test == "projections"
-                           else np.quantile(reference[test], probs))
-                assert path.read_bytes() == _per_row_curve_csv(values, targets, probs), \
-                    path.name
+        for (row, stat), (values, targets) in expected_curves(out, t).items():
+            path = out / f"{case}_{row}_{stat}_trial{t:02d}.csv"
+            probs = midpoint_probs(values.shape[0])
+            assert path.read_bytes() == _per_row_curve_csv(values, targets, probs), path.name
+
+
+def test_fig1_summary_is_the_chi2_report(tmp_path):
+    out = tmp_path / "o"
+    assert cmd_fig1(ExperimentSpec("fig1_grid", out=str(out), **TINY)) == 0
+    rows = [line.split(",") for line in (out / "fig1_summary.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 4 * TINY["trials"] * 2
+    for row, trial, stat, ks_linf, l1_area, direction in rows:
+        cloud = PointCloud.from_csv(out / f"fig1_{row}_trial{int(trial):02d}_cloud.csv")
+        report = chi2_report(getattr(cloud_stats(cloud), stat), TINY["dim"])
+        assert (float(ks_linf), float(l1_area)) == (report.ks_linf, report.l1_area)
+        mean_radius = (cloud.data * cloud.data).sum(1).mean()
+        assert direction == ("narrow" if mean_radius < TINY["dim"] else "wide")
 
 
 def test_fig2_artifacts_and_determinism(tmp_path):
@@ -376,6 +432,13 @@ def test_usage_error_exits_1():
 
 BAD_SPECS = {
     "trials": ["attract", "--trials", "0"],
+    # Rng keeps 64 bits of a seed, so a seed outside [0, 2**64) would wrap
+    "seed_negative": ["attract", "--seed", "-1"],
+    "seed_wraps": ["fig2", "--seed", str(2 ** 64 - 1), "--trials", "2"],
+    "eval_seed_negative": ["eval", "--cloud", "spec.cfg", "--which", "wae_mmd",
+                           "--seed", "-1"],
+    "eval_seed_wraps": ["eval", "--cloud", "spec.cfg", "--which", "wae_mmd",
+                        "--seed", str(2 ** 64)],
     "jobs": ["fig1", "--jobs", "0"],
     # flags are the only input: there is no settings file
     "config_flag": ["fig1", "--config", "spec.cfg"],
@@ -419,6 +482,15 @@ def test_bad_spec_exits_1_before_writing(tmp_path, monkeypatch, case, capsys):
 def test_spec_rejects_settings_its_command_never_reads(experiment, setting, message):
     with pytest.raises(ValueError, match=message):
         ExperimentSpec(experiment, **setting)
+
+
+def test_spec_seed_range_is_every_trial_seed():
+    for experiment in ("fig1_grid", "fig2_battery", "attract_demo"):
+        assert ExperimentSpec(experiment, seed=0).seed == 0
+        assert ExperimentSpec(experiment, seed=2 ** 64 - 2, trials=2).seed == 2 ** 64 - 2
+        for seed, trials in ((-1, 1), (2 ** 64 - 1, 2), (2 ** 64, 1)):
+            with pytest.raises(ValueError, match="trial seeds"):
+                ExperimentSpec(experiment, seed=seed, trials=trials)
 
 
 def test_parallel_jobs_match_single_job(tmp_path):
