@@ -1,12 +1,13 @@
 """Quantile attraction of empirical distributions.
 
 The core algorithm: compute the n squared radii and n' = n(n-1)/2 half
-squared pairwise distances of a point cloud, sort both, pair rank i with the
-chi-squared quantile at probability (i - 0.5)/count, and gradient-descend the
-l1 mismatch. Also the coordinate-wise variant that snaps each
-coordinate's order statistics onto a 1-D target (Gaussian, uniform on [0,1],
-a quantized staircase attracting mass to codeword centers, or the uniform
-torus with wrapped moves).
+squared pairwise distances of a point cloud (the distances from
+sampling._sq_dists, the pair matrix every module builds), sort both, pair
+rank i with the chi-squared quantile at probability (i - 0.5)/count, and
+gradient-descend the l1 mismatch. Also the coordinate-wise variant that
+snaps each coordinate's order statistics onto a 1-D target (Gaussian,
+uniform on [0,1], a quantized staircase attracting mass to codeword
+centers, or the uniform torus with wrapped moves).
 
 The objective needs only the sorted values: value_terms sorts each
 statistic with a plain np.sort and compares it with its table rank by rank.
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sampling import PointCloud, _pair_flat_indices, _pair_indices
+from .sampling import PointCloud, _pair_flat_indices, _sq_dists
 from .specfun import ChiSquare, chi2_inv_cdf, normal_inv_cdf
 
 __all__ = [
@@ -106,23 +107,24 @@ def build_target_quantiles(n: int, dim: int) -> TargetQuantiles:
 class CloudStats(NamedTuple):
     """A cloud's statistics in element order: squared radii (|x_i|^2)_i and
     half squared pair distances (|x_i - x_j|^2 / 2)_{i<j}, pairs enumerated
-    row-wise: (0,1), (0,2), ..., (n-2,n-1)."""
+    row-wise: (0,1), (0,2), ..., (n-2,n-1). The distances are never
+    negative."""
 
     radii: np.ndarray
     distances: np.ndarray
 
 
 def cloud_stats(x: PointCloud) -> CloudStats:
-    """The unsorted statistics the attraction matches to its tables."""
+    """The unsorted statistics the attraction matches to its tables. The
+    distances are the upper triangle of the pair matrix
+    sampling._sq_dists(x, x, scale=0.5), which clamps them at +0.0; each is
+    within 2 (D + 2) eps (|x_i| + |x_j|)^2 of |x_i - x_j|^2 / 2."""
     if x.n < 2:
         raise ValueError("need n >= 2 for pairwise distances")
-    radii = (x.data * x.data).sum(1)
-    iu, ju = _pair_indices(x.n)
     upper, _ = _pair_flat_indices(x.n)
-    # only the pair entries are kept, so the n x n Gram matrix is freed
-    # before the sorts
-    gram_pairs = (x.data @ x.data.T).ravel()[upper]
-    return CloudStats(radii, np.maximum(0.5 * (radii[iu] + radii[ju]) - gram_pairs, 0.0))
+    # only the pair entries are kept, so the n x n matrix is freed before the sorts
+    return CloudStats((x.data * x.data).sum(1),
+                      _sq_dists(x.data, x.data, scale=0.5).ravel()[upper])
 
 
 def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

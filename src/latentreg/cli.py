@@ -39,6 +39,7 @@ from .cdf_attract import (
     CoordinateTarget,
     build_target_quantiles,
     cdf_objective,
+    chi2_quantile_table,
     cloud_stats,
     coordinate_step,
     midpoint_probs,
@@ -256,17 +257,25 @@ def _judge(cloud: PointCloud, battery=None) -> dict[str, tuple[np.ndarray, objec
     return {test: (values[test], ks[test]) for test in BATTERY_TESTS}
 
 
+def _law(icdf, midpoint_table) -> tuple:
+    """A parametric law as _write_curves takes it, evaluated once however
+    many statistics share it: its inverse CDF on the panel grid and at the
+    deciles, and midpoint_table(count), its inverse CDF at
+    midpoint_probs(count)."""
+    return icdf(_LAW_PS), icdf(_DECILES), midpoint_table
+
+
 def _write_curves(out: Path, prefix: str, judged: dict[str, list[dict]],
                   targets: dict, title: str) -> None:
     """Every curve CSV and SVG panel of judged = {row: [judged trial]}:
     out/{prefix}_{row}_{stat}_trial{t:02d}.csv per trial, and a panel
     out/{prefix}_{row}_{stat}.svg of the trials' EDFs over the target CDF,
     titled title.format(row=row, stat=stat). targets[stat] is a parametric
-    law's inverse CDF, or a reference cloud's sorted values per trial: trial
-    t's curves take their quantiles and the panels their pooled EDF."""
+    law from _law, or a reference cloud's sorted values per trial: trial t's
+    curves take their quantiles and the panels their pooled EDF."""
     for stat, target in targets.items():
-        if callable(target):
-            xs, ps, ticks = target(_LAW_PS), _LAW_PS, target(_DECILES)
+        if isinstance(target, tuple):
+            (xs, ticks, _), ps = target, _LAW_PS
         else:
             xs = np.sort(np.concatenate(target))
             ps, ticks = midpoint_probs(xs.shape[0]), _sorted_quantile(xs, _DECILES)
@@ -287,10 +296,11 @@ def _write_curves(out: Path, prefix: str, judged: dict[str, list[dict]],
         for row, trial in zip(judged, row_trials):
             for stat, (values, _) in trial.items():
                 target, key = targets[stat], (stat, values.shape[0])
-                tails = law_tails if callable(target) else reference_tails
+                law = isinstance(target, tuple)
+                tails = law_tails if law else reference_tails
                 if key not in tails:
                     probs = midpoint_probs(key[1])
-                    tails[key] = _curve_tails(target(probs) if callable(target)
+                    tails[key] = _curve_tails(target[2](key[1]) if law
                                               else _sorted_quantile(target[t], probs), probs)
                 _write_curve_csv(out / f"{prefix}_{row}_{stat}_trial{t:02d}.csv",
                                  values, tails[key])
@@ -323,8 +333,8 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
 
     judged, directions = _by_row(_map_trials(spec, one_trial))
     chi2 = ChiSquare(spec.dim)
-    _write_curves(out, "fig1", judged,
-                  dict.fromkeys(("radii", "distances"), lambda p: chi2_inv_cdf(chi2, p)),
+    law = _law(lambda p: chi2_inv_cdf(chi2, p), lambda m: chi2_quantile_table(m, spec.dim))
+    _write_curves(out, "fig1", judged, dict.fromkeys(("radii", "distances"), law),
                   "{row}: sorted {stat} vs chi2(%d) CDF" % spec.dim)
     with open(out / "fig1_summary.csv", "w", newline="") as fh:
         fh.write("row,trial,stat,ks_linf,l1_area,direction\n")
@@ -353,7 +363,7 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
                 "attract": _judge(attract_cloud, battery)}, battery[1]
 
     judged, references = _by_row(_map_trials(spec, one_trial))
-    targets = {"projections": normal_inv_cdf}
+    targets = {"projections": _law(normal_inv_cdf, lambda m: normal_inv_cdf(midpoint_probs(m)))}
     for test in BATTERY_TESTS[1:]:
         targets[test] = [ref_values[test] for ref_values in references]
     _write_curves(out, "fig2", judged, targets, "{row}: {stat} EDF")

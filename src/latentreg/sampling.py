@@ -173,21 +173,11 @@ class PointCloud:
 
 
 @lru_cache(maxsize=32)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise enumeration of the pairs i < j of n points: (0,1), (0,2), ...,
-    (n-2,n-1). Cached and read-only."""
-    iu, ju = np.triu_indices(n, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
-
-
-@lru_cache(maxsize=32)
 def _pair_flat_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions in a C-ordered n x n matrix of the pairs of
-    _pair_indices(n): entry (i, j) at i*n + j and its mirror (j, i) at
-    j*n + i. Cached and read-only."""
-    iu, ju = _pair_indices(n)
+    """Flat positions in a C-ordered n x n matrix of the pairs i < j of n
+    points, enumerated row-wise: (0,1), (0,2), ..., (n-2,n-1). Entry (i, j)
+    is at i*n + j and its mirror (j, i) at j*n + i. Cached and read-only."""
+    iu, ju = np.triu_indices(n, k=1)
     upper, lower = iu * n + ju, ju * n + iu
     upper.setflags(write=False)
     lower.setflags(write=False)

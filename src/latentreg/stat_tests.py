@@ -19,7 +19,7 @@ import numpy as np
 
 from . import calibration
 from .cdf_attract import chi2_quantile_table, cloud_stats
-from .sampling import PointCloud, Rng, _pair_indices, sample_standard_normal, sample_unit_directions
+from .sampling import PointCloud, Rng, _pair_flat_indices, sample_standard_normal, sample_unit_directions
 from .specfun import ChiSquare, chi2_cdf, normal_cdf
 
 __all__ = [
@@ -102,9 +102,7 @@ def pairwise_scalar_products(x: PointCloud) -> np.ndarray:
     """x_i . x_j over i < j."""
     if x.n < 2:
         raise ValueError("need n >= 2 for pairwise products")
-    gram = x.data @ x.data.T
-    iu, ju = _pair_indices(x.n)
-    return gram[iu, ju]
+    return (x.data @ x.data.T).ravel()[_pair_flat_indices(x.n)[0]]
 
 
 def pairwise_angles(x: PointCloud) -> np.ndarray:
@@ -120,8 +118,7 @@ def pairwise_angles(x: PointCloud) -> np.ndarray:
         raise ValueError("angle test: need at least 2 nonzero points")
     unit = data / np.linalg.norm(data, axis=1)[:, None]
     gram = np.clip(unit @ unit.T, -1.0, 1.0)
-    iu, ju = _pair_indices(unit.shape[0])
-    return np.arccos(gram[iu, ju])
+    return np.arccos(gram.ravel()[_pair_flat_indices(unit.shape[0])[0]])
 
 
 BATTERY_TESTS = ("projections", "scalar_products", "angles")

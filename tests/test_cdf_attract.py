@@ -79,6 +79,16 @@ def test_radii_and_distances_tiny_example():
     radii, dists = cloud_stats(x)
     assert radii == pytest.approx([0.0, 4.0])
     assert dists == pytest.approx([2.0])
+    # small integer coordinates make every product and sum exact, so each
+    # distance is exact, in the row-wise pair order (0,1), (0,2), ..., and
+    # duplicate points give +0.0, with no sign bit
+    data = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [1.0, 0.0], [0.0, 0.0], [3.0, -1.0]])
+    n = data.shape[0]
+    dists = cloud_stats(PointCloud(data)).distances
+    assert dists.tolist() == [0.5 * float(((data[i] - data[j]) ** 2).sum())
+                              for i in range(n) for j in range(i + 1, n)]
+    assert [k for k, d in enumerate(dists) if d == 0.0] == [3, 6]  # pairs (0,4) and (1,3)
+    assert not np.any(np.signbit(dists))
 
 
 def test_stable_tie_breaking_on_collinear_points():
@@ -94,13 +104,22 @@ def test_stable_tie_breaking_on_collinear_points():
 
 
 def test_radii_and_distances_match_brute_force():
-    x = PointCloud(RNG.normal(size=(6, 4)))
-    radii, dists = cloud_stats(x)
-    expect_r = [float((x.data[i] ** 2).sum()) for i in range(6)]
-    expect_d = [0.5 * float(((x.data[i] - x.data[j]) ** 2).sum())
-                for i in range(6) for j in range(i + 1, 6)]
-    assert np.allclose(radii, expect_r, rtol=1e-12, atol=1e-12)
-    assert np.allclose(dists, expect_d, rtol=1e-9, atol=1e-12)
+    # cloud_stats' stated bound: 2 (D + 2) eps (|x_i| + |x_j|)^2 from brute
+    # force, which differences the points before squaring. The last half of
+    # the rows repeats the first: at offset 1e3 cancellation takes some of
+    # those zero distances below 0, where the clamp has to act
+    n, eps = 24, np.finfo(float).eps
+    iu, ju = np.triu_indices(n, 1)
+    for dim in (1, 4, 20, 1000):
+        for offset in (0.0, 1e3):
+            data = offset + np.random.default_rng(dim).normal(size=(n, dim))
+            data[n // 2:] = data[:n // 2]
+            radii, dists = cloud_stats(PointCloud(data))
+            norms = np.linalg.norm(data, axis=1)
+            bound = 2 * (dim + 2) * eps * (norms[iu] + norms[ju]) ** 2
+            assert np.all(np.abs(dists - 0.5 * ((data[iu] - data[ju]) ** 2).sum(1)) <= bound)
+            assert not np.any(np.signbit(dists))
+            assert np.all(np.abs(radii - norms ** 2) <= dim * eps * norms ** 2)
 
 
 TIE_KINDS = ["random", "duplicated_rows", "collinear", "long_collinear"]

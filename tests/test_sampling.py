@@ -10,7 +10,6 @@ from latentreg.sampling import (
     PointCloud,
     Rng,
     _pair_flat_indices,
-    _pair_indices,
     _sq_dists,
     sample_standard_normal,
     sample_uniform_cube,
@@ -154,15 +153,16 @@ def test_derive_streams_are_independent():
 
 
 def test_pair_index_caches_are_read_only():
-    iu, ju = _pair_indices(5)
     upper, lower = _pair_flat_indices(5)
+    iu, ju = np.triu_indices(5, k=1)
     assert np.array_equal(upper, iu * 5 + ju)
     assert np.array_equal(lower, ju * 5 + iu)
-    for cached in (iu, ju, upper, lower):
+    # row-wise pairs (0,1), (0,2), ..., (3,4), and each one's mirror
+    assert list(zip(*np.divmod(upper, 5))) == [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    assert np.array_equal(np.divmod(lower, 5), np.divmod(upper, 5)[::-1])
+    for cached in (upper, lower):
         with pytest.raises(ValueError):
             cached[0] = 1
-    assert all(np.array_equal(a, b)
-               for a, b in zip(_pair_indices(5), np.triu_indices(5, k=1)))
 
 
 SQ_DISTS_SHAPES = [(7, 7, 3), (5, 11, 4), (13, 2, 1), (200, 200, 20)]

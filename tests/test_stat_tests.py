@@ -17,6 +17,7 @@ from latentreg.stat_tests import (
     ks_statistic,
     ks_statistic_two_sample,
     pairwise_angles,
+    pairwise_scalar_products,
     projections,
     radii_test,
 )
@@ -187,6 +188,24 @@ def test_angle_test_all_zero_cloud_errors():
     one_nonzero = np.vstack([np.zeros((3, 3)), [[1.0, 2.0, 3.0]]])
     with pytest.raises(ValueError, match="at least 2 nonzero"), pytest.warns(UserWarning):
         pairwise_angles(PointCloud(one_nonzero))
+
+
+@pytest.mark.parametrize("n, dim", [(2, 1), (7, 3), (60, 20)])
+def test_pairwise_statistics_are_the_gram_upper_triangle(n, dim):
+    # the flat-index gather reads the same elements as gram[triu_indices],
+    # in the same row-wise pair order, so the values agree bit for bit; a
+    # zero vector is skipped before the angle Gram matrix is built
+    data = np.random.default_rng(100 * n + dim).normal(size=(n + 1, dim))
+    data[n // 2] = 0.0
+    gram = data @ data.T
+    iu, ju = np.triu_indices(n + 1, 1)
+    assert pairwise_scalar_products(PointCloud(data)).tobytes() == gram[iu, ju].tobytes()
+    kept = np.delete(data, n // 2, axis=0)
+    unit = kept / np.linalg.norm(kept, axis=1)[:, None]
+    cosines = np.clip(unit @ unit.T, -1.0, 1.0)[np.triu_indices(n, 1)]
+    with pytest.warns(UserWarning, match="skipping 1 zero vector"):
+        angles = pairwise_angles(PointCloud(data))
+    assert angles.tobytes() == np.arccos(cosines).tobytes()
 
 
 def test_edf_invariant_under_monotone_reparameterization():
