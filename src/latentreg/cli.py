@@ -19,7 +19,10 @@ _judge sorts each statistic of a cloud and takes its KS distance, and
 _write_curves writes every curve CSV and panel. A curve's target column is
 formatted once per (statistic, count) and kept for the whole run when the
 target is a parametric law, or for one trial when it is that trial's
-reference cloud.
+reference cloud, as row templates (_curve_tails): one string per _CSV_CHUNK
+rows with a "%.17g" slot per value. A panel's trial curves of one length
+share one midpoint_probs array, and a statistic's pooled reference (sorted
+in place) and its probabilities live only while its panels are drawn.
 """
 
 from __future__ import annotations
@@ -190,31 +193,29 @@ _CSV_CHUNK = 1024
 
 
 def _curve_tails(target_args: np.ndarray, probs: np.ndarray) -> tuple[str, ...]:
-    """The "target_arg,prob" end of each curve-CSV row, "%.17g" formatted; curves
-    that share their targets share these."""
-    tails: list[str] = []
+    """One row template per _CSV_CHUNK rows of a curve CSV: "%.17g," then the
+    row's target_arg and prob, already "%.17g" formatted. Curves that share
+    their targets share these."""
+    templates: list[str] = []
     for i in range(0, probs.shape[0], _CSV_CHUNK):
         chunk = np.column_stack((target_args[i:i + _CSV_CHUNK], probs[i:i + _CSV_CHUNK]))
-        tails.extend((("%.17g,%.17g\n" * chunk.shape[0])
-                      % tuple(chunk.ravel().tolist())).splitlines())
-    return tuple(tails)
+        templates.append(("%%.17g,%.17g,%.17g\n" * chunk.shape[0])
+                         % tuple(chunk.ravel().tolist()))
+    return tuple(templates)
 
 
 def _write_curve_csv(path: Path, sorted_values: np.ndarray, tails: tuple[str, ...]) -> None:
-    """EDF curve CSV, one row per sorted value and its _curve_tails entry. The
-    bytes are those of writing each row as "%.17g,%.17g,%.17g\n" % (value,
-    target_arg, prob); only the value column is formatted here, one % call per
-    chunk of _CSV_CHUNK rows."""
-    if sorted_values.shape[0] != len(tails):
-        raise ValueError(f"{sorted_values.shape[0]} values for {len(tails)} curve rows")
+    """EDF curve CSV, one row per sorted value, filling the _curve_tails
+    templates with one % each. The bytes are those of writing each row as
+    "%.17g,%.17g,%.17g\n" % (value, target_arg, prob)."""
+    rows = (len(tails) - 1) * _CSV_CHUNK + tails[-1].count("\n") if tails else 0
+    if sorted_values.shape[0] != rows:
+        raise ValueError(f"{sorted_values.shape[0]} values for {rows} curve rows")
     with open(path, "w", newline="") as fh:
         fh.write("value,target_arg,prob\n")
-        for i in range(0, len(tails), _CSV_CHUNK):
-            chunk = sorted_values[i:i + _CSV_CHUNK].tolist()
-            items: list = [None] * (2 * len(chunk))
-            items[::2] = chunk
-            items[1::2] = tails[i:i + _CSV_CHUNK]
-            fh.write(("%.17g,%s\n" * len(chunk)) % tuple(items))
+        for i, template in enumerate(tails):
+            fh.write(template % tuple(
+                sorted_values[i * _CSV_CHUNK:(i + 1) * _CSV_CHUNK].tolist()))
 
 
 def _sorted_quantile(sorted_values: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -276,22 +277,28 @@ def _write_curves(out: Path, prefix: str, judged: dict[str, list[dict]],
     for stat, target in targets.items():
         if isinstance(target, tuple):
             (xs, ticks, _), ps = target, _LAW_PS
-        else:
-            xs = np.sort(np.concatenate(target))
+        else:  # the pooled reference, sorted in place
+            xs = np.concatenate(target)
+            xs.sort()
             ps, ticks = midpoint_probs(xs.shape[0]), _sorted_quantile(xs, _DECILES)
         for row, trials in judged.items():
             trial_values = [trial[stat][0] for trial in trials]
             hi = max(float(xs[-1]), max(float(v[-1]) for v in trial_values))
             lo = min(0.0, float(xs[0]), min(float(v[0]) for v in trial_values))
-            curves = [Curve(v, midpoint_probs(v.shape[0]), PALETTE[i % len(PALETTE)])
+            # trial curves of one length share their probabilities
+            probs = {m: midpoint_probs(m) for m in {v.shape[0] for v in trial_values}}
+            curves = [Curve(v, probs[v.shape[0]], PALETTE[i % len(PALETTE)])
                       for i, v in enumerate(trial_values)]
             curves.append(Curve(xs, ps, "#000000", width=2.0))
             render_panel(out / f"{prefix}_{row}_{stat}.svg", curves,
                          title.format(row=row, stat=stat), (lo, hi * 1.02), (0.0, 1.0),
                          x_ticks=ticks, y_ticks=_Y_TICKS)
+        # released before the next statistic pools its reference
+        del xs, ps, probs, curves
     law_tails: dict[tuple[str, int], tuple[str, ...]] = {}
     for t, row_trials in enumerate(zip(*judged.values())):
-        # dropped with their trial: kept for a 20-trial fig2 run they add about 15 MB
+        # row templates of the trial's reference columns, dropped with their
+        # trial: kept for a 20-trial fig2 run at n=100 they would add about 9 MB
         reference_tails: dict[tuple[str, int], tuple[str, ...]] = {}
         for row, trial in zip(judged, row_trials):
             for stat, (values, _) in trial.items():

@@ -117,6 +117,10 @@ class Rng:
         return out
 
 
+# rows of a cloud CSV formatted by one % call
+_CSV_ROWS = 256
+
+
 @dataclass
 class PointCloud:
     """n points in R^dim stored as an (n, dim) float64 matrix, one row per point."""
@@ -142,11 +146,13 @@ class PointCloud:
         return self.data.shape[1]
 
     def to_csv(self, path) -> None:
-        """One row per point, dim comma-separated columns, 17 significant digits."""
+        """One row per point, dim comma-separated columns, 17 significant digits;
+        each chunk of _CSV_ROWS rows is formatted by one % call."""
+        row = "%.17g," * (self.dim - 1) + "%.17g\n"
         with open(path, "w", newline="") as fh:
-            for row in self.data:
-                fh.write(",".join("%.17g" % v for v in row))
-                fh.write("\n")
+            for i in range(0, self.n, _CSV_ROWS):
+                rows = self.data[i:i + _CSV_ROWS]
+                fh.write((row * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "PointCloud":

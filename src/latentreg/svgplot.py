@@ -12,6 +12,13 @@ last kept point, so the drawn polyline is within _TOLERANCE_PX (Hausdorff) of
 the full one. Each kept point has the text "%.3f,%.3f" of the scalar pixel
 arithmetic, and the points are joined with single spaces. The curve CSVs
 written next to a panel keep every point.
+
+A curve is clipped, mapped, thinned and formatted in chunks of _CHUNK
+points. Three things cross a chunk boundary: the last inside pixel point,
+the running path length (one sequential sum, so every partial sum has the
+bits of a whole-curve cumsum) and its half-pixel cell. The kept points are
+therefore those of one pass over the whole curve, and a panel's working
+memory is O(_CHUNK + kept points) whatever the curve's length.
 """
 
 from __future__ import annotations
@@ -48,29 +55,54 @@ class Curve:
 
 # a drawn polyline stays within this many pixels of the full curve
 _TOLERANCE_PX = 0.5
+# points of a curve clipped, mapped, thinned and formatted at a time
+_CHUNK = 8192
 
 
 def _fmt(v: float) -> str:
     return "%.3f" % v
 
 
-def _thinned(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Mask of the pixel points a polyline keeps: the first, the last, and
-    each one whose path length from the first, as |dx| + |dy|, enters a new
-    _TOLERANCE_PX cell. A dropped point lies within a path length, and so a
-    distance, of less than _TOLERANCE_PX from the last kept point."""
-    keep = np.ones(xs.shape[0], dtype=bool)
-    if xs.shape[0] > 2:
-        path = np.cumsum(np.abs(np.diff(xs)) + np.abs(np.diff(ys)))
-        keep[1:] = np.diff(np.floor(path / _TOLERANCE_PX), prepend=0.0) != 0.0
-        keep[-1] = True
-    return keep
-
-
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     """The points as "x,y x,y ..." in "%.3f"."""
     return ("%.3f,%.3f " * xs.shape[0])[:-1] % tuple(
         np.column_stack((xs, ys)).ravel().tolist())
+
+
+def _polyline(xs: np.ndarray, ys: np.ndarray, x_range: tuple[float, float],
+              px, py) -> str:
+    """The kept points of the curve (xs, ys) as _points text: the points with
+    x in x_range, mapped by px and py, thinned to the first, the last and each
+    one whose path length from the first, as |dx| + |dy|, enters a new
+    _TOLERANCE_PX cell. A dropped point lies within a path length, and so a
+    distance, of less than _TOLERANCE_PX from the last kept point."""
+    x0, x1 = x_range
+    texts: list[str] = []
+    # the last inside point, its path length and cell, and whether it is kept;
+    # the first point, at path length 0 and no cell yet, is kept
+    last_x = last_y = None
+    path, cell = 0.0, -1.0
+    last_kept = True
+    for i in range(0, xs.shape[0], _CHUNK):
+        chunk = xs[i:i + _CHUNK]
+        inside = (chunk >= x0) & (chunk <= x1)
+        # px and py run elementwise: the same float operations, in the same
+        # order, as on one scalar, so each point keeps its bits and its text
+        cx, cy = px(chunk[inside]), py(ys[i:i + _CHUNK][inside])
+        if cx.shape[0] == 0:
+            continue
+        if last_x is None:  # the first point is its own predecessor
+            last_x, last_y = cx[0], cy[0]
+        steps = np.abs(np.diff(cx, prepend=last_x)) + np.abs(np.diff(cy, prepend=last_y))
+        steps[0] += path  # the sum goes on from the carried length, term by term
+        lengths = np.cumsum(steps, out=steps)
+        cells = np.floor(lengths / _TOLERANCE_PX)
+        keep = np.diff(cells, prepend=cell) != 0.0
+        texts.append(_points(cx[keep], cy[keep]))
+        last_x, last_y, path, cell, last_kept = cx[-1], cy[-1], lengths[-1], cells[-1], keep[-1]
+    if not last_kept:
+        texts.append("%.3f,%.3f" % (last_x, last_y))
+    return " ".join(t for t in texts if t)
 
 
 def render_panel(path, curves: Sequence[Curve], title: str,
@@ -117,12 +149,7 @@ def render_panel(path, curves: Sequence[Curve], title: str,
                      f'dominant-baseline="middle" font-family="sans-serif" '
                      f'font-size="11">{t:.3g}</text>')
     for curve in curves:
-        # px and py run elementwise: the same float operations, in the same
-        # order, as on one scalar, so each point keeps its bits and its text
-        inside = (curve.xs >= x0) & (curve.xs <= x1)
-        xs, ys = px(curve.xs[inside]), py(curve.ys[inside])
-        keep = _thinned(xs, ys)
-        pts = _points(xs[keep], ys[keep])
+        pts = _polyline(curve.xs, curve.ys, (x0, x1), px, py)
         if pts:
             parts.append(f'<polyline points="{pts}" fill="none" '
                          f'stroke="{curve.color}" stroke-width="{curve.width:g}"/>')

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -619,3 +620,75 @@ def test_large_edf_panel_matches_golden(tmp_path):
                  x_ticks=(-2.0, 0.0, 2.0), y_ticks=(0.0, 0.5, 1.0))
     assert path.read_bytes() == (GOLDEN / "panel_large_edf.svg").read_bytes()
     assert path.stat().st_size <= 500_000
+
+
+def _whole_curve_points(curve, x_range, y_range):
+    """The points text of one curve under the thinning rule applied to the
+    whole clipped curve at once: the reference for render_panel's chunked
+    pass."""
+    (x0, x1), (y0, y1) = x_range, y_range
+    plot_w = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
+    plot_h = svgplot.HEIGHT - svgplot.MARGIN_T - svgplot.MARGIN_B
+    inside = (curve.xs >= x0) & (curve.xs <= x1)
+    xs = svgplot.MARGIN_L + (curve.xs[inside] - x0) / (x1 - x0) * plot_w
+    ys = svgplot.HEIGHT - svgplot.MARGIN_B - (curve.ys[inside] - y0) / (y1 - y0) * plot_h
+    keep = np.ones(xs.shape[0], dtype=bool)
+    if xs.shape[0] > 2:
+        path = np.cumsum(np.abs(np.diff(xs)) + np.abs(np.diff(ys)))
+        keep[1:] = np.diff(np.floor(path / svgplot._TOLERANCE_PX), prepend=0.0) != 0.0
+        keep[-1] = True
+    return " ".join("%.3f,%.3f" % p for p in zip(xs[keep].tolist(), ys[keep].tolist()))
+
+
+def _chunk_edge_curves():
+    """Curves whose clipping and thinning meet render_panel's chunk boundaries."""
+    chunk = svgplot._CHUNK
+    rng = np.random.default_rng(29)
+    curves = []
+    for size in (chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        edf = np.sort(rng.normal(size=size))
+        curves.append(Curve(edf, midpoint_probs(size), "#1f77b4"))  # dense: most dropped
+        curves.append(Curve(rng.uniform(-2.0, 2.0, size=size),      # sparse: most kept
+                            rng.uniform(-0.2, 1.2, size=size), "#ff7f0e"))
+        # clipped points on both sides of each chunk boundary
+        clipped = edf.copy()
+        for edge in range(chunk, size, chunk):
+            clipped[edge - 3:edge - 1] = -9.0
+            clipped[edge:edge + 2] = 9.0
+        clipped[-2:] = -9.0
+        curves.append(Curve(clipped, midpoint_probs(size), "#2ca02c"))
+    # one inside point per chunk
+    lone = np.full(3 * chunk + 5, 9.0)
+    lone[np.arange(2, lone.shape[0], chunk)] = [-1.0, 0.5, 1.5, 2.0]
+    curves.append(Curve(lone, rng.uniform(size=lone.shape[0]), "#d62728"))
+    curves.append(Curve([0.25], [0.5], "#9467bd"))
+    curves.append(Curve([0.25, 0.2500001], [0.5, 0.5000001], "#8c564b"))
+    curves.append(Curve(np.full(chunk + 1, -7.0), midpoint_probs(chunk + 1), "#e377c2"))
+    return curves
+
+
+def test_chunked_polylines_match_the_whole_curve_rule(tmp_path):
+    x_range, y_range = (-2.5, 2.5), (-0.25, 1.0)
+    curves = _chunk_edge_curves()
+    path = tmp_path / "panel.svg"
+    render_panel(path, curves, "chunks", x_range, y_range)
+    polylines = [line for line in path.read_text().splitlines()
+                 if line.startswith("<polyline")]
+    expected = [(curve, _whole_curve_points(curve, x_range, y_range)) for curve in curves]
+    expected = [(curve, pts) for curve, pts in expected if pts]
+    assert len(expected) == len(curves) - 1  # the last curve lies wholly outside
+    assert polylines == [f'<polyline points="{pts}" fill="none" stroke="{curve.color}" '
+                         f'stroke-width="{curve.width:g}"/>' for curve, pts in expected]
+
+
+def test_panel_memory_does_not_grow_with_the_curve(tmp_path):
+    size = 1_000_000
+    curve = Curve(np.sort(np.random.default_rng(30).normal(size=size)), midpoint_probs(size),
+                  "#000000")
+    tracemalloc.start()
+    try:
+        render_panel(tmp_path / "panel.svg", [curve], "large", (-5.0, 5.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

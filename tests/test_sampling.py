@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latentreg import sampling
 from latentreg.sampling import (
     PointCloud,
     Rng,
@@ -123,6 +124,23 @@ def test_point_cloud_csv_round_trip(tmp_path):
     cloud.to_csv(path)
     back = PointCloud.from_csv(path)
     assert np.array_equal(cloud.data, back.data)
+
+
+def test_point_cloud_csv_is_per_value_formatted(tmp_path):
+    # the bytes of formatting each value on its own, with the awkward floats,
+    # at D = 1 and across the chunk boundary
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, -2.0, 7.0, 1e16, 2.0 ** 53]
+    rng = np.random.default_rng(4)
+    path = tmp_path / "cloud.csv"
+    for rows in (1, sampling._CSV_ROWS - 1, sampling._CSV_ROWS, 2 * sampling._CSV_ROWS + 1):
+        for dim in (1, 3, 20):
+            values = np.resize(np.concatenate(
+                [special, rng.normal(scale=10.0 ** rng.integers(-300, 300), size=rows * dim)]),
+                rows * dim)
+            cloud = PointCloud(rng.permutation(values).reshape(rows, dim))
+            cloud.to_csv(path)
+            expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in cloud.data)
+            assert path.read_bytes() == expected.encode(), (rows, dim)
 
 
 def test_point_cloud_csv_skips_blank_lines(tmp_path):
