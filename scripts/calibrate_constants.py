@@ -79,7 +79,7 @@ def constants() -> dict[str, float]:
     return {
         "DBAR_MEDIAN": dbar_median, "ATTRACT_STOP_TOLERANCE": 2.0 * dbar_median,
         "RADII_KS_MEDIAN": med(radii_ks), "RADII_KS_Q95": q95(radii_ks),
-        "DISTANCE_KS_MEDIAN": med(dist_ks), "DISTANCE_KS_Q95": q95(dist_ks),
+        "DISTANCE_KS_Q95": q95(dist_ks),
         "PROJECTION_KS_Q95": q95(battery["projections"]),
         "SCALAR_KS2_Q95": q95(battery["scalar_products"]),
         "ANGLE_KS2_Q95": q95(battery["angles"]),

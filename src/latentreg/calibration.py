@@ -36,7 +36,6 @@ ATTRACT_STALL_FRACTION = 1e-3
 # one-sample KS against chi-squared(DIM)
 RADII_KS_MEDIAN = 0.05794600970121201
 RADII_KS_Q95 = 0.09700608857855147
-DISTANCE_KS_MEDIAN = 0.022815071282531296
 DISTANCE_KS_Q95 = 0.06005923207893232
 
 # pooled projections onto NUM_DIRS random directions vs the normal CDF

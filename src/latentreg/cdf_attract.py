@@ -47,6 +47,7 @@ __all__ = [
     "cdf_objective",
     "coordinate_targets",
     "coordinate_step",
+    "codeword_fraction",
 ]
 
 
@@ -263,12 +264,25 @@ class CoordinateTarget:
     def rank_positions(self, n: int) -> np.ndarray:
         """Ideal coordinate values of the 0-based ranks 0..n-1, in rank order."""
         if self.kind == "quantized_uniform":
-            scale = float(2 ** self.bits)
-            return (np.floor(scale * np.arange(n) / n) + 0.5) / scale
+            return _codeword_centres(np.arange(n) / n, self.bits)
         probs = midpoint_probs(n)
         if self.kind == "gaussian":
             return normal_inv_cdf(probs)
         return probs  # uniform01 and torus_uniform01
+
+
+def _codeword_centres(u: np.ndarray, bits: int) -> np.ndarray:
+    """Centre (floor(u 2^bits) + 0.5) / 2^bits of the codeword cell of each u."""
+    scale = float(2 ** bits)
+    return (np.floor(u * scale) + 0.5) / scale
+
+
+def codeword_fraction(cloud: PointCloud, bits: int) -> float:
+    """Fraction of coordinate values within 2^-(bits+2) of their codeword
+    centre. At bits = 52 that tolerance, 2^-54, is half an ulp of a
+    coordinate in [0.5, 1), so only an exact centre counts there."""
+    near = np.abs(cloud.data - _codeword_centres(cloud.data, bits)) <= 2.0 ** -(bits + 2)
+    return float(np.mean(near))
 
 
 def coordinate_targets(x: PointCloud, target: CoordinateTarget) -> PointCloud:

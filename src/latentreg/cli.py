@@ -44,6 +44,7 @@ from .cdf_attract import (
     cdf_objective,
     chi2_quantile_table,
     cloud_stats,
+    codeword_fraction,
     coordinate_step,
     midpoint_probs,
 )
@@ -434,18 +435,6 @@ def _write_histograms(path: Path, cloud: PointCloud, lo: float, hi: float) -> No
         for b in range(_HIST_BINS):
             fh.write("%.17g,%.17g," % (edges[b], edges[b + 1])
                      + ",".join(str(int(c)) for c in counts[b]) + "\n")
-
-
-def codeword_fraction(cloud: PointCloud, bits: int) -> float:
-    """Fraction of coordinate values within 2^-(bits+2) of a codeword center
-    (m + 0.5)/2^bits.
-
-    At bits = 52 that tolerance, 2^-54, is half an ulp of a coordinate in
-    [0.5, 1), so only an exact center counts there."""
-    scale = float(2 ** bits)
-    centers = (np.floor(cloud.data * scale) + 0.5) / scale
-    near = np.abs(cloud.data - centers) <= 2.0 ** -(bits + 2)
-    return float(np.mean(near))
 
 
 def cmd_attract_demo(spec: ExperimentSpec) -> int:

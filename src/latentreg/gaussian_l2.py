@@ -47,8 +47,6 @@ __all__ = [
     "GaussianComponent",
     "SmoothedSample",
     "gaussian_product_integral",
-    "spherical_product_integral",
-    "gaussian_power_identity",
     "l2_distance_samples",
     "l2_distance_samples_isotropic",
     "l2_distance_to_standard_gaussian",
@@ -152,33 +150,6 @@ def _log_spherical(sq_dist: np.ndarray, total: np.ndarray, dim: int) -> np.ndarr
     return sq_dist
 
 
-def spherical_product_integral(l: float, sigma2: float, gamma2: float,
-                               dim: int) -> float:
-    """Product integral for spherical covariances sigma2*I and gamma2*I at
-    center separation l: exp(-l^2 / (2 (s2+g2))) / sqrt(2 pi (s2+g2))^D."""
-    if not (sigma2 > 0.0 and gamma2 > 0.0):
-        raise ValueError("variances must be positive")
-    if not l >= 0.0:
-        raise ValueError("separation must be nonnegative")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return math.exp(_log_spherical(np.array([l * l]), np.array([sigma2 + gamma2]), dim)[0])
-
-
-def gaussian_power_identity(mu: np.ndarray, sigma: np.ndarray,
-                            p: float) -> tuple[float, GaussianComponent]:
-    """Rewrite a Gaussian density power as scale * Gaussian:
-    rho_{mu,S}^p = |2 pi S|^{(1-p)/2} p^{-D/2} * rho_{mu, S/p}."""
-    if not p > 0.0:
-        raise ValueError("power must be positive")
-    mu = np.asarray(mu, dtype=np.float64).reshape(-1)
-    sigma, chol = _check_covariance(sigma, "sigma")
-    dim = mu.shape[0]
-    logdet = _logdet(chol)
-    log_scale = 0.5 * (1.0 - p) * (dim * _LOG_2PI + logdet) - 0.5 * dim * math.log(p)
-    return math.exp(log_scale), GaussianComponent(mu, sigma / p)
-
-
 @dataclass
 class SmoothedSample:
     """A point cloud smoothened into a Gaussian mixture.
@@ -190,13 +161,11 @@ class SmoothedSample:
 
     points: PointCloud
     bandwidths: np.ndarray | Sequence[np.ndarray]
-    weights: np.ndarray = field(init=False)
     spherical: bool = field(init=False)
 
     def __post_init__(self) -> None:
         n, dim = self.points.n, self.points.dim
         self.spherical = len(self.bandwidths) > 0 and np.ndim(self.bandwidths[0]) == 0
-        self.weights = np.full(n, 1.0 / n)
         if self.spherical:
             bw = np.asarray(self.bandwidths, dtype=np.float64).reshape(-1)
             if bw.shape != (n,):
@@ -283,6 +252,7 @@ def _energy(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:
     itself takes one triangle: the n diagonal terms once and each i < j
     term twice."""
     dim = a.points.dim
+    w_a, w_b = 1.0 / a.points.n, 1.0 / b.points.n
     if a.spherical and b.spherical:
         var_a, var_b = a.bandwidths ** 2, b.bandwidths ** 2
 
@@ -293,13 +263,13 @@ def _energy(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:
             return np.exp(log_d, out=log_d)
 
         total = _block_sum(a.points.data, None if a is b else b.points.data, kernel)
-        return total * a.weights[0] * b.weights[0]
+        return total * w_a * w_b
     if a is b:
         rows, cols = np.triu_indices(a.points.n)
-        coefs = np.where(rows == cols, 1.0, 2.0) * a.weights[rows] * a.weights[cols]
+        coefs = np.where(rows == cols, 1.0, 2.0) * w_a * w_b
     else:
         rows, cols = np.indices((a.points.n, b.points.n)).reshape(2, -1)
-        coefs = a.weights[rows] * b.weights[cols]
+        coefs = np.full(rows.shape, w_a * w_b)
     covs_a = a.covariances()
     covs_b = covs_a if a is b else b.covariances()
     pts_a, pts_b = a.points.data, b.points.data

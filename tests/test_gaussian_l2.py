@@ -12,14 +12,12 @@ from latentreg import gaussian_l2
 from latentreg.gaussian_l2 import (
     GaussianComponent,
     SmoothedSample,
-    gaussian_power_identity,
     gaussian_product_integral,
     l2_distance_samples,
     l2_distance_samples_isotropic,
     l2_distance_to_standard_gaussian,
     mean_field_objective,
     mean_field_sigma,
-    spherical_product_integral,
 )
 from latentreg.sampling import PointCloud, _sq_dists
 
@@ -85,44 +83,6 @@ def test_product_integral_swap_symmetry(dim, seed):
     a = gaussian_product_integral(mu, sigma, gamma)
     b = gaussian_product_integral(-mu, gamma, sigma)
     assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_spherical_special_cases():
-    assert spherical_product_integral(0.0, 1.0, 1.0, 1) == \
-        pytest.approx(1 / math.sqrt(4 * math.pi), rel=1e-14)
-    assert spherical_product_integral(2.0, 1.0, 1.0, 1) == \
-        pytest.approx(math.exp(-1.0) / math.sqrt(4 * math.pi), rel=1e-14)
-
-
-def test_spherical_consistent_with_general():
-    for dim in (1, 2, 5, 20):
-        l, s2, g2 = 1.7, 0.8, 1.9
-        mu = np.zeros(dim)
-        mu[0] = l
-        general = gaussian_product_integral(mu, s2 * np.eye(dim), g2 * np.eye(dim))
-        assert spherical_product_integral(l, s2, g2, dim) == \
-            pytest.approx(general, rel=1e-12)
-
-
-def test_power_identity_trivial():
-    scale, comp = gaussian_power_identity(np.array([0.3]), np.eye(1), 1.0)
-    assert scale == pytest.approx(1.0, rel=1e-14)
-    assert comp.covariance[0, 0] == pytest.approx(1.0)
-    scale2, comp2 = gaussian_power_identity(np.zeros(1), np.eye(1), 2.0)
-    assert scale2 == pytest.approx((2 * math.pi) ** -0.5 * 2 ** -0.5, rel=1e-13)
-    assert comp2.covariance[0, 0] == pytest.approx(0.5)
-
-
-def test_power_identity_pointwise():
-    for _ in range(4):
-        dim = int(RNG.integers(1, 4))
-        mu = RNG.normal(size=dim)
-        sigma = rand_spd(dim)
-        p = float(RNG.uniform(0.3, 3.0))
-        base = GaussianComponent(mu, sigma)
-        scale, comp = gaussian_power_identity(mu, sigma, p)
-        x = RNG.normal(size=dim)
-        assert base.density(x) ** p == pytest.approx(scale * comp.density(x), rel=1e-12)
 
 
 def test_log_density_matches_the_textbook_formula():
@@ -321,7 +281,11 @@ def _dense_spherical_energy(a, b, shift):
     total = np.add.outer(a.bandwidths ** 2, b.bandwidths ** 2)
     sq = _sq_dists(a.points.data, b.points.data)
     log_d = -0.5 * (sq / total + a.points.dim * (math.log(2 * math.pi) + np.log(total)))
-    return float(a.weights @ np.exp(log_d + shift) @ b.weights)
+    return float(_uniform_weights(a) @ np.exp(log_d + shift) @ _uniform_weights(b))
+
+
+def _uniform_weights(sample):
+    return np.full(sample.points.n, 1 / sample.points.n)
 
 
 BLOCK_ROWS, M = 8, 5
@@ -360,9 +324,57 @@ def test_chunked_pair_sums_match_the_per_pair_sum(monkeypatch, elements):
     for u, v in ((a, a), (a, b), (b, a)):
         per_pair = math.fsum(
             wi * wj * gaussian_product_integral(pi - pj, ci, cj)
-            for pi, ci, wi in zip(u.points.data, u.covariances(), u.weights)
-            for pj, cj, wj in zip(v.points.data, v.covariances(), v.weights))
+            for pi, ci, wi in zip(u.points.data, u.covariances(), _uniform_weights(u))
+            for pj, cj, wj in zip(v.points.data, v.covariances(), _uniform_weights(v)))
         assert gaussian_l2._energy(u, v) == pytest.approx(per_pair, rel=1e-13, abs=0.0)
+
+
+def test_uniform_weights_keep_every_bit():
+    # the 1/n and 1/m weights enter each energy as the scalar products
+    # (total * 1/n) * 1/m and (coef * 1/n) * 1/m; these are the bits that
+    # the per-point weight arrays gave
+    rng = np.random.default_rng(2024)
+    n, m, dim = 6, 4, 3
+    x, y = PointCloud(rng.normal(size=(n, dim))), PointCloud(rng.normal(size=(m, dim)) + 0.3)
+    sx, sy = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, m)
+    cx, cy = ([a @ a.T + np.eye(dim) for a in rng.normal(size=(k, dim, dim))] for k in (n, m))
+    a, b = SmoothedSample(x, sx), SmoothedSample(y, sy)
+    fa, fb = SmoothedSample(x, cx), SmoothedSample(y, cy)
+    shift = 0.5 * dim * math.log(4 * math.pi)
+    got = {
+        "samples_spherical": l2_distance_samples(a, b),
+        "samples_full": l2_distance_samples(fa, fb),
+        "samples_mixed": l2_distance_samples(a, fb),
+        "prior_spherical": l2_distance_to_standard_gaussian(x, sx),
+        "prior_full": l2_distance_to_standard_gaussian(x, cx),
+        "prior_spherical_scaled": l2_distance_to_standard_gaussian(x, sx, scaled=True),
+        "prior_full_scaled": l2_distance_to_standard_gaussian(x, cx, scaled=True),
+        "self_spherical": gaussian_l2._energy(a, a),
+        "self_spherical_shifted": gaussian_l2._energy(a, a, shift),
+        "cross_spherical": gaussian_l2._energy(a, b),
+        "cross_spherical_shifted": gaussian_l2._energy(a, b, shift),
+        "self_full": gaussian_l2._energy(fa, fa),
+        "self_full_shifted": gaussian_l2._energy(fa, fa, shift),
+        "cross_full": gaussian_l2._energy(fa, fb),
+        "cross_full_shifted": gaussian_l2._energy(fa, fb, shift),
+    }
+    assert {k: float(v).hex() for k, v in got.items()} == {
+        "samples_spherical": "0x1.3dcca534497b9p-6",
+        "samples_full": "0x1.cbc9f075fe8e8p-11",
+        "samples_mixed": "0x1.e50d7c9ac79d0p-10",
+        "prior_spherical": "0x1.4975d794fa5dcp-7",
+        "prior_full": "0x1.b030f570348a6p-7",
+        "prior_spherical_scaled": "0x1.caa2c29be1e2ep-2",
+        "prior_full_scaled": "0x1.2cd2a4bdc8b16p-1",
+        "self_spherical": "0x1.b6758bf10ba9ep-8",
+        "self_spherical_shifted": "0x1.312f80a320dc6p-2",
+        "cross_spherical": "0x1.241a4d3dbbe49p-7",
+        "cross_spherical_shifted": "0x1.96a1871b4bcbdp-2",
+        "self_full": "0x1.b1e2f7bf9e90ep-9",
+        "self_full_shifted": "0x1.2e00bb49df6eap-3",
+        "cross_full": "0x1.95c6e519b312ap-9",
+        "cross_full_shifted": "0x1.1a6ff848c2a1ap-3",
+    }
 
 
 def test_pair_stack_with_one_indefinite_sum_is_rejected():
@@ -441,16 +453,12 @@ NAN_CLOUD = PointCloud(np.arange(6.0).reshape(3, 2))
 
 @pytest.mark.parametrize("call", [
     lambda: mean_field_sigma(NAN, 20),
-    lambda: spherical_product_integral(1.0, NAN, 1.0, 2),
-    lambda: spherical_product_integral(1.0, 1.0, NAN, 2),
-    lambda: spherical_product_integral(NAN, 1.0, 1.0, 2),
     lambda: l2_distance_samples_isotropic(NAN_CLOUD, NAN_CLOUD, NAN),
     lambda: l2_distance_to_standard_gaussian(NAN_CLOUD, [1.0, NAN, 1.0]),
     lambda: gaussian_product_integral(np.zeros(2), np.full((2, 2), NAN), np.eye(2)),
     lambda: gaussian_product_integral(np.zeros(2), np.eye(2), [[1.0, 0.0], [0.0, np.inf]]),
-    lambda: gaussian_power_identity(np.zeros(2), np.eye(2), NAN),
-], ids=["mean_field_radius", "sigma2", "gamma2", "separation", "isotropic_sigma",
-        "spherical_bandwidth", "nan_covariance", "inf_covariance", "power"])
+], ids=["mean_field_radius", "isotropic_sigma", "spherical_bandwidth", "nan_covariance",
+        "inf_covariance"])
 def test_nan_inputs_fail_the_domain_checks(call):
     with pytest.raises(ValueError):
         call()

@@ -9,7 +9,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # the calibration.py constants that scripts/calibrate_constants.py measures
 MEASURED = ("DBAR_MEDIAN", "ATTRACT_STOP_TOLERANCE", "RADII_KS_MEDIAN", "RADII_KS_Q95",
-            "DISTANCE_KS_MEDIAN", "DISTANCE_KS_Q95", "PROJECTION_KS_Q95",
+            "DISTANCE_KS_Q95", "PROJECTION_KS_Q95",
             "SCALAR_KS2_Q95", "ANGLE_KS2_Q95")
 
 
