@@ -18,15 +18,6 @@ import numpy as np
 
 from .sampling import PointCloud, _sq_dists
 
-__all__ = [
-    "kernel_matrix",
-    "wae_mmd",
-    "wae_mmd_gradient",
-    "cwae",
-    "cwae_gradient",
-    "mardia_stats",
-]
-
 
 def kernel_matrix(a: PointCloud, b: PointCloud, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of the inverse-multiquadric kernel 2D / (2D + |a_i - b_j|^2),

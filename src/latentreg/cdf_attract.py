@@ -35,21 +35,6 @@ import numpy as np
 from .sampling import PointCloud, _pair_flat_indices, _sq_dists
 from .specfun import ChiSquare, chi2_inv_cdf, normal_inv_cdf
 
-__all__ = [
-    "MAX_BITS",
-    "TargetQuantiles",
-    "CloudStats",
-    "CoordinateTarget",
-    "build_target_quantiles",
-    "chi2_quantile_table",
-    "midpoint_probs",
-    "cloud_stats",
-    "cdf_objective",
-    "coordinate_targets",
-    "coordinate_step",
-    "codeword_fraction",
-]
-
 
 @dataclass(frozen=True)
 class TargetQuantiles:

@@ -13,16 +13,18 @@ per-pair integrals otherwise. The prior is the one-point sample at the
 origin with unit width. The equal-width isotropic distance keeps its own
 kernel, exp(-|x - y|^2 / 4 sigma^2), which needs no logs of width sums.
 
-Every energy is evaluated in pieces of about _BLOCK_ELEMENTS floats (2 MB),
-whatever the sample sizes and the dimension. The spherical and isotropic
-kernels run over row blocks of the first cloud against the whole second
-cloud, in two buffers allocated once per energy; each block is reduced to
-floats and the block sums are added exactly. A cloud against itself gives
-a symmetric matrix, so its row blocks run over one triangle of blocks only:
-the part right of each diagonal block is counted twice. The
-full-covariance pairs run in chunks: the covariances are stacked once per
-sample, and each chunk of pairs takes one batched Cholesky factorization;
-a sample against itself takes each unordered pair once.
+Every energy is evaluated in pieces whose whole working set is about
+_BLOCK_ELEMENTS floats (2 MB), whatever the sample sizes and the dimension.
+The spherical and isotropic kernels run over row blocks of the first cloud
+against the whole second cloud, in two buffers allocated once per energy;
+each block is reduced to floats and the block sums are added exactly. A
+cloud against itself gives a symmetric matrix, so its row blocks run over
+one triangle of blocks only: the part right of each diagonal block is
+counted twice. The full-covariance pairs run in chunks: the covariances
+are stacked once per sample, and each chunk of pairs takes one batched
+Cholesky factorization; a sample against itself takes each unordered pair
+once. The chunk terms stream into one exactly rounded sum, so no array or
+list grows with the number of pairs.
 
 The mean-field width is a bracketed Newton solve of the mismatch's
 stationarity condition, written as a difference of logs.
@@ -43,24 +45,14 @@ import numpy as np
 
 from .sampling import PointCloud, _sq_dists
 
-__all__ = [
-    "GaussianComponent",
-    "SmoothedSample",
-    "gaussian_product_integral",
-    "l2_distance_samples",
-    "l2_distance_samples_isotropic",
-    "l2_distance_to_standard_gaussian",
-    "mean_field_objective",
-    "mean_field_sigma",
-]
-
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_4PI = math.log(4.0 * math.pi)
 _LOG_2 = math.log(2.0)
 _EPS = 2.0 ** -52
-# floats per row block of a kernel matrix and per chunk of stacked pair
-# covariances (2 MB): a block has max(1, _BLOCK_ELEMENTS // m) rows against
-# m points, a chunk max(1, _BLOCK_ELEMENTS // D^2) pairs
+# floats in the working set of one piece of an energy (2 MB): a kernel row
+# block fills two buffers with max(1, _BLOCK_ELEMENTS // (2 m)) rows against
+# m points, a pair chunk four (chunk, D, D) stacks with
+# max(1, _BLOCK_ELEMENTS // (4 D^2)) pairs
 _BLOCK_ELEMENTS = 2 ** 18
 
 
@@ -207,8 +199,8 @@ def _log_pair_integral(diff: np.ndarray, cov_a: np.ndarray,
 
 
 def _block_sum(x: np.ndarray, y: np.ndarray | None, kernel, scale: float = 1.0) -> float:
-    """Exactly rounded sum of a kernel matrix over the points x against y,
-    or against x itself when y is None.
+    """Sum of a kernel matrix over the points x against y, or against x
+    itself when y is None.
 
     kernel(rows, cols, sq, spare) gets sq, the block of
     _sq_dists(x, y, scale=scale) over the slices rows of x and cols of y
@@ -217,12 +209,15 @@ def _block_sum(x: np.ndarray, y: np.ndarray | None, kernel, scale: float = 1.0) 
     Row block [s, e) meets all of y. Against itself the matrix is symmetric,
     so the block meets only the columns [s, n): its diagonal square [s, e)^2
     is counted once and the part to its right twice, which skips about half
-    of the pairs. The block floats are added exactly. The distance and spare
-    buffers are allocated once, flat; each block views their heads."""
+    of the pairs. The block floats are added exactly, but each is a float
+    sum of its block, so the last bits can move with the block size. The
+    distance and spare buffers are allocated once, flat, and hold
+    _BLOCK_ELEMENTS floats together: a block has _BLOCK_ELEMENTS // (2 m)
+    rows, at least one. Each block views the buffers' heads."""
     symmetric = y is None
     y = x if symmetric else y
     n, m = len(x), len(y)
-    block = max(1, _BLOCK_ELEMENTS // m)
+    block = max(1, _BLOCK_ELEMENTS // (2 * m))
     out = np.empty(min(block, n) * m)
     spare = np.empty_like(out)
     parts = []
@@ -248,11 +243,14 @@ def _energy(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:
 
     Two spherical samples take the closed form over row blocks, summed
     before the uniform weights are applied; any other pair is an exactly
-    rounded sum of per-pair integrals, taken in chunks. A sample against
-    itself takes one triangle: the n diagonal terms once and each i < j
-    term twice."""
-    dim = a.points.dim
-    w_a, w_b = 1.0 / a.points.n, 1.0 / b.points.n
+    rounded sum of per-pair integrals, taken in chunks of
+    _BLOCK_ELEMENTS // (4 D^2) pairs, at least one. A sample against itself
+    takes one triangle: the n diagonal terms once and each i < j term twice.
+    A chunk is a slice of a flat range of pair indices k: across samples
+    (i, j) = divmod(k, m), and in the triangle i is the row whose flat range
+    holds k. Its terms stream into math.fsum through a generator."""
+    dim, n, m = a.points.dim, a.points.n, b.points.n
+    w_a, w_b = 1.0 / n, 1.0 / m
     if a.spherical and b.spherical:
         var_a, var_b = a.bandwidths ** 2, b.bandwidths ** 2
 
@@ -265,21 +263,31 @@ def _energy(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:
         total = _block_sum(a.points.data, None if a is b else b.points.data, kernel)
         return total * w_a * w_b
     if a is b:
-        rows, cols = np.triu_indices(a.points.n)
-        coefs = np.where(rows == cols, 1.0, 2.0) * w_a * w_b
+        # row i of the triangle holds the pairs (i, i..n-1) and ends at
+        # flat index ends[i]: the row-major order of np.triu_indices(n)
+        ends = np.cumsum(np.arange(n, 0, -1))
+        pairs = int(ends[-1])
     else:
-        rows, cols = np.indices((a.points.n, b.points.n)).reshape(2, -1)
-        coefs = np.full(rows.shape, w_a * w_b)
+        pairs = n * m
     covs_a = a.covariances()
     covs_b = covs_a if a is b else b.covariances()
     pts_a, pts_b = a.points.data, b.points.data
-    chunk = max(1, _BLOCK_ELEMENTS // (dim * dim))
-    terms = []
-    for start in range(0, len(rows), chunk):
-        i, j = rows[start:start + chunk], cols[start:start + chunk]
-        logs = _log_pair_integral(pts_a[i] - pts_b[j], covs_a[i], covs_b[j])
-        terms.extend((coefs[start:start + chunk] * np.exp(logs + shift)).tolist())
-    return math.fsum(terms)
+    chunk = max(1, _BLOCK_ELEMENTS // (4 * dim * dim))
+
+    def terms():
+        for start in range(0, pairs, chunk):
+            k = np.arange(start, min(start + chunk, pairs))
+            if a is b:
+                i = np.searchsorted(ends, k, side="right")
+                j = k - ends[i] + n
+                coefs = np.where(i == j, 1.0, 2.0) * w_a * w_b
+            else:
+                i, j = np.divmod(k, m)
+                coefs = w_a * w_b
+            logs = _log_pair_integral(pts_a[i] - pts_b[j], covs_a[i], covs_b[j])
+            yield from (coefs * np.exp(logs + shift)).tolist()
+
+    return math.fsum(terms())
 
 
 def _distance(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:

@@ -30,18 +30,6 @@ import numpy as np
 from . import baselines, cdf_attract
 from .sampling import PointCloud, Rng, sample_standard_normal, sample_uniform_cube
 
-__all__ = [
-    "RunConfig",
-    "TraceRow",
-    "OptimizationError",
-    "initial_cloud",
-    "WaeMmdObjective",
-    "CwaeObjective",
-    "CdfAttractionObjective",
-    "run",
-    "trace_to_csv",
-]
-
 _MAX_HALVINGS = 20
 
 

@@ -22,14 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "Rng",
-    "PointCloud",
-    "sample_standard_normal",
-    "sample_uniform_cube",
-    "sample_unit_directions",
-]
-
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB

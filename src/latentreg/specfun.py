@@ -39,15 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ChiSquare",
-    "reg_lower_gamma",
-    "chi2_cdf",
-    "chi2_inv_cdf",
-    "normal_cdf",
-    "normal_inv_cdf",
-]
-
 _EPS = 1e-16
 _MAX_ITER = 800
 _BLOCK = 4096

@@ -22,23 +22,6 @@ from .cdf_attract import chi2_quantile_table, cloud_stats
 from .sampling import PointCloud, Rng, _pair_flat_indices, sample_standard_normal, sample_unit_directions
 from .specfun import ChiSquare, chi2_cdf, normal_cdf
 
-__all__ = [
-    "BATTERY_TESTS",
-    "TestReport",
-    "ks_statistic",
-    "ks_statistic_two_sample",
-    "chi2_report",
-    "radii_test",
-    "distance_test",
-    "projections",
-    "pairwise_scalar_products",
-    "pairwise_angles",
-    "battery_values",
-    "battery_ks",
-    "reference_battery",
-    "battery_bands",
-]
-
 
 @dataclass
 class TestReport:

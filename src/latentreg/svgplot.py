@@ -27,8 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Curve", "render_panel"]
-
 WIDTH = 640
 HEIGHT = 480
 MARGIN_L = 60

@@ -21,10 +21,8 @@ from latentreg.gaussian_l2 import (
 )
 from latentreg.sampling import PointCloud, _sq_dists
 
-RNG = np.random.default_rng(1234)
 
-
-def rand_spd(dim, rng=RNG):
+def rand_spd(dim, rng):
     a = rng.normal(size=(dim, dim))
     return a @ a.T + (0.3 + rng.random()) * np.eye(dim)
 
@@ -56,9 +54,10 @@ def test_product_integral_identity_covariances():
 
 
 def test_product_integral_matches_quadrature_2d():
+    rng = np.random.default_rng(11)
     for _ in range(3):
-        mu = RNG.normal(size=2)
-        sigma, gamma = rand_spd(2), rand_spd(2)
+        mu = rng.normal(size=2)
+        sigma, gamma = rand_spd(2, rng), rand_spd(2, rng)
         a = GaussianComponent(mu, sigma)
         b = GaussianComponent(np.zeros(2), gamma)
         val, _ = integrate.dblquad(lambda y, x: a.density([x, y]) * b.density([x, y]),
@@ -102,8 +101,9 @@ def test_log_density_matches_the_textbook_formula():
 
 
 def test_l2_distance_identical_samples_is_zero():
-    pts = PointCloud(RNG.normal(size=(4, 3)))
-    bw = [rand_spd(3) for _ in range(4)]
+    rng = np.random.default_rng(12)
+    pts = PointCloud(rng.normal(size=(4, 3)))
+    bw = [rand_spd(3, rng) for _ in range(4)]
     a = SmoothedSample(pts, bw)
     b = SmoothedSample(PointCloud(pts.data.copy()), [m.copy() for m in bw])
     assert l2_distance_samples(a, b) <= 1e-10
@@ -119,12 +119,13 @@ def test_l2_distance_two_single_points_closed_form():
 
 
 def test_l2_distance_matches_quadrature():
+    rng = np.random.default_rng(13)
     for dim in (1, 2):
         na, nb = 3, 2
-        pts_a = RNG.normal(size=(na, dim))
-        pts_b = RNG.normal(size=(nb, dim))
-        cov_a = [rand_spd(dim) for _ in range(na)]
-        cov_b = [rand_spd(dim) for _ in range(nb)]
+        pts_a = rng.normal(size=(na, dim))
+        pts_b = rng.normal(size=(nb, dim))
+        cov_a = [rand_spd(dim, rng) for _ in range(na)]
+        cov_b = [rand_spd(dim, rng) for _ in range(nb)]
         closed = l2_distance_samples(SmoothedSample(PointCloud(pts_a), cov_a),
                                      SmoothedSample(PointCloud(pts_b), cov_b))
         quad = quad_l2(mixture_density(pts_a, cov_a, [1 / na] * na),
@@ -133,7 +134,7 @@ def test_l2_distance_matches_quadrature():
 
 
 def test_isotropic_trivial_cases():
-    x = PointCloud(RNG.normal(size=(5, 2)))
+    x = PointCloud(np.random.default_rng(14).normal(size=(5, 2)))
     assert l2_distance_samples_isotropic(x, PointCloud(x.data.copy()), 0.7) <= 1e-12
     near = l2_distance_samples_isotropic(PointCloud(np.zeros((1, 2))),
                                          PointCloud(np.zeros((1, 2))), 1.0)
@@ -146,10 +147,11 @@ def test_isotropic_trivial_cases():
 def test_isotropic_scaling_consistency():
     # the dropped sqrt(4 pi s^2)^D factor reconciles the two formulas (D <= 5;
     # beyond that the general form underflows)
+    rng = np.random.default_rng(15)
     for dim in (1, 2, 3, 5):
         sigma = 0.9
-        x = PointCloud(RNG.normal(size=(4, dim)))
-        y = PointCloud(RNG.normal(size=(3, dim)))
+        x = PointCloud(rng.normal(size=(4, dim)))
+        y = PointCloud(rng.normal(size=(3, dim)))
         plain = l2_distance_samples_isotropic(x, y, sigma)
         general = l2_distance_samples(
             SmoothedSample(x, np.full(4, sigma)),
@@ -183,7 +185,7 @@ def test_prior_distance_single_standard_point():
 def test_prior_distance_sigma1_shortcut():
     # scaled form at unit bandwidths collapses to
     # 1 + 1/n + (2/n^2) sum_{i<i'} e^{-|xi-xi'|^2/4} - (2/n) sum e^{-|xi|^2/4}
-    x = PointCloud(RNG.normal(size=(6, 20)))
+    x = PointCloud(np.random.default_rng(16).normal(size=(6, 20)))
     n = x.n
     scaled = l2_distance_to_standard_gaussian(x, np.ones(n), scaled=True)
     cross = sum(math.exp(-np.sum((x.data[i] - x.data[j]) ** 2) / 4)
@@ -213,8 +215,9 @@ def test_prior_distance_matches_quadrature_1d():
 
 
 def test_prior_distance_full_covariance_matches_quadrature_2d():
-    pts = RNG.normal(size=(2, 2))
-    covs = [rand_spd(2), rand_spd(2)]
+    rng = np.random.default_rng(17)
+    pts = rng.normal(size=(2, 2))
+    covs = [rand_spd(2, rng), rand_spd(2, rng)]
     closed = l2_distance_to_standard_gaussian(PointCloud(pts), covs)
     density = mixture_density(pts, covs, [0.5, 0.5])
     prior = GaussianComponent(np.zeros(2), np.eye(2))
@@ -294,9 +297,10 @@ BLOCK_ROWS, M = 8, 5
 @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                                2 * BLOCK_ROWS + 3])
 def test_blocked_kernels_match_a_dense_reference(monkeypatch, n):
-    # BLOCK_ROWS rows per block against M points; the self-energies split
-    # into blocks of _BLOCK_ELEMENTS // n rows
-    monkeypatch.setattr(gaussian_l2, "_BLOCK_ELEMENTS", BLOCK_ROWS * M)
+    # BLOCK_ROWS rows per block against M points (two buffers of
+    # BLOCK_ROWS x M); the self-energies split into blocks of
+    # _BLOCK_ELEMENTS // (2 n) rows
+    monkeypatch.setattr(gaussian_l2, "_BLOCK_ELEMENTS", 2 * BLOCK_ROWS * M)
     rng = np.random.default_rng(n)
     dim = 4
     x, y = PointCloud(rng.normal(size=(n, dim))), PointCloud(rng.normal(size=(M, dim)) + 0.5)
@@ -312,9 +316,10 @@ def test_blocked_kernels_match_a_dense_reference(monkeypatch, n):
             dense, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("elements", [1, 20, 2 ** 18])
+@pytest.mark.parametrize("elements", [1, 72, 2 ** 18])
 def test_chunked_pair_sums_match_the_per_pair_sum(monkeypatch, elements):
-    # 1, 2 and all pairs per chunk at D = 3 against one integral per pair
+    # 1, 2 and all pairs per chunk at D = 3, a chunk holding four (chunk, 3, 3)
+    # stacks, against one integral per pair
     monkeypatch.setattr(gaussian_l2, "_BLOCK_ELEMENTS", elements)
     rng = np.random.default_rng(8)
     na, nb, dim = 7, 5, 3
@@ -377,6 +382,57 @@ def test_uniform_weights_keep_every_bit():
     }
 
 
+@pytest.mark.parametrize("per_chunk", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_chunks_enumerate_the_pairs_in_index_order(monkeypatch, n, per_chunk):
+    # the chunks of a sample against itself run through np.triu_indices(n),
+    # and against another sample through np.indices((n, m)), in order, each
+    # with per_chunk pairs but the last; the covariance (i + 1) I of point i
+    # tells which points a pair joins
+    dim, m = 2, 4
+    monkeypatch.setattr(gaussian_l2, "_BLOCK_ELEMENTS", 4 * dim * dim * per_chunk)
+    calls = []
+    real = gaussian_l2._log_pair_integral
+
+    def recording(diff, cov_a, cov_b):
+        calls.append((cov_a[:, 0, 0].round().astype(int) - 1,
+                      cov_b[:, 0, 0].round().astype(int) - 1))
+        return real(diff, cov_a, cov_b)
+
+    monkeypatch.setattr(gaussian_l2, "_log_pair_integral", recording)
+    rng = np.random.default_rng(n)
+    a, b = (SmoothedSample(PointCloud(rng.normal(size=(k, dim))),
+                           [(i + 1.0) * np.eye(dim) for i in range(k)]) for k in (n, m))
+    for u, v, want in ((a, a, np.triu_indices(n)),
+                       (a, b, np.indices((n, m)).reshape(2, -1))):
+        calls.clear()
+        gaussian_l2._energy(u, v)
+        sizes = [len(i) for i, _ in calls]
+        assert sizes[:-1] == [per_chunk] * (len(sizes) - 1) and 0 < sizes[-1] <= per_chunk
+        got = np.concatenate([i for i, _ in calls]), np.concatenate([j for _, j in calls])
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("elements", [4 * 20 * 20 * 7, 2 ** 18, 2 ** 22])
+def test_multi_chunk_full_energies_keep_every_bit(monkeypatch, elements):
+    # 820 self pairs and 1200 cross pairs at D = 20, in chunks of 7, 163 and
+    # all pairs: each pair's integral does not depend on the chunk it falls
+    # in, and the terms are summed exactly, so the bits do not move with the
+    # chunk boundaries. The covariances are diagonally dominant and built
+    # elementwise, since a matrix product's last bits depend on the BLAS
+    # kernel
+    monkeypatch.setattr(gaussian_l2, "_BLOCK_ELEMENTS", elements)
+    rng = np.random.default_rng(40)
+    n, m, dim = 40, 30, 20
+    x, y = PointCloud(rng.normal(size=(n, dim))), PointCloud(rng.normal(size=(m, dim)) + 0.3)
+    cx, cy = ((u + u.transpose(0, 2, 1)) / (2 * dim) + 1.5 * np.eye(dim)
+              for u in (rng.uniform(-1.0, 1.0, (k, dim, dim)) for k in (n, m)))
+    fa, fb = SmoothedSample(x, list(cx)), SmoothedSample(y, list(cy))
+    shift = 0.5 * dim * math.log(4 * math.pi)
+    assert float(gaussian_l2._energy(fa, fa, shift)).hex() == "0x1.161791ca5f7e2p-11"
+    assert float(gaussian_l2._energy(fa, fb, shift)).hex() == "0x1.1a07969cedeb5p-14"
+
+
 def test_pair_stack_with_one_indefinite_sum_is_rejected():
     covs_a = np.stack([np.eye(3)] * 4)
     covs_b = covs_a.copy()
@@ -385,31 +441,56 @@ def test_pair_stack_with_one_indefinite_sum_is_rejected():
         gaussian_l2._log_pair_integral(np.zeros((4, 3)), covs_a, covs_b)
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# traced bytes of one energy call: a piece's working set is 2 MB, and the
+# rest is per-point arrays and the interpreter's own allocations
+ENERGY_PEAK = 3_000_000
+
+
 def test_blocked_energies_stay_small_at_n2000():
-    # one 2000 x 2000 float matrix is 32 MB; the blocks stay under half of it
+    # one 2000 x 2000 float matrix is 32 MB; the two row-block buffers hold
+    # 2 MB together
     rng = np.random.default_rng(9)
     x = PointCloud(rng.standard_normal((2000, 20)))
     y = PointCloud(rng.standard_normal((2000, 20)))
     widths = rng.uniform(0.5, 1.5, 2000)
     for call in (lambda: l2_distance_to_standard_gaussian(x, widths, scaled=True),
                  lambda: l2_distance_samples_isotropic(x, y, 1.0)):
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16_000_000
+        assert _traced_peak(call) < ENERGY_PEAK
+
+
+def test_full_covariance_energies_stay_small_at_n600():
+    # 180,300 self pairs and 360,000 cross pairs at D = 3: the four stacks of
+    # a chunk hold 2 MB, and no index, coefficient or term list grows with
+    # the pair count (an array of 360,000 floats alone is 2.9 MB)
+    rng = np.random.default_rng(600)
+    n, dim = 600, 3
+    x, y = PointCloud(rng.normal(size=(n, dim))), PointCloud(rng.normal(size=(n, dim)))
+    cx, cy = ([c @ c.T / dim + np.eye(dim) for c in rng.normal(size=(n, dim, dim))]
+              for _ in range(2))
+    a, b = SmoothedSample(x, cx), SmoothedSample(y, cy)
+    for call in (lambda: gaussian_l2._energy(a, a), lambda: gaussian_l2._energy(a, b),
+                 lambda: l2_distance_to_standard_gaussian(x, cx)):
+        assert _traced_peak(call) < ENERGY_PEAK
 
 
 @pytest.mark.parametrize("n, block", [(1, 8), (7, 8), (40, 8), (43, 8), (43, 1), (2000, None)])
 def test_self_energies_take_one_triangle_of_blocks(monkeypatch, n, block):
-    # a cloud against itself takes row block [s, e) against the columns
-    # [s, n) only: at most n(n + block)/2 kernel entries, not n^2; a cloud
-    # against another takes all n m
+    # blocks of _BLOCK_ELEMENTS // (2 n) rows, two buffers each; a cloud
+    # against itself takes row block [s, e) against the columns [s, n) only:
+    # at most n(n + block)/2 kernel entries, not n^2; a cloud against another
+    # takes all n m
     if block is not None:
-        monkeypatch.setattr(gaussian_l2, "_BLOCK_ELEMENTS", block * n)
-    block = gaussian_l2._BLOCK_ELEMENTS // n
+        monkeypatch.setattr(gaussian_l2, "_BLOCK_ELEMENTS", 2 * block * n)
+    block = gaussian_l2._BLOCK_ELEMENTS // (2 * n)
     entries = []
     real = gaussian_l2._sq_dists
 
@@ -425,6 +506,7 @@ def test_self_energies_take_one_triangle_of_blocks(monkeypatch, n, block):
                         lambda: gaussian_l2._mean_exp_kernel(x, x, 2.0)):
         entries.clear()
         self_energy()
+        assert len(entries) == -(-n // block)
         assert sum(entries) <= n * (n + block) // 2
     entries.clear()
     gaussian_l2._mean_exp_kernel(x, y, 2.0)
