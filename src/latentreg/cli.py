@@ -12,7 +12,9 @@ settings some run varies; step sizes are the constants below and in
 latentreg.calibration. Every resolved value is echoed to
 OUT/config_resolved.txt. Exit codes: 0 success, 1 usage error, 2 runtime
 failure. The spec is validated before any file is written; a bad value or an
-unknown flag is a usage error.
+unknown flag is a usage error. Trials run one after another. --jobs accepts
+only 1 and is not part of the spec: it is kept only because the benchmark
+worker passes it.
 
 fig1 and fig2 differ only in the clouds they make and in their summary CSVs:
 _judge sorts each statistic of a cloud and takes its KS distance, and
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -99,7 +100,6 @@ class ExperimentSpec:
     seed: int = 1
     steps: int | None = None
     out: str = "latentreg_out"
-    jobs: int = 1
     target: str = "gaussian"
     bits: int | None = None  # quantized target only, where it defaults to 1
 
@@ -111,7 +111,6 @@ class ExperimentSpec:
             (0 <= self.seed and self.seed + self.trials <= _SEED_LIMIT,
              f"trial seeds seed..seed+trials-1 must lie in [0, 2**64), "
              f"got {self.seed}..{self.seed + self.trials - 1}"),
-            (self.jobs >= 1, f"jobs must be >= 1, got {self.jobs}"),
             (self.target in _ATTRACT_TARGETS,
              f"target must be one of {_ATTRACT_TARGETS}, got {self.target!r}"),
             (self.bits is None or 1 <= self.bits <= MAX_BITS,
@@ -141,13 +140,6 @@ class ExperimentSpec:
     def echo(self, out: Path) -> None:
         lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
         (out / "config_resolved.txt").write_text("\n".join(lines) + "\n")
-
-
-def _map_trials(spec: ExperimentSpec, fn):
-    if spec.jobs == 1:
-        return [fn(t) for t in range(spec.trials)]
-    with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-        return list(pool.map(fn, range(spec.trials)))
 
 
 def _attraction_config(spec: ExperimentSpec, trial_seed: int) -> RunConfig:
@@ -314,32 +306,25 @@ def _write_curves(out: Path, prefix: str, judged: dict[str, list[dict]],
                                  values, tails[key])
 
 
-def _by_row(results: list[tuple[dict, object]]) -> tuple[dict[str, list], tuple]:
-    """[({row: judged trial}, extra)] by trial as ({row: [judged trial]}, extras)."""
-    trials, extras = zip(*results)
-    return {row: [trial[row] for trial in trials] for row in trials[0]}, extras
-
-
 def cmd_fig1(spec: ExperimentSpec) -> int:
     """EDF grid: radii and distance curves for prior samples, the two
     baseline minimizers and the quantile attraction, with a KS summary."""
     out = spec.out_dir()
     spec.echo(out)
-
-    def one_trial(t: int):
+    judged: dict[str, list[dict]] = {}
+    directions: dict[str, list[str]] = {}  # narrow or wide by the mean squared radius
+    for t in range(spec.trials):
         trial_seed = spec.seed + t
         clouds = {"gaussian": sample_standard_normal(Rng(trial_seed), spec.n, spec.dim)}
         clouds["wae_mmd"] = _run_baseline_trial(spec, trial_seed, "wae_mmd")
         clouds["cwae"] = _run_baseline_trial(spec, trial_seed, "cwae")
         clouds["attract"], trace = run_attraction_trial(spec, trial_seed)
         trace_to_csv(trace, out / f"fig1_attract_trial{t:02d}_trace.csv")
-        directions = {}  # narrow or wide by the mean squared radius
         for row, cloud in clouds.items():
             cloud.to_csv(out / f"fig1_{row}_trial{t:02d}_cloud.csv")
-            directions[row] = "narrow" if (cloud.data ** 2).sum(1).mean() < spec.dim else "wide"
-        return {row: _judge(cloud) for row, cloud in clouds.items()}, directions
-
-    judged, directions = _by_row(_map_trials(spec, one_trial))
+            narrow = (cloud.data ** 2).sum(1).mean() < spec.dim
+            directions.setdefault(row, []).append("narrow" if narrow else "wide")
+            judged.setdefault(row, []).append(_judge(cloud))
     chi2 = ChiSquare(spec.dim)
     law = _law(lambda p: chi2_inv_cdf(chi2, p), lambda m: chi2_quantile_table(m, spec.dim))
     _write_curves(out, "fig1", judged, dict.fromkeys(("radii", "distances"), law),
@@ -350,7 +335,7 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
             for t, trial in enumerate(trials):
                 for stat, (_, rep) in trial.items():
                     fh.write("%s,%d,%s,%.17g,%.17g,%s\n"
-                             % (row, t, stat, rep.ks_linf, rep.l1_area, directions[t][row]))
+                             % (row, t, stat, rep.ks_linf, rep.l1_area, directions[row][t]))
     return 0
 
 
@@ -359,18 +344,18 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
     clouds (right column) next to i.i.d. prior clouds (left column)."""
     out = spec.out_dir()
     spec.echo(out)
-
-    def one_trial(t: int):
+    judged: dict[str, list[dict]] = {"iid": [], "attract": []}
+    references = []
+    for t in range(spec.trials):
         trial_seed = spec.seed + t
         attract_cloud, _ = run_attraction_trial(spec, trial_seed)
         attract_cloud.to_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv")
         iid_cloud = sample_standard_normal(Rng(trial_seed).derive(4), spec.n, spec.dim)
         # every cloud projects onto the same per-trial direction set
         battery = reference_battery(trial_seed, spec.n, spec.dim)
-        return {"iid": _judge(iid_cloud, battery),
-                "attract": _judge(attract_cloud, battery)}, battery[1]
-
-    judged, references = _by_row(_map_trials(spec, one_trial))
+        judged["iid"].append(_judge(iid_cloud, battery))
+        judged["attract"].append(_judge(attract_cloud, battery))
+        references.append(battery[1])
     targets = {"projections": _law(normal_inv_cdf, lambda m: normal_inv_cdf(midpoint_probs(m)))}
     for test in BATTERY_TESTS[1:]:
         targets[test] = [ref_values[test] for ref_values in references]
@@ -443,8 +428,8 @@ def cmd_attract_demo(spec: ExperimentSpec) -> int:
     out = spec.out_dir()
     spec.echo(out)
     target_name = spec.target
-
-    def one_trial(t: int):
+    summaries = []
+    for t in range(spec.trials):
         trial_seed = spec.seed + t
         if target_name == "gaussian":
             before = initial_cloud(_attraction_config(spec, trial_seed))
@@ -471,9 +456,7 @@ def cmd_attract_demo(spec: ExperimentSpec) -> int:
         lo, hi = (-5.0, 5.0) if target_name == "gaussian" else (0.0, 1.0)
         _write_histograms(out / f"attract_{target_name}_trial{t:02d}_hist.csv",
                           after, lo, hi)
-        return summary
-
-    summaries = _map_trials(spec, one_trial)
+        summaries.append(summary)
     with open(out / f"attract_{target_name}_summary.csv", "w", newline="") as fh:
         fh.write("trial,stat,value\n")
         for t, (name, value) in enumerate(summaries):
@@ -495,7 +478,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    # accepted only as 1, the value the benchmark worker passes
+    p.add_argument("--jobs", type=int, default=None, choices=(1,))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -528,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         experiment = {"fig1": "fig1_grid", "fig2": "fig2_battery",
                       "attract": "attract_demo"}[args.command]
         given = {name: value for name, value in vars(args).items()
-                 if name != "command" and value is not None}
+                 if name not in ("command", "jobs") and value is not None}
         try:  # a bad spec is a usage error, reported before any file is written
             spec = ExperimentSpec(experiment, **given)
         except ValueError as exc:

@@ -321,7 +321,7 @@ def test_fig1_summary_median_ks_ordering(battery_attraction_clouds,
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path):
-    tiny = dict(n=16, dim=3, trials=2, seed=5, jobs=1)
+    tiny = dict(n=16, dim=3, trials=2, seed=5)
 
     def run_all(out):
         cmd_fig1(ExperimentSpec("fig1_grid", out=str(out / "f1"), steps=25, **tiny))

@@ -440,7 +440,9 @@ BAD_SPECS = {
                            "--seed", "-1"],
     "eval_seed_wraps": ["eval", "--cloud", "spec.cfg", "--which", "wae_mmd",
                         "--seed", str(2 ** 64)],
+    # --jobs is kept only for the benchmark worker's "--jobs 1"
     "jobs": ["fig1", "--jobs", "0"],
+    "jobs_two": ["fig1", "--jobs", "2"],
     # flags are the only input: there is no settings file
     "config_flag": ["fig1", "--config", "spec.cfg"],
     # the battery's bands exist only for calibration.NUM_DIRS directions, and
@@ -494,16 +496,23 @@ def test_spec_seed_range_is_every_trial_seed():
                 ExperimentSpec(experiment, seed=seed, trials=trials)
 
 
-def test_parallel_jobs_match_single_job(tmp_path):
-    for command, experiment in ((cmd_fig1, "fig1_grid"), (cmd_fig2, "fig2_battery")):
-        seq = tmp_path / experiment / "seq"
-        par = tmp_path / experiment / "par"
-        command(ExperimentSpec(experiment, out=str(seq), jobs=1, **TINY))
-        command(ExperimentSpec(experiment, out=str(par), jobs=2, **TINY))
-        a, b = snapshot(seq), snapshot(par)
-        a.pop("config_resolved.txt")
-        b.pop("config_resolved.txt")
-        assert a == b, experiment
+# the benchmark worker's argv: the command's sizes, then --trials, --jobs 1,
+# --seed and --out
+@pytest.mark.parametrize("command", [
+    ["fig1", "--n", "16", "--dim", "3", "--steps", "30"],
+    ["fig2", "--n", "16", "--dim", "3", "--steps", "30"],
+    ["attract", "--target", "gaussian", "--n", "16", "--dim", "3"],
+], ids=["fig1", "fig2", "attract_gaussian"])
+def test_jobs_one_changes_no_artifact(tmp_path, command):
+    runs = {}
+    for name, jobs in (("jobs", ["--jobs", "1"]), ("plain", [])):
+        out = tmp_path / name
+        assert main(command + ["--trials", "2"] + jobs + ["--seed", "5", "--out", str(out)]) == 0
+        runs[name] = snapshot(out)
+        config = runs[name].pop("config_resolved.txt").decode().splitlines()
+        assert f"out={out}" in config and not any(line.startswith("jobs=") for line in config)
+        runs[name]["config_resolved.txt"] = [line for line in config if not line.startswith("out=")]
+    assert runs["jobs"] == runs["plain"]
 
 
 def test_svg_panel_matches_golden(tmp_path):
