@@ -22,9 +22,10 @@ _write_curves writes every curve CSV and panel. A curve's target column is
 formatted once per (statistic, count) and kept for the whole run when the
 target is a parametric law, or for one trial when it is that trial's
 reference cloud, as row templates (_curve_tails): one string per _CSV_CHUNK
-rows with a "%.17g" slot per value. A panel's trial curves of one length
-share one midpoint_probs array, and a statistic's pooled reference (sorted
-in place) and its probabilities live only while its panels are drawn.
+rows with a "%.17g" slot per value. A panel draws each EDF from its sorted
+values alone (svgplot computes the probabilities per chunk), and a
+statistic's pooled reference, sorted in place, lives only while its panels
+are drawn. The curve CSVs are written after every panel.
 """
 
 from __future__ import annotations
@@ -270,24 +271,25 @@ def _write_curves(out: Path, prefix: str, judged: dict[str, list[dict]],
     for stat, target in targets.items():
         if isinstance(target, tuple):
             (xs, ticks, _), ps = target, _LAW_PS
-        else:  # the pooled reference, sorted in place
+        else:  # the pooled reference, sorted in place, drawn as an EDF
             xs = np.concatenate(target)
             xs.sort()
-            ps, ticks = midpoint_probs(xs.shape[0]), _sorted_quantile(xs, _DECILES)
+            ps, ticks = None, _sorted_quantile(xs, _DECILES)
         for row, trials in judged.items():
             trial_values = [trial[stat][0] for trial in trials]
             hi = max(float(xs[-1]), max(float(v[-1]) for v in trial_values))
             lo = min(0.0, float(xs[0]), min(float(v[0]) for v in trial_values))
-            # trial curves of one length share their probabilities
-            probs = {m: midpoint_probs(m) for m in {v.shape[0] for v in trial_values}}
-            curves = [Curve(v, probs[v.shape[0]], PALETTE[i % len(PALETTE)])
+            x_range = (lo, hi * 1.02)
+            if not x_range[1] > lo:  # every value at or below 0, and within 2% of hi
+                x_range = (lo, hi + 0.02 * max(-lo, 1.0))
+            curves = [Curve(v, None, PALETTE[i % len(PALETTE)])
                       for i, v in enumerate(trial_values)]
             curves.append(Curve(xs, ps, "#000000", width=2.0))
             render_panel(out / f"{prefix}_{row}_{stat}.svg", curves,
-                         title.format(row=row, stat=stat), (lo, hi * 1.02), (0.0, 1.0),
+                         title.format(row=row, stat=stat), x_range, (0.0, 1.0),
                          x_ticks=ticks, y_ticks=_Y_TICKS)
         # released before the next statistic pools its reference
-        del xs, ps, probs, curves
+        del xs, curves
     law_tails: dict[tuple[str, int], tuple[str, ...]] = {}
     for t, row_trials in enumerate(zip(*judged.values())):
         # row templates of the trial's reference columns, dropped with their
@@ -379,10 +381,9 @@ _EVAL_CHOICES = ("wae_mmd", "cwae", "mardia", "radii", "distances")
 
 def cmd_eval(cloud_csv: str, which: str, seed: int, out: str) -> int:
     """Evaluate one statistic on a cloud CSV; prints a report and writes it
-    next to the other artifacts."""
+    next to the other artifacts. A non-finite value raises before anything
+    is printed or written."""
     cloud = PointCloud.from_csv(cloud_csv)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed_note = f" seed={seed}" if which == "wae_mmd" else ""
     print(f"cloud={cloud_csv} n={cloud.n} dim={cloud.dim} which={which}{seed_note}")
     rows: list[tuple[str, float]] = []
@@ -399,8 +400,13 @@ def cmd_eval(cloud_csv: str, which: str, seed: int, out: str) -> int:
         report = radii_test(cloud) if which == "radii" else distance_test(cloud)
         rows = [("ks_linf", report.ks_linf), ("l1_area", report.l1_area),
                 ("sample_size", float(report.sample_size))]
+    for name, value in rows:  # as optimizer.run stops on a non-finite objective
+        if not np.isfinite(value):
+            raise ValueError(f"eval {which}: {name} is not finite ({value})")
     for name, value in rows:
         print(f"{name}=%.17g" % value)
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"eval_{which}.csv", "w", newline="") as fh:
         fh.write("stat,value\n")
         for name, value in rows:

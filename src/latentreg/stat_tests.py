@@ -107,12 +107,16 @@ def pairwise_angles(x: PointCloud) -> np.ndarray:
 BATTERY_TESTS = ("projections", "scalar_products", "angles")
 
 
+def _pair_values(x: PointCloud) -> dict[str, np.ndarray]:
+    """Sorted scalar products and angles of x, the two-sample statistics."""
+    return {"scalar_products": np.sort(pairwise_scalar_products(x)),
+            "angles": np.sort(pairwise_angles(x))}
+
+
 def battery_values(x: PointCloud, dirs: PointCloud) -> dict[str, np.ndarray]:
     """Sorted values of each battery statistic of x, keyed by BATTERY_TESTS;
     projections are onto the unit directions dirs."""
-    return {"projections": np.sort(projections(x, dirs)),
-            "scalar_products": np.sort(pairwise_scalar_products(x)),
-            "angles": np.sort(pairwise_angles(x))}
+    return {"projections": np.sort(projections(x, dirs)), **_pair_values(x)}
 
 
 def battery_ks(values: dict[str, np.ndarray],
@@ -128,12 +132,13 @@ def battery_ks(values: dict[str, np.ndarray],
 
 def reference_battery(seed: int, n: int, dim: int) -> tuple[PointCloud, dict[str, np.ndarray]]:
     """(dirs, ref_values) of one battery trial: calibration.NUM_DIRS unit
-    directions from Rng(seed).derive(3), and the battery_values on them of an
-    n-point prior cloud from Rng(seed).derive(2). A cloud's KS distances are
-    battery_ks(battery_values(cloud, dirs), ref_values)."""
+    directions from Rng(seed).derive(3), and the sorted scalar products and
+    angles of an n-point prior cloud from Rng(seed).derive(2), the two-sample
+    columns of battery_ks (projections are judged against the normal CDF).
+    A cloud's KS distances are battery_ks(battery_values(cloud, dirs),
+    ref_values)."""
     dirs = sample_unit_directions(Rng(seed).derive(3), calibration.NUM_DIRS, dim)
-    reference = sample_standard_normal(Rng(seed).derive(2), n, dim)
-    return dirs, battery_values(reference, dirs)
+    return dirs, _pair_values(sample_standard_normal(Rng(seed).derive(2), n, dim))
 
 
 def battery_bands(n: int, dim: int) -> dict[str, float | None]:

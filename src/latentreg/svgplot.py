@@ -13,6 +13,11 @@ the full one. Each kept point has the text "%.3f,%.3f" of the scalar pixel
 arithmetic, and the points are joined with single spaces. The curve CSVs
 written next to a panel keep every point.
 
+An EDF curve is given by its sorted values alone (ys None): the probability
+of its k-th of m points is (k + 0.5)/m, computed from the point index one
+chunk at a time with the float operations of midpoint_probs(m), so no
+curve-length probability array exists.
+
 A curve is clipped, mapped, thinned and formatted in chunks of _CHUNK
 points. Three things cross a chunk boundary: the last inside pixel point,
 the running path length (one sequential sum, so every partial sum has the
@@ -41,12 +46,15 @@ PALETTE = [
 
 
 class Curve:
-    def __init__(self, xs: Sequence[float], ys: Sequence[float],
+    """The points (xs[k], ys[k]), or with ys None the EDF of the sorted
+    values xs, at the midpoint probabilities (k + 0.5)/m."""
+
+    def __init__(self, xs: Sequence[float], ys: Sequence[float] | None,
                  color: str, width: float = 1.0) -> None:
-        if len(xs) != len(ys):
+        if ys is not None and len(xs) != len(ys):
             raise ValueError("xs and ys lengths differ")
         self.xs = np.asarray(xs, dtype=np.float64)
-        self.ys = np.asarray(ys, dtype=np.float64)
+        self.ys = None if ys is None else np.asarray(ys, dtype=np.float64)
         self.color = color
         self.width = width
 
@@ -67,9 +75,10 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
         np.column_stack((xs, ys)).ravel().tolist())
 
 
-def _polyline(xs: np.ndarray, ys: np.ndarray, x_range: tuple[float, float],
+def _polyline(xs: np.ndarray, ys: np.ndarray | None, x_range: tuple[float, float],
               px, py) -> str:
-    """The kept points of the curve (xs, ys) as _points text: the points with
+    """The kept points of the curve (xs, ys) as _points text (ys None: the
+    EDF's midpoint probabilities, one chunk at a time): the points with
     x in x_range, mapped by px and py, thinned to the first, the last and each
     one whose path length from the first, as |dx| + |dy|, enters a new
     _TOLERANCE_PX cell. A dropped point lies within a path length, and so a
@@ -81,12 +90,15 @@ def _polyline(xs: np.ndarray, ys: np.ndarray, x_range: tuple[float, float],
     last_x = last_y = None
     path, cell = 0.0, -1.0
     last_kept = True
-    for i in range(0, xs.shape[0], _CHUNK):
+    m = xs.shape[0]
+    for i in range(0, m, _CHUNK):
         chunk = xs[i:i + _CHUNK]
         inside = (chunk >= x0) & (chunk <= x1)
+        # an EDF's ys are midpoint_probs(m)[i:i + len(chunk)], operation for operation
+        chunk_ys = (np.arange(i, i + chunk.shape[0]) + 0.5) / m if ys is None else ys[i:i + _CHUNK]
         # px and py run elementwise: the same float operations, in the same
         # order, as on one scalar, so each point keeps its bits and its text
-        cx, cy = px(chunk[inside]), py(ys[i:i + _CHUNK][inside])
+        cx, cy = px(chunk[inside]), py(chunk_ys[inside])
         if cx.shape[0] == 0:
             continue
         if last_x is None:  # the first point is its own predecessor

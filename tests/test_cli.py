@@ -263,6 +263,26 @@ def test_fig2_degenerate_two_points(tmp_path):
     assert (tmp_path / "o" / "fig2_summary.csv").exists()
 
 
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_fig2_on_a_line_draws_every_panel(tmp_path, seed):
+    # two points in one dimension: at seeds 1, 3 and 6 every angle is 0, so
+    # a panel's values span no x range
+    out = tmp_path / "o"
+    assert main(["fig2", "--n", "2", "--dim", "1", "--trials", "1", "--steps", "2",
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    assert len(list(out.glob("fig2_*.svg"))) == 6
+
+
+def test_panel_of_equal_negative_values_gets_a_nonempty_range(tmp_path):
+    # (lo, 1.02 hi) = (-1, -1.02) is empty: the panel ends 2% of |lo| past hi
+    values = np.full(3, -1.0)
+    cli._write_curves(tmp_path, "p", {"row": [{"stat": (values, 0.0)}]},
+                      {"stat": [values]}, "{row} {stat}")
+    text = (tmp_path / "p_row_stat.svg").read_text()
+    assert '<polyline points="60.000,' in text  # drawn at the left edge, x = lo
+    assert (tmp_path / "p_row_stat_trial00.csv").exists()
+
+
 def test_attract_gaussian_demo_matches_fig1_bottom_row(tmp_path):
     fig_out = tmp_path / "fig"
     demo_out = tmp_path / "demo"
@@ -338,6 +358,21 @@ def test_eval_cwae_on_a_one_column_cloud_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert "dim >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["wae_mmd", "cwae", "mardia", "radii", "distances"])
+def test_eval_non_finite_statistic_exits_2_before_writing(tmp_path, capsys, which):
+    # squares of 1e308 overflow: each statistic reads nan or inf
+    path = tmp_path / "huge.csv"
+    PointCloud(np.array([[1e308, -1e308], [-1e308, 1e308]])).to_csv(path)
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        code = main(["eval", "--cloud", str(path), "--which", which, "--out", str(out)])
+    assert code == 2
+    first = {"wae_mmd": "wae_mmd", "cwae": "cwae", "mardia": "skewness_stat",
+             "radii": "l1_area", "distances": "l1_area"}[which]
+    assert f"eval {which}: {first} is not finite" in capsys.readouterr().err
+    assert not (out / f"eval_{which}.csv").exists()
 
 
 def test_eval_mardia_zero_cloud(tmp_path):
@@ -615,15 +650,17 @@ def test_svg_polylines_are_thinned_to_half_a_pixel(tmp_path, size):
             assert kept == full
 
 
-def test_large_edf_panel_matches_golden(tmp_path):
+@pytest.mark.parametrize("probs", [True, False], ids=["probs", "edf"])
+def test_large_edf_panel_matches_golden(tmp_path, probs):
     # the shape of a fig2 scalar-product panel: twenty 4,950-point trial
-    # EDFs and a 99,000-point reference EDF
+    # EDFs and a 99,000-point reference EDF, given their midpoint
+    # probabilities or drawn from their values alone
     trials = [np.sort(Rng(t).normal(4_950)) for t in range(20)]
     reference = np.sort(Rng(99).normal(99_000))
-    curves = [Curve(v, midpoint_probs(v.shape[0]), svgplot.PALETTE[t % 10])
+    curves = [Curve(v, midpoint_probs(v.shape[0]) if probs else None, svgplot.PALETTE[t % 10])
               for t, v in enumerate(trials)]
-    curves.append(Curve(reference, midpoint_probs(reference.shape[0]), "#000000",
-                        width=2.0))
+    curves.append(Curve(reference, midpoint_probs(reference.shape[0]) if probs else None,
+                        "#000000", width=2.0))
     path = tmp_path / "panel_large_edf.svg"
     render_panel(path, curves, "large EDF panel", (-5.0, 5.0), (0.0, 1.0),
                  x_ticks=(-2.0, 0.0, 2.0), y_ticks=(0.0, 0.5, 1.0))
@@ -639,8 +676,9 @@ def _whole_curve_points(curve, x_range, y_range):
     plot_w = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
     plot_h = svgplot.HEIGHT - svgplot.MARGIN_T - svgplot.MARGIN_B
     inside = (curve.xs >= x0) & (curve.xs <= x1)
+    probs = midpoint_probs(curve.xs.shape[0]) if curve.ys is None else curve.ys
     xs = svgplot.MARGIN_L + (curve.xs[inside] - x0) / (x1 - x0) * plot_w
-    ys = svgplot.HEIGHT - svgplot.MARGIN_B - (curve.ys[inside] - y0) / (y1 - y0) * plot_h
+    ys = svgplot.HEIGHT - svgplot.MARGIN_B - (probs[inside] - y0) / (y1 - y0) * plot_h
     keep = np.ones(xs.shape[0], dtype=bool)
     if xs.shape[0] > 2:
         path = np.cumsum(np.abs(np.diff(xs)) + np.abs(np.diff(ys)))
@@ -650,14 +688,15 @@ def _whole_curve_points(curve, x_range, y_range):
 
 
 def _chunk_edge_curves():
-    """Curves whose clipping and thinning meet render_panel's chunk boundaries."""
+    """Curves whose clipping and thinning meet render_panel's chunk boundaries;
+    the last lies wholly outside the x range (-2.5, 2.5)."""
     chunk = svgplot._CHUNK
     rng = np.random.default_rng(29)
-    curves = []
+    curves, edfs = [], []
     for size in (chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
         edf = np.sort(rng.normal(size=size))
-        curves.append(Curve(edf, midpoint_probs(size), "#1f77b4"))  # dense: most dropped
-        curves.append(Curve(rng.uniform(-2.0, 2.0, size=size),      # sparse: most kept
+        edfs.append(edf)  # dense: most dropped
+        curves.append(Curve(rng.uniform(-2.0, 2.0, size=size),  # sparse: most kept
                             rng.uniform(-0.2, 1.2, size=size), "#ff7f0e"))
         # clipped points on both sides of each chunk boundary
         clipped = edf.copy()
@@ -665,7 +704,10 @@ def _chunk_edge_curves():
             clipped[edge - 3:edge - 1] = -9.0
             clipped[edge:edge + 2] = 9.0
         clipped[-2:] = -9.0
-        curves.append(Curve(clipped, midpoint_probs(size), "#2ca02c"))
+        edfs.append(clipped)
+    # the EDF curves, given their midpoint probabilities and drawn without
+    curves += [Curve(v, midpoint_probs(v.shape[0]), "#1f77b4") for v in edfs]
+    curves += [Curve(v, None, "#2ca02c") for v in edfs]
     # one inside point per chunk
     lone = np.full(3 * chunk + 5, 9.0)
     lone[np.arange(2, lone.shape[0], chunk)] = [-1.0, 0.5, 1.5, 2.0]
@@ -692,8 +734,8 @@ def test_chunked_polylines_match_the_whole_curve_rule(tmp_path):
 
 def test_panel_memory_does_not_grow_with_the_curve(tmp_path):
     size = 1_000_000
-    curve = Curve(np.sort(np.random.default_rng(30).normal(size=size)), midpoint_probs(size),
-                  "#000000")
+    # an EDF: no 8 MB probability array, in the curve or in the renderer
+    curve = Curve(np.sort(np.random.default_rng(30).normal(size=size)), None, "#000000")
     tracemalloc.start()
     try:
         render_panel(tmp_path / "panel.svg", [curve], "large", (-5.0, 5.0))
@@ -701,3 +743,10 @@ def test_panel_memory_does_not_grow_with_the_curve(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_curve_probabilities_must_match_the_values():
+    Curve([0.0, 1.0], None, "#000000")
+    for ys in ([0.5], [0.1, 0.5, 0.9]):
+        with pytest.raises(ValueError, match="lengths differ"):
+            Curve([0.0, 1.0], ys, "#000000")
