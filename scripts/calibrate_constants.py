@@ -6,8 +6,9 @@ pairwise-distance KS, pooled projections, two-sample product/angle tests, and
 the quantile-mismatch objective of true prior samples) get their reference
 medians and 95th percentiles estimated from seeded prior draws at the scale
 that calibration.py itself sets (N, DIM, TRIALS, BASE_SEED, NUM_DIRS). Each
-trial's battery reference is stat_tests.reference_battery, as in fig2. Run
-from the repository root:
+trial's cloud is judged by stat_tests.judge, as in fig1 and fig2, with its
+battery reference from stat_tests.reference_battery. Run from the
+repository root:
 
     python scripts/calibrate_constants.py          # rewrite the measured values
     python scripts/calibrate_constants.py --check  # compare, write nothing
@@ -37,14 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from latentreg.calibration import BASE_SEED, DIM, N, TRIALS  # noqa: E402
 from latentreg.cdf_attract import build_target_quantiles, cdf_objective  # noqa: E402
 from latentreg.sampling import Rng, sample_standard_normal  # noqa: E402
-from latentreg.stat_tests import (  # noqa: E402
-    BATTERY_TESTS,
-    battery_ks,
-    battery_values,
-    distance_test,
-    radii_test,
-    reference_battery,
-)
+from latentreg.stat_tests import BATTERY_TESTS, judge, reference_battery  # noqa: E402
 
 CHECK_RTOL = 1e-12
 
@@ -60,12 +54,12 @@ def constants() -> dict[str, float]:
     for trial in range(TRIALS):
         cloud = sample_standard_normal(Rng(BASE_SEED + trial), N, DIM)
         dbar.append(cdf_objective(cloud, targets))
-        radii_ks.append(radii_test(cloud).ks_linf)
-        dist_ks.append(distance_test(cloud).ks_linf)
-        dirs, ref_values = reference_battery(BASE_SEED + trial, N, DIM)
-        ks = battery_ks(battery_values(cloud, dirs), ref_values)
+        judged = judge(cloud)
+        radii_ks.append(judged["radii"].report.ks_linf)
+        dist_ks.append(judged["distances"].report.ks_linf)
+        judged = judge(cloud, reference_battery(BASE_SEED + trial, N, DIM))
         for test in BATTERY_TESTS:
-            battery[test].append(ks[test])
+            battery[test].append(judged[test].report)
         if (trial + 1) % 50 == 0:
             print(f"{trial + 1}/{TRIALS} trials done", flush=True)
 

@@ -220,7 +220,7 @@ def cdf_objective(x: PointCloud, targets: TargetQuantiles, norm: str = "l1") -> 
     return term_r + term_d
 
 
-_COORD_KINDS = ("gaussian", "uniform01", "quantized_uniform", "torus_uniform01")
+_COORD_KINDS = ("gaussian", "uniform01", "quantized", "torus")
 # the largest rate at which every codeword centre (m + 0.5)/2^bits, a ratio of
 # an odd integer below 2^(bits+1) to a power of two, is an exact double
 MAX_BITS = 52
@@ -236,24 +236,24 @@ class CoordinateTarget:
     def __post_init__(self) -> None:
         if self.kind not in _COORD_KINDS:
             raise ValueError(f"unknown coordinate target {self.kind!r}")
-        if self.kind == "quantized_uniform":
+        if self.kind == "quantized":
             if self.bits is None or not 1 <= self.bits <= MAX_BITS:
-                raise ValueError(f"quantized_uniform needs bits in [1, {MAX_BITS}]")
+                raise ValueError(f"quantized needs bits in [1, {MAX_BITS}]")
         elif self.bits is not None:
-            raise ValueError("bits only applies to quantized_uniform")
+            raise ValueError("bits only applies to quantized")
 
     @property
     def wraps(self) -> bool:
-        return self.kind == "torus_uniform01"
+        return self.kind == "torus"
 
     def rank_positions(self, n: int) -> np.ndarray:
         """Ideal coordinate values of the 0-based ranks 0..n-1, in rank order."""
-        if self.kind == "quantized_uniform":
+        if self.kind == "quantized":
             return _codeword_centres(np.arange(n) / n, self.bits)
         probs = midpoint_probs(n)
         if self.kind == "gaussian":
             return normal_inv_cdf(probs)
-        return probs  # uniform01 and torus_uniform01
+        return probs  # uniform01 and torus
 
 
 def _codeword_centres(u: np.ndarray, bits: int) -> np.ndarray:

@@ -17,15 +17,14 @@ only 1 and is not part of the spec: it is kept only because the benchmark
 worker passes it.
 
 fig1 and fig2 differ only in the clouds they make and in their summary CSVs:
-_judge sorts each statistic of a cloud and takes its KS distance, and
-_write_curves writes every curve CSV and panel. A curve's target column is
-formatted once per (statistic, count) and kept for the whole run when the
-target is a parametric law, or for one trial when it is that trial's
-reference cloud, as row templates (_curve_tails): one string per _CSV_CHUNK
-rows with a "%.17g" slot per value. A panel draws each EDF from its sorted
-values alone (svgplot computes the probabilities per chunk), and a
-statistic's pooled reference, sorted in place, lives only while its panels
-are drawn. The curve CSVs are written after every panel.
+stat_tests.judge sorts each statistic of a cloud, takes its KS distance and
+names its target, and _write_curves writes every curve CSV and panel against
+it. A curve's target column is formatted once per (statistic, count) as row
+templates (_curve_tails: one string per _CSV_CHUNK rows with a "%.17g" slot
+per value), kept for the run for a law and for one trial for a reference
+cloud. A panel draws each EDF from its sorted values alone (svgplot computes
+the probabilities per chunk); a pooled reference, sorted in place, lives only
+while its panels are drawn. The curve CSVs are written after every panel.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ from .cdf_attract import (
     CoordinateTarget,
     build_target_quantiles,
     cdf_objective,
-    chi2_quantile_table,
-    cloud_stats,
     codeword_fraction,
     coordinate_step,
     midpoint_probs,
@@ -60,17 +57,7 @@ from .optimizer import (
     trace_to_csv,
 )
 from .sampling import PointCloud, Rng, sample_standard_normal, sample_uniform_cube
-from .specfun import ChiSquare, chi2_inv_cdf, normal_inv_cdf
-from .stat_tests import (
-    BATTERY_TESTS,
-    battery_bands,
-    battery_ks,
-    battery_values,
-    chi2_report,
-    distance_test,
-    radii_test,
-    reference_battery,
-)
+from .stat_tests import BATTERY_TESTS, Law, battery_bands, judge, reference_battery
 from .svgplot import PALETTE, Curve, render_panel
 
 # run defaults for the optimized EDF-grid rows; the baseline budgets are not
@@ -164,9 +151,7 @@ def run_attraction_trial(spec: ExperimentSpec, trial_seed: int):
     gaussian demo; returns (final cloud, trace). The run starts from
     initial_cloud(_attraction_config(spec, trial_seed))."""
     targets = build_target_quantiles(spec.n, spec.dim)
-    config = _attraction_config(spec, trial_seed)
-    objective = CdfAttractionObjective(targets)
-    return run(config, objective)
+    return run(_attraction_config(spec, trial_seed), CdfAttractionObjective(targets))
 
 
 def _run_baseline_trial(spec: ExperimentSpec, trial_seed: int, kind: str) -> PointCloud:
@@ -238,41 +223,22 @@ _LAW_PS = np.linspace(0.001, 0.999, 200)
 _Y_TICKS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def _judge(cloud: PointCloud, battery=None) -> dict[str, tuple[np.ndarray, object]]:
-    """{stat: (sorted values, KS)} of a cloud. Without a battery the stats are
-    its squared radii and half squared pair distances (cloud_stats), each
-    with its chi2_report against chi-squared(dim); with battery = (dirs,
-    reference values) of reference_battery they are BATTERY_TESTS, each with
-    its battery_ks distance."""
-    if battery is None:
-        stats = {stat: np.sort(v) for stat, v in cloud_stats(cloud)._asdict().items()}
-        return {stat: (v, chi2_report(v, cloud.dim)) for stat, v in stats.items()}
-    values = battery_values(cloud, battery[0])
-    ks = battery_ks(values, battery[1])
-    return {test: (values[test], ks[test]) for test in BATTERY_TESTS}
-
-
-def _law(icdf, midpoint_table) -> tuple:
-    """A parametric law as _write_curves takes it, evaluated once however
-    many statistics share it: its inverse CDF on the panel grid and at the
-    deciles, and midpoint_table(count), its inverse CDF at
-    midpoint_probs(count)."""
-    return icdf(_LAW_PS), icdf(_DECILES), midpoint_table
-
-
-def _write_curves(out: Path, prefix: str, judged: dict[str, list[dict]],
-                  targets: dict, title: str) -> None:
-    """Every curve CSV and SVG panel of judged = {row: [judged trial]}:
+def _write_curves(out: Path, prefix: str, judged: dict[str, list[dict]], title: str) -> None:
+    """Every curve CSV and SVG panel of judged = {row: [judge of each trial]}:
     out/{prefix}_{row}_{stat}_trial{t:02d}.csv per trial, and a panel
-    out/{prefix}_{row}_{stat}.svg of the trials' EDFs over the target CDF,
-    titled title.format(row=row, stat=stat). targets[stat] is a parametric
-    law from _law, or a reference cloud's sorted values per trial: trial t's
-    curves take their quantiles and the panels their pooled EDF."""
-    for stat, target in targets.items():
-        if isinstance(target, tuple):
-            (xs, ticks, _), ps = target, _LAW_PS
+    out/{prefix}_{row}_{stat}.svg of the trials' EDFs over the judge's target,
+    titled title.format(row=row, stat=stat). A Law is drawn once however many
+    statistics share it; trial t's reference values, the same for every row,
+    give its curves their quantiles and the panels their pooled EDF."""
+    first = next(iter(judged.values()))
+    laws: dict[Law, tuple[np.ndarray, np.ndarray]] = {}  # on the panel grid and at the deciles
+    for stat, (_, _, target) in first[0].items():
+        if isinstance(target, Law):
+            if target not in laws:
+                laws[target] = target.inv_cdf(_LAW_PS), target.inv_cdf(_DECILES)
+            (xs, ticks), ps = laws[target], _LAW_PS
         else:  # the pooled reference, sorted in place, drawn as an EDF
-            xs = np.concatenate(target)
+            xs = np.concatenate([trial[stat].target for trial in first])
             xs.sort()
             ps, ticks = None, _sorted_quantile(xs, _DECILES)
         for row, trials in judged.items():
@@ -296,14 +262,14 @@ def _write_curves(out: Path, prefix: str, judged: dict[str, list[dict]],
         # trial: kept for a 20-trial fig2 run at n=100 they would add about 9 MB
         reference_tails: dict[tuple[str, int], tuple[str, ...]] = {}
         for row, trial in zip(judged, row_trials):
-            for stat, (values, _) in trial.items():
-                target, key = targets[stat], (stat, values.shape[0])
-                law = isinstance(target, tuple)
+            for stat, (values, _, target) in trial.items():
+                key = (stat, values.shape[0])
+                law = isinstance(target, Law)
                 tails = law_tails if law else reference_tails
                 if key not in tails:
                     probs = midpoint_probs(key[1])
-                    tails[key] = _curve_tails(target[2](key[1]) if law
-                                              else _sorted_quantile(target[t], probs), probs)
+                    tails[key] = _curve_tails(target.midpoint_table(key[1]) if law
+                                              else _sorted_quantile(target, probs), probs)
                 _write_curve_csv(out / f"{prefix}_{row}_{stat}_trial{t:02d}.csv",
                                  values, tails[key])
 
@@ -321,21 +287,19 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
         clouds["wae_mmd"] = _run_baseline_trial(spec, trial_seed, "wae_mmd")
         clouds["cwae"] = _run_baseline_trial(spec, trial_seed, "cwae")
         clouds["attract"], trace = run_attraction_trial(spec, trial_seed)
-        trace_to_csv(trace, out / f"fig1_attract_trial{t:02d}_trace.csv")
+        trace_to_csv(trace, out / f"fig1_attract_trial{t:02d}_trace.csv",
+                     CdfAttractionObjective.TRACE_KEYS)
         for row, cloud in clouds.items():
             cloud.to_csv(out / f"fig1_{row}_trial{t:02d}_cloud.csv")
             narrow = (cloud.data ** 2).sum(1).mean() < spec.dim
             directions.setdefault(row, []).append("narrow" if narrow else "wide")
-            judged.setdefault(row, []).append(_judge(cloud))
-    chi2 = ChiSquare(spec.dim)
-    law = _law(lambda p: chi2_inv_cdf(chi2, p), lambda m: chi2_quantile_table(m, spec.dim))
-    _write_curves(out, "fig1", judged, dict.fromkeys(("radii", "distances"), law),
-                  "{row}: sorted {stat} vs chi2(%d) CDF" % spec.dim)
+            judged.setdefault(row, []).append(judge(cloud))
+    _write_curves(out, "fig1", judged, "{row}: sorted {stat} vs chi2(%d) CDF" % spec.dim)
     with open(out / "fig1_summary.csv", "w", newline="") as fh:
         fh.write("row,trial,stat,ks_linf,l1_area,direction\n")
         for row, trials in judged.items():
             for t, trial in enumerate(trials):
-                for stat, (_, rep) in trial.items():
+                for stat, (_, rep, _) in trial.items():
                     fh.write("%s,%d,%s,%.17g,%.17g,%s\n"
                              % (row, t, stat, rep.ks_linf, rep.l1_area, directions[row][t]))
     return 0
@@ -347,7 +311,6 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
     out = spec.out_dir()
     spec.echo(out)
     judged: dict[str, list[dict]] = {"iid": [], "attract": []}
-    references = []
     for t in range(spec.trials):
         trial_seed = spec.seed + t
         attract_cloud, _ = run_attraction_trial(spec, trial_seed)
@@ -355,13 +318,9 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
         iid_cloud = sample_standard_normal(Rng(trial_seed).derive(4), spec.n, spec.dim)
         # every cloud projects onto the same per-trial direction set
         battery = reference_battery(trial_seed, spec.n, spec.dim)
-        judged["iid"].append(_judge(iid_cloud, battery))
-        judged["attract"].append(_judge(attract_cloud, battery))
-        references.append(battery[1])
-    targets = {"projections": _law(normal_inv_cdf, lambda m: normal_inv_cdf(midpoint_probs(m)))}
-    for test in BATTERY_TESTS[1:]:
-        targets[test] = [ref_values[test] for ref_values in references]
-    _write_curves(out, "fig2", judged, targets, "{row}: {stat} EDF")
+        judged["iid"].append(judge(iid_cloud, battery))
+        judged["attract"].append(judge(attract_cloud, battery))
+    _write_curves(out, "fig2", judged, "{row}: {stat} EDF")
     bands = battery_bands(spec.n, spec.dim)
     with open(out / "fig2_summary.csv", "w", newline="") as fh:
         fh.write("side,test,trial,ks_linf,band_q95,pass\n")
@@ -370,7 +329,7 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
                 band = bands[test]
                 band_s = "" if band is None else "%.17g" % band
                 for t, trial in enumerate(trials):
-                    ks = trial[test][1]
+                    ks = trial[test].report
                     ok = "" if band is None else str(int(ks <= band))
                     fh.write("%s,%s,%d,%.17g,%s,%s\n" % (side, test, t, ks, band_s, ok))
     return 0
@@ -397,7 +356,7 @@ def cmd_eval(cloud_csv: str, which: str, seed: int, out: str) -> int:
     elif which == "cwae":
         rows = [("cwae", cwae(cloud))]
     else:
-        report = radii_test(cloud) if which == "radii" else distance_test(cloud)
+        report = judge(cloud)[which].report
         rows = [("ks_linf", report.ks_linf), ("l1_area", report.l1_area),
                 ("sample_size", float(report.sample_size))]
     for name, value in rows:  # as optimizer.run stops on a non-finite objective
@@ -440,13 +399,12 @@ def cmd_attract_demo(spec: ExperimentSpec) -> int:
         if target_name == "gaussian":
             before = initial_cloud(_attraction_config(spec, trial_seed))
             after, trace = run_attraction_trial(spec, trial_seed)
-            trace_to_csv(trace, out / f"attract_gaussian_trial{t:02d}_trace.csv")
+            trace_to_csv(trace, out / f"attract_gaussian_trial{t:02d}_trace.csv",
+                         CdfAttractionObjective.TRACE_KEYS)
             final_obj = cdf_objective(after, build_target_quantiles(spec.n, spec.dim))
             summary = ("final_objective", final_obj)
         else:
-            kind = {"uniform01": "uniform01", "torus": "torus_uniform01",
-                    "quantized": "quantized_uniform"}[target_name]
-            coord_target = CoordinateTarget(kind, spec.bits)
+            coord_target = CoordinateTarget(target_name, spec.bits)
             before = sample_uniform_cube(Rng(trial_seed), spec.n, spec.dim, 0.0, 1.0)
             after = before
             for _ in range(spec.steps or COORD_STEPS):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -191,6 +191,8 @@ class CdfAttractionObjective:
     Nothing else carries over from one cloud to the next."""
 
     deterministic = True
+    # the keys of trace_extras, in trace_to_csv's column order
+    TRACE_KEYS = ("distance_term", "radii_term")
 
     def __init__(self, targets: cdf_attract.TargetQuantiles) -> None:
         self.targets = targets
@@ -292,12 +294,11 @@ def run(config: RunConfig, objective) -> tuple[PointCloud, list[TraceRow]]:
     return x, trace
 
 
-def trace_to_csv(trace: Iterable[TraceRow], path) -> None:
-    """Write a trace as CSV. Wall time is left out so reruns of the same
-    configuration produce byte-identical files."""
-    trace = list(trace)
-    extra_keys = sorted({k for row in trace for k in row.extras})
-    header = ["step", "objective", "alpha"] + extra_keys
+def trace_to_csv(trace: Iterable[TraceRow], path, extra_keys: Sequence[str]) -> None:
+    """Write a trace as CSV, the extras in the columns extra_keys (the
+    objective's TRACE_KEYS), so a trace with no row has them too. Wall time is
+    left out so reruns of the same configuration produce byte-identical files."""
+    header = ["step", "objective", "alpha", *extra_keys]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in trace:

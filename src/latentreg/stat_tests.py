@@ -7,20 +7,23 @@ pairwise scalar products and angles compared two-sample with a reference
 cloud. These are reproduction/diagnostic statistics, not calibrated
 p-values; thresholds for the dependent ones come from Monte Carlo runs
 (latentreg.calibration, read by battery_bands; see reference_battery).
+judge is the one place that pairs a statistic with its target: a Law
+(chi-squared for radii and distances, N(0, 1) for projections) or a
+reference cloud's sorted values (scalar products and angles).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import calibration
-from .cdf_attract import chi2_quantile_table, cloud_stats
+from .cdf_attract import chi2_quantile_table, cloud_stats, midpoint_probs
 from .sampling import PointCloud, Rng, _pair_flat_indices, sample_standard_normal, sample_unit_directions
-from .specfun import ChiSquare, chi2_cdf, normal_cdf
+from .specfun import ChiSquare, chi2_cdf, chi2_inv_cdf, normal_cdf, normal_inv_cdf
 
 
 @dataclass
@@ -55,25 +58,33 @@ def ks_statistic_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def chi2_report(values: np.ndarray, dim: int) -> TestReport:
-    """KS distance and quantile-mismatch area of values against the
-    chi-squared(dim) CDF."""
+class Law(NamedTuple):
+    """A parametric target: cdf gives a KS distance, inv_cdf draws the law, and
+    midpoint_table(m) = inv_cdf(midpoint_probs(m)) is an m-value curve's column."""
+
+    cdf: Callable[[np.ndarray], np.ndarray]
+    inv_cdf: Callable[[np.ndarray], np.ndarray]
+    midpoint_table: Callable[[int], np.ndarray]
+
+
+def _chi2_law(dim: int) -> Law:
     dist = ChiSquare(dim)
-    ks = ks_statistic(values, lambda t: chi2_cdf(dist, t))
-    table = chi2_quantile_table(values.shape[0], dim)
-    area = float(np.mean(np.abs(np.sort(values) - table)))
-    return TestReport(ks, area, int(values.shape[0]))
+    return Law(lambda t: chi2_cdf(dist, t), lambda p: chi2_inv_cdf(dist, p),
+               lambda m: chi2_quantile_table(m, dim))
 
 
-def radii_test(x: PointCloud) -> TestReport:
-    """Squared radii against the chi-squared(dim) CDF."""
-    return chi2_report((x.data * x.data).sum(1), x.dim)
+# lambdas, so that each call looks its function up as a direct call does
+NORMAL_LAW = Law(lambda t: normal_cdf(t), lambda p: normal_inv_cdf(p),
+                 lambda m: normal_inv_cdf(midpoint_probs(m)))
 
 
-def distance_test(x: PointCloud) -> TestReport:
-    """Half squared pairwise distances, the values the attraction sorts,
+def chi2_report(sorted_values: np.ndarray, dim: int) -> TestReport:
+    """KS distance and quantile-mismatch area of values, sorted ascending,
     against the chi-squared(dim) CDF."""
-    return chi2_report(cloud_stats(x).distances, x.dim)
+    m, law = sorted_values.shape[0], _chi2_law(dim)
+    ks = ks_statistic(sorted_values, law.cdf)
+    area = float(np.mean(np.abs(sorted_values - law.midpoint_table(m))))
+    return TestReport(ks, area, int(m))
 
 
 def projections(x: PointCloud, dirs: PointCloud) -> np.ndarray:
@@ -119,15 +130,20 @@ def battery_values(x: PointCloud, dirs: PointCloud) -> dict[str, np.ndarray]:
     return {"projections": np.sort(projections(x, dirs)), **_pair_values(x)}
 
 
+def _battery_targets(reference_values: dict[str, np.ndarray]) -> dict[str, Law | np.ndarray]:
+    """Each battery test's target: projections the standard normal law, scalar
+    products and angles a reference cloud's sorted values."""
+    return {"projections": NORMAL_LAW, **{t: reference_values[t] for t in BATTERY_TESTS[1:]}}
+
+
 def battery_ks(values: dict[str, np.ndarray],
                reference_values: dict[str, np.ndarray]) -> dict[str, float]:
     """KS distance of each battery statistic: projections one-sample against
     the standard normal CDF, scalar products and angles two-sample against
     a reference cloud's values (both from battery_values)."""
-    ks = {"projections": ks_statistic(values["projections"], normal_cdf)}
-    for test in ("scalar_products", "angles"):
-        ks[test] = ks_statistic_two_sample(values[test], reference_values[test])
-    return ks
+    return {test: ks_statistic(values[test], target.cdf) if isinstance(target, Law)
+            else ks_statistic_two_sample(values[test], target)
+            for test, target in _battery_targets(reference_values).items()}
 
 
 def reference_battery(seed: int, n: int, dim: int) -> tuple[PointCloud, dict[str, np.ndarray]]:
@@ -139,6 +155,30 @@ def reference_battery(seed: int, n: int, dim: int) -> tuple[PointCloud, dict[str
     ref_values)."""
     dirs = sample_unit_directions(Rng(seed).derive(3), calibration.NUM_DIRS, dim)
     return dirs, _pair_values(sample_standard_normal(Rng(seed).derive(2), n, dim))
+
+
+class Judged(NamedTuple):
+    """A statistic's values sorted ascending, its KS report (a chi2_report or a
+    battery_ks distance) and the target it is judged and drawn against."""
+
+    values: np.ndarray
+    report: TestReport | float
+    target: Law | np.ndarray
+
+
+def judge(cloud: PointCloud, battery=None) -> dict[str, Judged]:
+    """Every statistic of a cloud, sorted once. Without a battery they are its
+    squared radii and half squared pair distances (cloud_stats), each with its
+    chi2_report; with battery = (dirs, reference values) of reference_battery
+    they are BATTERY_TESTS, each with its battery_ks distance."""
+    if battery is None:
+        law = _chi2_law(cloud.dim)
+        stats = {stat: np.sort(v) for stat, v in cloud_stats(cloud)._asdict().items()}
+        return {stat: Judged(v, chi2_report(v, cloud.dim), law) for stat, v in stats.items()}
+    values = battery_values(cloud, battery[0])
+    ks = battery_ks(values, battery[1])
+    return {test: Judged(values[test], ks[test], target)
+            for test, target in _battery_targets(battery[1]).items()}
 
 
 def battery_bands(n: int, dim: int) -> dict[str, float | None]:

@@ -48,11 +48,16 @@ from latentreg.optimizer import CdfAttractionObjective, CwaeObjective, RunConfig
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal
 from latentreg.specfun import ChiSquare, chi2_cdf, chi2_inv_cdf
 from latentreg.stat_tests import (BATTERY_TESTS, battery_bands, battery_ks, battery_values,
-                                  radii_test, reference_battery)
+                                  judge, reference_battery)
 
 N, DIM = 200, 20
 BASE_SEED = 1  # the CLI default; trial seeds are BASE_SEED + t
 TRIALS = 10
+
+
+def radii_ks(cloud: PointCloud) -> float:
+    """The squared radii's KS distance from chi-squared(D), as fig1 judges it."""
+    return judge(cloud)["radii"].report.ks_linf
 
 
 def report(criterion: int, ok: bool, description: str, detail: str = "") -> None:
@@ -249,7 +254,7 @@ def test_criterion_5_baselines_deviate_from_chi2(baseline_minimized_clouds):
         hits = 0
         directions = []
         for cloud in baseline_minimized_clouds[kind]:
-            ks = radii_test(cloud).ks_linf
+            ks = radii_ks(cloud)
             hits += ks >= threshold
             mean_r = float((cloud.data ** 2).sum(1).mean())
             directions.append("narrow" if mean_r < DIM else "wide")
@@ -312,11 +317,10 @@ def test_fig1_summary_median_ks_ordering(battery_attraction_clouds,
                                          baseline_minimized_clouds):
     # the EDF-grid rows order as: attraction below prior-sample noise, both
     # far below the minimized baselines
-    attract = np.median([radii_test(c).ks_linf for c in battery_attraction_clouds])
-    gaussian = np.median([radii_test(sample_standard_normal(Rng(BASE_SEED + t), N, DIM)).ks_linf
+    attract = np.median([radii_ks(c) for c in battery_attraction_clouds])
+    gaussian = np.median([radii_ks(sample_standard_normal(Rng(BASE_SEED + t), N, DIM))
                           for t in range(TRIALS)])
-    cwae_ks = np.median([radii_test(c).ks_linf
-                         for c in baseline_minimized_clouds["cwae"]])
+    cwae_ks = np.median([radii_ks(c) for c in baseline_minimized_clouds["cwae"]])
     assert attract < gaussian < cwae_ks
 
 

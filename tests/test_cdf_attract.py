@@ -372,7 +372,7 @@ def test_midpoint_probs_match_rank_positions():
 
 
 @pytest.mark.parametrize("kind,bits", [("gaussian", None), ("uniform01", None),
-                                       ("torus_uniform01", None), ("quantized_uniform", 2)])
+                                       ("torus", None), ("quantized", 2)])
 def test_coordinate_targets_match_the_per_point_rank_formula(kind, bits):
     # each point's stable rank r in its coordinate, mapped one by one:
     # (floor(2^bits r / n) + 0.5) / 2^bits for the staircase, else the
@@ -384,7 +384,7 @@ def test_coordinate_targets_match_the_per_point_rank_formula(kind, bits):
     for j in range(dim):
         ranks = np.empty(n, dtype=np.int64)
         ranks[np.argsort(data[:, j], kind="stable")] = np.arange(n)
-        if kind == "quantized_uniform":
+        if kind == "quantized":
             expected[:, j] = (np.floor(2.0 ** bits * ranks / n) + 0.5) / 2.0 ** bits
         else:
             probs = (ranks + 0.5) / n
@@ -394,7 +394,7 @@ def test_coordinate_targets_match_the_per_point_rank_formula(kind, bits):
 
 def test_coordinate_targets_quantized():
     x = PointCloud(np.array([[0.9], [0.1], [0.5], [0.3]]))
-    ideal = coordinate_targets(x, CoordinateTarget("quantized_uniform", bits=1))
+    ideal = coordinate_targets(x, CoordinateTarget("quantized", bits=1))
     # ranks 0..3 map to floor(2 s / 4) staircase: {0.25, 0.25, 0.75, 0.75}
     assert sorted(ideal.data[:, 0]) == pytest.approx([0.25, 0.25, 0.75, 0.75])
     assert ideal.data[:, 0] == pytest.approx([0.75, 0.25, 0.75, 0.25])
@@ -409,24 +409,26 @@ def test_coordinate_targets_gaussian_symmetry():
 
 
 def test_coordinate_target_validation():
+    # one name per target, the CLI's
+    for kind in ("weird", "quantized_uniform", "torus_uniform01"):
+        with pytest.raises(ValueError, match="unknown coordinate target"):
+            CoordinateTarget(kind)
     with pytest.raises(ValueError):
-        CoordinateTarget("weird")
-    with pytest.raises(ValueError):
-        CoordinateTarget("quantized_uniform")
+        CoordinateTarget("quantized")
     with pytest.raises(ValueError):
         CoordinateTarget("uniform01", bits=2)
     # past MAX_BITS the top centre (2^(bits+1) - 1)/2^(bits+1) rounds to 1.0,
     # and 2 ** bits overflows a double from bits = 1024
     for bits in (0, MAX_BITS + 1, 1100):
         with pytest.raises(ValueError):
-            CoordinateTarget("quantized_uniform", bits=bits)
+            CoordinateTarget("quantized", bits=bits)
 
 
 def test_codeword_centres_are_exact_up_to_max_bits():
     assert MAX_BITS == 52
     n = 8  # 2^bits r / n is exact, so the floor picks codeword 2^bits r // n
     for bits in (1, 20, MAX_BITS):
-        positions = CoordinateTarget("quantized_uniform", bits=bits).rank_positions(n)
+        positions = CoordinateTarget("quantized", bits=bits).rank_positions(n)
         expected = [Fraction(2 * (2 ** bits * r // n) + 1, 2 ** (bits + 1)) for r in range(n)]
         assert [Fraction(v) for v in positions] == expected, bits
     top = 2 ** (MAX_BITS + 2) - 1  # the top centre at MAX_BITS + 1, times 2^(MAX_BITS + 2)
@@ -444,17 +446,17 @@ def test_coordinate_step_alpha_one_hits_targets():
 
 def test_coordinate_step_torus_wraps_shorter_arc():
     x = PointCloud(np.array([[0.95], [0.45], [0.25], [0.65]]))
-    target = CoordinateTarget("torus_uniform01")
+    target = CoordinateTarget("torus")
     stepped = coordinate_step(x, target, 1.0)
     # rank targets are {0.125, 0.375, 0.625, 0.875}; the 0.95 point owns 0.875
     assert stepped.data[:, 0] == pytest.approx([0.875, 0.375, 0.125, 0.625])
     # wraparound: a point at 0.95 moving to target 0.05 goes +0.10, not -0.90
     two = PointCloud(np.array([[0.95], [0.2]]))
-    moved = coordinate_step(two, CoordinateTarget("torus_uniform01"), 1.0)
+    moved = coordinate_step(two, CoordinateTarget("torus"), 1.0)
     # ranks: 0.2 -> 0.25, 0.95 -> 0.75: plain targets, no wrap needed here;
     # force the wrap case directly through a single point
     one = PointCloud(np.array([[0.95], [0.05]]))
-    hit = coordinate_step(one, CoordinateTarget("torus_uniform01"), 1.0)
+    hit = coordinate_step(one, CoordinateTarget("torus"), 1.0)
     assert np.all((0.0 <= hit.data) & (hit.data < 1.0))
     assert np.all((0.0 <= moved.data) & (moved.data < 1.0))
 
@@ -468,8 +470,8 @@ def test_coordinate_step_alpha_validation():
 
 def test_coordinate_step_lands_on_a_target_one_ulp_away():
     # half of a one-ulp gap rounds back to x, so the step takes the full move
-    for target in (CoordinateTarget("quantized_uniform", MAX_BITS),
-                   CoordinateTarget("torus_uniform01")):
+    for target in (CoordinateTarget("quantized", MAX_BITS),
+                   CoordinateTarget("torus")):
         ideal = target.rank_positions(4)
         stepped = coordinate_step(PointCloud(np.nextafter(ideal, 0.0)[:, None]), target, 0.5)
         # the torus wrap keeps every one-ulp displacement, in [0, 0.5) too
@@ -480,7 +482,7 @@ def test_coordinate_step_torus_half_displacement_keeps_its_sign():
     # n = 2 torus targets are 0.25 and 0.75, by rank. A point half a turn
     # from its target, either way as short, moves the way its displacement
     # points: 0.25 -> 0.75 forward (+0.5), 0.75 -> 0.25 backward (-0.5)
-    target = CoordinateTarget("torus_uniform01")
+    target = CoordinateTarget("torus")
     forward = coordinate_step(PointCloud(np.array([[0.125], [0.25]])), target, 0.5)
     assert forward.data[:, 0].tolist() == [0.1875, 0.5]
     backward = coordinate_step(PointCloud(np.array([[0.75], [0.875]])), target, 0.5)

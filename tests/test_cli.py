@@ -18,13 +18,7 @@ from latentreg.cli import (
 )
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
 from latentreg.specfun import normal_inv_cdf
-from latentreg.stat_tests import (
-    battery_ks,
-    battery_values,
-    chi2_report,
-    distance_test,
-    radii_test,
-)
+from latentreg.stat_tests import Judged, battery_ks, battery_values, chi2_report, judge
 from latentreg import svgplot
 from latentreg.svgplot import Curve, render_panel
 
@@ -192,7 +186,7 @@ def test_fig1_summary_is_the_chi2_report(tmp_path):
     assert len(rows) == 4 * TINY["trials"] * 2
     for row, trial, stat, ks_linf, l1_area, direction in rows:
         cloud = PointCloud.from_csv(out / f"fig1_{row}_trial{int(trial):02d}_cloud.csv")
-        report = chi2_report(getattr(cloud_stats(cloud), stat), TINY["dim"])
+        report = chi2_report(np.sort(getattr(cloud_stats(cloud), stat)), TINY["dim"])
         assert (float(ks_linf), float(l1_area)) == (report.ks_linf, report.l1_area)
         mean_radius = (cloud.data * cloud.data).sum(1).mean()
         assert direction == ("narrow" if mean_radius < TINY["dim"] else "wide")
@@ -276,8 +270,8 @@ def test_fig2_on_a_line_draws_every_panel(tmp_path, seed):
 def test_panel_of_equal_negative_values_gets_a_nonempty_range(tmp_path):
     # (lo, 1.02 hi) = (-1, -1.02) is empty: the panel ends 2% of |lo| past hi
     values = np.full(3, -1.0)
-    cli._write_curves(tmp_path, "p", {"row": [{"stat": (values, 0.0)}]},
-                      {"stat": [values]}, "{row} {stat}")
+    cli._write_curves(tmp_path, "p", {"row": [{"stat": Judged(values, 0.0, values)}]},
+                      "{row} {stat}")
     text = (tmp_path / "p_row_stat.svg").read_text()
     assert '<polyline points="60.000,' in text  # drawn at the left edge, x = lo
     assert (tmp_path / "p_row_stat_trial00.csv").exists()
@@ -296,6 +290,23 @@ def test_attract_gaussian_demo_matches_fig1_bottom_row(tmp_path):
         fig_trace = (fig_out / f"fig1_attract_trial{t:02d}_trace.csv").read_bytes()
         demo_trace = (demo_out / f"attract_gaussian_trial{t:02d}_trace.csv").read_bytes()
         assert fig_trace == demo_trace
+
+
+def test_attraction_traces_always_have_five_columns(tmp_path):
+    # n=2, D=1 starts below the stop tolerance, so its traces have no row;
+    # the n=16 runs take steps
+    header = "step,objective,alpha,distance_term,radii_term"
+    out = tmp_path / "o"
+    for size in (["--n", "2", "--dim", "1"], ["--n", "16", "--dim", "3", "--steps", "5"]):
+        assert main(["attract", "--target", "gaussian", *size, "--trials", "2",
+                     "--out", str(out / size[1])]) == 0
+        for t in range(2):
+            lines = (out / size[1] / f"attract_gaussian_trial{t:02d}_trace.csv").read_text().splitlines()
+            assert lines[0] == header
+            assert (len(lines) == 1) == (size[1] == "2")
+    assert main(["fig1", "--n", "2", "--dim", "2", "--trials", "1", "--steps", "3",
+                 "--out", str(out / "fig1")]) == 0
+    assert (out / "fig1" / "fig1_attract_trial00_trace.csv").read_text().splitlines()[0] == header
 
 
 def test_attract_torus_stays_in_unit_box(tmp_path):
@@ -397,7 +408,7 @@ def _eval_rows(cloud, which, seed):
     if which == "wae_mmd":
         prior = sample_standard_normal(Rng(seed).derive(1), cloud.n, cloud.dim)
         return [("wae_mmd", wae_mmd(cloud, prior))]
-    report = radii_test(cloud) if which == "radii" else distance_test(cloud)
+    report = judge(cloud)[which].report
     return [("ks_linf", report.ks_linf), ("l1_area", report.l1_area),
             ("sample_size", float(report.sample_size))]
 

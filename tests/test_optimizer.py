@@ -167,18 +167,29 @@ def test_identical_configs_give_identical_trace_bytes(tmp_path):
         config = RunConfig(n=30, dim=5, seed=21, max_steps=40, alpha0=1.0,
                            schedule="proportional_to_objective")
         _, trace = run(config, CdfAttractionObjective(build_target_quantiles(30, 5)))
-        trace_to_csv(trace, path)
+        trace_to_csv(trace, path, CdfAttractionObjective.TRACE_KEYS)
         return path.read_bytes()
 
     assert one(tmp_path / "a.csv") == one(tmp_path / "b.csv")
 
 
 def test_trace_csv_columns(tmp_path):
-    rows = [TraceRow(0, 1.5, 0.1, 3.25, {"radii_term": 1.0, "distance_term": 0.5})]
+    # the extras follow the given keys, whatever order the rows hold them in
+    rows = [TraceRow(0, 1.5, 0.25, 3.25, {"radii_term": 1.0, "distance_term": 0.5})]
     plain = tmp_path / "plain.csv"
-    trace_to_csv(rows, plain)
-    header = plain.read_text().splitlines()[0]
-    assert header == "step,objective,alpha,distance_term,radii_term"
+    trace_to_csv(rows, plain, CdfAttractionObjective.TRACE_KEYS)
+    assert plain.read_text().splitlines() == [
+        "step,objective,alpha,distance_term,radii_term", "0,1.5,0.25,0.5,1"]
+
+
+def test_trace_csv_names_the_objective_columns_without_rows(tmp_path):
+    # a run that stops at its first step start writes no row; the header
+    # still carries the attraction's extras, in the rows' column order
+    objective = CdfAttractionObjective(build_target_quantiles(4, 2))
+    assert list(CdfAttractionObjective.TRACE_KEYS) == sorted(objective.trace_extras())
+    path = tmp_path / "empty.csv"
+    trace_to_csv([], path, CdfAttractionObjective.TRACE_KEYS)
+    assert path.read_text() == "step,objective,alpha,distance_term,radii_term\n"
 
 
 class _NanGradientObjective:

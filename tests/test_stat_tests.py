@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentreg import calibration
-from latentreg.cdf_attract import chi2_quantile_table
+from latentreg.cdf_attract import chi2_quantile_table, cloud_stats
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
 from latentreg.specfun import ChiSquare, chi2_cdf, chi2_inv_cdf, normal_cdf
 from latentreg.stat_tests import (
@@ -12,14 +12,15 @@ from latentreg.stat_tests import (
     battery_bands,
     battery_ks,
     battery_values,
+    Law,
     chi2_report,
-    distance_test,
+    judge,
     ks_statistic,
     ks_statistic_two_sample,
     pairwise_angles,
     pairwise_scalar_products,
     projections,
-    radii_test,
+    reference_battery,
 )
 
 
@@ -71,28 +72,57 @@ def test_radii_and_distance_tests_on_prior_samples():
     # distances are dependent, so their threshold is the Monte Carlo band
     radii_pass = dist_pass = 0
     for trial in range(60):
-        cloud = sample_standard_normal(Rng(840_000 + trial), 200, 20)
-        radii_pass += radii_test(cloud).ks_linf < 1.358 / math.sqrt(200)
-        dist_pass += distance_test(cloud).ks_linf < calibration.DISTANCE_KS_Q95
+        judged = judge(sample_standard_normal(Rng(840_000 + trial), 200, 20))
+        radii_pass += judged["radii"].report.ks_linf < 1.358 / math.sqrt(200)
+        dist_pass += judged["distances"].report.ks_linf < calibration.DISTANCE_KS_Q95
     assert radii_pass >= 54
     assert dist_pass >= 54
 
 
 def test_radii_test_detects_shrunk_cloud():
     cloud = sample_standard_normal(Rng(7), 200, 20)
-    report = radii_test(PointCloud(0.5 * cloud.data))
+    report = judge(PointCloud(0.5 * cloud.data))["radii"].report
     assert report.ks_linf >= 0.4
 
 
-def test_radii_test_single_point_at_median():
-    x = np.zeros((1, 20))
-    x[0, 0] = math.sqrt(chi2_inv_cdf(ChiSquare(20), 0.5))
-    assert radii_test(PointCloud(x)).ks_linf == pytest.approx(0.5, abs=1e-9)
+def test_radii_test_points_at_median():
+    # the judge needs a pair for its distances: two antipodal points, both
+    # at the median squared radius, give the one-point KS distance 1/2
+    x = np.zeros((2, 20))
+    x[:, 0] = math.sqrt(chi2_inv_cdf(ChiSquare(20), 0.5)) * np.array([1.0, -1.0])
+    assert judge(PointCloud(x))["radii"].report.ks_linf == pytest.approx(0.5, abs=1e-9)
 
 
 def test_distance_test_needs_two_points():
     with pytest.raises(ValueError):
-        distance_test(PointCloud(np.zeros((1, 3))))
+        judge(PointCloud(np.zeros((1, 3))))
+
+
+def test_judge_is_the_reports_on_sorted_values():
+    # the judge's KS and area are those of chi2_report on the sorted
+    # statistics and of battery_ks on battery_values, bit for bit, and every
+    # array it returns is sorted
+    cloud = sample_standard_normal(Rng(61), 40, 6)
+    judged = judge(cloud)
+    for stat, values in cloud_stats(cloud)._asdict().items():
+        report = chi2_report(np.sort(values), 6)
+        assert (judged[stat].report.ks_linf, judged[stat].report.l1_area) == \
+            (report.ks_linf, report.l1_area)
+        assert judged[stat].values.tobytes() == np.sort(values).tobytes()
+        assert judged[stat].target is judged["radii"].target
+    dirs, ref_values = reference_battery(62, 40, 6)
+    battery_judged = judge(cloud, (dirs, ref_values))
+    ks = battery_ks(battery_values(cloud, dirs), ref_values)
+    assert tuple(battery_judged) == BATTERY_TESTS
+    for test in BATTERY_TESTS:
+        assert battery_judged[test].report == ks[test]
+        target = battery_judged[test].target
+        assert isinstance(target, Law) == (test == "projections")
+        if not isinstance(target, Law):
+            assert target is ref_values[test]
+    for values in [j.values for j in (*judged.values(), *battery_judged.values())] + \
+            [ref_values[test] for test in BATTERY_TESTS[1:]]:
+        assert np.all(values[1:] >= values[:-1])
 
 
 def test_projection_test_all_points_at_origin():
