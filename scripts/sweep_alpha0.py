@@ -46,8 +46,7 @@ from latentreg.optimizer import CdfAttractionObjective, RunConfig, run  # noqa: 
 from latentreg.stat_tests import (  # noqa: E402
     BATTERY_TESTS,
     battery_bands,
-    battery_ks,
-    battery_values,
+    judge,
     reference_battery,
 )
 
@@ -92,10 +91,9 @@ class _CountedObjective(CdfAttractionObjective):
 
 def _battery_pass(cloud, seed: int) -> bool:
     # criterion 6: projections, scalar products and angles inside their bands
-    dirs, ref_values = reference_battery(seed, cloud.n, cloud.dim)
-    ks = battery_ks(battery_values(cloud, dirs), ref_values)
+    judged = judge(cloud, reference_battery(seed, cloud.n, cloud.dim))
     bands = battery_bands(cloud.n, cloud.dim)
-    return all(ks[test] <= bands[test] for test in BATTERY_TESTS)
+    return all(judged[test].ks <= bands[test] for test in BATTERY_TESTS)
 
 
 def sweep_stall() -> None:

@@ -146,10 +146,11 @@ def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, ranked
 
 
-def _terms(rank_res_r: np.ndarray, rank_res_d: np.ndarray) -> tuple[float, float]:
-    """The radii and distance terms, each the mean absolute rank-order
-    residual sorted_values - table: the one definition of the mismatch."""
-    return _mean(np.abs(rank_res_r)), _mean(np.abs(rank_res_d))
+def _mismatch(sorted_values: np.ndarray, table: np.ndarray) -> float:
+    """Mean absolute rank-order residual sorted_values - table: the one
+    definition of the l1 mismatch, each term of the objective and
+    stat_tests.Judged.l1_area."""
+    return _mean(np.abs(sorted_values - table))
 
 
 def _mean(a: np.ndarray) -> float:
@@ -168,8 +169,8 @@ def value_terms(stats: CloudStats, targets: TargetQuantiles) -> tuple[float, flo
     """(radii term, distance term) of the objective. The value needs only the
     sorted values, so a plain np.sort replaces the ranked pass."""
     _check_size(stats, targets)
-    return _terms(np.sort(stats.radii) - targets.radii,
-                  np.sort(stats.distances) - targets.distances)
+    return (_mismatch(np.sort(stats.radii), targets.radii),
+            _mismatch(np.sort(stats.distances), targets.distances))
 
 
 class Residuals(NamedTuple):

@@ -299,9 +299,9 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
         fh.write("row,trial,stat,ks_linf,l1_area,direction\n")
         for row, trials in judged.items():
             for t, trial in enumerate(trials):
-                for stat, (_, rep, _) in trial.items():
+                for stat, result in trial.items():
                     fh.write("%s,%d,%s,%.17g,%.17g,%s\n"
-                             % (row, t, stat, rep.ks_linf, rep.l1_area, directions[row][t]))
+                             % (row, t, stat, result.ks, result.l1_area(), directions[row][t]))
     return 0
 
 
@@ -329,7 +329,7 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
                 band = bands[test]
                 band_s = "" if band is None else "%.17g" % band
                 for t, trial in enumerate(trials):
-                    ks = trial[test].report
+                    ks = trial[test].ks
                     ok = "" if band is None else str(int(ks <= band))
                     fh.write("%s,%s,%d,%.17g,%s,%s\n" % (side, test, t, ks, band_s, ok))
     return 0
@@ -356,9 +356,9 @@ def cmd_eval(cloud_csv: str, which: str, seed: int, out: str) -> int:
     elif which == "cwae":
         rows = [("cwae", cwae(cloud))]
     else:
-        report = judge(cloud)[which].report
-        rows = [("ks_linf", report.ks_linf), ("l1_area", report.l1_area),
-                ("sample_size", float(report.sample_size))]
+        judged = judge(cloud)[which]
+        rows = [("ks_linf", judged.ks), ("l1_area", judged.l1_area()),
+                ("sample_size", float(len(judged.values)))]
     for name, value in rows:  # as optimizer.run stops on a non-finite objective
         if not np.isfinite(value):
             raise ValueError(f"eval {which}: {name} is not finite ({value})")

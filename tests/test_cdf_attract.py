@@ -164,7 +164,8 @@ def test_ranked_residuals_follow_the_stable_sort(seed, kind):
 @settings(max_examples=60, deadline=None)
 def test_value_terms_equal_the_ranked_pass_terms(seed, kind):
     # the value sorts with np.sort; the ranked pass's residuals, gathered in
-    # rank order, must give the objective the same bits
+    # rank order, are sorted values minus table and must give the objective
+    # the same bits (their mismatch against a zero table)
     rng = np.random.default_rng(seed)
     if kind == "two_points":
         cloud = PointCloud(rng.normal(size=(2, int(rng.integers(1, 5)))))
@@ -175,7 +176,7 @@ def test_value_terms_equal_the_ranked_pass_terms(seed, kind):
     expected = [term.hex() for term in value_terms(stats, targets)]
     ranked = [residuals[np.argsort(values, kind="stable")]
               for values, residuals in zip(stats, residual_bundle(stats, targets))]
-    assert [term.hex() for term in cdf_attract._terms(*ranked)] == expected
+    assert [cdf_attract._mismatch(res, 0.0).hex() for res in ranked] == expected
     assert cdf_objective(cloud, targets).hex() == \
         (float.fromhex(expected[0]) + float.fromhex(expected[1])).hex()
 
@@ -241,13 +242,12 @@ def test_residual_bundle_equals_the_stable_argsort_pass_at_n400():
 
 @pytest.mark.parametrize("size", [1, 2, 4_950, 79_800])
 def test_terms_equal_the_np_mean_form(size):
-    # _terms takes the mean as add.reduce over the count: np.mean's float64
+    # _mismatch takes the mean as add.reduce over the count: np.mean's float64
     # arithmetic, so the terms keep their bits
     rng = np.random.default_rng(size)
-    res_r, res_d = rng.normal(size=size), rng.normal(scale=3.0, size=size)
-    expected = float(np.mean(np.abs(res_r))), float(np.mean(np.abs(res_d)))
-    terms = cdf_attract._terms(res_r, res_d)
-    assert [t.hex() for t in terms] == [t.hex() for t in expected]
+    values, table = np.sort(rng.normal(scale=3.0, size=size)), np.sort(rng.normal(size=size))
+    expected = float(np.mean(np.abs(values - table)))
+    assert cdf_attract._mismatch(values, table).hex() == expected.hex()
 
 
 def test_objective_zero_on_perfect_cloud():
@@ -499,3 +499,35 @@ def test_coordinate_step_idempotent_at_alpha_one(seed):
         once = coordinate_step(x, target, 1.0)
         twice = coordinate_step(once, target, 1.0)
         assert np.allclose(once.data, twice.data, atol=1e-15)
+
+
+def _converged_coordinate_attraction(start, target, max_steps=2000):
+    x = start
+    for _ in range(max_steps):
+        x, previous = coordinate_step(x, target, 0.5), x
+        if np.array_equal(x.data, previous.data):
+            return x
+    raise AssertionError(f"{target} did not converge in {max_steps} steps")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_coordinate_attraction_keeps_every_rank(seed):
+    # a coordinate step is monotone in each coordinate, so a converged
+    # attraction keeps each coordinate's rank order, and with it the start's
+    # copula: exact marginals, but the target's joint law only from an
+    # independent start (ROADMAP item 18)
+    n, dim = 200, 5
+    cube = sample_uniform_cube(Rng(seed), n, dim, -1.0, 1.0)
+    mixed = PointCloud(cube.data @ np.random.default_rng(seed).normal(size=(dim, dim)))
+    unit = sample_uniform_cube(Rng(seed), n, dim, 0.0, 1.0)
+    starts = [("gaussian", cube), ("gaussian", mixed), ("uniform01", unit), ("torus", unit)]
+    for kind, start in starts:
+        end = _converged_coordinate_attraction(start, CoordinateTarget(kind))
+        for j in range(dim):
+            assert np.array_equal(np.argsort(end.data[:, j], kind="stable"),
+                                  np.argsort(start.data[:, j], kind="stable")), (kind, j)
+    # quantized targets tie whole codeword cells, but no pair swaps order
+    end = _converged_coordinate_attraction(unit, CoordinateTarget("quantized", bits=3))
+    for j in range(dim):
+        in_start_order = end.data[np.argsort(unit.data[:, j], kind="stable"), j]
+        assert np.all(np.diff(in_start_order) >= 0.0), j

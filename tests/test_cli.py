@@ -17,8 +17,8 @@ from latentreg.cli import (
     main,
 )
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
-from latentreg.specfun import normal_inv_cdf
-from latentreg.stat_tests import Judged, battery_ks, battery_values, chi2_report, judge
+from latentreg.specfun import ChiSquare, chi2_cdf, normal_inv_cdf
+from latentreg.stat_tests import Judged, judge, ks_statistic, pairwise_angles, pairwise_scalar_products
 from latentreg import svgplot
 from latentreg.svgplot import Curve, render_panel
 
@@ -137,19 +137,30 @@ def _fig2_curves(out, t):
     """{(side, test): (sorted values, target_args)} of fig2's trial t: the
     normal quantiles for projections, the trial's reference cloud's
     (np.quantile) for scalar products and angles."""
-    n, dim = TINY["n"], TINY["dim"]
-    rng = Rng(TINY["seed"] + t)
-    dirs = sample_unit_directions(rng.derive(3), calibration.NUM_DIRS, dim)
-    reference = battery_values(sample_standard_normal(rng.derive(2), n, dim), dirs)
-    clouds = {"attract": PointCloud.from_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv"),
-              "iid": sample_standard_normal(rng.derive(4), n, dim)}
+    battery = _fig2_battery(t)
     curves = {}
-    for side, cloud in clouds.items():
-        for test, values in battery_values(cloud, dirs).items():
+    for side, cloud in _fig2_clouds(out, t).items():
+        for test, (values, _, _) in judge(cloud, battery).items():
             probs = midpoint_probs(values.shape[0])
             curves[side, test] = (values, normal_inv_cdf(probs) if test == "projections"
-                                  else np.quantile(reference[test], probs))
+                                  else np.quantile(battery[1][test], probs))
     return curves
+
+
+def _fig2_battery(t):
+    """fig2's battery of trial t rebuilt from its seeds: the directions, and
+    the reference cloud's sorted scalar products and angles."""
+    rng = Rng(TINY["seed"] + t)
+    dirs = sample_unit_directions(rng.derive(3), calibration.NUM_DIRS, TINY["dim"])
+    reference = sample_standard_normal(rng.derive(2), TINY["n"], TINY["dim"])
+    return dirs, {"scalar_products": np.sort(pairwise_scalar_products(reference)),
+                  "angles": np.sort(pairwise_angles(reference))}
+
+
+def _fig2_clouds(out, t):
+    """fig2's attraction cloud of trial t, read back, and its iid cloud."""
+    return {"attract": PointCloud.from_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv"),
+            "iid": sample_standard_normal(Rng(TINY["seed"] + t).derive(4), TINY["n"], TINY["dim"])}
 
 
 # (command, experiment, expected curves of a trial, target columns formatted
@@ -186,8 +197,10 @@ def test_fig1_summary_is_the_chi2_report(tmp_path):
     assert len(rows) == 4 * TINY["trials"] * 2
     for row, trial, stat, ks_linf, l1_area, direction in rows:
         cloud = PointCloud.from_csv(out / f"fig1_{row}_trial{int(trial):02d}_cloud.csv")
-        report = chi2_report(np.sort(getattr(cloud_stats(cloud), stat)), TINY["dim"])
-        assert (float(ks_linf), float(l1_area)) == (report.ks_linf, report.l1_area)
+        values = np.sort(getattr(cloud_stats(cloud), stat))
+        table = chi2_quantile_table(values.shape[0], TINY["dim"])
+        assert float(ks_linf) == ks_statistic(values, lambda t: chi2_cdf(ChiSquare(TINY["dim"]), t))
+        assert float(l1_area) == float(np.mean(np.abs(values - table)))
         mean_radius = (cloud.data * cloud.data).sum(1).mean()
         assert direction == ("narrow" if mean_radius < TINY["dim"] else "wide")
 
@@ -215,16 +228,11 @@ def test_fig2_summary_is_the_battery(tmp_path):
         side, test, trial, ks = row.split(",")[:4]
         summary[side, test, int(trial)] = float(ks)
     assert len(summary) == 2 * 3 * TINY["trials"]
-    n, dim = TINY["n"], TINY["dim"]
     for t in range(TINY["trials"]):
-        rng = Rng(TINY["seed"] + t)
-        dirs = sample_unit_directions(rng.derive(3), calibration.NUM_DIRS, dim)
-        reference = battery_values(sample_standard_normal(rng.derive(2), n, dim), dirs)
-        clouds = {"attract": PointCloud.from_csv(out / f"fig2_attract_trial{t:02d}_cloud.csv"),
-                  "iid": sample_standard_normal(rng.derive(4), n, dim)}
-        for side, cloud in clouds.items():
-            for test, ks in battery_ks(battery_values(cloud, dirs), reference).items():
-                assert summary[side, test, t] == ks, (side, test, t)
+        battery = _fig2_battery(t)
+        for side, cloud in _fig2_clouds(out, t).items():
+            for test, judged in judge(cloud, battery).items():
+                assert summary[side, test, t] == judged.ks, (side, test, t)
 
 
 def test_only_the_battery_runs_carry_the_stall_rule(monkeypatch):
@@ -408,9 +416,9 @@ def _eval_rows(cloud, which, seed):
     if which == "wae_mmd":
         prior = sample_standard_normal(Rng(seed).derive(1), cloud.n, cloud.dim)
         return [("wae_mmd", wae_mmd(cloud, prior))]
-    report = judge(cloud)[which].report
-    return [("ks_linf", report.ks_linf), ("l1_area", report.l1_area),
-            ("sample_size", float(report.sample_size))]
+    judged = judge(cloud)[which]
+    return [("ks_linf", judged.ks), ("l1_area", judged.l1_area()),
+            ("sample_size", float(cloud.n if which == "radii" else cloud.n * (cloud.n - 1) // 2))]
 
 
 @pytest.mark.parametrize("which", ["wae_mmd", "radii", "distances"])

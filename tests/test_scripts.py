@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from latentreg import calibration
+from latentreg.cli import main
+from latentreg.sampling import PointCloud, Rng, sample_standard_normal
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -58,3 +60,25 @@ def test_calibration_rewrite_sets_only_the_measured_lines():
 def test_calibration_rewrite_needs_exactly_one_line_per_name(text):
     with pytest.raises(ValueError, match="DBAR_MEDIAN"):
         load_script("calibrate_constants").rewrite(text, {"DBAR_MEDIAN": 0.5})
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_battery_pass_agrees_with_the_fig2_summary(tmp_path, seed):
+    # _battery_pass is criterion 6's check on one cloud: all three KS
+    # distances inside their bands, as the pass flags of fig2's summary say.
+    # Seed 1's iid cloud passes all three and its one-step attraction cloud
+    # fails two; seed 2's iid cloud fails the angle band alone
+    n, dim = calibration.N, calibration.DIM
+    out = tmp_path / "fig2"
+    assert main(["fig2", "--n", str(n), "--dim", str(dim), "--trials", "1", "--steps", "1",
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    flags = {}
+    for row in (out / "fig2_summary.csv").read_text().splitlines()[1:]:
+        side, _, _, _, _, ok = row.split(",")
+        flags.setdefault(side, []).append(ok == "1")
+    clouds = {"iid": sample_standard_normal(Rng(seed).derive(4), n, dim),
+              "attract": PointCloud.from_csv(out / "fig2_attract_trial00_cloud.csv")}
+    battery_pass = load_script("sweep_alpha0")._battery_pass
+    for side, cloud in clouds.items():
+        assert len(flags[side]) == 3
+        assert battery_pass(cloud, seed) == all(flags[side]), side

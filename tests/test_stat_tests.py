@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from latentreg import calibration
-from latentreg.cdf_attract import chi2_quantile_table, cloud_stats
+from latentreg.cdf_attract import build_target_quantiles, cdf_objective, chi2_quantile_table, cloud_stats
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
 from latentreg.specfun import ChiSquare, chi2_cdf, chi2_inv_cdf, normal_cdf
 from latentreg.stat_tests import (
     BATTERY_TESTS,
+    NORMAL_LAW,
+    Judged,
+    _chi2_law,
     battery_bands,
-    battery_ks,
-    battery_values,
-    Law,
-    chi2_report,
     judge,
     ks_statistic,
     ks_statistic_two_sample,
@@ -26,16 +25,23 @@ from latentreg.stat_tests import (
 
 def battery(x, reference, dirs_rng=None, num_dirs=10):
     """KS distances of the battery with directions from dirs_rng (default
-    Rng(3))."""
+    Rng(3)) and the reference cloud's sorted pair statistics."""
     dirs = sample_unit_directions(dirs_rng or Rng(3), num_dirs, x.dim)
-    return battery_ks(battery_values(x, dirs), battery_values(reference, dirs))
+    ref_values = {"scalar_products": np.sort(pairwise_scalar_products(reference)),
+                  "angles": np.sort(pairwise_angles(reference))}
+    return {test: judged.ks for test, judged in judge(x, (dirs, ref_values)).items()}
+
+
+def _chi2_judged(sorted_values, dim):
+    law = _chi2_law(dim)
+    return Judged(sorted_values, ks_statistic(sorted_values, law.cdf), law)
 
 
 def test_edf_vs_cdf_exact_quantiles():
     for n in (4, 50):
-        report = chi2_report(chi2_quantile_table(n, 5), 5)
-        assert report.ks_linf == pytest.approx(0.5 / n, abs=1e-12)
-        assert report.l1_area == pytest.approx(0.0, abs=1e-12)
+        judged = _chi2_judged(chi2_quantile_table(n, 5), 5)
+        assert judged.ks == pytest.approx(0.5 / n, abs=1e-12)
+        assert judged.l1_area() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_edf_vs_cdf_single_median_point():
@@ -43,17 +49,14 @@ def test_edf_vs_cdf_single_median_point():
     median = chi2_inv_cdf(dist, 0.5)
     assert ks_statistic(np.array([median]), lambda t: chi2_cdf(dist, t)) \
         == pytest.approx(0.5, abs=1e-10)
-    report = chi2_report(np.array([median]), 7)
-    assert report.ks_linf == pytest.approx(0.5, abs=1e-10)
-    assert report.l1_area == pytest.approx(0.0, abs=1e-12)
-    assert report.sample_size == 1
+    judged = _chi2_judged(np.array([median]), 7)
+    assert judged.ks == pytest.approx(0.5, abs=1e-10)
+    assert judged.l1_area() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_edf_vs_cdf_rejects_empty():
     with pytest.raises(ValueError):
         ks_statistic(np.array([]), lambda t: t)
-    with pytest.raises(ValueError):
-        chi2_report(np.array([]), 3)
 
 
 def test_ks_seeded_chi2_samples_within_critical_value():
@@ -63,7 +66,7 @@ def test_ks_seeded_chi2_samples_within_critical_value():
     passes = 0
     for trial in range(100):
         cloud = sample_standard_normal(Rng(830_000 + trial), n, dim)
-        ks = ks_statistic((cloud.data ** 2).sum(1), lambda t: chi2_cdf(dist, t))
+        ks = ks_statistic(np.sort((cloud.data ** 2).sum(1)), lambda t: chi2_cdf(dist, t))
         passes += ks < 1.358 / math.sqrt(n)
     assert passes >= 90
 
@@ -73,16 +76,15 @@ def test_radii_and_distance_tests_on_prior_samples():
     radii_pass = dist_pass = 0
     for trial in range(60):
         judged = judge(sample_standard_normal(Rng(840_000 + trial), 200, 20))
-        radii_pass += judged["radii"].report.ks_linf < 1.358 / math.sqrt(200)
-        dist_pass += judged["distances"].report.ks_linf < calibration.DISTANCE_KS_Q95
+        radii_pass += judged["radii"].ks < 1.358 / math.sqrt(200)
+        dist_pass += judged["distances"].ks < calibration.DISTANCE_KS_Q95
     assert radii_pass >= 54
     assert dist_pass >= 54
 
 
 def test_radii_test_detects_shrunk_cloud():
     cloud = sample_standard_normal(Rng(7), 200, 20)
-    report = judge(PointCloud(0.5 * cloud.data))["radii"].report
-    assert report.ks_linf >= 0.4
+    assert judge(PointCloud(0.5 * cloud.data))["radii"].ks >= 0.4
 
 
 def test_radii_test_points_at_median():
@@ -90,7 +92,7 @@ def test_radii_test_points_at_median():
     # at the median squared radius, give the one-point KS distance 1/2
     x = np.zeros((2, 20))
     x[:, 0] = math.sqrt(chi2_inv_cdf(ChiSquare(20), 0.5)) * np.array([1.0, -1.0])
-    assert judge(PointCloud(x))["radii"].report.ks_linf == pytest.approx(0.5, abs=1e-9)
+    assert judge(PointCloud(x))["radii"].ks == pytest.approx(0.5, abs=1e-9)
 
 
 def test_distance_test_needs_two_points():
@@ -99,30 +101,39 @@ def test_distance_test_needs_two_points():
 
 
 def test_judge_is_the_reports_on_sorted_values():
-    # the judge's KS and area are those of chi2_report on the sorted
-    # statistics and of battery_ks on battery_values, bit for bit, and every
-    # array it returns is sorted
+    # the judge's KS distances and areas are the primitives' on the sorted
+    # statistics, bit for bit, and every array it returns is sorted
     cloud = sample_standard_normal(Rng(61), 40, 6)
     judged = judge(cloud)
     for stat, values in cloud_stats(cloud)._asdict().items():
-        report = chi2_report(np.sort(values), 6)
-        assert (judged[stat].report.ks_linf, judged[stat].report.l1_area) == \
-            (report.ks_linf, report.l1_area)
-        assert judged[stat].values.tobytes() == np.sort(values).tobytes()
+        ordered = np.sort(values)
+        table = chi2_quantile_table(ordered.shape[0], 6)
+        assert judged[stat].ks == ks_statistic(ordered, lambda t: chi2_cdf(ChiSquare(6), t))
+        assert judged[stat].l1_area() == float(np.mean(np.abs(ordered - table)))
+        assert judged[stat].values.tobytes() == ordered.tobytes()
         assert judged[stat].target is judged["radii"].target
     dirs, ref_values = reference_battery(62, 40, 6)
     battery_judged = judge(cloud, (dirs, ref_values))
-    ks = battery_ks(battery_values(cloud, dirs), ref_values)
     assert tuple(battery_judged) == BATTERY_TESTS
-    for test in BATTERY_TESTS:
-        assert battery_judged[test].report == ks[test]
-        target = battery_judged[test].target
-        assert isinstance(target, Law) == (test == "projections")
-        if not isinstance(target, Law):
-            assert target is ref_values[test]
+    assert battery_judged["projections"].ks == \
+        ks_statistic(np.sort(projections(cloud, dirs)), normal_cdf)
+    assert battery_judged["projections"].target is NORMAL_LAW
+    for test, stat in (("scalar_products", pairwise_scalar_products), ("angles", pairwise_angles)):
+        assert battery_judged[test].ks == ks_statistic_two_sample(np.sort(stat(cloud)), ref_values[test])
+        assert battery_judged[test].target is ref_values[test]
     for values in [j.values for j in (*judged.values(), *battery_judged.values())] + \
             [ref_values[test] for test in BATTERY_TESTS[1:]]:
         assert np.all(values[1:] >= values[:-1])
+
+
+@pytest.mark.parametrize("n, dim", [(2, 1), (9, 3), (60, 20), (200, 20)])
+def test_judged_areas_sum_to_the_attraction_objective(n, dim):
+    # the radii and distance areas of fig1's summary are the two terms of
+    # cdf_objective, the quantity ATTRACT_STOP_TOLERANCE bounds, bit for bit
+    cloud = sample_standard_normal(Rng(70 + n), n, dim)
+    judged = judge(cloud)
+    area = judged["radii"].l1_area() + judged["distances"].l1_area()
+    assert area.hex() == cdf_objective(cloud, build_target_quantiles(n, dim)).hex()
 
 
 def test_projection_test_all_points_at_origin():
@@ -146,8 +157,8 @@ def test_projection_rotation_invariance_in_law():
     stats_base, stats_rot = [], []
     for s in range(100):
         dirs = sample_unit_directions(Rng(10_000 + s), 10, 5)
-        stats_base.append(ks_statistic(projections(cloud, dirs), normal_cdf))
-        stats_rot.append(ks_statistic(projections(rotated, dirs), normal_cdf))
+        stats_base.append(ks_statistic(np.sort(projections(cloud, dirs)), normal_cdf))
+        stats_rot.append(ks_statistic(np.sort(projections(rotated, dirs)), normal_cdf))
     lo_b, hi_b = np.quantile(stats_base, [0.25, 0.75])
     lo_r, hi_r = np.quantile(stats_rot, [0.25, 0.75])
     assert max(lo_b, lo_r) <= min(hi_b, hi_r)  # overlapping IQRs
@@ -200,7 +211,7 @@ def test_angle_test_cross_in_2d_is_near_uniform():
         rng = Rng(860_000 + trial)
         a = sample_standard_normal(rng, 4, 2)
         b = sample_standard_normal(rng.derive(2), 4, 2)
-        null.append(ks_statistic_two_sample(pairwise_angles(a), pairwise_angles(b)))
+        null.append(ks_statistic_two_sample(np.sort(pairwise_angles(a)), np.sort(pairwise_angles(b))))
     assert stat <= np.quantile(null, 0.95)
 
 
@@ -241,7 +252,7 @@ def test_pairwise_statistics_are_the_gram_upper_triangle(n, dim):
 def test_edf_invariant_under_monotone_reparameterization():
     dist = ChiSquare(6)
     values = sample_standard_normal(Rng(31), 120, 6)
-    radii = (values.data ** 2).sum(1)
+    radii = np.sort((values.data ** 2).sum(1))
     base = ks_statistic(radii, lambda t: chi2_cdf(dist, t))
     cubed = ks_statistic(radii ** 3, lambda t: chi2_cdf(dist, np.cbrt(t)))
     assert cubed == pytest.approx(base, abs=1e-13)
