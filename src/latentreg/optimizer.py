@@ -274,20 +274,16 @@ def run(config: RunConfig, objective) -> tuple[PointCloud, list[TraceRow]]:
             alpha = config.alpha0 * value
         else:
             alpha = config.alpha0
-        candidate = PointCloud(x.data - alpha * grad)
-        if objective.deterministic:
-            accepted = checked_value(candidate, step) <= value
-            halvings = 0
-            while not accepted and halvings < _MAX_HALVINGS:
-                alpha *= 0.5
-                halvings += 1
-                candidate = PointCloud(x.data - alpha * grad)
-                accepted = checked_value(candidate, step) <= value
-            if not accepted:
-                # no improving step along -grad within the halving budget
-                trace.append(TraceRow(step, value, 0.0,
-                                      (time.perf_counter() - t0) * 1e3, extras))
+        for _ in range(_MAX_HALVINGS + 1):
+            candidate = PointCloud(x.data - alpha * grad)
+            if not objective.deterministic or checked_value(candidate, step) <= value:
                 break
+            alpha *= 0.5
+        else:
+            # no improving step along -grad within the halving budget
+            trace.append(TraceRow(step, value, 0.0,
+                                  (time.perf_counter() - t0) * 1e3, extras))
+            break
         x = candidate
         trace.append(TraceRow(step, value, alpha,
                               (time.perf_counter() - t0) * 1e3, extras))

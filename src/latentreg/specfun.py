@@ -1,18 +1,17 @@
 """Special functions backing the target CDFs.
 
-Array-valued, numpy-only implementations of the regularized lower incomplete
-gamma function, the chi-squared CDF and quantile function, and the standard
-normal CDF and quantile function. Each public function takes scalars or
-arrays (broadcast elementwise), returns a ``float`` when every argument is a
-scalar and an array of the broadcast shape otherwise, and rejects an input
-holding any out-of-domain entry with ``ValueError``. The scalar and array
-forms run the same array core, so they agree bit for bit; the cores iterate
-each element to the same stopping rule and drop converged elements from
-their working set. Inputs are processed in blocks of ``_BLOCK`` elements,
-which bounds the working memory of a large call such as a quantile table.
-Everything here is pure and thread-safe.
+Array-valued, numpy-only chi-squared and standard normal CDFs and quantile
+functions. Each takes a scalar or an array, and a chi-squared call takes one
+``dof``. A scalar returns a ``float`` and an array keeps its shape; an input
+holding any out-of-domain entry raises ``ValueError``. Both forms run the
+same array core, so they agree bit for bit; each core iterates every element
+to the same stopping rule and drops converged elements from its working set.
+Inputs go through in blocks of ``_BLOCK`` elements, which bounds the working
+memory of a large call such as a quantile table. Everything here is pure
+and thread-safe.
 
-The chi-squared quantile is one safeguarded Newton loop from the
+The chi-squared CDF is the regularized lower incomplete gamma function
+P(dof/2, x/2). The quantile is one safeguarded Newton loop from the
 Wilson-Hilferty seed. The seed takes one incomplete-gamma evaluation, whose
 prefactor x^a e^-x / Gamma(a) also gives the density. A later Newton move
 that stays in the bracket and moves x by at most 5% adds the 4-node
@@ -21,15 +20,15 @@ and doubling moves evaluate it in full. On a 79,800-entry midpoint table (an
 n=400 distance table) that is 1.54, 1.00 and 1.00 full evaluations and
 14.5, 11.7 and 9.7 density values per entry at dof 1, 20 and 1000.
 
-Tested accuracy: P(a, x) to 1e-12 absolute against a 40-digit oracle for a
-in [0.5, 500]; chi-squared quantiles round trip to 1e-13 with strictly
+Tested accuracy: chi2_cdf to 1e-12 absolute against a 40-digit oracle for
+dof in [1, 1000]; chi-squared quantiles round trip to 1e-13 with strictly
 increasing tables for dof in [1, 1000], and agree with scipy to a relative
 error of at most max(1e-10, 1.01e-13 / (x pdf(x))). That bound comes from
 the absolute stop rule |cdf(x) - q| <= 9e-14 on the loop's CDF, which is
-within 2.2e-15 of a full evaluation, so it is loose where
-1 - q is below about 1e-13: at q = 1 - 1.1e-16 and dof 1 the result is
-100.4 where the true quantile is 68.8. Normal quantiles round trip to 1e-12
-on q in [1e-6, 1 - 1e-6].
+within 2.2e-15 of a full evaluation, so it is loose where 1 - q is below
+about 1e-13: at q = 1 - 1.1e-16 and dof 1 the result is 100.4 where the
+true quantile is 68.8. Normal quantiles round trip to 1e-12 on q in
+[1e-6, 1 - 1e-6].
 """
 
 from __future__ import annotations
@@ -55,17 +54,16 @@ class ChiSquare:
             raise ValueError(f"dof must be a positive integer, got {self.dof!r}")
 
 
-def _evaluate(core, *args, **params):
-    """Run ``core`` on the broadcast arguments, flattened, in blocks of
-    _BLOCK elements; a float when every argument is a scalar."""
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in args))
-    shape = arrays[0].shape
-    flat = [a.ravel() for a in arrays]
-    out = np.empty(flat[0].size)
+def _evaluate(core, x, **params):
+    """Run ``core`` on ``x``, flattened, in blocks of _BLOCK elements; a
+    float when ``x`` is a scalar."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    out = np.empty(flat.size)
     for start in range(0, out.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        out[block] = core(*(a[block] for a in flat), **params)
-    return float(out[0]) if shape == () else out.reshape(shape)
+        out[block] = core(flat[block], **params)
+    return float(out[0]) if x.shape == () else out.reshape(x.shape)
 
 
 def _check(bad, values, message: str) -> None:
@@ -86,44 +84,29 @@ def _horner(coeffs: tuple[float, ...], t):
     return acc
 
 
-def reg_lower_gamma(a, x):
-    """Regularized lower incomplete gamma function P(a, x).
-
-    Uses the power series for x < a + 1 and a modified-Lentz continued
-    fraction for x >= a + 1, the usual split that keeps both branches fast
-    and uniformly accurate (well below 1e-12 absolute for a in [0.5, 500]).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    _check(~((a > 0.0) & np.isfinite(a)), a, "shape parameter a must be positive and finite")
-    _check(~(x >= 0.0), x, "argument x must be nonnegative")
-    return _evaluate(_reg_lower_gamma, a, x)
-
-
-def _reg_lower_gamma(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return _gamma_parts(a, x)[0]
-
-
-def _gamma_parts(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P(a, x) and the gamma prefactor x^a e^-x / Gamma(a), which is x times
-    the gamma(a) density at x; the prefactor is computed once and scales
-    both the series and the continued fraction."""
+def _gamma_parts(a: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The regularized lower incomplete gamma function P(a, x) and the gamma
+    prefactor x^a e^-x / Gamma(a), which is x times the gamma(a) density at
+    x. P comes from the power series for x < a + 1 and a modified-Lentz
+    continued fraction for x >= a + 1, the usual split that keeps both
+    branches fast and uniformly accurate; the prefactor is computed once and
+    scales both."""
     p = np.where(x == np.inf, 1.0, 0.0)  # P(a, 0) = 0, P(a, inf) = 1
     prefactor = np.zeros_like(x)
     pos = np.flatnonzero((x != 0.0) & (x != np.inf))
     if not pos.size:
         return p, prefactor
-    a, x = a[pos], x[pos]
+    x = x[pos]
     scale = np.exp(_log_prefactor(a, x))
     prefactor[pos] = scale
     below = x < a + 1.0
     series = np.flatnonzero(below)
     if series.size:
         p[pos[series]] = np.minimum(
-            _lower_gamma_series(a[series], x[series]) * scale[series], 1.0)
+            _lower_gamma_series(a, x[series]) * scale[series], 1.0)
     fraction = np.flatnonzero(~below)
     if fraction.size:
-        p[pos[fraction]] = 1.0 - _upper_gamma_cf(a[fraction], x[fraction]) * scale[fraction]
+        p[pos[fraction]] = 1.0 - _upper_gamma_cf(a, x[fraction]) * scale[fraction]
     return p, prefactor
 
 
@@ -142,53 +125,49 @@ def _shape_term(a: float) -> float:
     return 0.5 * (math.log(a) - _LOG_2PI) - _horner(_STIRLING, 1.0 / (a * a)) / a
 
 
-def _log_prefactor(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _log_prefactor(a: float, x: np.ndarray) -> np.ndarray:
     """log of x^a e^-x / Gamma(a) for x > 0, as a (log t - u) plus a term in
     a alone, where t = x/a = 1 + u. No intermediate grows with a, so the
     absolute error stays near 1e-16 |x - a| where the direct
     a log(x) - x - lgamma(a) loses digits to cancellation (5e-13 at a=500)."""
     u = (x - a) / a
-    log_t = np.where(u > -0.5, np.log1p(u), np.log(x / a))
-    if (a == a[0]).all():  # one shape, as in every chi-squared call
-        return a * (log_t - u) + _shape_term(float(a[0]))
-    shapes, inverse = np.unique(a, return_inverse=True)
-    term = np.array([_shape_term(v) for v in shapes])[inverse.ravel()]
-    return a * (log_t - u) + term
+    log_t = np.log(x / a)
+    # log1p only where it is the better form, so u = -1 never reaches it
+    np.log1p(u, out=log_t, where=u > -0.5)
+    return a * (log_t - u) + _shape_term(a)
 
 
-def _lower_gamma_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
     total = np.empty_like(x)
     live = np.arange(x.size)
-    term = 1.0 / a
+    term = np.full_like(x, 1.0 / a)
     sums = term.copy()
-    denom = a.copy()
-    xs = x
+    denom = a
     for _ in range(_MAX_ITER):
         denom += 1.0
-        term *= xs / denom
+        term *= x / denom
         sums += term
         done = np.abs(term) < np.abs(sums) * _EPS
         if done.any():
             total[live[done]] = sums[done]
-            live, xs, term, sums, denom = _compact(~done, live, xs, term, sums, denom)
+            live, x, term, sums = _compact(~done, live, x, term, sums)
             if not live.size:
                 break
     total[live] = sums  # entries that used up _MAX_ITER
     return total  # P(a, x) divided by the prefactor
 
 
-def _upper_gamma_cf(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _upper_gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
     # Q(a, x) by Lentz's method on the standard continued fraction.
     tiny = 1e-300
     result = np.empty_like(x)
     live = np.arange(x.size)
-    shape = a
     b = x + 1.0 - a
     c = np.full_like(x, 1.0 / tiny)
     d = np.divide(1.0, b, out=np.full_like(x, 1.0 / tiny), where=b != 0.0)
     h = d.copy()
     for i in range(1, _MAX_ITER):
-        an = -i * (i - shape)
+        an = -i * (i - a)
         b += 2.0
         d = an * d + b
         d[np.abs(d) < tiny] = tiny
@@ -200,7 +179,7 @@ def _upper_gamma_cf(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         done = np.abs(delta - 1.0) < _EPS
         if done.any():
             result[live[done]] = h[done]
-            live, shape, b, c, d, h = _compact(~done, live, shape, b, c, d, h)
+            live, b, c, d, h = _compact(~done, live, b, c, d, h)
             if not live.size:
                 break
     result[live] = h  # entries that used up _MAX_ITER
@@ -215,7 +194,7 @@ def chi2_cdf(dist: ChiSquare, x):
 
 
 def _chi2_cdf(x: np.ndarray, dof: int) -> np.ndarray:
-    return _reg_lower_gamma(np.full_like(x, 0.5 * dof), 0.5 * x)
+    return _gamma_parts(0.5 * dof, 0.5 * x)[0]
 
 
 def chi2_inv_cdf(dist: ChiSquare, q):
@@ -253,7 +232,7 @@ def _chi2_inv_cdf(q: np.ndarray, dof: int) -> np.ndarray:
     # leaves it bisects, or doubles x while hi is still unbounded
     lo = np.zeros_like(x)
     hi = np.full_like(x, np.inf)
-    cdf, prefactor = _gamma_parts(np.full_like(x, a), 0.5 * x)
+    cdf, prefactor = _gamma_parts(a, 0.5 * x)
     root = np.empty_like(x)
     live = np.arange(q.size)
     for _ in range(_MAX_ITER):
@@ -317,8 +296,7 @@ def _chi2_cdf_after_move(a: float, x: np.ndarray, x_next: np.ndarray, cdf: np.nd
     prefactor_next = np.empty_like(x)
     full = np.flatnonzero(~short)
     if full.size:
-        cdf_next[full], prefactor_next[full] = _gamma_parts(np.full(full.size, a),
-                                                            0.5 * x_next[full])
+        cdf_next[full], prefactor_next[full] = _gamma_parts(a, 0.5 * x_next[full])
     near = np.flatnonzero(short)
     if near.size:
         start, end = x[near], x_next[near]
