@@ -287,8 +287,7 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
         clouds["wae_mmd"] = _run_baseline_trial(spec, trial_seed, "wae_mmd")
         clouds["cwae"] = _run_baseline_trial(spec, trial_seed, "cwae")
         clouds["attract"], trace = run_attraction_trial(spec, trial_seed)
-        trace_to_csv(trace, out / f"fig1_attract_trial{t:02d}_trace.csv",
-                     CdfAttractionObjective.TRACE_KEYS)
+        trace_to_csv(trace, out / f"fig1_attract_trial{t:02d}_trace.csv")
         for row, cloud in clouds.items():
             cloud.to_csv(out / f"fig1_{row}_trial{t:02d}_cloud.csv")
             narrow = (cloud.data ** 2).sum(1).mean() < spec.dim
@@ -399,8 +398,7 @@ def cmd_attract_demo(spec: ExperimentSpec) -> int:
         if target_name == "gaussian":
             before = initial_cloud(_attraction_config(spec, trial_seed))
             after, trace = run_attraction_trial(spec, trial_seed)
-            trace_to_csv(trace, out / f"attract_gaussian_trial{t:02d}_trace.csv",
-                         CdfAttractionObjective.TRACE_KEYS)
+            trace_to_csv(trace, out / f"attract_gaussian_trial{t:02d}_trace.csv")
             final_obj = cdf_objective(after, build_target_quantiles(spec.n, spec.dim))
             summary = ("final_objective", final_obj)
         else:

@@ -1,19 +1,26 @@
 """Plain gradient descent over a point cloud for the three regularizers.
 
-Deterministic objectives (CWAE, quantile attraction) get backtracking: a step
-that would increase the objective halves alpha, and the accepted objective
-sequence is monotone nonincreasing. When 20 halvings find no step that does
-not increase it, the run ends with a row whose alpha is 0. A run may also
-stop at a step start, without a row, at a stop tolerance or, with a stall
-rule, once the objective stops falling. The stochastic MMD objective (fresh
-prior sample per step) takes plain steps and ignores both stops.
+An objective gives run value(x) and gradient(x) of a cloud, begin_step(x)
+at each step start, trace_extras() for the step's trace row, and the flag
+deterministic. Deterministic objectives (CWAE, quantile attraction) get
+backtracking: a step that would increase the objective halves alpha, and the
+accepted objective sequence is monotone nonincreasing. When 20 halvings find
+no step that does not increase it, the run ends with a row whose alpha is 0.
+A run may also stop at a step start, without a row, at a stop tolerance or,
+with a stall rule, once the objective stops falling. The stochastic MMD
+objective (a fresh prior sample drawn in each begin_step) takes plain steps
+and ignores both stops.
 
-Each objective keeps the work derived from the last cloud it saw (WAE-MMD's
-kernel matrices, CWAE's inverse square roots, the attraction's statistics),
-so the value and gradient of one cloud share a single pass. The baselines
-write their (n, n) pair, Gram and weight matrices into buffers they own,
-allocated at the first cloud and reused by every later one, so a steady-state
-step allocates no n x n array; the buffers belong to one objective only.
+The three objectives share one base, _PerCloud: the protocol's defaults
+(deterministic, a begin_step that does nothing, no trace extras), what an
+objective derived from the last cloud it saw (WAE-MMD's kernel matrices,
+CWAE's inverse square roots, the attraction's statistics), so one cloud's
+value and gradient share a single pass, and the baselines' (n, n) pair, Gram
+and weight buffers, allocated for each new cloud size and overwritten by
+every later cloud, so a steady-state step allocates no n x n array. value
+and gradient stay on each objective's own class: the benchmark's tracer
+counts value evaluations and halvings through the methods a public class
+defines itself.
 The attraction's line-search candidates need only a value, so they are
 sorted but not ranked; residuals are ranked only for the clouds whose
 gradient is taken, each cloud from scratch.
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -78,109 +85,85 @@ class TraceRow:
     extras: dict[str, float] = field(default_factory=dict)
 
 
-class _CloudMemo:
-    """What an objective derives from one cloud, kept until it is asked about
-    another cloud object.
+class _PerCloud:
+    """What _derive(x) made of the last cloud object, the (n, n) buffers and
+    the protocol's defaults. The key is object identity: run builds a new
+    PointCloud for every candidate and never mutates one. The kept data may
+    live in the buffers, which _derive overwrites, so the cloud is forgotten
+    before it derives again."""
 
-    The key is object identity: run builds a new PointCloud for every
-    candidate, asks for the accepted one's value again at the next step
-    start, and never mutates a cloud. The objective passes its compute
-    function per call, so the memo holds no reference back to it. An entry
-    may live in the objective's buffers, which compute overwrites for the
-    next cloud, so the memo forgets its cloud before computing."""
+    deterministic = True
+    _cloud: PointCloud | None = None
+    _kept = None
+    _buffers: tuple[np.ndarray, ...] = ()
 
-    def __init__(self) -> None:
-        self._cloud: PointCloud | None = None
-        self._entry = None
-
-    def get(self, x: PointCloud, compute):
-        """The entry for x; on a miss, compute(x) builds it."""
+    def _derived(self, x: PointCloud):
         if self._cloud is not x:
             self._cloud = None
-            self._entry = compute(x)
+            self._kept = self._derive(x)
             self._cloud = x
-        return self._entry
+        return self._kept
 
-    def clear(self) -> None:
-        self._cloud = self._entry = None
+    def _square_buffers(self, count: int, n: int) -> tuple[np.ndarray, ...]:
+        # the held buffers while they are (n, n), else count new ones
+        if not self._buffers or self._buffers[0].shape != (n, n):
+            self._buffers = tuple(np.empty((n, n)) for _ in range(count))
+        return self._buffers
+
+    def begin_step(self, x: PointCloud) -> None:
+        pass
+
+    def trace_extras(self) -> dict[str, float]:
+        return {}
 
 
-def _square_buffers(held: tuple[np.ndarray, ...], count: int,
-                    n: int) -> tuple[np.ndarray, ...]:
-    # held when it is count (n, n) buffers, else count new ones
-    if len(held) == count and held[0].shape == (n, n):
-        return held
-    return tuple(np.empty((n, n)) for _ in range(count))
-
-
-class WaeMmdObjective:
+class WaeMmdObjective(_PerCloud):
     """IMQ-kernel MMD against a fresh prior sample drawn at every step.
 
     value and gradient share one pair of kernel matrices per cloud; a new
-    prior sample clears them. The objective owns three (n, n) buffers: the
-    two kernel matrices and the gradient weights. A new cloud overwrites the
-    memo's matrices."""
+    prior sample forgets them. The objective owns three (n, n) buffers: the
+    two kernel matrices and the gradient weights."""
 
     deterministic = False
 
     def __init__(self, prior_rng: Rng) -> None:
         self.prior_rng = prior_rng
         self._z_tilde: PointCloud | None = None
-        self._memo = _CloudMemo()
-        self._buffers: tuple[np.ndarray, ...] = ()
 
-    def _matrices(self, x: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-        self._buffers = _square_buffers(self._buffers, 3, x.n)
-        return baselines._mmd_kernels(x, self._z_tilde, *self._buffers[:2])
+    def _derive(self, x: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+        return baselines._mmd_kernels(x, self._z_tilde, *self._square_buffers(3, x.n)[:2])
 
-    def begin_step(self, step: int, x: PointCloud) -> None:
+    def begin_step(self, x: PointCloud) -> None:
         self._z_tilde = sample_standard_normal(self.prior_rng, x.n, x.dim)
-        self._memo.clear()
+        self._cloud = self._kept = None
 
     def value(self, x: PointCloud) -> float:
-        return baselines._wae_mmd(*self._memo.get(x, self._matrices))
+        return baselines._wae_mmd(*self._derived(x))
 
     def gradient(self, x: PointCloud) -> np.ndarray:
-        k_zz, k_zt = self._memo.get(x, self._matrices)
+        k_zz, k_zt = self._derived(x)
         return baselines._wae_mmd_gradient(x, self._z_tilde, k_zz, k_zt, self._buffers[2])
 
-    def trace_extras(self) -> dict[str, float]:
-        return {}
 
-
-class CwaeObjective:
+class CwaeObjective(_PerCloud):
     """The CWAE regularizer, its constants taken from each cloud it is given.
     One matrix of inverse square roots per cloud serves its value, asked for
     twice when a candidate is accepted, and the gradient, whose weights are
     their cubes. The objective owns two (n, n) buffers: the roots and the
-    weights. A new cloud overwrites the memo's roots in place."""
+    weights."""
 
-    deterministic = True
-
-    def __init__(self) -> None:
-        self._memo = _CloudMemo()
-        self._buffers: tuple[np.ndarray, ...] = ()
-
-    def _evaluate(self, x: PointCloud) -> tuple[np.ndarray, float]:
-        self._buffers = _square_buffers(self._buffers, 2, x.n)
-        roots = baselines._cwae_roots(x, self._buffers[0])
+    def _derive(self, x: PointCloud) -> tuple[np.ndarray, float]:
+        roots = baselines._cwae_roots(x, self._square_buffers(2, x.n)[0])
         return roots, baselines._cwae(x, roots)
 
-    def begin_step(self, step: int, x: PointCloud) -> None:
-        pass
-
     def value(self, x: PointCloud) -> float:
-        return self._memo.get(x, self._evaluate)[1]
+        return self._derived(x)[1]
 
     def gradient(self, x: PointCloud) -> np.ndarray:
-        roots = self._memo.get(x, self._evaluate)[0]
-        return baselines._cwae_gradient(x, roots, self._buffers[1])
-
-    def trace_extras(self) -> dict[str, float]:
-        return {}
+        return baselines._cwae_gradient(x, self._derived(x)[0], self._buffers[1])
 
 
-class CdfAttractionObjective:
+class CdfAttractionObjective(_PerCloud):
     """Quantile mismatch of radii and pairwise distances.
 
     Each cloud's statistics and terms are kept per cloud object, so the value
@@ -190,33 +173,27 @@ class CdfAttractionObjective:
     kept statistics, once per gradient: run asks for one gradient per cloud.
     Nothing else carries over from one cloud to the next."""
 
-    deterministic = True
     # the keys of trace_extras, in trace_to_csv's column order
     TRACE_KEYS = ("distance_term", "radii_term")
 
     def __init__(self, targets: cdf_attract.TargetQuantiles) -> None:
         self.targets = targets
         self._last_terms: tuple[float, float] = (float("nan"), float("nan"))
-        self._memo = _CloudMemo()
         self._residuals: cdf_attract.Residuals | None = None
 
-    def _evaluate(self, x: PointCloud) -> tuple[cdf_attract.CloudStats, tuple[float, float]]:
+    def _derive(self, x: PointCloud) -> tuple[cdf_attract.CloudStats, tuple[float, float]]:
         stats = cdf_attract.cloud_stats(x)
         return stats, cdf_attract.value_terms(stats, self.targets)
 
-    def begin_step(self, step: int, x: PointCloud) -> None:
-        pass
-
     def value(self, x: PointCloud) -> float:
-        term_r, term_d = self._last_terms = self._memo.get(x, self._evaluate)[1]
+        term_r, term_d = self._last_terms = self._derived(x)[1]
         return term_r + term_d
 
     def gradient(self, x: PointCloud) -> np.ndarray:
         # the residuals live until the next gradient: freed within the step,
         # their pages go back to the OS and the line search faults them in
         # again (n=400, D=20: 19k minor page faults per run instead of 3.7k)
-        self._residuals = cdf_attract.residual_bundle(self._memo.get(x, self._evaluate)[0],
-                                                      self.targets)
+        self._residuals = cdf_attract.residual_bundle(self._derived(x)[0], self.targets)
         return cdf_attract.gradient_from_residuals(x, self._residuals)
 
     def trace_extras(self) -> dict[str, float]:
@@ -260,7 +237,7 @@ def run(config: RunConfig, objective) -> tuple[PointCloud, list[TraceRow]]:
     trace: list[TraceRow] = []
     for step in range(config.max_steps):
         t0 = time.perf_counter()
-        objective.begin_step(step, x)
+        objective.begin_step(x)
         value = checked_value(x, step)
         extras = objective.trace_extras()
         if objective.deterministic and (
@@ -290,14 +267,14 @@ def run(config: RunConfig, objective) -> tuple[PointCloud, list[TraceRow]]:
     return x, trace
 
 
-def trace_to_csv(trace: Iterable[TraceRow], path, extra_keys: Sequence[str]) -> None:
-    """Write a trace as CSV, the extras in the columns extra_keys (the
-    objective's TRACE_KEYS), so a trace with no row has them too. Wall time is
-    left out so reruns of the same configuration produce byte-identical files."""
-    header = ["step", "objective", "alpha", *extra_keys]
+def trace_to_csv(trace: Iterable[TraceRow], path) -> None:
+    """Write an attraction trace as CSV, its extras in the TRACE_KEYS columns
+    even when it has no row. Wall time is left out so reruns of the same
+    configuration produce byte-identical files."""
+    keys = CdfAttractionObjective.TRACE_KEYS
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(["step", "objective", "alpha", *keys]) + "\n")
         for row in trace:
             fields = [str(row.step), "%.17g" % row.objective, "%.17g" % row.alpha]
-            fields += ["%.17g" % row.extras[k] for k in extra_keys]
+            fields += ["%.17g" % row.extras[k] for k in keys]
             fh.write(",".join(fields) + "\n")

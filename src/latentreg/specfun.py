@@ -131,7 +131,8 @@ def _log_prefactor(a: float, x: np.ndarray) -> np.ndarray:
     absolute error stays near 1e-16 |x - a| where the direct
     a log(x) - x - lgamma(a) loses digits to cancellation (5e-13 at a=500)."""
     u = (x - a) / a
-    log_t = np.log(x / a)
+    with np.errstate(divide="ignore"):  # x/a underflows to 0: the prefactor is 0
+        log_t = np.log(x / a)
     # log1p only where it is the better form, so u = -1 never reaches it
     np.log1p(u, out=log_t, where=u > -0.5)
     return a * (log_t - u) + _shape_term(a)

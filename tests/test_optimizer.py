@@ -167,17 +167,18 @@ def test_identical_configs_give_identical_trace_bytes(tmp_path):
         config = RunConfig(n=30, dim=5, seed=21, max_steps=40, alpha0=1.0,
                            schedule="proportional_to_objective")
         _, trace = run(config, CdfAttractionObjective(build_target_quantiles(30, 5)))
-        trace_to_csv(trace, path, CdfAttractionObjective.TRACE_KEYS)
+        trace_to_csv(trace, path)
         return path.read_bytes()
 
     assert one(tmp_path / "a.csv") == one(tmp_path / "b.csv")
 
 
 def test_trace_csv_columns(tmp_path):
-    # the extras follow the given keys, whatever order the rows hold them in
+    # the extras follow the attraction's TRACE_KEYS, whatever order the rows
+    # hold them in
     rows = [TraceRow(0, 1.5, 0.25, 3.25, {"radii_term": 1.0, "distance_term": 0.5})]
     plain = tmp_path / "plain.csv"
-    trace_to_csv(rows, plain, CdfAttractionObjective.TRACE_KEYS)
+    trace_to_csv(rows, plain)
     assert plain.read_text().splitlines() == [
         "step,objective,alpha,distance_term,radii_term", "0,1.5,0.25,0.5,1"]
 
@@ -188,14 +189,25 @@ def test_trace_csv_names_the_objective_columns_without_rows(tmp_path):
     objective = CdfAttractionObjective(build_target_quantiles(4, 2))
     assert list(CdfAttractionObjective.TRACE_KEYS) == sorted(objective.trace_extras())
     path = tmp_path / "empty.csv"
-    trace_to_csv([], path, CdfAttractionObjective.TRACE_KEYS)
+    trace_to_csv([], path)
     assert path.read_text() == "step,objective,alpha,distance_term,radii_term\n"
+
+
+@pytest.mark.parametrize("cls", [WaeMmdObjective, CwaeObjective, CdfAttractionObjective],
+                         ids=lambda cls: cls.__name__)
+def test_each_objective_defines_the_methods_the_benchmark_counts(cls):
+    # the benchmark's tracer wraps only the methods a public class defines
+    # itself, and reads value evaluations and halvings from value calls: a
+    # value or gradient inherited from the shared base would count as none
+    assert "value" in vars(cls) and "gradient" in vars(cls)
+    if cls is WaeMmdObjective:
+        assert "begin_step" in vars(cls)
 
 
 class _NanGradientObjective:
     deterministic = True
 
-    def begin_step(self, step, x):
+    def begin_step(self, x):
         pass
 
     def value(self, x):
@@ -358,8 +370,8 @@ def test_wae_mmd_run_builds_two_distance_matrices_per_step(monkeypatch):
 def test_wae_mmd_new_prior_sample_clears_the_memo():
     objective = WaeMmdObjective(Rng(7).derive(1))
     x = sample_uniform_cube(Rng(7), 20, 4, -1.0, 1.0)
-    for step in range(2):
-        objective.begin_step(step, x)
+    for _ in range(2):
+        objective.begin_step(x)
         assert objective.value(x) == baselines.wae_mmd(x, objective._z_tilde)
 
 
@@ -421,8 +433,8 @@ def test_buffered_objectives_equal_the_public_functions_bit_for_bit(kind):
              ("gradient", x3), ("value", x3), ("gradient", x2), ("value", x2)]
     for step, (method, x) in enumerate(calls):
         if method == "begin_step":
-            objective.begin_step(step, x)
-            direct.begin_step(step, x)
+            objective.begin_step(x)
+            direct.begin_step(x)
             continue
         got, want = getattr(objective, method)(x), getattr(direct, method)(x)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (step, method)
@@ -438,8 +450,8 @@ def test_one_objective_serves_clouds_of_any_shape(kind):
     x1 = PointCloud(0.5 * rng.normal(30 * 6).reshape(30, 6))
     x2 = PointCloud(0.5 * rng.normal(40 * 3).reshape(40, 3))
     for step, x in enumerate((x1, x2, x1)):
-        objective.begin_step(step, x)
-        direct.begin_step(step, x)
+        objective.begin_step(x)
+        direct.begin_step(x)
         for method in ("value", "gradient"):
             got, want = getattr(objective, method)(x), getattr(direct, method)(x)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (step, method)
@@ -464,21 +476,21 @@ def test_steady_state_steps_allocate_no_square_matrix(make):
         growth.append(tracemalloc.get_traced_memory()[1] - current)
         return result
 
-    def step(k, x):
+    def step(x):
         # a run's step: start value, gradient, one line-search candidate
-        measured("begin_step", k, x)
+        measured("begin_step", x)
         measured("value", x)
         candidate = PointCloud(x.data - 1e-3 * measured("gradient", x))
         measured("value", candidate)
         return candidate
 
-    x = step(0, sample_uniform_cube(Rng(5), n, dim, -1.0, 1.0))  # allocates the buffers
+    x = step(sample_uniform_cube(Rng(5), n, dim, -1.0, 1.0))  # allocates the buffers
     peaks.clear()
     growth.clear()
     tracemalloc.start()
     try:
-        for k in range(1, 4):
-            x = step(k, x)
+        for _ in range(3):
+            x = step(x)
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()

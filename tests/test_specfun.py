@@ -74,12 +74,16 @@ def test_non_finite_out_of_domain_entries_raise():
 
 def test_tiny_arguments_raise_no_warning():
     # below x/a of about 1e-16, u = (x - a) / a rounds to -1, where log1p
-    # divides by zero
+    # divides by zero; below x/a of about 5e-324 (dof > 2 only), x/a itself
+    # underflows to 0, where log does
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert chi2_cdf(ChiSquare(2), 1e-300) == pytest.approx(5e-301, rel=1e-12)
         assert 0.0 < chi2_cdf(ChiSquare(20), 1e-15) < 1e-150
         assert 0.0 < chi2_inv_cdf(ChiSquare(1), 1e-300) < 1e-20
+        assert chi2_cdf(ChiSquare(1000), 1e-321) == 0.0
+        assert np.array_equal(chi2_cdf(ChiSquare(1000), np.array([1e-321, 5.0])),
+                              [0.0, chi2_cdf(ChiSquare(1000), 5.0)])
 
 
 def test_chi2_cdf_closed_form_dof2():
