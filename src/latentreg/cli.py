@@ -339,8 +339,8 @@ _EVAL_CHOICES = ("wae_mmd", "cwae", "mardia", "radii", "distances")
 
 def cmd_eval(cloud_csv: str, which: str, seed: int, out: str) -> int:
     """Evaluate one statistic on a cloud CSV; prints a report and writes it
-    next to the other artifacts. A non-finite value raises before anything
-    is printed or written."""
+    next to the other artifacts. A non-finite value, or a cloud whose squared
+    distances overflow, raises before any value is printed or written."""
     cloud = PointCloud.from_csv(cloud_csv)
     seed_note = f" seed={seed}" if which == "wae_mmd" else ""
     print(f"cloud={cloud_csv} n={cloud.n} dim={cloud.dim} which={which}{seed_note}")
@@ -361,6 +361,13 @@ def cmd_eval(cloud_csv: str, which: str, seed: int, out: str) -> int:
     for name, value in rows:  # as optimizer.run stops on a non-finite objective
         if not np.isfinite(value):
             raise ValueError(f"eval {which}: {name} is not finite ({value})")
+    # |x_i - x_j|^2 <= 4 max_i |x_i|^2 bounds every squared distance and every
+    # partial sum of its Gram form, which can overflow into a finite but
+    # wrong statistic: checked here once, not in _sq_dists' hot path
+    with np.errstate(over="ignore"):
+        reach = 4.0 * float(np.einsum("ij,ij->i", cloud.data, cloud.data).max())
+    if not np.isfinite(reach):
+        raise ValueError(f"eval {which}: the cloud's squared distances overflow")
     for name, value in rows:
         print(f"{name}=%.17g" % value)
     out_dir = Path(out)

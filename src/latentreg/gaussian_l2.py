@@ -13,18 +13,20 @@ per-pair integrals otherwise. The prior is the one-point sample at the
 origin with unit width. The equal-width isotropic distance keeps its own
 kernel, exp(-|x - y|^2 / 4 sigma^2), which needs no logs of width sums.
 
-Every energy is evaluated in pieces whose whole working set is about
-_BLOCK_ELEMENTS floats (2 MB), whatever the sample sizes and the dimension.
-The spherical and isotropic kernels run over row blocks of the first cloud
-against the whole second cloud, in two buffers allocated once per energy;
-each block is reduced to floats and the block sums are added exactly. A
-cloud against itself gives a symmetric matrix, so its row blocks run over
-one triangle of blocks only: the part right of each diagonal block is
-counted twice. The full-covariance pairs run in chunks: the covariances
-are stacked once per sample, and each chunk of pairs takes one batched
-Cholesky factorization; a sample against itself takes each unordered pair
-once. The chunk terms stream into one exactly rounded sum, so no array or
-list grows with the number of pairs.
+Every energy is evaluated in pieces whose whole working set is at most
+about _BLOCK_ELEMENTS floats (2 MB), whatever the sample sizes and the
+dimension. The spherical and isotropic kernels run over row blocks of the
+first cloud against the whole second cloud, in two buffers allocated once
+per energy; each block is reduced to floats and the block sums are added
+exactly. A cloud against itself gives a symmetric matrix, so its row blocks
+run over one triangle of blocks only: the part right of each diagonal block
+is counted twice. The full-covariance pairs run in chunks: the covariances
+are stacked once per sample, each chunk of pairs forms its covariance sums
+in two stacks allocated once per energy, and it takes one batched Cholesky
+factorization of them, whose factor is the one stack a chunk allocates; a
+sample against itself takes each unordered pair once. The chunk terms
+stream into one exactly rounded sum, so no array or list grows with the
+number of pairs.
 
 The mean-field width is a bracketed Newton solve of the mismatch's
 stationarity condition, written as a difference of logs.
@@ -49,10 +51,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_4PI = math.log(4.0 * math.pi)
 _LOG_2 = math.log(2.0)
 _EPS = 2.0 ** -52
-# floats in the working set of one piece of an energy (2 MB): a kernel row
-# block fills two buffers with max(1, _BLOCK_ELEMENTS // (2 m)) rows against
-# m points, a pair chunk four (chunk, D, D) stacks with
-# max(1, _BLOCK_ELEMENTS // (4 D^2)) pairs
+# floats that bound the working set of one piece of an energy (2 MB): a
+# kernel row block fills two buffers with max(1, _BLOCK_ELEMENTS // (2 m))
+# rows against m points; a pair chunk has max(1, _BLOCK_ELEMENTS // (4 D^2))
+# pairs and fills three (chunk, D, D) stacks, the energy's two sum stacks and
+# its own Cholesky factor
 _BLOCK_ELEMENTS = 2 ** 18
 
 
@@ -126,7 +129,7 @@ def gaussian_product_integral(mu: np.ndarray, sigma: np.ndarray,
     gamma, _ = _check_covariance(gamma, "gamma")
     if sigma.shape[0] != gamma.shape[0] or sigma.shape[0] != mu.shape[0]:
         raise ValueError("mu, sigma, gamma dimensions differ")
-    return math.exp(_log_pair_integral(mu[None], sigma[None], gamma[None])[0])
+    return math.exp(_log_pair_integral(mu[None], (sigma + gamma)[None])[0])
 
 
 def _log_spherical(sq_dist: np.ndarray, total: np.ndarray, dim: int) -> np.ndarray:
@@ -181,13 +184,13 @@ class SmoothedSample:
         return self.bandwidths
 
 
-def _log_pair_integral(diff: np.ndarray, cov_a: np.ndarray,
-                       cov_b: np.ndarray) -> np.ndarray:
-    """logs of the product integrals of N(diff_k, cov_a_k) and N(0, cov_b_k)
-    over a stack of k pairs, (k, D) differences and (k, D, D) covariances,
-    from one batched Cholesky factorization of cov_a + cov_b."""
+def _log_pair_integral(diff: np.ndarray, cov_sum: np.ndarray) -> np.ndarray:
+    """logs of the product integrals of N(diff_k, A_k) and N(0, B_k) over a
+    stack of k pairs, from the (k, D) differences and the (k, D, D) stack of
+    the sums A_k + B_k, by one batched Cholesky factorization of that stack.
+    The factor is the one (k, D, D) array it allocates."""
     try:
-        chol = np.linalg.cholesky(cov_a + cov_b)
+        chol = np.linalg.cholesky(cov_sum)
     except np.linalg.LinAlgError:
         raise ValueError("matrix is not positive-definite") from None
     # chol y = diff by forward substitution, one coordinate at a time over
@@ -248,7 +251,11 @@ def _energy(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:
     takes one triangle: the n diagonal terms once and each i < j term twice.
     A chunk is a slice of a flat range of pair indices k: across samples
     (i, j) = divmod(k, m), and in the triangle i is the row whose flat range
-    holds k. Its terms stream into math.fsum through a generator."""
+    holds k. It gathers A_i and B_j into the heads of two stacks allocated
+    once per energy and adds them in place, so the Cholesky factor is its
+    one fresh stack: a stack of 163 pairs at D = 20 is 512 KB, above glibc's
+    mmap threshold, and each fresh one is mapped and faulted in page by
+    page. Its terms stream into math.fsum through a generator."""
     dim, n, m = a.points.dim, a.points.n, b.points.n
     w_a, w_b = 1.0 / n, 1.0 / m
     if a.spherical and b.spherical:
@@ -273,6 +280,8 @@ def _energy(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:
     covs_b = covs_a if a is b else b.covariances()
     pts_a, pts_b = a.points.data, b.points.data
     chunk = max(1, _BLOCK_ELEMENTS // (4 * dim * dim))
+    cov_sum = np.empty((min(chunk, pairs), dim, dim))
+    spare = np.empty_like(cov_sum)
 
     def terms():
         for start in range(0, pairs, chunk):
@@ -284,7 +293,11 @@ def _energy(a: SmoothedSample, b: SmoothedSample, shift: float = 0.0) -> float:
             else:
                 i, j = np.divmod(k, m)
                 coefs = w_a * w_b
-            logs = _log_pair_integral(pts_a[i] - pts_b[j], covs_a[i], covs_b[j])
+            # the indices are in range; take's default mode="raise" would
+            # gather through a fresh copy of out
+            sums = np.take(covs_a, i, axis=0, out=cov_sum[:len(k)], mode="clip")
+            sums += np.take(covs_b, j, axis=0, out=spare[:len(k)], mode="clip")
+            logs = _log_pair_integral(pts_a[i] - pts_b[j], sums)
             yield from (coefs * np.exp(logs + shift)).tolist()
 
     return math.fsum(terms())
@@ -379,28 +392,33 @@ def _mean_field_logs(r: float, sigma: float, dim: int) -> tuple[float, float]:
             _LOG_2 - 0.5 * r * r / (1.0 + s2) + 0.5 * dim * (_LOG_2 - math.log(1.0 + s2)))
 
 
-def _mean_field_psi(r2: float, sigma: float, dim: int) -> tuple[float, float, float]:
+def _mean_field_psi(r2: float, sigma: float, dim: int,
+                    offset: float) -> tuple[float, float, float]:
     # psi(sigma), its derivative and its rounding level. The mismatch's
     # sigma-dependent part is S - C, the self and cross terms of
     # _mean_field_logs; psi = log(-S') - log(-C') is positive while the
     # mismatch still falls and 0 where it is stationary. As a sum of logs it
     # neither over- nor underflows. With u = 1 + s^2,
     #   psi = -(D+2) log s + (D/2+2) log u + r^2/(2u) - log(D u - r^2)
-    #         + log D - (D/2+1) log 2,
-    # and psi = +inf where D u <= r^2: C still grows there, so the mismatch
-    # falls
+    #         + offset,
+    # with the sigma-free offset = log D - (D/2+1) log 2 that the caller
+    # computes once, and psi = +inf where D u <= r^2: C still grows there,
+    # so the mismatch falls
     u = 1.0 + sigma * sigma
     gap = dim * u - r2
     if gap <= 0.0:
         return math.inf, 0.0, 0.0
-    terms = (-(dim + 2) * math.log(sigma), (0.5 * dim + 2.0) * math.log(u), 0.5 * r2 / u,
-             -math.log(gap), math.log(dim) - (0.5 * dim + 1.0) * _LOG_2)
+    log_s, log_u = -(dim + 2) * math.log(sigma), (0.5 * dim + 2.0) * math.log(u)
+    r_term, log_gap = 0.5 * r2 / u, math.log(gap)
     slope = -(dim + 2) / sigma + (dim + 4) * sigma / u - r2 * sigma / (u * u) \
         - 2.0 * dim * sigma / gap
     # each term rounds to about one ulp of itself, and log(gap) inherits
-    # the cancellation of D u - r^2
-    level = _EPS * (sum(map(abs, terms)) + (dim * u + r2) / gap)
-    return sum(terms), slope, level
+    # the cancellation of D u - r^2. Both sums are the builtin sum over the
+    # terms in this order: from Python 3.12 on it is compensated, and a
+    # chain of + would give sigma other last bits there
+    level = _EPS * (sum((abs(log_s), abs(log_u), r_term, abs(log_gap), abs(offset)))
+                    + (dim * u + r2) / gap)
+    return sum((log_s, log_u, r_term, -log_gap, offset)), slope, level
 
 
 # bracket of mean_field_sigma and its Newton iteration budget
@@ -428,15 +446,15 @@ def mean_field_sigma(r: float, dim: int) -> float:
     _check_mean_field(r, dim)
     if not r >= 0.0:
         raise ValueError("radius must be nonnegative")
-    r2 = r * r
+    r2, offset = r * r, math.log(dim) - (0.5 * dim + 1.0) * _LOG_2
     lo, hi = max(_SIGMA_LO, math.sqrt(max(r2 / dim - 1.0, 0.0))), _SIGMA_HI
-    if _mean_field_psi(r2, hi, dim)[0] >= 0.0:
+    if _mean_field_psi(r2, hi, dim, offset)[0] >= 0.0:
         return hi
-    if lo == _SIGMA_LO and _mean_field_psi(r2, lo, dim)[0] <= 0.0:
+    if lo == _SIGMA_LO and _mean_field_psi(r2, lo, dim, offset)[0] <= 0.0:
         return lo
     sigma = min(math.sqrt(1.0 + r2 / dim), hi)
     for _ in range(_SIGMA_ITERATIONS):
-        psi, slope, level = _mean_field_psi(r2, sigma, dim)
+        psi, slope, level = _mean_field_psi(r2, sigma, dim, offset)
         if abs(psi) <= level:
             break
         if psi > 0.0:

@@ -394,6 +394,22 @@ def test_eval_non_finite_statistic_exits_2_before_writing(tmp_path, capsys, whic
     assert not (out / f"eval_{which}.csv").exists()
 
 
+@pytest.mark.parametrize("which", ["wae_mmd", "cwae"])
+def test_eval_overflowing_squared_distances_exit_2_before_writing(tmp_path, capsys, which):
+    # |x|^2 = 1e400 overflows in the Gram form of the squared distances,
+    # which then zeroes the far point's own kernel entry: both statistics
+    # read finite but wrong. Numeric warnings stay quiet here, as in a
+    # command-line run without -W error
+    path = tmp_path / "far.csv"
+    path.write_text("1e200,2\n3,4\n")
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        code = main(["eval", "--cloud", str(path), "--which", which, "--out", str(out)])
+    assert code == 2
+    assert f"eval {which}: the cloud's squared distances overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_mardia_zero_cloud(tmp_path):
     path = tmp_path / "zeros.csv"
     PointCloud(np.zeros((5, 4))).to_csv(path)

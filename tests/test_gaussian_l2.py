@@ -318,8 +318,8 @@ def test_blocked_kernels_match_a_dense_reference(monkeypatch, n):
 
 @pytest.mark.parametrize("elements", [1, 72, 2 ** 18])
 def test_chunked_pair_sums_match_the_per_pair_sum(monkeypatch, elements):
-    # 1, 2 and all pairs per chunk at D = 3, a chunk holding four (chunk, 3, 3)
-    # stacks, against one integral per pair
+    # 1, 2 and all pairs per chunk at D = 3 (chunks of _BLOCK_ELEMENTS // 36
+    # pairs), against one integral per pair
     monkeypatch.setattr(gaussian_l2, "_BLOCK_ELEMENTS", elements)
     rng = np.random.default_rng(8)
     na, nb, dim = 7, 5, 3
@@ -387,21 +387,22 @@ def test_uniform_weights_keep_every_bit():
 def test_chunks_enumerate_the_pairs_in_index_order(monkeypatch, n, per_chunk):
     # the chunks of a sample against itself run through np.triu_indices(n),
     # and against another sample through np.indices((n, m)), in order, each
-    # with per_chunk pairs but the last; the covariance (i + 1) I of point i
-    # tells which points a pair joins
+    # with per_chunk pairs but the last. Point i sits at first coordinate i
+    # with covariance (i + 1) I, so the pair (i, j) has the first difference
+    # i - j and the covariance sum (i + j + 2) I, which tell i and j
     dim, m = 2, 4
     monkeypatch.setattr(gaussian_l2, "_BLOCK_ELEMENTS", 4 * dim * dim * per_chunk)
     calls = []
     real = gaussian_l2._log_pair_integral
 
-    def recording(diff, cov_a, cov_b):
-        calls.append((cov_a[:, 0, 0].round().astype(int) - 1,
-                      cov_b[:, 0, 0].round().astype(int) - 1))
-        return real(diff, cov_a, cov_b)
+    def recording(diff, cov_sum):
+        diffs, sums = diff[:, 0].round().astype(int), cov_sum[:, 0, 0].round().astype(int) - 2
+        calls.append(((sums + diffs) // 2, (sums - diffs) // 2))
+        return real(diff, cov_sum)
 
     monkeypatch.setattr(gaussian_l2, "_log_pair_integral", recording)
     rng = np.random.default_rng(n)
-    a, b = (SmoothedSample(PointCloud(rng.normal(size=(k, dim))),
+    a, b = (SmoothedSample(PointCloud(np.column_stack([np.arange(k), rng.normal(size=k)])),
                            [(i + 1.0) * np.eye(dim) for i in range(k)]) for k in (n, m))
     for u, v, want in ((a, a, np.triu_indices(n)),
                        (a, b, np.indices((n, m)).reshape(2, -1))):
@@ -433,12 +434,36 @@ def test_multi_chunk_full_energies_keep_every_bit(monkeypatch, elements):
     assert float(gaussian_l2._energy(fa, fb, shift)).hex() == "0x1.1a07969cedeb5p-14"
 
 
+@pytest.mark.parametrize("per_chunk", [1, 7])
+def test_multi_chunk_full_energies_reuse_one_sum_stack(monkeypatch, per_chunk):
+    # every chunk of one energy forms its covariance sums in the stack the
+    # energy allocated for its first chunk, so no (chunk, D, D) stack but
+    # the Cholesky factor is allocated per chunk
+    dim = 3
+    monkeypatch.setattr(gaussian_l2, "_BLOCK_ELEMENTS", 4 * dim * dim * per_chunk)
+    stacks = []
+    real = gaussian_l2._log_pair_integral
+
+    def recording(diff, cov_sum):
+        stacks.append(cov_sum)
+        return real(diff, cov_sum)
+
+    monkeypatch.setattr(gaussian_l2, "_log_pair_integral", recording)
+    rng = np.random.default_rng(per_chunk)
+    a, b = (SmoothedSample(PointCloud(rng.normal(size=(k, dim))),
+                           [rand_spd(dim, rng) for _ in range(k)]) for k in (6, 5))
+    for u, v in ((a, a), (a, b)):
+        stacks.clear()
+        gaussian_l2._energy(u, v)
+        assert len(stacks) > 2
+        assert all(np.shares_memory(stack, stacks[0]) for stack in stacks[1:])
+
+
 def test_pair_stack_with_one_indefinite_sum_is_rejected():
-    covs_a = np.stack([np.eye(3)] * 4)
-    covs_b = covs_a.copy()
-    covs_b[2] = -1.5 * np.eye(3)
+    cov_sum = np.stack([2.0 * np.eye(3)] * 4)
+    cov_sum[2] = -0.5 * np.eye(3)
     with pytest.raises(ValueError, match="matrix is not positive-definite"):
-        gaussian_l2._log_pair_integral(np.zeros((4, 3)), covs_a, covs_b)
+        gaussian_l2._log_pair_integral(np.zeros((4, 3)), cov_sum)
 
 
 def _traced_peak(call):
@@ -468,9 +493,10 @@ def test_blocked_energies_stay_small_at_n2000():
 
 
 def test_full_covariance_energies_stay_small_at_n600():
-    # 180,300 self pairs and 360,000 cross pairs at D = 3: the four stacks of
-    # a chunk hold 2 MB, and no index, coefficient or term list grows with
-    # the pair count (an array of 360,000 floats alone is 2.9 MB)
+    # 180,300 self pairs and 360,000 cross pairs at D = 3 in chunks of
+    # 7,281: the energy's two sum stacks and a chunk's Cholesky factor hold
+    # 1.5 MB, and no index, coefficient or term list grows with the pair
+    # count (an array of 360,000 floats alone is 2.9 MB)
     rng = np.random.default_rng(600)
     n, dim = 600, 3
     x, y = PointCloud(rng.normal(size=(n, dim))), PointCloud(rng.normal(size=(n, dim)))
@@ -642,6 +668,31 @@ def _mean_field_psi(r, sigma, dim):
     level = 2.0 ** -52 * (sum(map(abs, terms)) + (dim * u + r * r) / gap
                           + sigma * abs(slope))
     return math.fsum(terms), level
+
+
+def _mean_field_psi_reference(r2, sigma, dim):
+    # the solver's psi written as one tuple of its five terms, the sigma-free
+    # log D - (D/2+1) log 2 among them, each sum the builtin sum over that
+    # tuple: the solver's own psi must give the same bits in every Python
+    u = 1.0 + sigma * sigma
+    gap = dim * u - r2
+    if gap <= 0.0:
+        return math.inf, 0.0, 0.0
+    terms = (-(dim + 2) * math.log(sigma), (0.5 * dim + 2.0) * math.log(u), 0.5 * r2 / u,
+             -math.log(gap), math.log(dim) - (0.5 * dim + 1.0) * math.log(2.0))
+    slope = -(dim + 2) / sigma + (dim + 4) * sigma / u - r2 * sigma / (u * u) \
+        - 2.0 * dim * sigma / gap
+    level = 2.0 ** -52 * (sum(map(abs, terms)) + (dim * u + r2) / gap)
+    return sum(terms), slope, level
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 20, 100, 1000])
+def test_mean_field_sigma_keeps_the_bits_of_the_reference_psi(monkeypatch, dim):
+    radii = [float(r) for r in np.linspace(0.0, 3.0 * math.sqrt(dim) + 5.0, 401)]
+    got = [mean_field_sigma(r, dim).hex() for r in radii]
+    monkeypatch.setattr(gaussian_l2, "_mean_field_psi",
+                        lambda r2, sigma, dim, *offset: _mean_field_psi_reference(r2, sigma, dim))
+    assert got == [mean_field_sigma(r, dim).hex() for r in radii]
 
 
 @pytest.mark.parametrize("r, dim", [(0.0, 20), (0.123, 20), (2.0, 20), (1.0, 1), (5.0, 5)])
