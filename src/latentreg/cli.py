@@ -18,13 +18,11 @@ worker passes it.
 
 fig1 and fig2 differ only in the clouds they make and in their summary CSVs:
 stat_tests.judge sorts each statistic of a cloud, takes its KS distance and
-names its target, and _write_curves writes every curve CSV and panel against
-it. A curve's target column is formatted once per (statistic, count) as row
-templates (_curve_tails: one string per _CSV_CHUNK rows with a "%.17g" slot
-per value), kept for the run for a law and for one trial for a reference
-cloud. A panel draws each EDF from its sorted values alone (svgplot computes
-the probabilities per chunk); a pooled reference, sorted in place, lives only
-while its panels are drawn. The curve CSVs are written after every panel.
+names its target, and _write_curves draws every panel against it and writes
+each trial's sorted values as a one-column curve CSV. A panel draws each EDF
+from its sorted values alone (svgplot computes the probabilities per chunk);
+a pooled reference, sorted in place, lives only while its panels are drawn.
+The curve CSVs are written after every panel.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from .cdf_attract import (
     cdf_objective,
     codeword_fraction,
     coordinate_step,
-    midpoint_probs,
 )
 from .optimizer import (
     CdfAttractionObjective,
@@ -171,30 +168,14 @@ def _run_baseline_trial(spec: ExperimentSpec, trial_seed: int, kind: str) -> Poi
 _CSV_CHUNK = 1024
 
 
-def _curve_tails(target_args: np.ndarray, probs: np.ndarray) -> tuple[str, ...]:
-    """One row template per _CSV_CHUNK rows of a curve CSV: "%.17g," then the
-    row's target_arg and prob, already "%.17g" formatted. Curves that share
-    their targets share these."""
-    templates: list[str] = []
-    for i in range(0, probs.shape[0], _CSV_CHUNK):
-        chunk = np.column_stack((target_args[i:i + _CSV_CHUNK], probs[i:i + _CSV_CHUNK]))
-        templates.append(("%%.17g,%.17g,%.17g\n" * chunk.shape[0])
-                         % tuple(chunk.ravel().tolist()))
-    return tuple(templates)
-
-
-def _write_curve_csv(path: Path, sorted_values: np.ndarray, tails: tuple[str, ...]) -> None:
-    """EDF curve CSV, one row per sorted value, filling the _curve_tails
-    templates with one % each. The bytes are those of writing each row as
-    "%.17g,%.17g,%.17g\n" % (value, target_arg, prob)."""
-    rows = (len(tails) - 1) * _CSV_CHUNK + tails[-1].count("\n") if tails else 0
-    if sorted_values.shape[0] != rows:
-        raise ValueError(f"{sorted_values.shape[0]} values for {rows} curve rows")
+def _write_curve_csv(path: Path, sorted_values: np.ndarray) -> None:
+    """EDF curve CSV: the header "value", then the sorted values, one "%.17g"
+    row each, formatted _CSV_CHUNK rows per % call."""
     with open(path, "w", newline="") as fh:
-        fh.write("value,target_arg,prob\n")
-        for i, template in enumerate(tails):
-            fh.write(template % tuple(
-                sorted_values[i * _CSV_CHUNK:(i + 1) * _CSV_CHUNK].tolist()))
+        fh.write("value\n")
+        for i in range(0, sorted_values.shape[0], _CSV_CHUNK):
+            chunk = sorted_values[i:i + _CSV_CHUNK].tolist()
+            fh.write(("%.17g\n" * len(chunk)) % tuple(chunk))
 
 
 def _sorted_quantile(sorted_values: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -225,11 +206,11 @@ _Y_TICKS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 def _write_curves(out: Path, prefix: str, judged: dict[str, list[dict]], title: str) -> None:
     """Every curve CSV and SVG panel of judged = {row: [judge of each trial]}:
-    out/{prefix}_{row}_{stat}_trial{t:02d}.csv per trial, and a panel
-    out/{prefix}_{row}_{stat}.svg of the trials' EDFs over the judge's target,
-    titled title.format(row=row, stat=stat). A Law is drawn once however many
-    statistics share it; trial t's reference values, the same for every row,
-    give its curves their quantiles and the panels their pooled EDF."""
+    out/{prefix}_{row}_{stat}_trial{t:02d}.csv per trial, the statistic's
+    sorted values, and a panel out/{prefix}_{row}_{stat}.svg of the trials'
+    EDFs over the judge's target, titled title.format(row=row, stat=stat). A
+    Law is drawn once however many statistics share it; the trials' reference
+    values, the same for every row, give the panels their pooled EDF."""
     first = next(iter(judged.values()))
     laws: dict[Law, tuple[np.ndarray, np.ndarray]] = {}  # on the panel grid and at the deciles
     for stat, (_, _, target) in first[0].items():
@@ -245,33 +226,23 @@ def _write_curves(out: Path, prefix: str, judged: dict[str, list[dict]], title: 
             trial_values = [trial[stat][0] for trial in trials]
             hi = max(float(xs[-1]), max(float(v[-1]) for v in trial_values))
             lo = min(0.0, float(xs[0]), min(float(v[0]) for v in trial_values))
-            x_range = (lo, hi * 1.02)
-            if not x_range[1] > lo:  # every value at or below 0, and within 2% of hi
-                x_range = (lo, hi + 0.02 * max(-lo, 1.0))
+            x_hi = hi * 1.02
+            # 1.02 hi lies below hi when every value is negative, and the range
+            # is empty when every value is 0: then it ends 2% of max(|lo|, 1) past hi
+            if hi < 0 or not x_hi > lo:
+                x_hi = hi + 0.02 * max(-lo, 1.0)
             curves = [Curve(v, None, PALETTE[i % len(PALETTE)])
                       for i, v in enumerate(trial_values)]
             curves.append(Curve(xs, ps, "#000000", width=2.0))
             render_panel(out / f"{prefix}_{row}_{stat}.svg", curves,
-                         title.format(row=row, stat=stat), x_range, (0.0, 1.0),
+                         title.format(row=row, stat=stat), (lo, x_hi), (0.0, 1.0),
                          x_ticks=ticks, y_ticks=_Y_TICKS)
         # released before the next statistic pools its reference
         del xs, curves
-    law_tails: dict[tuple[str, int], tuple[str, ...]] = {}
-    for t, row_trials in enumerate(zip(*judged.values())):
-        # row templates of the trial's reference columns, dropped with their
-        # trial: kept for a 20-trial fig2 run at n=100 they would add about 9 MB
-        reference_tails: dict[tuple[str, int], tuple[str, ...]] = {}
-        for row, trial in zip(judged, row_trials):
-            for stat, (values, _, target) in trial.items():
-                key = (stat, values.shape[0])
-                law = isinstance(target, Law)
-                tails = law_tails if law else reference_tails
-                if key not in tails:
-                    probs = midpoint_probs(key[1])
-                    tails[key] = _curve_tails(target.midpoint_table(key[1]) if law
-                                              else _sorted_quantile(target, probs), probs)
-                _write_curve_csv(out / f"{prefix}_{row}_{stat}_trial{t:02d}.csv",
-                                 values, tails[key])
+    for row, trials in judged.items():
+        for t, trial in enumerate(trials):
+            for stat, result in trial.items():
+                _write_curve_csv(out / f"{prefix}_{row}_{stat}_trial{t:02d}.csv", result.values)
 
 
 def cmd_fig1(spec: ExperimentSpec) -> int:

@@ -17,7 +17,7 @@ from latentreg.cli import (
     main,
 )
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
-from latentreg.specfun import ChiSquare, chi2_cdf, normal_inv_cdf
+from latentreg.specfun import ChiSquare, chi2_cdf
 from latentreg.stat_tests import Judged, judge, ks_statistic, pairwise_angles, pairwise_scalar_products
 from latentreg import svgplot
 from latentreg.svgplot import Curve, render_panel
@@ -68,33 +68,24 @@ def test_fig1_distance_curves_are_the_attraction_statistic(tmp_path):
         assert np.array_equal(values, expected), path.name
 
 
-def _per_row_curve_csv(values, target_args, probs) -> bytes:
+def _per_row_curve_csv(values) -> bytes:
     """A curve CSV formatted one row at a time, the reference for
     _write_curve_csv's chunked formatting."""
-    rows = ["value,target_arg,prob\n"]
-    rows += ["%.17g,%.17g,%.17g\n" % row for row in zip(values, target_args, probs)]
-    return "".join(rows).encode()
+    return ("value\n" + "".join("%.17g\n" % v for v in values)).encode()
 
 
 def test_edf_curve_csv(tmp_path):
-    probs = midpoint_probs(3)
     path = tmp_path / "curve.csv"
-    _write_curve_csv(path, np.sort(np.array([2.0, 1.0, 3.0])),
-                     cli._curve_tails(4.0 * probs, probs))
-    assert path.read_bytes() == _per_row_curve_csv([1.0, 2.0, 3.0], 4.0 * probs, probs)
-    assert path.read_text().splitlines()[1] == "1,%.17g,%.17g" % (4.0 * probs[0], 0.5 / 3)
-    # exact bytes across the chunk boundary, with the awkward floats in every column
+    _write_curve_csv(path, np.sort(np.array([2.0, 1.0, 3.0])))
+    assert path.read_text() == "value\n1\n2\n3\n"
+    # exact bytes below, at and across the chunk boundary, with the awkward floats
     special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, -2.0, 7.0, 1e16, 2.0 ** 53]
     rng = np.random.default_rng(3)
     for m in (cli._CSV_CHUNK - 1, cli._CSV_CHUNK, cli._CSV_CHUNK + 1):
-        columns = [rng.permutation(np.resize(np.concatenate(
+        values = np.sort(np.resize(np.concatenate(
             [special, rng.normal(scale=10.0 ** rng.integers(-300, 300), size=m)]), m))
-            for _ in range(3)]
-        values = np.sort(columns[0])
-        _write_curve_csv(path, values, cli._curve_tails(columns[1], columns[2]))
-        assert path.read_bytes() == _per_row_curve_csv(values, columns[1], columns[2]), m
-    with pytest.raises(ValueError):
-        _write_curve_csv(path, np.zeros(4), cli._curve_tails(np.zeros(3), np.zeros(3)))
+        _write_curve_csv(path, values)
+        assert path.read_bytes() == _per_row_curve_csv(values), m
 
 
 def _numpy_cases():
@@ -121,30 +112,17 @@ def test_sorted_quantile_is_numpy_quantile_bit_for_bit():
     assert cases > 370
 
 
-def _fig1_curves(out, t):
-    """{(row, stat): (sorted values, target_args)} of fig1's trial t, from its
-    written clouds: the chi-squared(dim) quantiles at the midpoint ranks."""
-    curves = {}
-    for row in ("gaussian", "wae_mmd", "cwae", "attract"):
-        cloud = PointCloud.from_csv(out / f"fig1_{row}_trial{t:02d}_cloud.csv")
-        for stat, values in cloud_stats(cloud)._asdict().items():
-            curves[row, stat] = (np.sort(values),
-                                 chi2_quantile_table(values.shape[0], TINY["dim"]))
-    return curves
+def _fig1_judged(out, t):
+    """{row: judge of the row's cloud} of fig1's trial t, from its written clouds."""
+    return {row: judge(PointCloud.from_csv(out / f"fig1_{row}_trial{t:02d}_cloud.csv"))
+            for row in ("gaussian", "wae_mmd", "cwae", "attract")}
 
 
-def _fig2_curves(out, t):
-    """{(side, test): (sorted values, target_args)} of fig2's trial t: the
-    normal quantiles for projections, the trial's reference cloud's
-    (np.quantile) for scalar products and angles."""
+def _fig2_judged(out, t):
+    """{side: judge of the side's cloud} of fig2's trial t: the written
+    attraction cloud and the seeded iid cloud, on the trial's battery."""
     battery = _fig2_battery(t)
-    curves = {}
-    for side, cloud in _fig2_clouds(out, t).items():
-        for test, (values, _, _) in judge(cloud, battery).items():
-            probs = midpoint_probs(values.shape[0])
-            curves[side, test] = (values, normal_inv_cdf(probs) if test == "projections"
-                                  else np.quantile(battery[1][test], probs))
-    return curves
+    return {side: judge(cloud, battery) for side, cloud in _fig2_clouds(out, t).items()}
 
 
 def _fig2_battery(t):
@@ -163,31 +141,30 @@ def _fig2_clouds(out, t):
             "iid": sample_standard_normal(Rng(TINY["seed"] + t).derive(4), TINY["n"], TINY["dim"])}
 
 
-# (command, experiment, expected curves of a trial, target columns formatted
-# per run and per trial): a parametric law's column is formatted once per run
-# and count, a reference cloud's once per trial
-CURVE_CASES = {"fig1": (cmd_fig1, "fig1_grid", _fig1_curves, 2, 0),
-               "fig2": (cmd_fig2, "fig2_battery", _fig2_curves, 1, 2)}
+# (command, experiment, the judged clouds of a trial)
+CURVE_CASES = {"fig1": (cmd_fig1, "fig1_grid", _fig1_judged),
+               "fig2": (cmd_fig2, "fig2_battery", _fig2_judged)}
 
 
 @pytest.mark.parametrize("case", sorted(CURVE_CASES))
-def test_curve_csvs_are_per_row_formatted(tmp_path, monkeypatch, case):
-    command, experiment, expected_curves, per_run, per_trial = CURVE_CASES[case]
-    calls, curve_tails = [], cli._curve_tails
-
-    def counting_curve_tails(target_args, probs):
-        calls.append(probs.shape[0])
-        return curve_tails(target_args, probs)
-
-    monkeypatch.setattr(cli, "_curve_tails", counting_curve_tails)
+def test_curve_csvs_are_per_row_formatted(tmp_path, case):
+    # every curve CSV is one column: the judged statistic's sorted values
+    command, experiment, judged_trial = CURVE_CASES[case]
     out = tmp_path / "o"
     assert command(ExperimentSpec(experiment, out=str(out), **TINY)) == 0
-    assert len(calls) == per_run + per_trial * TINY["trials"]
+    checked = set()
     for t in range(TINY["trials"]):
-        for (row, stat), (values, targets) in expected_curves(out, t).items():
-            path = out / f"{case}_{row}_{stat}_trial{t:02d}.csv"
-            probs = midpoint_probs(values.shape[0])
-            assert path.read_bytes() == _per_row_curve_csv(values, targets, probs), path.name
+        for row, trial in judged_trial(out, t).items():
+            for stat, result in trial.items():
+                path = out / f"{case}_{row}_{stat}_trial{t:02d}.csv"
+                lines = path.read_text().splitlines()
+                assert lines[0] == "value", path.name
+                assert not any("," in line for line in lines), path.name
+                values = np.loadtxt(path, skiprows=1, ndmin=1)
+                assert values.tobytes() == result.values.tobytes(), path.name
+                assert path.read_bytes() == _per_row_curve_csv(result.values), path.name
+                checked.add(path.name)
+    assert checked == {p.name for p in out.glob(f"{case}_*_trial??.csv")}
 
 
 def test_fig1_summary_is_the_chi2_report(tmp_path):
@@ -283,6 +260,19 @@ def test_panel_of_equal_negative_values_gets_a_nonempty_range(tmp_path):
     text = (tmp_path / "p_row_stat.svg").read_text()
     assert '<polyline points="60.000,' in text  # drawn at the left edge, x = lo
     assert (tmp_path / "p_row_stat_trial00.csv").exists()
+
+
+def test_panel_of_negative_values_draws_the_largest(tmp_path):
+    # 1.02 hi = -1.02 lies below hi = -1: the range ends 2% of |lo| = 3 past
+    # hi, so the trial's largest value is drawn, at x = -0.94
+    values = np.array([-3.0, -2.0, -1.0])
+    judged = {"attract": [{"scalar_products": Judged(values, 0.3, np.array([-2.5, -1.5, -1.2]))}]}
+    cli._write_curves(tmp_path, "t", judged, "{row} {stat}")
+    text = (tmp_path / "t_attract_scalar_products.svg").read_text()
+    trial = [line for line in text.splitlines()
+             if "<polyline" in line and f'stroke="{svgplot.PALETTE[0]}"' in line]
+    assert len(trial) == 1
+    assert len(trial[0].split('points="')[1].split('"')[0].split()) == 3
 
 
 def test_attract_gaussian_demo_matches_fig1_bottom_row(tmp_path):
