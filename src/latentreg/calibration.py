@@ -19,17 +19,22 @@ NUM_DIRS = 10
 DBAR_MEDIAN = 0.8323357894196424
 ATTRACT_STOP_TOLERANCE = 1.6646715788392847
 
-# default step-size constant for the proportional-to-objective schedule,
-# fixed by the sweep in scripts/sweep_alpha0.py
-ATTRACT_ALPHA0 = 0.2
+# step-size constant of the proportional-to-objective schedule for the runs
+# that stop at ATTRACT_STOP_TOLERANCE (fig1's attraction row, attract), fixed
+# by the sweep in scripts/sweep_alpha0.py as the cheapest setting in value
+# evaluations that never halves a step at n >= 100: at D=20, seeds 1-10, it
+# stops after 14 steps at n=400 and 7 at n=200, half of 0.2's 28 and 14
+ATTRACT_ALPHA0 = 0.4
 
 # stall rule of the test battery's attraction runs: stop once the objective
 # has fallen by less than ATTRACT_STALL_FRACTION of its value
-# ATTRACT_STALL_WINDOW accepted steps earlier. Fixed by the stall sweep in
+# ATTRACT_STALL_WINDOW accepted steps earlier, stepping with
+# ATTRACT_STALL_ALPHA0. The three were fixed together by the stall sweep in
 # scripts/sweep_alpha0.py as the largest cut in value evaluations that keeps
 # the mean final objective within 0.1% of the 400-step runs': at n=100,
 # seeds 100-119, 50,736 -> 17,484 evaluations, +0.03%; at n=200, ten seeds
 # from BASE_SEED, 26,846 -> 9,932, +0.04%, battery passes 8/10 either way
+ATTRACT_STALL_ALPHA0 = 0.2
 ATTRACT_STALL_WINDOW = 25
 ATTRACT_STALL_FRACTION = 1e-3
 

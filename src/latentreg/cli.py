@@ -129,16 +129,16 @@ class ExperimentSpec:
 
 def _attraction_config(spec: ExperimentSpec, trial_seed: int) -> RunConfig:
     # the test battery's runs stop when they stall; fig1's attraction row and
-    # attract stop at the tolerance
+    # attract stop at the tolerance. Each stop rule has its own step constant
     if spec.experiment == "fig2_battery":
-        max_steps, stop_tolerance = spec.steps or ATTRACT_BATTERY_STEPS, None
+        max_steps, alpha0 = spec.steps or ATTRACT_BATTERY_STEPS, calibration.ATTRACT_STALL_ALPHA0
+        stop_tolerance = None
         stall = (calibration.ATTRACT_STALL_WINDOW, calibration.ATTRACT_STALL_FRACTION)
     else:
-        max_steps, stop_tolerance, stall = spec.steps or ATTRACT_STEPS, \
-            calibration.ATTRACT_STOP_TOLERANCE, None
+        max_steps, alpha0 = spec.steps or ATTRACT_STEPS, calibration.ATTRACT_ALPHA0
+        stop_tolerance, stall = calibration.ATTRACT_STOP_TOLERANCE, None
     return RunConfig(
-        n=spec.n, dim=spec.dim, seed=trial_seed, max_steps=max_steps,
-        alpha0=calibration.ATTRACT_ALPHA0,
+        n=spec.n, dim=spec.dim, seed=trial_seed, max_steps=max_steps, alpha0=alpha0,
         schedule="proportional_to_objective", stop_tolerance=stop_tolerance,
         stall=stall)
 

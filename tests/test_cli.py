@@ -218,10 +218,13 @@ def test_only_the_battery_runs_carry_the_stall_rule(monkeypatch):
     assert battery.stall == (calibration.ATTRACT_STALL_WINDOW,
                              calibration.ATTRACT_STALL_FRACTION)
     assert battery.stop_tolerance is None
+    # each stop rule steps with the constant it was calibrated with
+    assert battery.alpha0 == calibration.ATTRACT_STALL_ALPHA0
     for experiment in ("fig1_grid", "attract_demo"):
         tolerance = cli._attraction_config(ExperimentSpec(experiment, **TINY), 5)
         assert tolerance.stall is None
         assert tolerance.stop_tolerance == calibration.ATTRACT_STOP_TOLERANCE
+        assert tolerance.alpha0 == calibration.ATTRACT_ALPHA0
     configs = []
 
     def recording_run(config, objective):

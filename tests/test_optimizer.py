@@ -85,6 +85,20 @@ def test_attraction_run_reaches_stop_tolerance():
     assert cdf_objective(final, targets) < calibration.ATTRACT_STOP_TOLERANCE
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tolerance_run_at_n400_takes_full_steps_to_the_tolerance(seed):
+    # ATTRACT_ALPHA0 is the step constant of the tolerance-stopped runs: at
+    # attract-n400's scale it never halves a step and reaches the tolerance
+    # in about 14 steps, where alpha0 = 0.2 took about 28
+    config = RunConfig(n=400, dim=20, seed=seed, max_steps=200,
+                       alpha0=calibration.ATTRACT_ALPHA0,
+                       schedule="proportional_to_objective",
+                       stop_tolerance=calibration.ATTRACT_STOP_TOLERANCE)
+    _, trace = run(config, CdfAttractionObjective(build_target_quantiles(400, 20)))
+    assert 0 < len(trace) <= 16
+    assert all(row.alpha == config.alpha0 * row.objective for row in trace)
+
+
 class _CountedAttraction(CdfAttractionObjective):
     evals = 0
 
@@ -101,7 +115,7 @@ def _stall_runs():
     # cut at the stalled run's row count k
     targets = build_target_quantiles(16, 3)
     config = RunConfig(n=16, dim=3, seed=5, max_steps=400,
-                       alpha0=calibration.ATTRACT_ALPHA0,
+                       alpha0=calibration.ATTRACT_STALL_ALPHA0,
                        schedule="proportional_to_objective", stall=_STALL)
     stalled = _CountedAttraction(targets)
     final, trace = run(config, stalled)

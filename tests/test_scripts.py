@@ -22,7 +22,7 @@ def load_script(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["sweep_alpha0", "calibrate_constants"])
+@pytest.mark.parametrize("name", ["sweep_alpha0", "calibrate_constants", "bench_record"])
 def test_script_imports_resolve(name):
     # executing the module runs its imports from latentreg; main() is guarded
     assert callable(load_script(name).main)
@@ -82,3 +82,61 @@ def test_battery_pass_agrees_with_the_fig2_summary(tmp_path, seed):
     for side, cloud in clouds.items():
         assert len(flags[side]) == 3
         assert battery_pass(cloud, seed) == all(flags[side]), side
+
+
+def _canned_run(workload, side, wall_s, raw_wall_s, correct=True):
+    # the parsed last stdout line and results file of one untraced run
+    line = {"correct": correct, "attempted": 3, "failed": 0 if correct else 1,
+            "metrics": {"setup_s": {"value": 0.1, "unit": "s"},
+                        "wall_s": {"value": wall_s, "unit": "s"},
+                        "final_objective": {"value": 1.5, "unit": "1"}}}
+    result = {"setup_samples": [{"s": 0.1, "raw_s": r} for r in (0.2, 0.4, 0.3)],
+              "invocations": [{"raw_wall_s": r, "raw_cpu_s": 2 * r} for r in raw_wall_s]
+              + [{"selftest": False, "failures": ["no timing"]}]}
+    return {"workload": workload, "side": side, "line": line, "result": result}
+
+
+def test_bench_record_aggregates_each_side_of_each_workload():
+    module = load_script("bench_record")
+    runs = [_canned_run("attract-n400", "tree", 0.10, [0.2, 0.4]),
+            _canned_run("attract-n400", "copy", 0.14, [0.3]),
+            _canned_run("attract-n400", "copy", 0.12, [0.5]),
+            _canned_run("attract-n400", "tree", 0.11, [0.1, 0.3, 0.2]),
+            _canned_run("attract-n400", "tree", 0.30, [0.9]),
+            _canned_run("l2-geometry", "tree", 0.2, [0.2], correct=False),
+            _canned_run("l2-geometry", "copy", 0.2, [0.2])]
+    traced = {"attract-n400": {
+        "line": {"correct": True, "attempted": 3, "failed": 0,
+                 "metrics": {"optimizer.steps": {"value": 14, "unit": "count"}}},
+        "result": {"sizing": {"claim": "c", "agrees": False}, "self_test_failures": []}}}
+    record = module.aggregate(runs, traced)
+    attract = record["attract-n400"]
+    tree_wall = attract["tree"]["wall_s"]
+    assert tree_wall["runs"] == [0.10, 0.11, 0.30]
+    assert (tree_wall["q1"], tree_wall["median"], tree_wall["q3"]) == pytest.approx(
+        (0.105, 0.11, 0.205))
+    assert attract["copy"]["wall_s"]["median"] == pytest.approx(0.13)
+    assert attract["copy"]["wall_s"]["runs"] == [0.14, 0.12]
+    # raw times: the median over each run's timed invocations, then the spread
+    assert attract["tree"]["raw_wall_s"]["runs"] == pytest.approx([0.3, 0.2, 0.9])
+    assert attract["tree"]["raw_cpu_s"]["median"] == pytest.approx(0.6)
+    assert attract["tree"]["raw_setup_s"]["runs"] == [0.3, 0.3, 0.3]
+    assert attract["tree"]["final_objective"]["median"] == 1.5
+    assert "correct" not in attract["tree"]
+    assert (attract["correct"], attract["attempted"], attract["failed"]) == (True, 15, 0)
+    assert attract["traced"] == {"correct": True, "attempted": 3, "failed": 0,
+                                 "metrics": {"optimizer.steps": 14},
+                                 "sizing": {"claim": "c", "agrees": False},
+                                 "self_test_failures": []}
+    l2 = record["l2-geometry"]
+    assert (l2["correct"], l2["attempted"], l2["failed"]) == (False, 6, 1)
+    assert "traced" not in l2
+
+
+def test_bench_record_counts_a_run_without_output_as_failed():
+    module = load_script("bench_record")
+    figures = module.run_figures({"correct": False, "attempted": 0, "failed": 1,
+                                  "metrics": {}, "error": "boom"}, {})
+    assert figures == {"correct": False, "attempted": 0, "failed": 1}
+    record = module.aggregate([{"workload": "w", "side": "tree", "line": {}, "result": {}}], {})
+    assert record["w"] == {"tree": {}, "correct": False, "attempted": 0, "failed": 1}
