@@ -7,9 +7,10 @@ normality. Both regularizers take their constants from the cloud they are
 given: the inverse-multiquadric scale 2D from its dimension, CWAE's
 gamma_n = (4/(3n))^{2/5} from its size. Each pair matrix is one product of
 augmented factors that folds in the kernel's shift and scale (2D + sq, and
-gamma_n + sq/(2D-3)), and each gradient reuses its value's pair matrices:
-the WAE-MMD weights are the squared kernel entries, the CWAE weights are
-the cubes of the inverse square roots that the value sums.
+gamma_n + sq/(2D-3)). A caller forms them (kernel_matrix, cwae_roots) and
+hands the same ones, shape-checked, to a value and its gradient: the WAE-MMD
+weights are the squared kernel entries, the CWAE weights are the cubes of
+the inverse square roots that the value sums.
 """
 
 from __future__ import annotations
@@ -29,40 +30,40 @@ def kernel_matrix(a: PointCloud, b: PointCloud, out: np.ndarray | None = None) -
     return np.divide(c, out, out=out)
 
 
-def _mmd_kernels(z: PointCloud, z_tilde: PointCloud, zz: np.ndarray | None = None,
-                 zt: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    # (k(z_i, z_j), k(z_i, zt_j)), written to zz and zt
-    if z.n < 2:
-        raise ValueError("need at least 2 points in z")
-    return kernel_matrix(z, z, zz), kernel_matrix(z, z_tilde, zt)
+def _check_pairs(name: str, pairs: np.ndarray, n: int, m: int, least: int = 1) -> None:
+    # a pair matrix handed in must be the (n, m) one of the clouds it is summed
+    # with, whose first has at least `least` points
+    if n < least:
+        raise ValueError(f"need at least {least} points in z")
+    if pairs.shape != (n, m):
+        raise ValueError(f"{name} is {pairs.shape}, not ({n}, {m}) for the clouds given")
 
 
-def wae_mmd(z: PointCloud, z_tilde: PointCloud) -> float:
+def wae_mmd(k_zz: np.ndarray, k_zt: np.ndarray) -> float:
     """MMD-style regularizer against a prior sample z_tilde:
 
         (1/(n(n-1))) sum_{i != j} k(z_i, z_j) - (2/(n m)) sum_{i,j} k(z_i, zt_j)
 
-    with n points in z, m in z_tilde and k the kernel of kernel_matrix.
+    with n points in z, m in z_tilde and k the kernel of kernel_matrix, summed
+    from k_zz = kernel_matrix(z, z) and k_zt = kernel_matrix(z, z_tilde).
     """
-    return _wae_mmd(*_mmd_kernels(z, z_tilde))
-
-
-def _wae_mmd(k_zz: np.ndarray, k_zt: np.ndarray) -> float:
     n, m = k_zt.shape
+    _check_pairs("k_zz", k_zz, n, n, least=2)
     self_term = (float(k_zz.sum()) - float(np.trace(k_zz))) / (n * (n - 1))
     return self_term - 2.0 * float(k_zt.sum()) / (n * m)
 
 
-def wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud) -> np.ndarray:
-    """Exact gradient of wae_mmd with respect to the rows of z."""
-    return _wae_mmd_gradient(z, z_tilde, *_mmd_kernels(z, z_tilde))
-
-
-def _wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud, k_zz: np.ndarray,
-                      k_zt: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    # d k(z_i, y) / d z_i = a k^2 (z_i - y) with a = -1/D, since dk/ds in
-    # s = |z_i - y|^2 is -k^2/(2D); scratch holds each weight matrix k^2 in turn
+def wae_mmd_gradient(z: PointCloud, z_tilde: PointCloud, k_zz: np.ndarray,
+                     k_zt: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Exact gradient of wae_mmd with respect to the rows of z, from its kernel
+    matrices; scratch, when given, holds each (n, n) weight matrix k^2 in turn."""
+    if z.dim != z_tilde.dim:
+        raise ValueError(f"cloud dims {z.dim} and {z_tilde.dim} differ")
     n, m = z.n, z_tilde.n
+    _check_pairs("k_zz", k_zz, n, n, least=2)
+    _check_pairs("k_zt", k_zt, n, m)
+    # d k(z_i, y) / d z_i = a k^2 (z_i - y) with a = -1/D, since dk/ds in
+    # s = |z_i - y|^2 is -k^2/(2D)
     a = -1.0 / z.dim
     w_self = np.square(k_zz, out=scratch)
     np.fill_diagonal(w_self, 0.0)
@@ -78,9 +79,9 @@ def _cwae_gamma(n: int) -> float:
     return (4.0 / (3.0 * n)) ** 0.4
 
 
-def _cwae_roots(z: PointCloud, out: np.ndarray | None = None) -> np.ndarray:
-    # (gamma_n + |z_i - z_j|^2/(2D-3))^{-1/2}, written to out: the pair
-    # matrix that cwae sums and whose cubes weight its gradient
+def cwae_roots(z: PointCloud, out: np.ndarray | None = None) -> np.ndarray:
+    """(gamma_n + |z_i - z_j|^2/(2D-3))^{-1/2}, written to out when given:
+    the pair matrix that cwae sums and whose cubes weight cwae_gradient."""
     if z.dim < 2:
         raise ValueError(f"cwae needs dim >= 2 (2D-3 > 0), got a {z.data.shape} cloud")
     roots = _sq_dists(z.data, z.data, out, scale=1.0 / (2.0 * z.dim - 3.0),
@@ -89,19 +90,17 @@ def _cwae_roots(z: PointCloud, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(1.0, roots, out=roots)
 
 
-def cwae(z: PointCloud) -> float:
+def cwae(z: PointCloud, roots: np.ndarray) -> float:
     """Analytic projected-smoothing regularizer:
 
         (1/n^2) sum_{i,j} (g + |z_i-z_j|^2/(2D-3))^{-1/2}
         - (2/n) sum_i (g + 1/2 + |z_i|^2/(2D-3))^{-1/2}
 
     with g = gamma_n = (4/(3n))^{2/5}, n and D the cloud's size and
-    dimension (D >= 2). The i = j diagonal is included, as printed.
+    dimension (D >= 2), and roots = cwae_roots(z) the pair term's matrix.
+    The i = j diagonal is included, as printed.
     """
-    return _cwae(z, _cwae_roots(z))
-
-
-def _cwae(z: PointCloud, roots: np.ndarray) -> float:
+    _check_pairs("roots", roots, z.n, z.n)
     m = 2.0 * z.dim - 3.0
     r = (z.data * z.data).sum(1)
     pair_term = float(np.sum(roots)) / (z.n * z.n)
@@ -109,15 +108,12 @@ def _cwae(z: PointCloud, roots: np.ndarray) -> float:
     return pair_term - point_term
 
 
-def cwae_gradient(z: PointCloud) -> np.ndarray:
-    """Exact gradient of cwae with respect to the rows of z."""
-    return _cwae_gradient(z, _cwae_roots(z))
-
-
-def _cwae_gradient(z: PointCloud, roots: np.ndarray,
-                   scratch: np.ndarray | None = None) -> np.ndarray:
-    # the weights (gamma_n + sq/m)^{-3/2}, cubed roots, go to scratch
+def cwae_gradient(z: PointCloud, roots: np.ndarray,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
+    """Exact gradient of cwae with respect to the rows of z, from its roots;
+    scratch, when given, holds the weights (gamma_n + sq/m)^{-3/2}, their cubes."""
     n = z.n
+    _check_pairs("roots", roots, n, n)
     m = 2.0 * z.dim - 3.0
     r = (z.data * z.data).sum(1)
     w = np.multiply(roots, roots, out=scratch)

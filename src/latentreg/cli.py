@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration
-from .baselines import cwae, mardia_stats, wae_mmd
+from .baselines import cwae, cwae_roots, kernel_matrix, mardia_stats, wae_mmd
 from .cdf_attract import (
     MAX_BITS,
     CoordinateTarget,
@@ -322,9 +322,9 @@ def cmd_eval(cloud_csv: str, which: str, seed: int, out: str) -> int:
                 ("second_moment", second)]
     elif which == "wae_mmd":
         z_tilde = sample_standard_normal(Rng(seed).derive(1), cloud.n, cloud.dim)
-        rows = [("wae_mmd", wae_mmd(cloud, z_tilde))]
+        rows = [("wae_mmd", wae_mmd(kernel_matrix(cloud, cloud), kernel_matrix(cloud, z_tilde)))]
     elif which == "cwae":
-        rows = [("cwae", cwae(cloud))]
+        rows = [("cwae", cwae(cloud, cwae_roots(cloud)))]
     else:
         judged = judge(cloud)[which]
         rows = [("ks_linf", judged.ks), ("l1_area", judged.l1_area()),

@@ -13,14 +13,14 @@ and ignores both stops.
 
 The three objectives share one base, _PerCloud: the protocol's defaults
 (deterministic, a begin_step that does nothing, no trace extras), what an
-objective derived from the last cloud it saw (WAE-MMD's kernel matrices,
-CWAE's inverse square roots, the attraction's statistics), so one cloud's
-value and gradient share a single pass, and the baselines' (n, n) pair, Gram
-and weight buffers, allocated for each new cloud size and overwritten by
-every later cloud, so a steady-state step allocates no n x n array. value
-and gradient stay on each objective's own class: the benchmark's tracer
-counts value evaluations and halvings through the methods a public class
-defines itself.
+objective derived from the last cloud it saw (the pair matrices of
+baselines.kernel_matrix or cwae_roots, the attraction's statistics), so one
+cloud's value and gradient share a single pass, and the (n, n) pair and
+weight buffers, allocated for each new cloud size and overwritten by every
+later cloud, so a steady-state step allocates no n x n array. value and
+gradient stay on each objective's own class and call wae_mmd, cwae and
+their gradients by those public names: the benchmark's tracer counts and
+times only public functions and the methods a public class defines itself.
 The attraction's line-search candidates need only a value, so they are
 sorted but not ranked; residuals are ranked only for the clouds whose
 gradient is taken, each cloud from scratch.
@@ -131,18 +131,19 @@ class WaeMmdObjective(_PerCloud):
         self._z_tilde: PointCloud | None = None
 
     def _derive(self, x: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-        return baselines._mmd_kernels(x, self._z_tilde, *self._square_buffers(3, x.n)[:2])
+        zz, zt, _ = self._square_buffers(3, x.n)
+        return baselines.kernel_matrix(x, x, zz), baselines.kernel_matrix(x, self._z_tilde, zt)
 
     def begin_step(self, x: PointCloud) -> None:
         self._z_tilde = sample_standard_normal(self.prior_rng, x.n, x.dim)
         self._cloud = self._kept = None
 
     def value(self, x: PointCloud) -> float:
-        return baselines._wae_mmd(*self._derived(x))
+        return baselines.wae_mmd(*self._derived(x))
 
     def gradient(self, x: PointCloud) -> np.ndarray:
         k_zz, k_zt = self._derived(x)
-        return baselines._wae_mmd_gradient(x, self._z_tilde, k_zz, k_zt, self._buffers[2])
+        return baselines.wae_mmd_gradient(x, self._z_tilde, k_zz, k_zt, self._buffers[2])
 
 
 class CwaeObjective(_PerCloud):
@@ -153,14 +154,14 @@ class CwaeObjective(_PerCloud):
     weights."""
 
     def _derive(self, x: PointCloud) -> tuple[np.ndarray, float]:
-        roots = baselines._cwae_roots(x, self._square_buffers(2, x.n)[0])
-        return roots, baselines._cwae(x, roots)
+        roots = baselines.cwae_roots(x, self._square_buffers(2, x.n)[0])
+        return roots, baselines.cwae(x, roots)
 
     def value(self, x: PointCloud) -> float:
         return self._derived(x)[1]
 
     def gradient(self, x: PointCloud) -> np.ndarray:
-        return baselines._cwae_gradient(x, self._derived(x)[0], self._buffers[1])
+        return baselines.cwae_gradient(x, self._derived(x)[0], self._buffers[1])
 
 
 class CdfAttractionObjective(_PerCloud):

@@ -16,6 +16,8 @@ from latentreg import calibration
 from latentreg.baselines import (
     cwae,
     cwae_gradient,
+    cwae_roots,
+    kernel_matrix,
     mardia_stats,
     wae_mmd,
     wae_mmd_gradient,
@@ -206,13 +208,16 @@ def test_criterion_3_gradient_fidelity(targets):
     for i in range(20):
         z = PointCloud(rng.normal(size=(5, 3)))
         zt = PointCloud(rng.normal(size=(5, 3)))
-        grad = wae_mmd_gradient(z, zt)
-        err = _directional_fd(lambda d: wae_mmd(PointCloud(d), zt), z.data, grad, 1e-5)
+        grad = wae_mmd_gradient(z, zt, kernel_matrix(z, z), kernel_matrix(z, zt))
+        err = _directional_fd(lambda d: wae_mmd(kernel_matrix(PointCloud(d), PointCloud(d)),
+                                                kernel_matrix(PointCloud(d), zt)),
+                              z.data, grad, 1e-5)
         worst = max(worst, err)
     for _ in range(20):
         z = PointCloud(rng.normal(size=(5, 20)))
-        grad = cwae_gradient(z)
-        err = _directional_fd(lambda d: cwae(PointCloud(d)), z.data, grad, 1e-5)
+        grad = cwae_gradient(z, cwae_roots(z))
+        err = _directional_fd(lambda d: cwae(PointCloud(d), cwae_roots(PointCloud(d))),
+                              z.data, grad, 1e-5)
         worst = max(worst, err)
     small_targets = build_target_quantiles(5, 3)
     done = 0

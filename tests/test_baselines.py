@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from latentreg.baselines import (
     _cwae_gamma,
-    _cwae_gradient,
-    _cwae_roots,
-    _wae_mmd_gradient,
     cwae,
     cwae_gradient,
+    cwae_roots,
     kernel_matrix,
     mardia_stats,
     wae_mmd,
@@ -19,6 +17,22 @@ from latentreg.optimizer import CwaeObjective
 from latentreg.sampling import PointCloud, Rng, _sq_dists, sample_standard_normal
 
 RNG = np.random.default_rng(99)
+
+
+def mmd_of(z, z_tilde):
+    return wae_mmd(kernel_matrix(z, z), kernel_matrix(z, z_tilde))
+
+
+def mmd_gradient_of(z, z_tilde):
+    return wae_mmd_gradient(z, z_tilde, kernel_matrix(z, z), kernel_matrix(z, z_tilde))
+
+
+def cwae_of(z):
+    return cwae(z, cwae_roots(z))
+
+
+def cwae_gradient_of(z):
+    return cwae_gradient(z, cwae_roots(z))
 
 
 def central_diff(f, data, h=1e-5):
@@ -65,19 +79,38 @@ def test_imq_kernel_at_zero_distance():
 def test_clouds_of_different_dims_are_rejected():
     z = PointCloud(RNG.normal(size=(5, 3)))
     z_tilde = PointCloud(RNG.normal(size=(4, 2)))
-    for call in (wae_mmd, wae_mmd_gradient, kernel_matrix):
-        with pytest.raises(ValueError, match="dims 3 and 2 differ"):
-            call(z, z_tilde)
+    with pytest.raises(ValueError, match="dims 3 and 2 differ"):
+        kernel_matrix(z, z_tilde)
+    with pytest.raises(ValueError, match="dims 3 and 2 differ"):
+        wae_mmd_gradient(z, z_tilde, kernel_matrix(z, z), np.ones((5, 4)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda z, y, o: wae_mmd(kernel_matrix(o, o), kernel_matrix(z, y)),
+    lambda z, y, o: wae_mmd_gradient(z, y, kernel_matrix(o, o), kernel_matrix(z, y)),
+    lambda z, y, o: wae_mmd_gradient(z, y, kernel_matrix(z, z), kernel_matrix(o, y)),
+    lambda z, y, o: wae_mmd_gradient(z, y, kernel_matrix(z, z), kernel_matrix(y, z)),
+    lambda z, y, o: cwae(z, cwae_roots(o)),
+    lambda z, y, o: cwae_gradient(z, cwae_roots(o)),
+], ids=["wae_mmd-k_zz", "wae_mmd_gradient-k_zz", "wae_mmd_gradient-k_zt",
+        "wae_mmd_gradient-k_zt_transposed", "cwae-roots", "cwae_gradient-roots"])
+def test_pair_matrices_of_other_clouds_are_rejected(call):
+    # z has 5 points, the prior sample y 4 and the other cloud o 6: unchecked,
+    # wae_mmd and cwae sum the wrong matrix to a finite value, and the
+    # gradients fail, if at all, on a broadcast
+    z, y, o = (PointCloud(RNG.normal(size=(n, 3))) for n in (5, 4, 6))
+    with pytest.raises(ValueError, match=r"not \(.*\) for the clouds given"):
+        call(z, y, o)
 
 
 @pytest.mark.parametrize("n,dim", [(200, 20), (7, 2)])
 def test_cwae_weights_are_the_cubed_roots(n, dim):
     z = PointCloud(RNG.normal(size=(n, dim)))
     base = (4 / (3 * n)) ** 0.4 + _sq_dists(z.data, z.data) / (2 * dim - 3)
-    roots = _cwae_roots(z)
+    roots = cwae_roots(z)
     np.testing.assert_allclose(roots, base ** -0.5, rtol=1e-14, atol=0.0)
     weights = np.empty((n, n))
-    _cwae_gradient(z, roots, weights)  # leaves its weights in scratch
+    cwae_gradient(z, roots, weights)  # leaves its weights in scratch
     want = base ** -1.5
     np.fill_diagonal(want, 0.0)
     np.testing.assert_allclose(weights, want, rtol=1e-14, atol=0.0)
@@ -90,7 +123,7 @@ def test_imq_weights_from_the_kernel_matrix(n, dim):
     weights = np.empty((n, n))
     # leaves its last weights, the cross term's k^2, in scratch: -k^2/D is
     # d k(z_i, y_j) / d z_i over (z_i - y_j)
-    _wae_mmd_gradient(z, y, kernel_matrix(z, z), kernel_matrix(z, y), weights)
+    wae_mmd_gradient(z, y, kernel_matrix(z, z), kernel_matrix(z, y), weights)
     c = 2.0 * dim
     want = -2.0 * c / (c + _sq_dists(z.data, y.data)) ** 2
     np.testing.assert_allclose(-weights / dim, want, rtol=1e-14, atol=0.0)
@@ -102,7 +135,7 @@ def test_wae_mmd_two_coincident_points():
     z = PointCloud(np.zeros((2, 3)))
     for m in (1, 2, 5):
         z_tilde = PointCloud(np.zeros((m, 3)))
-        assert wae_mmd(z, z_tilde) == pytest.approx(-1.0, abs=1e-15)
+        assert mmd_of(z, z_tilde) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_wae_mmd_duplicated_prior_sample_is_the_same_distribution():
@@ -111,27 +144,29 @@ def test_wae_mmd_duplicated_prior_sample_is_the_same_distribution():
     z = PointCloud(RNG.normal(size=(4, 3)))
     z_tilde = PointCloud(RNG.normal(size=(4, 3)))
     doubled = PointCloud(np.concatenate([z_tilde.data, z_tilde.data]))
-    assert wae_mmd(z, doubled) == pytest.approx(wae_mmd(z, z_tilde), abs=1e-14)
-    assert np.allclose(wae_mmd_gradient(z, doubled), wae_mmd_gradient(z, z_tilde),
+    assert mmd_of(z, doubled) == pytest.approx(mmd_of(z, z_tilde), abs=1e-14)
+    assert np.allclose(mmd_gradient_of(z, doubled), mmd_gradient_of(z, z_tilde),
                        rtol=0.0, atol=1e-14)
 
 
 def test_wae_mmd_needs_two_points():
-    with pytest.raises(ValueError):
-        wae_mmd(PointCloud(np.zeros((1, 2))), PointCloud(np.zeros((1, 2))))
+    z = PointCloud(np.zeros((1, 2)))
+    for call in (mmd_of, mmd_gradient_of):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            call(z, z)
 
 
 def test_wae_mmd_matches_brute_force():
     z = PointCloud(RNG.normal(size=(5, 3)))
     for m in (5, 3):
         z_tilde = PointCloud(RNG.normal(size=(m, 3)))
-        assert wae_mmd(z, z_tilde) == pytest.approx(brute_force_wae(z, z_tilde), abs=1e-12)
+        assert mmd_of(z, z_tilde) == pytest.approx(brute_force_wae(z, z_tilde), abs=1e-12)
 
 
 def test_wae_mmd_gradient_zero_at_coincident_points():
     z = PointCloud(np.zeros((3, 2)))
     z_tilde = PointCloud(np.zeros((3, 2)))
-    g = wae_mmd_gradient(z, z_tilde)
+    g = mmd_gradient_of(z, z_tilde)
     assert np.all(g == 0.0)
 
 
@@ -139,8 +174,8 @@ def test_wae_mmd_gradient_matches_finite_differences():
     z = PointCloud(RNG.normal(size=(4, 2)))
     for m in (4, 7):
         z_tilde = PointCloud(RNG.normal(size=(m, 2)))
-        g = wae_mmd_gradient(z, z_tilde)
-        fd = central_diff(lambda d: wae_mmd(PointCloud(d), z_tilde), z.data)
+        g = mmd_gradient_of(z, z_tilde)
+        fd = central_diff(lambda d: mmd_of(PointCloud(d), z_tilde), z.data)
         assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
@@ -148,8 +183,8 @@ def test_wae_mmd_gradient_translation_invariant():
     z = PointCloud(RNG.normal(size=(4, 3)))
     z_tilde = PointCloud(RNG.normal(size=(4, 3)))
     shift = RNG.normal(size=3)
-    g0 = wae_mmd_gradient(z, z_tilde)
-    g1 = wae_mmd_gradient(PointCloud(z.data + shift), PointCloud(z_tilde.data + shift))
+    g0 = mmd_gradient_of(z, z_tilde)
+    g1 = mmd_gradient_of(PointCloud(z.data + shift), PointCloud(z_tilde.data + shift))
     assert np.allclose(g0, g1, atol=1e-14)
 
 
@@ -161,39 +196,39 @@ def test_cwae_params():
 def test_cwae_single_point_closed_form():
     z = PointCloud(np.zeros((1, 20)))
     g1 = (4 / 3) ** 0.4
-    assert cwae(z) == pytest.approx(g1 ** -0.5 - 2 * (g1 + 0.5) ** -0.5,
+    assert cwae_of(z) == pytest.approx(g1 ** -0.5 - 2 * (g1 + 0.5) ** -0.5,
                                             rel=1e-14)
 
 
 def test_cwae_matches_brute_force():
     z = PointCloud(RNG.normal(size=(5, 20)))
-    assert cwae(z) == pytest.approx(brute_force_cwae(z), abs=1e-12)
+    assert cwae_of(z) == pytest.approx(brute_force_cwae(z), abs=1e-12)
 
 
 def test_cwae_rejects_dim1():
     z = PointCloud(RNG.normal(size=(5, 1)))
-    for call in (cwae, cwae_gradient, CwaeObjective().value):
+    for call in (cwae_roots, CwaeObjective().value, CwaeObjective().gradient):
         with pytest.raises(ValueError, match="dim >= 2"):
             call(z)
 
 
 def test_cwae_gradient_zero_at_origin_point():
-    g = cwae_gradient(PointCloud(np.zeros((1, 20))))
+    g = cwae_gradient_of(PointCloud(np.zeros((1, 20))))
     assert np.all(g == 0.0)
 
 
 def test_cwae_gradient_matches_finite_differences():
     z = PointCloud(RNG.normal(size=(4, 20)))
-    g = cwae_gradient(z)
-    fd = central_diff(lambda d: cwae(PointCloud(d)), z.data)
+    g = cwae_gradient_of(z)
+    fd = central_diff(lambda d: cwae_of(PointCloud(d)), z.data)
     assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 def test_cwae_gradient_rotation_equivariant():
     z = PointCloud(RNG.normal(size=(5, 6)))
     q, _ = np.linalg.qr(RNG.normal(size=(6, 6)))
-    g_rotated = cwae_gradient(PointCloud(z.data @ q.T))
-    assert np.allclose(g_rotated, cwae_gradient(z) @ q.T, atol=1e-12)
+    g_rotated = cwae_gradient_of(PointCloud(z.data @ q.T))
+    assert np.allclose(g_rotated, cwae_gradient_of(z) @ q.T, atol=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -204,8 +239,8 @@ def test_values_permutation_invariant(seed):
     z_tilde = PointCloud(rng.normal(size=(6, 4)))
     perm = rng.permutation(6)
     z_p = PointCloud(z.data[perm])
-    assert wae_mmd(z_p, z_tilde) == pytest.approx(wae_mmd(z, z_tilde), rel=1e-12)
-    assert cwae(z_p) == pytest.approx(cwae(z), rel=1e-12)
+    assert mmd_of(z_p, z_tilde) == pytest.approx(mmd_of(z, z_tilde), rel=1e-12)
+    assert cwae_of(z_p) == pytest.approx(cwae_of(z), rel=1e-12)
     assert mardia_stats(z_p) == pytest.approx(mardia_stats(z), rel=1e-12)
 
 

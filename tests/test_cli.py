@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from latentreg import calibration, cli
-from latentreg.baselines import cwae, wae_mmd
+from latentreg.baselines import cwae, cwae_roots, kernel_matrix, wae_mmd
 from latentreg.cdf_attract import chi2_quantile_table, cloud_stats, midpoint_probs
 from latentreg.cli import (
     ExperimentSpec,
@@ -360,7 +360,7 @@ def test_eval_round_trip_is_bit_exact(tmp_path):
     assert code == 0
     written = (tmp_path / "o" / "eval_cwae.csv").read_text().splitlines()[1]
     value = float(written.split(",")[1])
-    assert value == cwae(cloud)
+    assert value == cwae(cloud, cwae_roots(cloud))
 
 
 def test_eval_cwae_on_a_one_column_cloud_exits_2(tmp_path, capsys):
@@ -424,7 +424,7 @@ def test_eval_malformed_csv_exit_code_and_message(tmp_path, capsys):
 def _eval_rows(cloud, which, seed):
     if which == "wae_mmd":
         prior = sample_standard_normal(Rng(seed).derive(1), cloud.n, cloud.dim)
-        return [("wae_mmd", wae_mmd(cloud, prior))]
+        return [("wae_mmd", wae_mmd(kernel_matrix(cloud, cloud), kernel_matrix(cloud, prior)))]
     judged = judge(cloud)[which]
     return [("ks_linf", judged.ks), ("l1_area", judged.l1_area()),
             ("sample_size", float(cloud.n if which == "radii" else cloud.n * (cloud.n - 1) // 2))]

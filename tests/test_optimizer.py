@@ -350,8 +350,8 @@ def test_cwae_run_builds_one_distance_matrix_per_evaluated_cloud(monkeypatch):
 
 def test_cwae_run_takes_one_root_pass_per_evaluated_cloud(monkeypatch):
     roots = []
-    cwae_roots = baselines._cwae_roots
-    monkeypatch.setattr(baselines, "_cwae_roots",
+    cwae_roots = baselines.cwae_roots
+    monkeypatch.setattr(baselines, "cwae_roots",
                         lambda *args: roots.append(1) or cwae_roots(*args))
     objective = CwaeObjective()
     in_gradient = []
@@ -386,27 +386,77 @@ def test_wae_mmd_new_prior_sample_clears_the_memo():
     x = sample_uniform_cube(Rng(7), 20, 4, -1.0, 1.0)
     for _ in range(2):
         objective.begin_step(x)
-        assert objective.value(x) == baselines.wae_mmd(x, objective._z_tilde)
+        z_tilde = objective._z_tilde
+        assert objective.value(x) == baselines.wae_mmd(
+            baselines.kernel_matrix(x, x), baselines.kernel_matrix(x, z_tilde))
+
+
+def _recorded(record, fn):
+    # fn, appending its first argument to record on every call
+    def recorded(*args, **kwargs):
+        record.append(args[0])
+        return fn(*args, **kwargs)
+    return recorded
+
+
+def _ids(objects):
+    return [id(x) for x in objects]
+
+
+def test_baseline_objectives_reach_the_public_baselines_functions(monkeypatch):
+    # every value and every gradient of a WAE-MMD or CWAE descent goes through
+    # the baselines' public names, the only ones the benchmark's tracer wraps;
+    # every recorded cloud stays referenced, so its id is its own
+    names = ("kernel_matrix", "wae_mmd", "wae_mmd_gradient", "cwae_roots", "cwae",
+             "cwae_gradient")
+    calls = {name: [] for name in names}
+    for name in names:
+        monkeypatch.setattr(baselines, name, _recorded(calls[name], getattr(baselines, name)))
+
+    def observed(objective):
+        seen = {"value": [], "gradient": []}
+        for method, record in seen.items():
+            setattr(objective, method, _recorded(record, getattr(objective, method)))
+        return objective, seen
+
+    objective, seen = observed(CwaeObjective())
+    _, trace = run(RunConfig(n=40, dim=20, seed=4, max_steps=30, alpha0=1e6), objective)
+    assert len(seen["value"]) > 2 * len(trace) > 0  # the line search halves
+    evaluated = {id(x) for x in seen["value"]}
+    assert set(_ids(calls["cwae_roots"])) == set(_ids(calls["cwae"])) == evaluated
+    assert len(calls["cwae"]) == len(evaluated)
+    assert _ids(calls["cwae_gradient"]) == _ids(seen["gradient"])
+    assert not calls["kernel_matrix"] and not calls["wae_mmd"]
+
+    objective, seen = observed(WaeMmdObjective(Rng(7).derive(1)))
+    _, trace = run(RunConfig(n=20, dim=4, seed=7, max_steps=12, alpha0=2.0), objective)
+    assert len(trace) == len(seen["value"]) == len(calls["wae_mmd"]) == 12
+    assert _ids(calls["kernel_matrix"]) == [id(x) for x in seen["value"] for _ in "zt"]
+    assert _ids(calls["wae_mmd_gradient"]) == _ids(seen["gradient"]) == _ids(seen["value"])
 
 
 class _DirectCwaeObjective(CwaeObjective):
-    """CWAE through the public functions, one distance pass per call."""
+    """CWAE on fresh roots for every call, without memo or buffers."""
 
     def value(self, x):
-        return baselines.cwae(x)
+        return baselines.cwae(x, baselines.cwae_roots(x))
 
     def gradient(self, x):
-        return baselines.cwae_gradient(x)
+        return baselines.cwae_gradient(x, baselines.cwae_roots(x))
 
 
 class _DirectWaeMmdObjective(WaeMmdObjective):
-    """WAE-MMD through the public functions, one distance pass per call."""
+    """WAE-MMD on fresh kernel matrices for every call, without memo or
+    buffers."""
+
+    def _kernels(self, x):
+        return baselines.kernel_matrix(x, x), baselines.kernel_matrix(x, self._z_tilde)
 
     def value(self, x):
-        return baselines.wae_mmd(x, self._z_tilde)
+        return baselines.wae_mmd(*self._kernels(x))
 
     def gradient(self, x):
-        return baselines.wae_mmd_gradient(x, self._z_tilde)
+        return baselines.wae_mmd_gradient(x, self._z_tilde, *self._kernels(x))
 
 
 @pytest.mark.parametrize("alpha0", [50.0, 1e6])
