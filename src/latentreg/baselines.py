@@ -8,9 +8,10 @@ given: the inverse-multiquadric scale 2D from its dimension, CWAE's
 gamma_n = (4/(3n))^{2/5} from its size. Each pair matrix is one product of
 augmented factors that folds in the kernel's shift and scale (2D + sq, and
 gamma_n + sq/(2D-3)). A caller forms them (kernel_matrix, cwae_roots) and
-hands the same ones, shape-checked, to a value and its gradient: the WAE-MMD
-weights are the squared kernel entries, the CWAE weights are the cubes of
-the inverse square roots that the value sums.
+hands the same ones to a value and its gradient, which check their shapes but
+not their values: a same-size matrix of another cloud is summed as given. The
+WAE-MMD weights are the squared kernel entries, the CWAE weights are the
+cubes of the inverse square roots that the value sums.
 """
 
 from __future__ import annotations
@@ -79,12 +80,17 @@ def _cwae_gamma(n: int) -> float:
     return (4.0 / (3.0 * n)) ** 0.4
 
 
+def _cwae_scale(z: PointCloud) -> float:
+    # 2D-3 > 0 for dim >= 2; cwae and cwae_gradient may get roots cwae_roots did not make
+    if z.dim < 2:
+        raise ValueError(f"cwae needs dim >= 2 (2D-3 > 0), got a {z.data.shape} cloud")
+    return 2.0 * z.dim - 3.0
+
+
 def cwae_roots(z: PointCloud, out: np.ndarray | None = None) -> np.ndarray:
     """(gamma_n + |z_i - z_j|^2/(2D-3))^{-1/2}, written to out when given:
     the pair matrix that cwae sums and whose cubes weight cwae_gradient."""
-    if z.dim < 2:
-        raise ValueError(f"cwae needs dim >= 2 (2D-3 > 0), got a {z.data.shape} cloud")
-    roots = _sq_dists(z.data, z.data, out, scale=1.0 / (2.0 * z.dim - 3.0),
+    roots = _sq_dists(z.data, z.data, out, scale=1.0 / _cwae_scale(z),
                       shift=_cwae_gamma(z.n))
     np.sqrt(roots, out=roots)
     return np.divide(1.0, roots, out=roots)
@@ -100,8 +106,8 @@ def cwae(z: PointCloud, roots: np.ndarray) -> float:
     dimension (D >= 2), and roots = cwae_roots(z) the pair term's matrix.
     The i = j diagonal is included, as printed.
     """
+    m = _cwae_scale(z)
     _check_pairs("roots", roots, z.n, z.n)
-    m = 2.0 * z.dim - 3.0
     r = (z.data * z.data).sum(1)
     pair_term = float(np.sum(roots)) / (z.n * z.n)
     point_term = float(np.sum((_cwae_gamma(z.n) + 0.5 + r / m) ** -0.5)) * 2.0 / z.n
@@ -113,8 +119,8 @@ def cwae_gradient(z: PointCloud, roots: np.ndarray,
     """Exact gradient of cwae with respect to the rows of z, from its roots;
     scratch, when given, holds the weights (gamma_n + sq/m)^{-3/2}, their cubes."""
     n = z.n
+    m = _cwae_scale(z)
     _check_pairs("roots", roots, n, n)
-    m = 2.0 * z.dim - 3.0
     r = (z.data * z.data).sum(1)
     w = np.multiply(roots, roots, out=scratch)
     w *= roots

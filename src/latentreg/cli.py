@@ -7,9 +7,10 @@ scale, single-cloud evaluation, and attraction demos.
     latentreg attract --target quantized --bits 1 --n 64 --dim 2 --out DIR
 
 All outputs (CSV and SVG) are deterministic for a fixed spec: rerunning a
-command writes byte-identical files. Flags are the only input, and only for
-settings some run varies; step sizes are the constants below and in
-latentreg.calibration. Every resolved value is echoed to
+command writes byte-identical files. Every CSV and the resolved config are
+tables of sampling._write_table, which fixes their bytes. Flags are the only
+input, and only for settings some run varies; step sizes are the constants
+below and in latentreg.calibration. Every resolved value is echoed to
 OUT/config_resolved.txt. Exit codes: 0 success, 1 usage error, 2 runtime
 failure. The spec is validated before any file is written; a bad value or an
 unknown flag is a usage error. Trials run one after another. --jobs accepts
@@ -53,7 +54,7 @@ from .optimizer import (
     run,
     trace_to_csv,
 )
-from .sampling import PointCloud, Rng, sample_standard_normal, sample_uniform_cube
+from .sampling import PointCloud, Rng, _write_table, sample_standard_normal, sample_uniform_cube
 from .stat_tests import BATTERY_TESTS, Law, battery_bands, judge, reference_battery
 from .svgplot import PALETTE, Curve, render_panel
 
@@ -118,13 +119,13 @@ class ExperimentSpec:
             self.bits = 1
 
     def out_dir(self) -> Path:
+        """OUT, made if missing, with every resolved value echoed to
+        OUT/config_resolved.txt."""
         out = Path(self.out)
         out.mkdir(parents=True, exist_ok=True)
+        _write_table(out / "config_resolved.txt", None, "%s=%s\n",
+                     [(f.name, getattr(self, f.name)) for f in fields(self)])
         return out
-
-    def echo(self, out: Path) -> None:
-        lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-        (out / "config_resolved.txt").write_text("\n".join(lines) + "\n")
 
 
 def _attraction_config(spec: ExperimentSpec, trial_seed: int) -> RunConfig:
@@ -164,18 +165,10 @@ def _run_baseline_trial(spec: ExperimentSpec, trial_seed: int, kind: str) -> Poi
     return cloud
 
 
-# rows formatted by one % call in the curve CSVs
-_CSV_CHUNK = 1024
-
-
 def _write_curve_csv(path: Path, sorted_values: np.ndarray) -> None:
     """EDF curve CSV: the header "value", then the sorted values, one "%.17g"
-    row each, formatted _CSV_CHUNK rows per % call."""
-    with open(path, "w", newline="") as fh:
-        fh.write("value\n")
-        for i in range(0, sorted_values.shape[0], _CSV_CHUNK):
-            chunk = sorted_values[i:i + _CSV_CHUNK].tolist()
-            fh.write(("%.17g\n" * len(chunk)) % tuple(chunk))
+    row each, written by _write_table."""
+    _write_table(path, "value", "%.17g\n", sorted_values[:, None])
 
 
 def _sorted_quantile(sorted_values: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -249,7 +242,6 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
     """EDF grid: radii and distance curves for prior samples, the two
     baseline minimizers and the quantile attraction, with a KS summary."""
     out = spec.out_dir()
-    spec.echo(out)
     judged: dict[str, list[dict]] = {}
     directions: dict[str, list[str]] = {}  # narrow or wide by the mean squared radius
     for t in range(spec.trials):
@@ -265,13 +257,11 @@ def cmd_fig1(spec: ExperimentSpec) -> int:
             directions.setdefault(row, []).append("narrow" if narrow else "wide")
             judged.setdefault(row, []).append(judge(cloud))
     _write_curves(out, "fig1", judged, "{row}: sorted {stat} vs chi2(%d) CDF" % spec.dim)
-    with open(out / "fig1_summary.csv", "w", newline="") as fh:
-        fh.write("row,trial,stat,ks_linf,l1_area,direction\n")
-        for row, trials in judged.items():
-            for t, trial in enumerate(trials):
-                for stat, result in trial.items():
-                    fh.write("%s,%d,%s,%.17g,%.17g,%s\n"
-                             % (row, t, stat, result.ks, result.l1_area(), directions[row][t]))
+    _write_table(out / "fig1_summary.csv", "row,trial,stat,ks_linf,l1_area,direction",
+                 "%s,%d,%s,%.17g,%.17g,%s\n",
+                 [(row, t, stat, result.ks, result.l1_area(), directions[row][t])
+                  for row, trials in judged.items() for t, trial in enumerate(trials)
+                  for stat, result in trial.items()])
     return 0
 
 
@@ -279,7 +269,6 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
     """Projection / scalar-product / angle battery on attraction-converged
     clouds (right column) next to i.i.d. prior clouds (left column)."""
     out = spec.out_dir()
-    spec.echo(out)
     judged: dict[str, list[dict]] = {"iid": [], "attract": []}
     for t in range(spec.trials):
         trial_seed = spec.seed + t
@@ -292,16 +281,17 @@ def cmd_fig2(spec: ExperimentSpec) -> int:
         judged["attract"].append(judge(attract_cloud, battery))
     _write_curves(out, "fig2", judged, "{row}: {stat} EDF")
     bands = battery_bands(spec.n, spec.dim)
-    with open(out / "fig2_summary.csv", "w", newline="") as fh:
-        fh.write("side,test,trial,ks_linf,band_q95,pass\n")
-        for side, trials in judged.items():
-            for test in BATTERY_TESTS:
-                band = bands[test]
-                band_s = "" if band is None else "%.17g" % band
-                for t, trial in enumerate(trials):
-                    ks = trial[test].ks
-                    ok = "" if band is None else str(int(ks <= band))
-                    fh.write("%s,%s,%d,%.17g,%s,%s\n" % (side, test, t, ks, band_s, ok))
+    rows = []
+    for side, trials in judged.items():
+        for test in BATTERY_TESTS:
+            band = bands[test]
+            band_s = "" if band is None else "%.17g" % band
+            for t, trial in enumerate(trials):
+                ks = trial[test].ks
+                ok = "" if band is None else str(int(ks <= band))
+                rows.append((side, test, t, ks, band_s, ok))
+    _write_table(out / "fig2_summary.csv", "side,test,trial,ks_linf,band_q95,pass",
+                 "%s,%s,%d,%.17g,%s,%s\n", rows)
     return 0
 
 
@@ -343,10 +333,7 @@ def cmd_eval(cloud_csv: str, which: str, seed: int, out: str) -> int:
         print(f"{name}=%.17g" % value)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"eval_{which}.csv", "w", newline="") as fh:
-        fh.write("stat,value\n")
-        for name, value in rows:
-            fh.write("%s,%.17g\n" % (name, value))
+    _write_table(out_dir / f"eval_{which}.csv", "stat,value", "%s,%.17g\n", rows)
     return 0
 
 
@@ -355,20 +342,16 @@ _HIST_BINS = 32
 
 def _write_histograms(path: Path, cloud: PointCloud, lo: float, hi: float) -> None:
     edges = np.linspace(lo, hi, _HIST_BINS + 1)
-    counts = np.stack([np.histogram(cloud.data[:, j], bins=edges)[0]
-                       for j in range(cloud.dim)], axis=1)
-    with open(path, "w", newline="") as fh:
-        fh.write("bin_lo,bin_hi," + ",".join(f"coord{j}" for j in range(cloud.dim)) + "\n")
-        for b in range(_HIST_BINS):
-            fh.write("%.17g,%.17g," % (edges[b], edges[b + 1])
-                     + ",".join(str(int(c)) for c in counts[b]) + "\n")
+    counts = [np.histogram(cloud.data[:, j], bins=edges)[0] for j in range(cloud.dim)]
+    _write_table(path, "bin_lo,bin_hi," + ",".join(f"coord{j}" for j in range(cloud.dim)),
+                 "%.17g,%.17g" + ",%d" * cloud.dim + "\n",
+                 np.column_stack([edges[:-1], edges[1:], *counts]))
 
 
 def cmd_attract_demo(spec: ExperimentSpec) -> int:
     """Attraction demo: radii/distance attraction for the gaussian target,
     coordinate-wise attraction otherwise; clouds, histograms and a summary."""
     out = spec.out_dir()
-    spec.echo(out)
     target_name = spec.target
     summaries = []
     for t in range(spec.trials):
@@ -397,10 +380,8 @@ def cmd_attract_demo(spec: ExperimentSpec) -> int:
         _write_histograms(out / f"attract_{target_name}_trial{t:02d}_hist.csv",
                           after, lo, hi)
         summaries.append(summary)
-    with open(out / f"attract_{target_name}_summary.csv", "w", newline="") as fh:
-        fh.write("trial,stat,value\n")
-        for t, (name, value) in enumerate(summaries):
-            fh.write("%d,%s,%.17g\n" % (t, name, value))
+    _write_table(out / f"attract_{target_name}_summary.csv", "trial,stat,value",
+                 "%d,%s,%.17g\n", [(t, *summary) for t, summary in enumerate(summaries)])
     return 0
 
 

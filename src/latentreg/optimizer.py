@@ -35,7 +35,7 @@ from typing import Iterable
 import numpy as np
 
 from . import baselines, cdf_attract
-from .sampling import PointCloud, Rng, sample_standard_normal, sample_uniform_cube
+from .sampling import PointCloud, Rng, _write_table, sample_standard_normal, sample_uniform_cube
 
 _MAX_HALVINGS = 20
 
@@ -269,13 +269,10 @@ def run(config: RunConfig, objective) -> tuple[PointCloud, list[TraceRow]]:
 
 
 def trace_to_csv(trace: Iterable[TraceRow], path) -> None:
-    """Write an attraction trace as CSV, its extras in the TRACE_KEYS columns
-    even when it has no row. Wall time is left out so reruns of the same
-    configuration produce byte-identical files."""
+    """Write an attraction trace through _write_table, its extras in the
+    TRACE_KEYS columns even when it has no row. Wall time is left out so
+    reruns of the same configuration produce byte-identical files."""
     keys = CdfAttractionObjective.TRACE_KEYS
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["step", "objective", "alpha", *keys]) + "\n")
-        for row in trace:
-            fields = [str(row.step), "%.17g" % row.objective, "%.17g" % row.alpha]
-            fields += ["%.17g" % row.extras[k] for k in keys]
-            fh.write(",".join(fields) + "\n")
+    _write_table(path, ",".join(["step", "objective", "alpha", *keys]),
+                 "%d" + ",%.17g" * (2 + len(keys)) + "\n",
+                 [(r.step, r.objective, r.alpha, *(r.extras[k] for k in keys)) for r in trace])

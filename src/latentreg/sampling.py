@@ -12,6 +12,9 @@ the unused half of each accepted pair cached inside the Rng so that drawing
 values in any block sizes consumes the identical underlying stream. These
 constants fully determine every stream, so any other implementation can
 replay them.
+
+_write_table writes every CSV of the package and the resolved config, and so
+owns their bytes: "%" row templates, one "%" call per chunk, newline="".
 """
 
 from __future__ import annotations
@@ -109,8 +112,23 @@ class Rng:
         return out
 
 
-# rows of a cloud CSV formatted by one % call
-_CSV_ROWS = 256
+# fields of a table formatted by one % call
+_TABLE_FIELDS = 4096
+
+
+def _write_table(path, header: str | None, row: str, rows) -> None:
+    """Write the header line, when given, then rows (a 2-D float array or a
+    list of tuples) formatted by the % template row, one % call per chunk of
+    about _TABLE_FIELDS fields, to path opened with newline=""."""
+    step = max(1, _TABLE_FIELDS // row.count("%"))
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for i in range(0, len(rows), step):
+            chunk = rows[i:i + step]
+            flat = (chunk.ravel().tolist() if isinstance(chunk, np.ndarray)
+                    else [v for r in chunk for v in r])
+            fh.write((row * len(chunk)) % tuple(flat))
 
 
 @dataclass
@@ -138,13 +156,9 @@ class PointCloud:
         return self.data.shape[1]
 
     def to_csv(self, path) -> None:
-        """One row per point, dim comma-separated columns, 17 significant digits;
-        each chunk of _CSV_ROWS rows is formatted by one % call."""
-        row = "%.17g," * (self.dim - 1) + "%.17g\n"
-        with open(path, "w", newline="") as fh:
-            for i in range(0, self.n, _CSV_ROWS):
-                rows = self.data[i:i + _CSV_ROWS]
-                fh.write((row * rows.shape[0]) % tuple(rows.ravel().tolist()))
+        """One row per point, dim comma-separated "%.17g" columns and no
+        header, written by _write_table."""
+        _write_table(path, None, "%.17g," * (self.dim - 1) + "%.17g\n", self.data)
 
     @classmethod
     def from_csv(cls, path) -> "PointCloud":

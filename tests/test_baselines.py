@@ -212,6 +212,14 @@ def test_cwae_rejects_dim1():
             call(z)
 
 
+@pytest.mark.parametrize("call", [cwae, cwae_gradient], ids=lambda f: f.__name__)
+def test_cwae_rejects_dim1_with_hand_made_roots(call):
+    # roots that cwae_roots did not make carry no dimension check: 2D-3 = -1
+    # would give a finite value and gradient
+    with pytest.raises(ValueError, match="dim >= 2"):
+        call(PointCloud([[0.1], [0.2], [0.3]]), np.ones((3, 3)))
+
+
 def test_cwae_gradient_zero_at_origin_point():
     g = cwae_gradient_of(PointCloud(np.zeros((1, 20))))
     assert np.all(g == 0.0)

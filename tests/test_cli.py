@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latentreg import calibration, cli
+from latentreg import calibration, cli, sampling
 from latentreg.baselines import cwae, cwae_roots, kernel_matrix, wae_mmd
 from latentreg.cdf_attract import chi2_quantile_table, cloud_stats, midpoint_probs
 from latentreg.cli import (
@@ -81,7 +81,8 @@ def test_edf_curve_csv(tmp_path):
     # exact bytes below, at and across the chunk boundary, with the awkward floats
     special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, -2.0, 7.0, 1e16, 2.0 ** 53]
     rng = np.random.default_rng(3)
-    for m in (cli._CSV_CHUNK - 1, cli._CSV_CHUNK, cli._CSV_CHUNK + 1):
+    chunk = sampling._TABLE_FIELDS  # one field a row
+    for m in (chunk - 1, chunk, chunk + 1):
         values = np.sort(np.resize(np.concatenate(
             [special, rng.normal(scale=10.0 ** rng.integers(-300, 300), size=m)]), m))
         _write_curve_csv(path, values)

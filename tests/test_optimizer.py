@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from latentreg import baselines, calibration, cdf_attract, optimizer
+from latentreg import baselines, calibration, cdf_attract, optimizer, sampling
 from latentreg.cdf_attract import TargetQuantiles, build_target_quantiles, cloud_stats
 from latentreg.optimizer import (
     CdfAttractionObjective,
@@ -195,6 +195,19 @@ def test_trace_csv_columns(tmp_path):
     trace_to_csv(rows, plain)
     assert plain.read_text().splitlines() == [
         "step,objective,alpha,distance_term,radii_term", "0,1.5,0.25,0.5,1"]
+
+
+def test_trace_csv_is_per_row_formatted_across_a_chunk(tmp_path):
+    keys = CdfAttractionObjective.TRACE_KEYS
+    chunk = sampling._TABLE_FIELDS // (3 + len(keys))  # rows a chunk
+    values = np.random.default_rng(8).normal(scale=1e5, size=(chunk + 1, 4)).tolist()
+    rows = [TraceRow(k, a, b, 0.0, dict(zip(keys, extras)))
+            for k, (a, b, *extras) in enumerate(values)]
+    path = tmp_path / "trace.csv"
+    trace_to_csv(rows, path)
+    expected = "".join(",".join([str(r.step), "%.17g" % r.objective, "%.17g" % r.alpha,
+                                 *("%.17g" % r.extras[k] for k in keys)]) + "\n" for r in rows)
+    assert path.read_bytes() == ("step,objective,alpha," + ",".join(keys) + "\n" + expected).encode()
 
 
 def test_trace_csv_names_the_objective_columns_without_rows(tmp_path):

@@ -12,6 +12,7 @@ from latentreg.sampling import (
     Rng,
     _pair_flat_indices,
     _sq_dists,
+    _write_table,
     sample_standard_normal,
     sample_uniform_cube,
     sample_unit_directions,
@@ -126,21 +127,47 @@ def test_point_cloud_csv_round_trip(tmp_path):
     assert np.array_equal(cloud.data, back.data)
 
 
+def _awkward_floats(rng, size):
+    """size floats in random order, the awkward ones among them."""
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, -2.0, 7.0, 1e16, 2.0 ** 53]
+    values = np.concatenate([special, rng.normal(scale=10.0 ** rng.integers(-300, 300), size=size)])
+    return rng.permutation(np.resize(values, size))
+
+
 def test_point_cloud_csv_is_per_value_formatted(tmp_path):
     # the bytes of formatting each value on its own, with the awkward floats,
     # at D = 1 and across the chunk boundary
-    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, -2.0, 7.0, 1e16, 2.0 ** 53]
     rng = np.random.default_rng(4)
     path = tmp_path / "cloud.csv"
-    for rows in (1, sampling._CSV_ROWS - 1, sampling._CSV_ROWS, 2 * sampling._CSV_ROWS + 1):
-        for dim in (1, 3, 20):
-            values = np.resize(np.concatenate(
-                [special, rng.normal(scale=10.0 ** rng.integers(-300, 300), size=rows * dim)]),
-                rows * dim)
-            cloud = PointCloud(rng.permutation(values).reshape(rows, dim))
+    for dim in (1, 3, 20):
+        chunk = sampling._TABLE_FIELDS // dim  # rows a chunk
+        for rows in (1, chunk - 1, chunk, 2 * chunk + 1):
+            cloud = PointCloud(_awkward_floats(rng, rows * dim).reshape(rows, dim))
             cloud.to_csv(path)
             expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in cloud.data)
             assert path.read_bytes() == expected.encode(), (rows, dim)
+
+
+@pytest.mark.parametrize("kind", ["floats1", "floats20", "tuples"])
+def test_write_table_is_per_row_formatted(tmp_path, kind):
+    # below, at and across one chunk, against one % call per row
+    rng = np.random.default_rng(5)
+    path = tmp_path / "table.csv"
+    width = {"floats1": 1, "floats20": 20, "tuples": 4}[kind]
+    row = "%s,%d,%.17g,%.17g\n" if kind == "tuples" else "%.17g," * (width - 1) + "%.17g\n"
+    chunk = sampling._TABLE_FIELDS // width
+    for m in (chunk - 1, chunk, chunk + 1):
+        if kind == "tuples":
+            ints = rng.integers(-2 ** 62, 2 ** 62, size=m).tolist()
+            pairs = _awkward_floats(rng, 2 * m).reshape(m, 2).tolist()
+            rows = [(f"s{i}", k, a, b) for i, (k, (a, b)) in enumerate(zip(ints, pairs))]
+        else:
+            rows = _awkward_floats(rng, m * width).reshape(m, width)
+        for header in (None, "a,b"):
+            _write_table(path, header, row, rows)
+            expected = "" if header is None else header + "\n"
+            expected += "".join(row % tuple(r) for r in rows)
+            assert path.read_bytes() == expected.encode(), (m, header)
 
 
 def test_point_cloud_csv_skips_blank_lines(tmp_path):
