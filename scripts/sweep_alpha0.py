@@ -9,8 +9,8 @@ The alpha0 sweep runs the radii/distance attraction at n=200, D=20 from a
 uniform [-1,1]^D start with alpha = alpha0 * objective, over a grid of alpha0,
 and reports the floor it reaches after 600 steps. It ranks each alpha0 by
 cost: over seeds 1-10 it runs the tolerance-stopped attraction of
-fig1's attraction row and attract (the ATTRACT_STEPS budget, stopped at
-ATTRACT_STOP_TOLERANCE) at n = 50, 100, 200, 400 with D=20 and at D = 5, 50
+fig1's attraction row and attract (cli._attraction_config's recipe, its
+alpha0 swept) at n = 50, 100, 200, 400 with D=20 and at D = 5, 50
 with n=200, and reports the value evaluations, steps and halved steps summed
 over the seeds, and the mean final objective.
 
@@ -31,15 +31,15 @@ n=400). 0.8 halves steps at n <= 100 and at D=50, and 1.6 at n <= 200 and
 at D=50, so neither is kept. At n=50, 0.4 costs more than 0.2; no benchmark
 workload runs a tolerance attraction below n=200.
 
-The stall sweep runs the test battery's attraction (400-step budget, no stop
-tolerance, alpha0 = ATTRACT_STALL_ALPHA0) with and without a stall rule
-(W, f): stop once the objective has fallen by less than f of the magnitude
-of its value W accepted steps earlier. It uses n=100, D=20 over seeds
-100-119, disjoint from the tests' and the benchmark's, and n=200, D=20 over
-seeds BASE_SEED + t, t < 10, where the battery's 95% bands are calibrated.
-Per setting it reports the value evaluations and steps summed over the
-seeds, the mean final objective, and at n=200 how many clouds pass all three
-battery bands (criterion 6's check).
+The stall sweep runs the test battery's attraction (the fig2 recipe of
+cli._attraction_config: 400-step budget, no stop tolerance, alpha0 =
+ATTRACT_STALL_ALPHA0) with and without a stall rule (W, f): stop once the
+objective has fallen by less than f of the magnitude of its value W accepted
+steps earlier. It uses n=100, D=20 over seeds 100-119, disjoint from the
+tests' and the benchmark's, and n=200, D=20 over seeds BASE_SEED + t, t < 10,
+where the battery's 95% bands are calibrated. Per setting it reports the
+value evaluations and steps summed over the seeds, the mean final objective,
+and at n=200 how many clouds pass all three battery bands (criterion 6's).
 
 Result recorded as ATTRACT_STALL_WINDOW / ATTRACT_STALL_FRACTION in
 latentreg/calibration.py, with the step constant it ran at,
@@ -53,6 +53,7 @@ rises 0.7% at n=100; every setting kept the 8/10 battery passes.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +62,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from latentreg import calibration  # noqa: E402
 from latentreg.cdf_attract import build_target_quantiles, cdf_objective  # noqa: E402
-from latentreg.cli import ATTRACT_BATTERY_STEPS, ATTRACT_STEPS  # noqa: E402
-from latentreg.optimizer import CdfAttractionObjective, RunConfig, run  # noqa: E402
+from latentreg.cli import ExperimentSpec, _attraction_config  # noqa: E402
+from latentreg.optimizer import CdfAttractionObjective, run  # noqa: E402
 from latentreg.stat_tests import (  # noqa: E402
     BATTERY_TESTS,
     battery_bands,
@@ -86,12 +87,11 @@ def _tolerance_cost(alpha0: float, n: int, dim: int) -> tuple[int, int, int, flo
     """Value evaluations, steps and halved steps summed over COST_SEEDS, and
     the mean final objective, of the runs that stop at the tolerance."""
     targets = build_target_quantiles(n, dim)
+    spec = ExperimentSpec("attract_demo", n=n, dim=dim)
     evals = steps = halved = 0
     finals = []
     for seed in COST_SEEDS:
-        cfg = RunConfig(n=n, dim=dim, seed=seed, max_steps=ATTRACT_STEPS, alpha0=alpha0,
-                        schedule="proportional_to_objective",
-                        stop_tolerance=calibration.ATTRACT_STOP_TOLERANCE)
+        cfg = replace(_attraction_config(spec, seed), alpha0=alpha0)
         objective = _CountedObjective(targets)
         final, trace = run(cfg, objective)
         evals += objective.evals
@@ -103,12 +103,12 @@ def _tolerance_cost(alpha0: float, n: int, dim: int) -> tuple[int, int, int, flo
 
 def sweep_alpha0() -> None:
     targets = build_target_quantiles(N, DIM)
+    spec = ExperimentSpec("attract_demo", n=N, dim=DIM, steps=600)
     print(f"stop threshold (2x prior-sample floor): {calibration.ATTRACT_STOP_TOLERANCE:.4f}")
     for alpha0 in GRID:
         floors = []
         for seed in SEEDS:
-            cfg = RunConfig(n=N, dim=DIM, seed=seed, max_steps=600, alpha0=alpha0,
-                            schedule="proportional_to_objective", stop_tolerance=None)
+            cfg = replace(_attraction_config(spec, seed), alpha0=alpha0, stop_tolerance=None)
             _, trace = run(cfg, CdfAttractionObjective(targets))
             floors.append(trace[-1].objective)
         summary = ", ".join(f"seed {s}: floor {f:.4f}" for s, f in zip(SEEDS, floors))
@@ -140,15 +140,14 @@ def _battery_pass(cloud, seed: int) -> bool:
 def sweep_stall() -> None:
     for n, seeds in STALL_SCALES:
         targets = build_target_quantiles(n, DIM)
+        spec = ExperimentSpec("fig2_battery", n=n, dim=DIM)
         calibrated = (n, DIM) == (calibration.N, calibration.DIM)
         print(f"n={n}, D={DIM}, seeds {seeds[0]}..{seeds[-1]}")
         for stall in STALL_GRID:
             evals = steps = passes = 0
             finals = []
             for seed in seeds:
-                cfg = RunConfig(n=n, dim=DIM, seed=seed, max_steps=ATTRACT_BATTERY_STEPS,
-                                alpha0=calibration.ATTRACT_STALL_ALPHA0,
-                                schedule="proportional_to_objective", stall=stall)
+                cfg = replace(_attraction_config(spec, seed), stall=stall)
                 objective = _CountedObjective(targets)
                 final, trace = run(cfg, objective)
                 evals += objective.evals

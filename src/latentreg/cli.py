@@ -24,6 +24,10 @@ each trial's sorted values as a one-column curve CSV. A panel draws each EDF
 from its sorted values alone (svgplot computes the probabilities per chunk);
 a pooled reference, sorted in place, lives only while its panels are drawn.
 The curve CSVs are written after every panel.
+
+The run recipes (step constant, budget, stop rule) live only in
+_attraction_config and _run_baseline_trial; eval's wae_mmd and cwae are the
+values of the objectives fig1 descends.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration
-from .baselines import cwae, cwae_roots, kernel_matrix, mardia_stats, wae_mmd
+from .baselines import mardia_stats
 from .cdf_attract import (
     MAX_BITS,
     CoordinateTarget,
@@ -311,10 +315,9 @@ def cmd_eval(cloud_csv: str, which: str, seed: int, out: str) -> int:
         rows = [("skewness_stat", skew), ("kurtosis_stat", kurt),
                 ("second_moment", second)]
     elif which == "wae_mmd":
-        z_tilde = sample_standard_normal(Rng(seed).derive(1), cloud.n, cloud.dim)
-        rows = [("wae_mmd", wae_mmd(kernel_matrix(cloud, cloud), kernel_matrix(cloud, z_tilde)))]
+        rows = [("wae_mmd", WaeMmdObjective(Rng(seed).derive(1)).value(cloud))]
     elif which == "cwae":
-        rows = [("cwae", cwae(cloud, cwae_roots(cloud)))]
+        rows = [("cwae", CwaeObjective().value(cloud))]
     else:
         judged = judge(cloud)[which]
         rows = [("ks_linf", judged.ks), ("l1_area", judged.l1_area()),

@@ -1,29 +1,29 @@
 """Plain gradient descent over a point cloud for the three regularizers.
 
-An objective gives run value(x) and gradient(x) of a cloud, begin_step(x)
-at each step start, trace_extras() for the step's trace row, and the flag
-deterministic. Deterministic objectives (CWAE, quantile attraction) get
+An objective gives run the flag deterministic, value(x) and gradient(x) of a
+cloud, and trace_extras() for the step's trace row, read right after the
+step start's value. Deterministic objectives (CWAE, quantile attraction) get
 backtracking: a step that would increase the objective halves alpha, and the
 accepted objective sequence is monotone nonincreasing. When 20 halvings find
 no step that does not increase it, the run ends with a row whose alpha is 0.
 A run may also stop at a step start, without a row, at a stop tolerance or,
 with a stall rule, once the objective stops falling. The stochastic MMD
-objective (a fresh prior sample drawn in each begin_step) takes plain steps
-and ignores both stops.
+objective takes plain steps, evaluating one new cloud per step, and ignores
+both stops.
 
 The three objectives share one base, _PerCloud: the protocol's defaults
-(deterministic, a begin_step that does nothing, no trace extras), what an
-objective derived from the last cloud it saw (the pair matrices of
-baselines.kernel_matrix or cwae_roots, the attraction's statistics), so one
-cloud's value and gradient share a single pass, and the (n, n) pair and
-weight buffers, allocated for each new cloud size and overwritten by every
-later cloud, so a steady-state step allocates no n x n array. value and
-gradient stay on each objective's own class and call wae_mmd, cwae and
-their gradients by those public names: the benchmark's tracer counts and
-times only public functions and the methods a public class defines itself.
-The attraction's line-search candidates need only a value, so they are
-sorted but not ranked; residuals are ranked only for the clouds whose
-gradient is taken, each cloud from scratch.
+(deterministic, no trace extras), what an objective derived from the last
+cloud it saw (the pair matrices of baselines.kernel_matrix with that cloud's
+prior sample, or of cwae_roots, the attraction's statistics and terms), so
+one cloud's value, gradient and trace extras share a single pass, and the
+(n, n) pair and weight buffers, allocated for each new cloud size and
+overwritten by every later cloud, so a steady-state step allocates no n x n
+array. value and gradient stay on each objective's own class and call
+wae_mmd, cwae and their gradients by those public names: the benchmark's
+tracer counts and times only public functions and the methods a public
+class defines itself. The attraction's line-search candidates need only a
+value, so they are sorted but not ranked; residuals are ranked only for the
+clouds whose gradient is taken, each cloud from scratch.
 """
 
 from __future__ import annotations
@@ -110,40 +110,36 @@ class _PerCloud:
             self._buffers = tuple(np.empty((n, n)) for _ in range(count))
         return self._buffers
 
-    def begin_step(self, x: PointCloud) -> None:
-        pass
-
     def trace_extras(self) -> dict[str, float]:
         return {}
 
 
 class WaeMmdObjective(_PerCloud):
-    """IMQ-kernel MMD against a fresh prior sample drawn at every step.
+    """IMQ-kernel MMD against a fresh prior sample for every new cloud, drawn
+    from prior_rng when the cloud is first derived: one per step in run,
+    which evaluates one new cloud per stochastic step.
 
-    value and gradient share one pair of kernel matrices per cloud; a new
-    prior sample forgets them. The objective owns three (n, n) buffers: the
-    two kernel matrices and the gradient weights."""
+    value and gradient share the cloud's prior sample and kernel matrices.
+    The objective owns three (n, n) buffers: the two kernel matrices and the
+    gradient weights."""
 
     deterministic = False
 
     def __init__(self, prior_rng: Rng) -> None:
         self.prior_rng = prior_rng
-        self._z_tilde: PointCloud | None = None
 
-    def _derive(self, x: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    def _derive(self, x: PointCloud) -> tuple[np.ndarray, np.ndarray, PointCloud]:
+        z_tilde = sample_standard_normal(self.prior_rng, x.n, x.dim)
         zz, zt, _ = self._square_buffers(3, x.n)
-        return baselines.kernel_matrix(x, x, zz), baselines.kernel_matrix(x, self._z_tilde, zt)
-
-    def begin_step(self, x: PointCloud) -> None:
-        self._z_tilde = sample_standard_normal(self.prior_rng, x.n, x.dim)
-        self._cloud = self._kept = None
+        return baselines.kernel_matrix(x, x, zz), baselines.kernel_matrix(x, z_tilde, zt), z_tilde
 
     def value(self, x: PointCloud) -> float:
-        return baselines.wae_mmd(*self._derived(x))
+        k_zz, k_zt, _ = self._derived(x)
+        return baselines.wae_mmd(k_zz, k_zt)
 
     def gradient(self, x: PointCloud) -> np.ndarray:
-        k_zz, k_zt = self._derived(x)
-        return baselines.wae_mmd_gradient(x, self._z_tilde, k_zz, k_zt, self._buffers[2])
+        k_zz, k_zt, z_tilde = self._derived(x)
+        return baselines.wae_mmd_gradient(x, z_tilde, k_zz, k_zt, self._buffers[2])
 
 
 class CwaeObjective(_PerCloud):
@@ -168,9 +164,9 @@ class CdfAttractionObjective(_PerCloud):
     """Quantile mismatch of radii and pairwise distances.
 
     Each cloud's statistics and terms are kept per cloud object, so the value
-    asked for again at the next step start and the gradient that follows
-    reuse them. A value needs only sorted statistics, so a line-search
-    candidate is sorted but never ranked. The gradient ranks its cloud's
+    asked for again at the next step start, its trace extras and the
+    gradient that follows reuse them. A value needs only sorted statistics,
+    so a line-search candidate is sorted but never ranked. The gradient ranks its cloud's
     kept statistics, once per gradient: run asks for one gradient per cloud.
     Nothing else carries over from one cloud to the next."""
 
@@ -179,7 +175,6 @@ class CdfAttractionObjective(_PerCloud):
 
     def __init__(self, targets: cdf_attract.TargetQuantiles) -> None:
         self.targets = targets
-        self._last_terms: tuple[float, float] = (float("nan"), float("nan"))
         self._residuals: cdf_attract.Residuals | None = None
 
     def _derive(self, x: PointCloud) -> tuple[cdf_attract.CloudStats, tuple[float, float]]:
@@ -187,7 +182,7 @@ class CdfAttractionObjective(_PerCloud):
         return stats, cdf_attract.value_terms(stats, self.targets)
 
     def value(self, x: PointCloud) -> float:
-        term_r, term_d = self._last_terms = self._derived(x)[1]
+        term_r, term_d = self._derived(x)[1]
         return term_r + term_d
 
     def gradient(self, x: PointCloud) -> np.ndarray:
@@ -198,8 +193,9 @@ class CdfAttractionObjective(_PerCloud):
         return cdf_attract.gradient_from_residuals(x, self._residuals)
 
     def trace_extras(self) -> dict[str, float]:
-        return {"radii_term": self._last_terms[0],
-                "distance_term": self._last_terms[1]}
+        # the terms of the cloud valued last: in run, the step start's
+        term_r, term_d = self._kept[1]
+        return {"radii_term": term_r, "distance_term": term_d}
 
 
 def initial_cloud(config: RunConfig) -> PointCloud:
@@ -238,7 +234,6 @@ def run(config: RunConfig, objective) -> tuple[PointCloud, list[TraceRow]]:
     trace: list[TraceRow] = []
     for step in range(config.max_steps):
         t0 = time.perf_counter()
-        objective.begin_step(x)
         value = checked_value(x, step)
         extras = objective.trace_extras()
         if objective.deterministic and (

@@ -32,7 +32,7 @@ from latentreg.cdf_attract import (
 from latentreg.cli import (
     ATTRACT_BATTERY_STEPS,
     ExperimentSpec,
-    _attraction_config,
+    _run_baseline_trial,
     cmd_attract_demo,
     cmd_fig1,
     cmd_fig2,
@@ -46,7 +46,6 @@ from latentreg.gaussian_l2 import (
     l2_distance_to_standard_gaussian,
     mean_field_sigma,
 )
-from latentreg.optimizer import CdfAttractionObjective, CwaeObjective, RunConfig, WaeMmdObjective, run
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal
 from latentreg.specfun import ChiSquare, chi2_cdf, chi2_inv_cdf
 from latentreg.stat_tests import BATTERY_TESTS, battery_bands, judge, reference_battery
@@ -75,44 +74,29 @@ def targets():
 
 @pytest.fixture(scope="module")
 def stopped_attraction_runs(targets):
-    """Ten attraction runs with the stop rule, as in the EDF-grid bottom row."""
+    """Ten attraction runs of fig1's attraction row: stopped at the tolerance."""
+    spec = ExperimentSpec("fig1_grid", n=N, dim=DIM)
     finals = []
     for t in range(TRIALS):
-        config = RunConfig(n=N, dim=DIM, seed=BASE_SEED + t, max_steps=5000,
-                           alpha0=calibration.ATTRACT_ALPHA0,
-                           schedule="proportional_to_objective",
-                           stop_tolerance=calibration.ATTRACT_STOP_TOLERANCE)
-        final, trace = run(config, CdfAttractionObjective(targets))
+        final, trace = run_attraction_trial(spec, BASE_SEED + t)
         finals.append((final, cdf_objective(final, targets), len(trace)))
     return finals
 
 
 @pytest.fixture(scope="module")
-def battery_attraction_clouds(targets):
+def battery_attraction_clouds():
     """Ten attraction runs as fig2 makes them: carried to the mismatch floor
     and stopped when they stall."""
     spec = ExperimentSpec("fig2_battery", n=N, dim=DIM)
-    clouds = []
-    for t in range(TRIALS):
-        config = _attraction_config(spec, BASE_SEED + t)
-        final, _ = run(config, CdfAttractionObjective(targets))
-        clouds.append(final)
-    return clouds
+    return [run_attraction_trial(spec, BASE_SEED + t)[0] for t in range(TRIALS)]
 
 
 @pytest.fixture(scope="module")
 def baseline_minimized_clouds():
-    """Ten CWAE- and ten MMD-minimized clouds at the calibrated defaults."""
-    result = {"cwae": [], "wae_mmd": []}
-    for t in range(TRIALS):
-        seed = BASE_SEED + t
-        config = RunConfig(n=N, dim=DIM, seed=seed, max_steps=1000, alpha0=20.0)
-        cloud, _ = run(config, CwaeObjective())
-        result["cwae"].append(cloud)
-        config = RunConfig(n=N, dim=DIM, seed=seed, max_steps=1000, alpha0=200.0)
-        cloud, _ = run(config, WaeMmdObjective(Rng(seed).derive(1)))
-        result["wae_mmd"].append(cloud)
-    return result
+    """Ten CWAE- and ten MMD-minimized clouds of fig1's baseline rows."""
+    spec = ExperimentSpec("fig1_grid", n=N, dim=DIM)
+    return {kind: [_run_baseline_trial(spec, BASE_SEED + t, kind) for t in range(TRIALS)]
+            for kind in ("cwae", "wae_mmd")}
 
 
 def test_criterion_1_special_function_accuracy():
@@ -316,15 +300,29 @@ def test_criterion_9_quantized_attraction(tmp_path):
            f"fraction {fraction:.3f}")
 
 
+def _prior_noise_radii_ks() -> float:
+    # the median radii KS of fig1's iid rows, the prior-sample noise
+    return np.median([radii_ks(sample_standard_normal(Rng(BASE_SEED + t), N, DIM))
+                      for t in range(TRIALS)])
+
+
 def test_fig1_summary_median_ks_ordering(battery_attraction_clouds,
                                          baseline_minimized_clouds):
     # the EDF-grid rows order as: attraction below prior-sample noise, both
-    # far below the minimized baselines
+    # far below the minimized baselines. The attraction clouds come from
+    # fig2's stall recipe, carried to the mismatch floor, not from fig1's
+    # own tolerance-stopped row (see the xfail below)
     attract = np.median([radii_ks(c) for c in battery_attraction_clouds])
-    gaussian = np.median([radii_ks(sample_standard_normal(Rng(BASE_SEED + t), N, DIM))
-                          for t in range(TRIALS)])
+    gaussian = _prior_noise_radii_ks()
     cwae_ks = np.median([radii_ks(c) for c in baseline_minimized_clouds["cwae"]])
     assert attract < gaussian < cwae_ks
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: fig1's tolerance recipe stops at 2x "
+                   "DBAR_MEDIAN after 7 steps; radii KS median 0.090 against 0.053 iid")
+def test_fig1_attraction_row_orders_below_prior_noise(stopped_attraction_runs):
+    attract = np.median([radii_ks(c) for c, _, _ in stopped_attraction_runs])
+    assert attract < _prior_noise_radii_ks()
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path):

@@ -16,6 +16,7 @@ from latentreg.cli import (
     cmd_fig2,
     main,
 )
+from latentreg.optimizer import CwaeObjective, WaeMmdObjective
 from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_unit_directions
 from latentreg.specfun import ChiSquare, chi2_cdf
 from latentreg.stat_tests import Judged, judge, ks_statistic, pairwise_angles, pairwise_scalar_products
@@ -444,6 +445,26 @@ def test_eval_writes_the_statistic(tmp_path, which):
     expected = "stat,value\n" + "".join(
         "%s,%.17g\n" % row for row in _eval_rows(cloud, which, 7))
     assert (out / f"eval_{which}.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("which", ["wae_mmd", "cwae"])
+def test_eval_prints_the_value_of_the_objective_fig1_descends(tmp_path, capsys, which):
+    # bit for bit: the printed %.17g value, the objective's value and the
+    # public baselines function on fresh matrices
+    cloud = sample_standard_normal(Rng(31), 12, 4)
+    path = tmp_path / "cloud.csv"
+    cloud.to_csv(path)
+    for seed in ((1, 7, 2 ** 63) if which == "wae_mmd" else (None,)):
+        args = [] if seed is None else ["--seed", str(seed)]
+        assert main(["eval", "--cloud", str(path), "--which", which, *args,
+                     "--out", str(tmp_path / "o")]) == 0
+        printed = float(capsys.readouterr().out.splitlines()[-1].removeprefix(f"{which}="))
+        if seed is None:
+            objective, direct = CwaeObjective(), cwae(cloud, cwae_roots(cloud))
+        else:
+            objective = WaeMmdObjective(Rng(seed).derive(1))
+            direct = _eval_rows(cloud, which, seed)[0][1]
+        assert printed.hex() == objective.value(cloud).hex() == direct.hex(), seed
 
 
 def test_eval_seed_applies_only_to_wae_mmd(tmp_path, capsys):

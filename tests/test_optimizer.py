@@ -19,7 +19,7 @@ from latentreg.optimizer import (
     run,
     trace_to_csv,
 )
-from latentreg.sampling import PointCloud, Rng, sample_uniform_cube
+from latentreg.sampling import PointCloud, Rng, sample_standard_normal, sample_uniform_cube
 
 
 def test_run_config_validation():
@@ -212,12 +212,27 @@ def test_trace_csv_is_per_row_formatted_across_a_chunk(tmp_path):
 
 def test_trace_csv_names_the_objective_columns_without_rows(tmp_path):
     # a run that stops at its first step start writes no row; the header
-    # still carries the attraction's extras, in the rows' column order
+    # still carries the attraction's extras, in the rows' column order, as
+    # run reads them after a step start's value
     objective = CdfAttractionObjective(build_target_quantiles(4, 2))
+    objective.value(sample_uniform_cube(Rng(1), 4, 2, -1.0, 1.0))
     assert list(CdfAttractionObjective.TRACE_KEYS) == sorted(objective.trace_extras())
     path = tmp_path / "empty.csv"
     trace_to_csv([], path)
     assert path.read_text() == "step,objective,alpha,distance_term,radii_term\n"
+
+
+def test_attraction_trace_extras_are_the_terms_of_the_cloud_last_valued():
+    # run reads the extras right after a step start's value: they are that
+    # cloud's two terms, whichever clouds were valued before it
+    targets = build_target_quantiles(12, 3)
+    objective = CdfAttractionObjective(targets)
+    rng = Rng(14)
+    x1, x2 = (PointCloud(rng.normal(12 * 3).reshape(12, 3)) for _ in range(2))
+    for x in (x1, x2, x1):
+        objective.value(x)
+        term_r, term_d = cdf_attract.value_terms(cloud_stats(x), targets)
+        assert objective.trace_extras() == {"radii_term": term_r, "distance_term": term_d}
 
 
 @pytest.mark.parametrize("cls", [WaeMmdObjective, CwaeObjective, CdfAttractionObjective],
@@ -227,15 +242,10 @@ def test_each_objective_defines_the_methods_the_benchmark_counts(cls):
     # itself, and reads value evaluations and halvings from value calls: a
     # value or gradient inherited from the shared base would count as none
     assert "value" in vars(cls) and "gradient" in vars(cls)
-    if cls is WaeMmdObjective:
-        assert "begin_step" in vars(cls)
 
 
 class _NanGradientObjective:
     deterministic = True
-
-    def begin_step(self, x):
-        pass
 
     def value(self, x):
         return 1.0
@@ -395,13 +405,45 @@ def test_wae_mmd_run_builds_two_distance_matrices_per_step(monkeypatch):
 
 
 def test_wae_mmd_new_prior_sample_clears_the_memo():
-    objective = WaeMmdObjective(Rng(7).derive(1))
-    x = sample_uniform_cube(Rng(7), 20, 4, -1.0, 1.0)
+    # a new cloud object, even of the same points, draws the next prior
+    # sample and is valued against it, not against the last cloud's kernels
+    objective, prior = WaeMmdObjective(Rng(7).derive(1)), Rng(7).derive(1)
+    data = sample_uniform_cube(Rng(7), 20, 4, -1.0, 1.0).data
     for _ in range(2):
-        objective.begin_step(x)
-        z_tilde = objective._z_tilde
+        x = PointCloud(data)
+        z_tilde = sample_standard_normal(prior, x.n, x.dim)
         assert objective.value(x) == baselines.wae_mmd(
             baselines.kernel_matrix(x, x), baselines.kernel_matrix(x, z_tilde))
+
+
+def _counting_prior_draws(monkeypatch):
+    draws = []
+    monkeypatch.setattr(optimizer, "sample_standard_normal",
+                        _recorded(draws, optimizer.sample_standard_normal))
+    return draws
+
+
+def test_wae_mmd_draws_one_prior_sample_per_new_cloud(monkeypatch):
+    draws = _counting_prior_draws(monkeypatch)
+    objective = WaeMmdObjective(Rng(7).derive(1))
+    rng = Rng(13)
+    x1, x2 = (PointCloud(rng.normal(20 * 4).reshape(20, 4)) for _ in range(2))
+    # value, gradient and value again of one cloud share its draw; x1 after
+    # x2 is a new cloud again, since the memo keeps only the last one
+    counts = []
+    for method, x in (("value", x1), ("gradient", x1), ("value", x1), ("value", x2),
+                      ("gradient", x2), ("gradient", x1), ("value", x1)):
+        getattr(objective, method)(x)
+        counts.append(len(draws))
+    assert counts == [1, 1, 1, 2, 2, 3, 3]
+
+
+def test_wae_mmd_run_draws_one_prior_sample_per_step(monkeypatch):
+    draws = _counting_prior_draws(monkeypatch)
+    config = RunConfig(n=20, dim=4, seed=7, max_steps=12, alpha0=2.0)
+    _, trace = run(config, WaeMmdObjective(Rng(7).derive(1)))
+    assert len(trace) == 12
+    assert len(draws) == 12
 
 
 def _recorded(record, fn):
@@ -459,17 +501,20 @@ class _DirectCwaeObjective(CwaeObjective):
 
 
 class _DirectWaeMmdObjective(WaeMmdObjective):
-    """WAE-MMD on fresh kernel matrices for every call, without memo or
-    buffers."""
+    """WAE-MMD on fresh kernel matrices for every call, without buffers; the
+    memo keeps only each new cloud's prior sample."""
 
-    def _kernels(self, x):
-        return baselines.kernel_matrix(x, x), baselines.kernel_matrix(x, self._z_tilde)
+    def _derive(self, x):
+        return sample_standard_normal(self.prior_rng, x.n, x.dim)
 
     def value(self, x):
-        return baselines.wae_mmd(*self._kernels(x))
+        z_tilde = self._derived(x)
+        return baselines.wae_mmd(baselines.kernel_matrix(x, x), baselines.kernel_matrix(x, z_tilde))
 
     def gradient(self, x):
-        return baselines.wae_mmd_gradient(x, self._z_tilde, *self._kernels(x))
+        z_tilde = self._derived(x)
+        return baselines.wae_mmd_gradient(x, z_tilde, baselines.kernel_matrix(x, x),
+                                          baselines.kernel_matrix(x, z_tilde))
 
 
 @pytest.mark.parametrize("alpha0", [50.0, 1e6])
@@ -503,16 +548,13 @@ def test_buffered_objectives_equal_the_public_functions_bit_for_bit(kind):
     objective, direct = make(), make_direct()
     rng = Rng(11)
     x1, x2, x3 = (PointCloud(0.5 * rng.normal(30 * 6).reshape(30, 6)) for _ in range(3))
-    # revisits after another cloud overwrote the buffers, and a new prior
-    # sample (WAE-MMD) between them
-    calls = [("begin_step", x1), ("value", x1), ("value", x2), ("gradient", x1),
-             ("gradient", x2), ("value", x1), ("begin_step", x2), ("value", x1),
+    x1_again = PointCloud(x1.data)
+    # revisits after another cloud overwrote the buffers, and a new cloud
+    # object of x1's points (a new prior sample for WAE-MMD) between them
+    calls = [("value", x1), ("value", x2), ("gradient", x1), ("gradient", x2),
+             ("value", x1), ("value", x1_again), ("gradient", x1_again), ("value", x1),
              ("gradient", x3), ("value", x3), ("gradient", x2), ("value", x2)]
     for step, (method, x) in enumerate(calls):
-        if method == "begin_step":
-            objective.begin_step(x)
-            direct.begin_step(x)
-            continue
         got, want = getattr(objective, method)(x), getattr(direct, method)(x)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (step, method)
 
@@ -527,8 +569,6 @@ def test_one_objective_serves_clouds_of_any_shape(kind):
     x1 = PointCloud(0.5 * rng.normal(30 * 6).reshape(30, 6))
     x2 = PointCloud(0.5 * rng.normal(40 * 3).reshape(40, 3))
     for step, x in enumerate((x1, x2, x1)):
-        objective.begin_step(x)
-        direct.begin_step(x)
         for method in ("value", "gradient"):
             got, want = getattr(objective, method)(x), getattr(direct, method)(x)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (step, method)
@@ -555,7 +595,6 @@ def test_steady_state_steps_allocate_no_square_matrix(make):
 
     def step(x):
         # a run's step: start value, gradient, one line-search candidate
-        measured("begin_step", x)
         measured("value", x)
         candidate = PointCloud(x.data - 1e-3 * measured("gradient", x))
         measured("value", candidate)
@@ -571,7 +610,7 @@ def test_steady_state_steps_allocate_no_square_matrix(make):
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert len(growth) == 12
+    assert len(growth) == 9
     assert max(peaks) < 2 * n * n * 8
     assert max(growth) < n * n * 8
 
